@@ -11,8 +11,8 @@
 //!    digests (`malec_bench::goldens`), so hot-path rewrites provably
 //!    preserve simulated behavior;
 //! 3. writes wall-clock and cells/sec for both paths to
-//!    `BENCH_simulator.json` at the workspace root, tracking the perf
-//!    trajectory from PR 1 onward.
+//!    `BENCH_simulator.json` in the working directory (run it from the
+//!    workspace root to update the tracked copy).
 //!
 //! Flags: `--record` prints fresh `GOLDEN_DIGESTS` /
 //! `SCENARIO_GOLDEN_DIGESTS` tables instead of checking (use only after an
@@ -306,7 +306,7 @@ fn main() {
         "ok"
     };
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simulator.json");
+    let out = "BENCH_simulator.json";
     write_json(
         out,
         &serial,

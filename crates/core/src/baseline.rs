@@ -131,11 +131,11 @@ impl BaselineInterface {
         let t = self.mmu.translate(vpage);
         match t.path {
             crate::mmu::TranslationPath::MicroHit => {}
-            crate::mmu::TranslationPath::TlbHit => {
+            crate::mmu::TranslationPath::TlbHit { .. } => {
                 self.counters.tlb_lookups += 1;
                 self.counters.utlb_fills += 1;
             }
-            crate::mmu::TranslationPath::Walk => {
+            crate::mmu::TranslationPath::Walk { .. } => {
                 self.counters.tlb_lookups += 1;
                 self.counters.tlb_fills += 1;
                 self.counters.utlb_fills += 1;

@@ -212,11 +212,11 @@ impl MalecInterface {
         let t = self.mmu.translate(vpage);
         match t.path {
             TranslationPath::MicroHit => {}
-            TranslationPath::TlbHit => {
+            TranslationPath::TlbHit { .. } => {
                 self.counters.tlb_lookups += 1;
                 self.counters.utlb_fills += 1;
             }
-            TranslationPath::Walk => {
+            TranslationPath::Walk { .. } => {
                 self.counters.tlb_lookups += 1;
                 self.counters.tlb_fills += 1;
                 self.counters.utlb_fills += 1;
@@ -234,21 +234,21 @@ impl MalecInterface {
             }
             match t.path {
                 TranslationPath::MicroHit => {}
-                TranslationPath::TlbHit => {
+                TranslationPath::TlbHit { tlb_slot } => {
                     // The WT entry travels with the TLB hit; install it as
                     // the page's uWT entry.
-                    let entry = wt.entry(t.tlb_slot).clone();
+                    let entry = wt.entry(tlb_slot).clone();
                     uwt.entry_mut(t.utlb_slot).copy_from(&entry);
                     self.counters.wt_reads += 1;
                     self.counters.uwt_writes += 1;
                 }
-                TranslationPath::Walk => {
+                TranslationPath::Walk { tlb_slot } => {
                     // Fresh page: all way information invalidated (Sec. V —
                     // if a TLB-evicted page is re-accessed, a new WT entry
                     // is allocated with everything unknown). Invalidation is
                     // a flash-clear, priced as a slot update rather than a
                     // full-entry write.
-                    wt.entry_mut(t.tlb_slot).clear_all();
+                    wt.entry_mut(tlb_slot).clear_all();
                     self.counters.wt_bit_updates += 1;
                     uwt.entry_mut(t.utlb_slot).clear_all();
                     self.counters.uwt_bit_updates += 1;

@@ -6,14 +6,23 @@ use malec_mem::tlb::{MicroTlb, PageTable, Tlb, TlbEntry};
 use malec_types::addr::{PPageId, VPageId};
 
 /// Extra cycles a translation adds on top of the (pipelined) uTLB hit path.
+///
+/// The paths that consult the TLB carry the TLB slot now holding the
+/// translation (the WT mirrors TLB slots); a uTLB hit never reads it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TranslationPath {
     /// uTLB hit: fully overlapped, no extra latency.
     MicroHit,
     /// uTLB miss, TLB hit: one extra cycle.
-    TlbHit,
+    TlbHit {
+        /// TLB slot holding the translation.
+        tlb_slot: usize,
+    },
     /// Both missed: a page-table walk.
-    Walk,
+    Walk {
+        /// TLB slot the walk filled.
+        tlb_slot: usize,
+    },
 }
 
 impl TranslationPath {
@@ -21,8 +30,8 @@ impl TranslationPath {
     pub const fn extra_latency(self) -> u32 {
         match self {
             TranslationPath::MicroHit => 0,
-            TranslationPath::TlbHit => 1,
-            TranslationPath::Walk => 20,
+            TranslationPath::TlbHit { .. } => 1,
+            TranslationPath::Walk { .. } => 20,
         }
     }
 }
@@ -36,8 +45,6 @@ pub struct Translation {
     pub path: TranslationPath,
     /// uTLB slot now holding the translation (way tables mirror slots).
     pub utlb_slot: usize,
-    /// TLB slot now holding the translation.
-    pub tlb_slot: usize,
     /// uTLB entry evicted to make room (its uWT entry must sync to the WT).
     pub utlb_evicted: Option<(usize, TlbEntry)>,
     /// TLB entry evicted (its WT entry is lost; any uTLB copy dies too).
@@ -67,16 +74,10 @@ impl Mmu {
     /// the way tables need.
     pub fn translate(&mut self, vpage: VPageId) -> Translation {
         if let Some((slot, entry)) = self.utlb.lookup(vpage) {
-            let tlb_slot = self
-                .tlb
-                .lookup_by_ppage(entry.ppage)
-                .map(|(s, _)| s)
-                .unwrap_or(usize::MAX);
             return Translation {
                 ppage: entry.ppage,
                 path: TranslationPath::MicroHit,
                 utlb_slot: slot,
-                tlb_slot,
                 utlb_evicted: None,
                 tlb_evicted: None,
             };
@@ -87,9 +88,8 @@ impl Mmu {
             let ev = self.utlb.insert(vpage, entry.ppage);
             return Translation {
                 ppage: entry.ppage,
-                path: TranslationPath::TlbHit,
+                path: TranslationPath::TlbHit { tlb_slot },
                 utlb_slot: ev.slot,
-                tlb_slot,
                 utlb_evicted: ev.evicted.map(|e| (ev.slot, e)),
                 tlb_evicted: None,
             };
@@ -109,9 +109,10 @@ impl Mmu {
         let u_ev = self.utlb.insert(vpage, ppage);
         Translation {
             ppage,
-            path: TranslationPath::Walk,
+            path: TranslationPath::Walk {
+                tlb_slot: tlb_ev.slot,
+            },
             utlb_slot: u_ev.slot,
-            tlb_slot: tlb_ev.slot,
             utlb_evicted: u_ev.evicted.map(|e| (u_ev.slot, e)),
             tlb_evicted,
         }
@@ -168,7 +169,7 @@ mod tests {
         let mut m = mmu();
         let v = VPageId::new(0x100);
         let t1 = m.translate(v);
-        assert_eq!(t1.path, TranslationPath::Walk);
+        assert!(matches!(t1.path, TranslationPath::Walk { .. }));
         let t2 = m.translate(v);
         assert_eq!(t2.path, TranslationPath::MicroHit);
         assert_eq!(t1.ppage, t2.ppage);
@@ -201,7 +202,10 @@ mod tests {
             m.translate(VPageId::new(v));
         }
         let t = m.translate(v0);
-        assert_eq!(t.path, TranslationPath::TlbHit);
+        let TranslationPath::TlbHit { tlb_slot } = t.path else {
+            panic!("expected a TLB hit, got {:?}", t.path);
+        };
+        assert_eq!(m.tlb_slot_of_ppage(t.ppage), Some(tlb_slot));
     }
 
     #[test]
@@ -224,16 +228,19 @@ mod tests {
         let mut m = mmu();
         let v = VPageId::new(0x77);
         let t = m.translate(v);
+        let TranslationPath::Walk { tlb_slot } = t.path else {
+            panic!("first touch must walk, got {:?}", t.path);
+        };
         assert_eq!(m.utlb_slot_of_ppage(t.ppage), Some(t.utlb_slot));
-        assert_eq!(m.tlb_slot_of_ppage(t.ppage), Some(t.tlb_slot));
+        assert_eq!(m.tlb_slot_of_ppage(t.ppage), Some(tlb_slot));
         assert_eq!(m.utlb_slot_of_ppage(PPageId::new(0xffff_1234)), None);
     }
 
     #[test]
     fn translation_paths_have_increasing_latency() {
-        assert!(
-            TranslationPath::MicroHit.extra_latency() < TranslationPath::TlbHit.extra_latency()
-        );
-        assert!(TranslationPath::TlbHit.extra_latency() < TranslationPath::Walk.extra_latency());
+        let hit = TranslationPath::TlbHit { tlb_slot: 0 };
+        let walk = TranslationPath::Walk { tlb_slot: 0 };
+        assert!(TranslationPath::MicroHit.extra_latency() < hit.extra_latency());
+        assert!(hit.extra_latency() < walk.extra_latency());
     }
 }

@@ -1,11 +1,21 @@
 //! The trace-driven out-of-order engine.
 //!
 //! A deliberately compact but cycle-accurate model of the Table II core:
-//! dispatch (6-wide) into a 168-entry ROB, dependency-checked issue
-//! (8-wide) with per-configuration AGU arbitration for memory operations,
-//! in-order commit (6-wide), and front-end stalls on mispredicted branches.
-//! Loads complete when the plugged [`L1DataInterface`] says their data
-//! arrived; everything else completes after a fixed execution latency.
+//! dispatch (6-wide) into a 168-entry ROB, wakeup/select issue (8-wide)
+//! with per-configuration AGU arbitration for memory operations, in-order
+//! commit (6-wide), and front-end stalls on mispredicted branches. Loads
+//! complete when the plugged [`L1DataInterface`] says their data arrived;
+//! everything else completes after a fixed execution latency.
+//!
+//! Issue follows wakeup/select (Palacharla, Jouppi & Smith, ISCA '97), so
+//! its cost per cycle is proportional to what wakes and issues, not to the
+//! window. Every entry waits on at most one producer. When the producer's
+//! completion cycle becomes known (at issue for ops, branches and stores,
+//! at the interface tick for loads), its waiters move to a wake queue
+//! slot for that cycle, or straight into a ready list when that cycle has
+//! come. Select merges the ALU-op, branch and load ready lists with the
+//! head of the in-order store queue, oldest first, and stops drawing from
+//! a class once that class's resource is spent.
 
 use std::collections::VecDeque;
 
@@ -25,6 +35,11 @@ const DEADLOCK_LIMIT: u64 = 100_000;
 const ALU_UNITS: usize = 4;
 const NO_DEP: u64 = u64::MAX;
 const UNKNOWN: u64 = u64::MAX;
+/// End of an intrusive list.
+const NIL: u64 = u64::MAX;
+/// Wake queue slots. A completion cycle is known at most an op's `u8`
+/// latency ahead, so slots are reused only after their cycle has passed.
+const WAKE_SLOTS: usize = 256;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EntryKind {
@@ -38,9 +53,14 @@ enum EntryKind {
 struct RobEntry {
     kind: EntryKind,
     mem: Option<MemOp>,
-    deps: [u64; 2],
+    /// The producer this entry waits on, or `NO_DEP`.
+    dep: u64,
     done_at: u64,
-    issued: bool,
+    /// Head of the list of consumers waiting for `done_at` to be known.
+    waiters: u64,
+    /// Next entry in the list this one waits in: its producer's waiters
+    /// or a wake queue slot.
+    next: u64,
 }
 
 /// Aggregate statistics of one run.
@@ -107,12 +127,18 @@ pub struct OoOCore<I> {
     fe_resume_at: u64,
     stats: CoreStats,
     completed_buf: Vec<OpId>,
-    /// Issue candidates: absolute indices of not-yet-issued ROB entries in
-    /// program order. Issue walks this (typically short) list instead of
-    /// rescanning all 168 ROB entries every cycle; entries leave the moment
-    /// they issue and are compacted in place, so steady state allocates
-    /// nothing.
-    unissued: Vec<u64>,
+    /// Dependency-ready, unissued entries of each class, in program order
+    /// (absolute indices). Like the store queue, preallocated to the ROB
+    /// size, so steady state allocates nothing.
+    ready_ops: VecDeque<u64>,
+    ready_branches: VecDeque<u64>,
+    ready_loads: VecDeque<u64>,
+    /// Unissued stores in program order, ready or not: stores claim
+    /// store-buffer entries in order, so only the head may issue next.
+    stores: VecDeque<u64>,
+    /// `wake[c % WAKE_SLOTS]` heads the list of entries whose producer
+    /// completes in cycle `c`.
+    wake: Vec<u64>,
 }
 
 impl<I: L1DataInterface> OoOCore<I> {
@@ -120,16 +146,17 @@ impl<I: L1DataInterface> OoOCore<I> {
     /// `interface`.
     pub fn new(config: &SimConfig, interface: I) -> Self {
         let agus = config.agus();
+        let rob_size = usize::from(config.rob_entries);
         Self {
             interface,
-            rob_size: usize::from(config.rob_entries),
+            rob_size,
             dispatch_width: usize::from(config.dispatch_width),
             issue_width: usize::from(config.issue_width),
             lq_entries: usize::from(config.lq_entries),
             load_only_agus: u32::from(agus.load_only),
             store_only_agus: u32::from(agus.store_only),
             shared_agus: u32::from(agus.shared),
-            rob: VecDeque::with_capacity(usize::from(config.rob_entries)),
+            rob: VecDeque::with_capacity(rob_size),
             rob_base: 0,
             next_idx: 0,
             cycle: 0,
@@ -138,7 +165,11 @@ impl<I: L1DataInterface> OoOCore<I> {
             fe_resume_at: 0,
             stats: CoreStats::default(),
             completed_buf: Vec::with_capacity(8),
-            unissued: Vec::with_capacity(usize::from(config.rob_entries)),
+            ready_ops: VecDeque::with_capacity(rob_size),
+            ready_branches: VecDeque::with_capacity(rob_size),
+            ready_loads: VecDeque::with_capacity(rob_size),
+            stores: VecDeque::with_capacity(rob_size),
+            wake: vec![NIL; WAKE_SLOTS],
         }
     }
 
@@ -168,14 +199,14 @@ impl<I: L1DataInterface> OoOCore<I> {
             self.completed_buf.clear();
             let mut completed = std::mem::take(&mut self.completed_buf);
             self.interface.tick(self.cycle, &mut completed);
-            for id in &completed {
-                let pos = id.0.checked_sub(self.rob_base).map(|o| o as usize);
-                if let Some(pos) = pos {
-                    if let Some(e) = self.rob.get_mut(pos) {
-                        debug_assert_eq!(e.kind, EntryKind::Load);
-                        e.done_at = self.cycle;
-                        self.inflight_loads -= 1;
-                    }
+            for &OpId(idx) in &completed {
+                let in_rob = idx
+                    .checked_sub(self.rob_base)
+                    .is_some_and(|pos| pos < self.rob.len() as u64);
+                if in_rob {
+                    debug_assert_eq!(self.entry(idx).kind, EntryKind::Load);
+                    self.complete(idx, self.cycle);
+                    self.inflight_loads -= 1;
                 }
             }
             self.completed_buf = completed;
@@ -235,27 +266,77 @@ impl<I: L1DataInterface> OoOCore<I> {
         self.stats
     }
 
-    fn dep_satisfied(&self, dep: u64) -> bool {
-        if dep == NO_DEP || dep < self.rob_base {
-            return true;
-        }
-        let pos = (dep - self.rob_base) as usize;
-        match self.rob.get(pos) {
-            Some(e) => e.done_at != UNKNOWN && e.done_at <= self.cycle,
-            None => true,
+    fn entry(&self, idx: u64) -> &RobEntry {
+        &self.rob[(idx - self.rob_base) as usize]
+    }
+
+    fn entry_mut(&mut self, idx: u64) -> &mut RobEntry {
+        &mut self.rob[(idx - self.rob_base) as usize]
+    }
+
+    /// Whether `dep` has produced its result by this cycle.
+    fn dep_done(&self, dep: u64) -> bool {
+        dep == NO_DEP || dep < self.rob_base || self.entry(dep).done_at <= self.cycle
+    }
+
+    /// Inserts `idx` into its class's ready list, keeping program order.
+    fn make_ready(&mut self, idx: u64) {
+        let list = match self.entry(idx).kind {
+            EntryKind::Op { .. } => &mut self.ready_ops,
+            EntryKind::Branch { .. } => &mut self.ready_branches,
+            EntryKind::Load => &mut self.ready_loads,
+            EntryKind::Store => unreachable!("stores issue from the store queue"),
+        };
+        let pos = list.partition_point(|&i| i < idx);
+        list.insert(pos, idx);
+    }
+
+    /// Makes `idx` ready in cycle `at`: now if that cycle has come, else
+    /// through the wake queue.
+    fn schedule(&mut self, idx: u64, at: u64) {
+        if at <= self.cycle {
+            self.make_ready(idx);
+        } else {
+            debug_assert!(at - self.cycle < WAKE_SLOTS as u64);
+            let slot = &mut self.wake[(at % WAKE_SLOTS as u64) as usize];
+            let next = std::mem::replace(slot, idx);
+            self.entry_mut(idx).next = next;
         }
     }
 
-    /// One issue pass over the unissued candidate list (program order).
+    /// `idx` completes in cycle `done_at`: records it and schedules every
+    /// consumer waiting on it.
+    fn complete(&mut self, idx: u64, done_at: u64) {
+        let e = self.entry_mut(idx);
+        e.done_at = done_at;
+        let mut w = std::mem::replace(&mut e.waiters, NIL);
+        while w != NIL {
+            let next = self.entry(w).next;
+            self.schedule(w, done_at);
+            w = next;
+        }
+    }
+
+    /// One issue pass: wake this cycle's consumers, then select in program
+    /// order across the ready lists and the store queue head.
     ///
-    /// Behaviorally identical to scanning the whole ROB and skipping issued
-    /// entries — committed entries cannot appear here (commit requires a
-    /// `done_at`, which only issue or load completion sets), and entries
-    /// are appended in dispatch order — but the walk touches only the
-    /// entries that can still issue. Entries that issue this cycle are
-    /// dropped from the list by in-place compaction; everything else keeps
-    /// its (program-order) position.
+    /// Each class is drawn from while its resource lasts: ALU ops until the
+    /// ALUs are used up, loads while the LQ has room and a load-capable AGU
+    /// is left, stores until the first one that cannot issue. A rejected
+    /// load spends its AGU and stays ready; the next ready load is offered.
+    /// Selection is oldest-first across classes, so the shared AGUs go to
+    /// loads and stores in program order. A zero-latency op wakes its
+    /// consumers into the ready lists ahead of the selection point, so they
+    /// can issue in the same pass.
     fn issue_cycle(&mut self) {
+        let slot = (self.cycle % WAKE_SLOTS as u64) as usize;
+        let mut w = std::mem::replace(&mut self.wake[slot], NIL);
+        while w != NIL {
+            let next = self.entry(w).next;
+            self.make_ready(w);
+            w = next;
+        }
+
         let mut issued = 0usize;
         let mut alu_used = 0usize;
         let mut load_agus = self.load_only_agus;
@@ -265,119 +346,92 @@ impl<I: L1DataInterface> OoOCore<I> {
         // Stores allocate store-buffer entries in program order; letting a
         // younger store claim the last SB slot while an older one waits
         // would deadlock the buffer (it drains strictly in order).
-        let mut older_store_unissued = false;
+        let mut stores_open = true;
+        // Ready loads before this position were offered and rejected.
+        let mut load_cursor = 0usize;
+        let head = |c: Option<&u64>| c.copied().unwrap_or(NIL);
 
-        let mut kept = 0usize;
-        for u in 0..self.unissued.len() {
-            let idx = self.unissued[u];
-            // Issue width exhausted: everything further stays a candidate.
-            if issued >= self.issue_width {
-                self.unissued[kept] = idx;
-                kept += 1;
-                continue;
+        while issued < self.issue_width {
+            let op = if alu_used < ALU_UNITS {
+                head(self.ready_ops.front())
+            } else {
+                NIL
+            };
+            let branch = head(self.ready_branches.front());
+            let load = if self.inflight_loads < self.lq_entries && load_agus + shared_agus > 0 {
+                head(self.ready_loads.get(load_cursor))
+            } else {
+                NIL
+            };
+            let store = if stores_open && store_agus + shared_agus > 0 {
+                head(self.stores.front())
+            } else {
+                NIL
+            };
+            let idx = op.min(branch).min(load).min(store);
+            if idx == NIL {
+                break;
             }
-            let pos = (idx - self.rob_base) as usize;
-            let e = self.rob[pos];
-            debug_assert!(!e.issued, "issued entries leave the candidate list");
-            let is_store = matches!(e.kind, EntryKind::Store);
-            let deps_ok = !(is_store && older_store_unissued)
-                && self.dep_satisfied(e.deps[0])
-                && self.dep_satisfied(e.deps[1]);
-            if !deps_ok {
-                if is_store {
-                    older_store_unissued = true;
+
+            if idx == op {
+                self.ready_ops.pop_front();
+                alu_used += 1;
+                issued += 1;
+                let EntryKind::Op { latency } = self.entry(idx).kind else {
+                    unreachable!("ready_ops holds ops")
+                };
+                self.complete(idx, self.cycle + u64::from(latency));
+            } else if idx == branch {
+                self.ready_branches.pop_front();
+                issued += 1;
+                self.complete(idx, self.cycle + 1);
+                // A mispredicted branch resolves here: schedule the
+                // front-end restart (resolution + refill).
+                if self.fe_blocked_on == Some(idx) {
+                    self.fe_blocked_on = None;
+                    self.fe_resume_at = self.cycle + 1 + MISPREDICT_REFILL;
                 }
-                self.unissued[kept] = idx;
-                kept += 1;
-                continue;
-            }
-            let mut did_issue = false;
-            match e.kind {
-                EntryKind::Op { latency } => {
-                    if alu_used < ALU_UNITS {
-                        alu_used += 1;
-                        let entry = &mut self.rob[pos];
-                        entry.issued = true;
-                        entry.done_at = self.cycle + u64::from(latency);
-                        issued += 1;
-                        did_issue = true;
-                    }
+            } else if idx == load {
+                // Claim an AGU: prefer a load-only unit.
+                if load_agus > 0 {
+                    load_agus -= 1;
+                } else {
+                    shared_agus -= 1;
                 }
-                EntryKind::Branch { .. } => {
-                    let entry = &mut self.rob[pos];
-                    entry.issued = true;
-                    entry.done_at = self.cycle + 1;
+                let op = self.entry(idx).mem.expect("load carries a MemOp");
+                debug_assert_eq!(op.id, OpId(idx));
+                if self.interface.offer_load(op).is_accepted() {
+                    self.ready_loads.remove(load_cursor);
+                    self.inflight_loads += 1;
                     issued += 1;
-                    did_issue = true;
-                    // A mispredicted branch resolves here: schedule the
-                    // front-end restart (resolution + refill).
-                    if self.fe_blocked_on == Some(idx) {
-                        self.fe_blocked_on = None;
-                        self.fe_resume_at = self.cycle + 1 + MISPREDICT_REFILL;
-                    }
+                } else {
+                    // The AGU cycle is wasted (the paper stalls AGUs when
+                    // the Input Buffer is full).
+                    agu_stalled = true;
+                    load_cursor += 1;
                 }
-                EntryKind::Load => {
-                    if self.inflight_loads < self.lq_entries {
-                        // Claim an AGU: prefer a load-only unit.
-                        let have_agu = if load_agus > 0 {
-                            load_agus -= 1;
-                            true
-                        } else if shared_agus > 0 {
-                            shared_agus -= 1;
-                            true
-                        } else {
-                            false
-                        };
-                        if have_agu {
-                            let op = e.mem.expect("load carries a MemOp");
-                            debug_assert_eq!(op.id, OpId(idx));
-                            if self.interface.offer_load(op).is_accepted() {
-                                let entry = &mut self.rob[pos];
-                                entry.issued = true;
-                                self.inflight_loads += 1;
-                                issued += 1;
-                                did_issue = true;
-                            } else {
-                                // The AGU cycle is wasted (the paper stalls
-                                // AGUs when the Input Buffer is full).
-                                agu_stalled = true;
-                            }
-                        }
-                    }
+            } else {
+                let e = self.entry(idx);
+                let (dep, op) = (e.dep, e.mem.expect("store carries a MemOp"));
+                if !self.dep_done(dep) {
+                    stores_open = false;
+                    continue;
                 }
-                EntryKind::Store => {
-                    let have_agu = if store_agus > 0 {
-                        store_agus -= 1;
-                        true
-                    } else if shared_agus > 0 {
-                        shared_agus -= 1;
-                        true
-                    } else {
-                        false
-                    };
-                    if have_agu {
-                        let op = e.mem.expect("store carries a MemOp");
-                        if self.interface.offer_store(op).is_accepted() {
-                            let entry = &mut self.rob[pos];
-                            entry.issued = true;
-                            entry.done_at = self.cycle + 1;
-                            issued += 1;
-                            did_issue = true;
-                        } else {
-                            agu_stalled = true;
-                            older_store_unissued = true;
-                        }
-                    } else {
-                        older_store_unissued = true;
-                    }
+                if store_agus > 0 {
+                    store_agus -= 1;
+                } else {
+                    shared_agus -= 1;
                 }
-            }
-            if !did_issue {
-                self.unissued[kept] = idx;
-                kept += 1;
+                if self.interface.offer_store(op).is_accepted() {
+                    self.stores.pop_front();
+                    issued += 1;
+                    self.complete(idx, self.cycle + 1);
+                } else {
+                    agu_stalled = true;
+                    stores_open = false;
+                }
             }
         }
-        self.unissued.truncate(kept);
 
         if agu_stalled {
             self.stats.agu_stall_cycles += 1;
@@ -402,54 +456,58 @@ impl<I: L1DataInterface> OoOCore<I> {
             };
             let idx = self.next_idx;
             self.next_idx += 1;
-            let dep_of = |d: Option<u32>| match d {
+            let (kind, mem, dep) = match inst {
+                TraceInst::Op { latency, dep } => (EntryKind::Op { latency }, None, dep),
+                TraceInst::Load {
+                    vaddr,
+                    size,
+                    addr_dep,
+                } => (
+                    EntryKind::Load,
+                    Some(MemOp::load(OpId(idx), vaddr, size)),
+                    addr_dep,
+                ),
+                TraceInst::Store {
+                    vaddr,
+                    size,
+                    data_dep,
+                } => (
+                    EntryKind::Store,
+                    Some(MemOp::store(OpId(idx), vaddr, size)),
+                    data_dep,
+                ),
+                TraceInst::Branch { mispredicted, dep } => {
+                    (EntryKind::Branch { mispredicted }, None, dep)
+                }
+            };
+            let dep = match dep {
                 // A distance reaching before the start of the trace means
                 // the producer already executed: no constraint.
                 Some(dist) if u64::from(dist) <= idx => idx - u64::from(dist),
                 _ => NO_DEP,
             };
-            let entry = match inst {
-                TraceInst::Op { latency, dep } => RobEntry {
-                    kind: EntryKind::Op { latency },
-                    mem: None,
-                    deps: [dep_of(dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
-                TraceInst::Load {
-                    vaddr,
-                    size,
-                    addr_dep,
-                } => RobEntry {
-                    kind: EntryKind::Load,
-                    mem: Some(MemOp::load(OpId(idx), vaddr, size)),
-                    deps: [dep_of(addr_dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
-                TraceInst::Store {
-                    vaddr,
-                    size,
-                    data_dep,
-                } => RobEntry {
-                    kind: EntryKind::Store,
-                    mem: Some(MemOp::store(OpId(idx), vaddr, size)),
-                    deps: [dep_of(data_dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
-                TraceInst::Branch { mispredicted, dep } => RobEntry {
-                    kind: EntryKind::Branch { mispredicted },
-                    mem: None,
-                    deps: [dep_of(dep), NO_DEP],
-                    done_at: UNKNOWN,
-                    issued: false,
-                },
-            };
-            let is_mispredict = matches!(entry.kind, EntryKind::Branch { mispredicted: true });
-            self.rob.push_back(entry);
-            self.unissued.push(idx);
-            if is_mispredict {
+            self.rob.push_back(RobEntry {
+                kind,
+                mem,
+                dep,
+                done_at: UNKNOWN,
+                waiters: NIL,
+                next: NIL,
+            });
+            if kind == EntryKind::Store {
+                self.stores.push_back(idx);
+            } else if dep == NO_DEP || dep < self.rob_base {
+                self.make_ready(idx);
+            } else if self.entry(dep).done_at == UNKNOWN {
+                // The producer's completion cycle is not known yet: wait
+                // on it.
+                let producer = self.entry_mut(dep);
+                let next = std::mem::replace(&mut producer.waiters, idx);
+                self.entry_mut(idx).next = next;
+            } else {
+                self.schedule(idx, self.entry(dep).done_at);
+            }
+            if kind == (EntryKind::Branch { mispredicted: true }) {
                 self.fe_blocked_on = Some(idx);
                 return false;
             }
@@ -465,7 +523,8 @@ mod tests {
     use malec_types::addr::VAddr;
 
     /// Fixed-latency interface: every load completes `latency` cycles after
-    /// acceptance; accepts up to `per_cycle` loads per cycle.
+    /// acceptance; accepts up to `per_cycle` loads per cycle. Logs every
+    /// offer as (cycle, op, accepted).
     #[derive(Debug)]
     struct FixedLatency {
         latency: u64,
@@ -474,6 +533,8 @@ mod tests {
         inflight: Vec<(u64, OpId)>,
         cycle: u64,
         commits_seen: Vec<OpId>,
+        load_offers: Vec<(u64, OpId, bool)>,
+        store_offers: Vec<(u64, OpId)>,
     }
 
     impl FixedLatency {
@@ -485,6 +546,8 @@ mod tests {
                 inflight: Vec::new(),
                 cycle: 0,
                 commits_seen: Vec::new(),
+                load_offers: Vec::new(),
+                store_offers: Vec::new(),
             }
         }
     }
@@ -504,7 +567,9 @@ mod tests {
         }
 
         fn offer_load(&mut self, op: MemOp) -> AcceptKind {
-            if self.accepted_this_cycle >= self.per_cycle {
+            let accept = self.accepted_this_cycle < self.per_cycle;
+            self.load_offers.push((self.cycle, op.id, accept));
+            if !accept {
                 return AcceptKind::Rejected;
             }
             self.accepted_this_cycle += 1;
@@ -512,7 +577,8 @@ mod tests {
             AcceptKind::Accepted
         }
 
-        fn offer_store(&mut self, _op: MemOp) -> AcceptKind {
+        fn offer_store(&mut self, op: MemOp) -> AcceptKind {
+            self.store_offers.push((self.cycle, op.id));
             AcceptKind::Accepted
         }
 
@@ -669,6 +735,74 @@ mod tests {
         // ~80 cycles. The 168-entry ROB forces the tail to wait.
         assert!(stats.cycles >= 80 + (400 - 168) / 6);
         assert_eq!(stats.committed, 401);
+    }
+
+    fn store(data_dep: Option<u32>) -> TraceInst {
+        TraceInst::Store {
+            vaddr: VAddr::new(0x2000),
+            size: 4,
+            data_dep,
+        }
+    }
+
+    #[test]
+    fn pending_store_blocks_younger_ready_store() {
+        // Store 1 waits on a 4-cycle op; store 2 is ready at once but must
+        // not claim a store-buffer slot ahead of it.
+        let trace = vec![
+            TraceInst::Op {
+                latency: 4,
+                dep: None,
+            },
+            store(Some(1)),
+            store(None),
+        ];
+        let (_, iface) = run_trace(trace, FixedLatency::new(2, 4));
+        // The op issues in cycle 1 and is done in cycle 5.
+        assert_eq!(iface.store_offers, vec![(5, OpId(1)), (5, OpId(2))]);
+    }
+
+    #[test]
+    fn rejected_load_spends_its_agu_and_the_next_load_is_offered() {
+        // MALEC has three load-capable AGUs; the interface accepts one
+        // load a cycle. Each rejected offer uses up an AGU, the next ready
+        // load is still offered while AGUs remain, and the fourth load is
+        // not offered in the first cycle at all.
+        let trace: Vec<TraceInst> = (0..4).map(|i| ld(0x1000 + i * 64)).collect();
+        let (stats, iface) = run_trace(trace, FixedLatency::new(2, 1));
+        let first_cycle: Vec<_> = iface
+            .load_offers
+            .iter()
+            .filter(|&&(cycle, _, _)| cycle == 1)
+            .copied()
+            .collect();
+        assert_eq!(
+            first_cycle,
+            vec![(1, OpId(0), true), (1, OpId(1), false), (1, OpId(2), false)]
+        );
+        assert_eq!(stats.agu_stall_cycles, 3);
+    }
+
+    #[test]
+    fn zero_latency_chain_issues_in_one_cycle() {
+        // Each zero-latency op is done the cycle it issues, so its consumer
+        // issues in the same pass: all four ops and the load that depends
+        // on the last one issue in cycle 1.
+        let zero = |dep| TraceInst::Op { latency: 0, dep };
+        let trace = vec![
+            zero(None),
+            zero(Some(1)),
+            zero(Some(1)),
+            zero(Some(1)),
+            TraceInst::Load {
+                vaddr: VAddr::new(0x1000),
+                size: 4,
+                addr_dep: Some(1),
+            },
+        ];
+        let (stats, iface) = run_trace(trace, FixedLatency::new(2, 4));
+        assert_eq!(iface.load_offers, vec![(1, OpId(4), true)]);
+        assert_eq!(stats.issued_ops, 5);
     }
 
     #[test]
