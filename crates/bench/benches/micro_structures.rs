@@ -1,10 +1,12 @@
-//! Criterion micro-benchmarks of the simulator's hot structures — these
-//! measure *simulator throughput* (not paper data): way-table updates, WDU
+//! Micro-benchmarks of the simulator's hot structures — these measure
+//! *simulator throughput* (not paper data): way-table updates, WDU
 //! lookups, cache-bank fills, input-buffer selection and a short
-//! end-to-end simulation.
+//! end-to-end simulation. Each is timed by the calibrated wall-clock loop
+//! of [`malec_bench::timing`] and reported as mean ns/iteration.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::time::Duration;
 
+use malec_bench::timing::mean_ns_per_iter;
 use malec_core::input_buffer::InputBuffer;
 use malec_core::waytable::WaySlots;
 use malec_core::wdu::Wdu;
@@ -15,95 +17,66 @@ use malec_types::addr::{LineAddr, VAddr, VPageId, WayId};
 use malec_types::op::{MemOp, OpId};
 use malec_types::SimConfig;
 
-fn bench_way_slots(c: &mut Criterion) {
-    c.bench_function("way_slots_set_get", |b| {
-        let mut slots = WaySlots::new(64, 4, 4);
-        let mut i = 0u8;
-        b.iter(|| {
-            i = (i + 1) % 64;
-            slots.set(i, WayId(i % 4));
-            black_box(slots.get(i))
-        });
-    });
+/// Measurement window per benchmark.
+const WINDOW: Duration = Duration::from_millis(100);
+
+/// Times `f` over [`WINDOW`] and prints its mean ns/iteration under `id`.
+fn bench<R>(id: &str, f: impl FnMut() -> R) {
+    println!("{id:<40} {:>12.1} ns/iter", mean_ns_per_iter(WINDOW, f));
 }
 
-fn bench_wdu(c: &mut Criterion) {
-    c.bench_function("wdu16_lookup_record", |b| {
-        let mut wdu = Wdu::new(16);
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 64;
-            let line = LineAddr::new(i);
-            if wdu.lookup(line).is_none() {
-                wdu.record(line, WayId((i % 4) as u8));
-            }
-            black_box(wdu.hits())
-        });
+fn main() {
+    let mut slots = WaySlots::new(64, 4, 4);
+    let mut i = 0u8;
+    bench("way_slots_set_get", || {
+        i = (i + 1) % 64;
+        slots.set(i, WayId(i % 4));
+        slots.get(i)
     });
-}
 
-fn bench_cache_bank(c: &mut Criterion) {
-    c.bench_function("cache_bank_fill_lookup", |b| {
-        let mut bank = CacheBank::new(32, 4);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let set = (i % 32) as u32;
-            bank.fill(set, i % 512, None);
-            black_box(bank.lookup(set, i % 512))
-        });
-    });
-}
-
-fn bench_input_buffer(c: &mut Criterion) {
-    c.bench_function("input_buffer_select", |b| {
-        let mut ib = InputBuffer::new(7);
-        for k in 0..6u64 {
-            let addr = 0x1000 + (k % 3) * 0x1000 + k * 8;
-            ib.push_load(
-                MemOp::load(OpId(k), VAddr::new(addr), 4),
-                VPageId::new(addr >> 12),
-                k,
-            );
+    let mut wdu = Wdu::new(16);
+    let mut i = 0u64;
+    bench("wdu16_lookup_record", || {
+        i = (i + 1) % 64;
+        let line = LineAddr::new(i);
+        if wdu.lookup(line).is_none() {
+            wdu.record(line, WayId((i % 4) as u8));
         }
-        b.iter(|| black_box(ib.select()));
+        wdu.hits()
     });
-}
 
-fn bench_trace_generation(c: &mut Criterion) {
-    c.bench_function("workload_generation_1k", |b| {
-        let profile = all_benchmarks().remove(0);
-        b.iter(|| {
-            let n = WorkloadGenerator::new(&profile, 1)
-                .take(1000)
-                .filter(|i| i.is_mem())
-                .count();
-            black_box(n)
-        });
+    let mut bank = CacheBank::new(32, 4);
+    let mut i = 0u64;
+    bench("cache_bank_fill_lookup", || {
+        i += 1;
+        let set = (i % 32) as u32;
+        bank.fill(set, i % 512, None);
+        bank.lookup(set, i % 512)
     });
-}
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("end_to_end_5k_insts");
-    group.sample_size(10);
+    let mut ib = InputBuffer::new(7);
+    for k in 0..6u64 {
+        let addr = 0x1000 + (k % 3) * 0x1000 + k * 8;
+        ib.push_load(
+            MemOp::load(OpId(k), VAddr::new(addr), 4),
+            VPageId::new(addr >> 12),
+            k,
+        );
+    }
+    bench("input_buffer_select", || ib.select());
+
+    let profile = all_benchmarks().remove(0);
+    bench("workload_generation_1k", || {
+        WorkloadGenerator::new(&profile, 1)
+            .take(1000)
+            .filter(|i| i.is_mem())
+            .count()
+    });
+
+    println!("group: end_to_end_5k_insts");
     for cfg in [SimConfig::base1ldst(), SimConfig::malec()] {
         let label = cfg.label();
-        group.bench_function(&label, |b| {
-            let profile = all_benchmarks().remove(0);
-            let sim = Simulator::new(cfg.clone());
-            b.iter(|| black_box(sim.run(&profile, 5_000, 1).core.cycles));
-        });
+        let sim = Simulator::new(cfg);
+        bench(&label, || sim.run(&profile, 5_000, 1).core.cycles);
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_way_slots,
-    bench_wdu,
-    bench_cache_bank,
-    bench_input_buffer,
-    bench_trace_generation,
-    bench_end_to_end
-);
-criterion_main!(benches);

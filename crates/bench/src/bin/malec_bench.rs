@@ -23,13 +23,13 @@
 use std::time::Instant;
 
 use malec_bench::goldens::{
-    compare_digest, digest, run_compare_cells_with, run_scenario_cells_with, BENCH_BENCHMARKS,
-    COMPARE_GOLDEN_DIGESTS, GOLDEN_DIGESTS, SCENARIO_GOLDEN_DIGESTS,
+    run_compare_cells_with, run_scenario_cells_with, BENCH_BENCHMARKS, COMPARE_GOLDEN_DIGESTS,
+    GOLDEN_DIGESTS, SCENARIO_GOLDEN_DIGESTS,
 };
-use malec_bench::{run_matrix_on_with, run_matrix_serial_on, DEFAULT_INSTS};
-use malec_core::compare::CompareStats;
+use malec_bench::{run_matrix_on_with, DEFAULT_INSTS};
+use malec_core::compare::{compare_digest, CompareStats};
 use malec_core::parallel::workers_for;
-use malec_core::RunSummary;
+use malec_core::{digest, RunSummary};
 use malec_trace::all_benchmarks;
 use malec_trace::profile::BenchmarkProfile;
 use malec_types::SimConfig;
@@ -241,7 +241,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let serial = run_matrix_serial_on(&benchmarks, &configs, DEFAULT_INSTS);
+    let serial = run_matrix_on_with(&benchmarks, &configs, DEFAULT_INSTS, Some(1));
     let serial_s = t.elapsed().as_secs_f64();
     eprintln!(
         "  serial:   {serial_s:.3}s  ({:.2} cells/s)",

@@ -46,12 +46,8 @@ pub fn scenario_configs() -> Vec<SimConfig> {
 
 /// The scenario golden workload: every preset scenario under every
 /// [`scenario_configs`] entry, scenario-major, at [`SCENARIO_INSTS`]
-/// instructions and the fixed [`crate::DEFAULT_SEED`].
-pub fn run_scenario_cells() -> Vec<RunSummary> {
-    run_scenario_cells_with(None)
-}
-
-/// [`run_scenario_cells`] with an operator-imposed worker cap (`--jobs N`).
+/// instructions and the fixed [`crate::DEFAULT_SEED`], fanned out over at
+/// most `jobs` workers (`--jobs N`; `None`: every core).
 pub fn run_scenario_cells_with(jobs: Option<usize>) -> Vec<RunSummary> {
     let cells: Vec<(Scenario, SimConfig)> = presets()
         .into_iter()
@@ -76,16 +72,6 @@ pub fn run_scenario_cells_with(jobs: Option<usize>) -> Vec<RunSummary> {
         workers,
     )
 }
-
-/// The digest implementation moved to `malec_core::digest` in PR 3 so
-/// goldens, replay-verify and the `malec-serve` result cache share one
-/// definition; this re-export keeps the historical `goldens::digest` path
-/// working for benches and external callers.
-pub use malec_core::digest::digest;
-
-/// Re-export of the comparison digest checked against
-/// [`COMPARE_GOLDEN_DIGESTS`].
-pub use malec_core::compare::compare_digest;
 
 /// Instructions per side per shared seed of a compare golden cell (smaller
 /// than [`SCENARIO_INSTS`] because each preset runs `2 × COMPARE_SEEDS`
@@ -171,7 +157,7 @@ pub const GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
 ];
 
 /// `(scenario, config label, digest)` per cell of the scenario workload
-/// ([`run_scenario_cells`] order). Recorded at [`SCENARIO_INSTS`]
+/// ([`run_scenario_cells_with`] order). Recorded at [`SCENARIO_INSTS`]
 /// instructions, [`crate::DEFAULT_SEED`] seed; refresh with
 /// `malec-bench -- --record` after an intentional behavior change.
 pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
@@ -189,7 +175,8 @@ pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
 
 /// `(preset scenario, compare digest)` per compare golden cell
 /// ([`run_compare_cells_with`] order): the paired Base1ldst-vs-MALEC delta
-/// blocks of each preset, digested bit-exactly ([`compare_digest`] folds
+/// blocks of each preset, digested bit-exactly
+/// ([`malec_core::compare::compare_digest`] folds
 /// every delta mean, CI width, relative improvement and verdict). Recorded
 /// at [`COMPARE_INSTS`] / [`COMPARE_SEEDS`] / [`crate::DEFAULT_SEED`] /
 /// `alpha = 0.05`; refresh with `malec-bench -- --record` after an
@@ -206,6 +193,8 @@ pub const COMPARE_GOLDEN_DIGESTS: &[(&str, u64)] = &[
 mod tests {
     use super::*;
     use crate::{run_one, DEFAULT_SEED};
+    use malec_core::compare::compare_digest;
+    use malec_core::digest;
     use malec_trace::all_benchmarks;
     use malec_types::SimConfig;
 
@@ -229,34 +218,25 @@ mod tests {
         // The replication engine's core compatibility promise: replicate 0
         // of a multi-seed sweep is the legacy single-seed run, bit for bit
         // — checked here directly against the recorded golden table.
-        use malec_core::stats::Replication;
-        use malec_core::sweep::{ParameterSweep, SweepPoint};
         use malec_trace::scenario::preset_named;
 
-        let scenario = preset_named("store_burst").expect("preset");
-        let points = vec![SweepPoint {
-            label: "MALEC".to_owned(),
-            config: SimConfig::malec(),
-        }];
-        let out = ParameterSweep::run_source_replicated(
-            &points,
-            &ScenarioSource::Scenario(scenario),
-            SCENARIO_INSTS,
-            DEFAULT_SEED,
-            &Replication::fixed(3),
-            None,
-        );
+        let source = ScenarioSource::Scenario(preset_named("store_burst").expect("preset"));
+        let replicate = |r: u32| {
+            Simulator::new(SimConfig::malec())
+                .run_source(&source, SCENARIO_INSTS, replicate_seed(DEFAULT_SEED, r))
+                .expect("generator sources cannot fail")
+        };
         let &(_, _, golden) = SCENARIO_GOLDEN_DIGESTS
             .iter()
             .find(|&&(s, c, _)| s == "store_burst" && c == "MALEC")
             .expect("golden cell exists");
         assert_eq!(
-            digest(&out[0].replicates[0]),
+            digest(&replicate(0)),
             golden,
             "replicate 0 must reproduce the recorded golden digest"
         );
         assert_ne!(
-            digest(&out[0].replicates[1]),
+            digest(&replicate(1)),
             golden,
             "replicate 1 runs a genuinely different seed"
         );

@@ -14,6 +14,7 @@ use malec_trace::profile::{BenchmarkProfile, Suite};
 use malec_types::SimConfig;
 
 pub mod goldens;
+pub mod timing;
 
 /// Instructions simulated per benchmark per configuration. The paper uses
 /// 1-billion-instruction SimPoint phases; the synthetic workloads' statistics
@@ -33,8 +34,8 @@ pub fn run_one(config: &SimConfig, profile: &BenchmarkProfile, insts: u64) -> Ru
 ///
 /// Every `(benchmark, config)` cell is an independent, seeded simulation,
 /// so the full matrix fans out across all available cores; the result is
-/// bit-identical to [`run_matrix_serial`] regardless of scheduling (each
-/// cell writes its own slot).
+/// bit-identical to the serial `run_matrix_on_with(.., Some(1))` regardless
+/// of scheduling (each cell writes its own slot).
 pub fn run_matrix(configs: &[SimConfig], insts: u64) -> Vec<Vec<RunSummary>> {
     run_matrix_on(&all_benchmarks(), configs, insts)
 }
@@ -50,7 +51,8 @@ pub fn run_matrix_on(
 
 /// [`run_matrix_on`] with an operator-imposed worker cap (the `--jobs N`
 /// flag): `None` uses every available core, `Some(n)` fans out over at most
-/// `n` workers. The result is bit-identical either way.
+/// `n` workers, and `Some(1)` is the plain serial path. The result is
+/// bit-identical either way.
 pub fn run_matrix_on_with(
     benchmarks: &[BenchmarkProfile],
     configs: &[SimConfig],
@@ -68,29 +70,6 @@ pub fn run_matrix_on_with(
         workers,
     );
     rows_of(summaries, configs.len())
-}
-
-/// The serial reference path (kept for speedup measurement and as the
-/// ground truth the parallel matrix is compared against).
-pub fn run_matrix_serial(configs: &[SimConfig], insts: u64) -> Vec<Vec<RunSummary>> {
-    run_matrix_serial_on(&all_benchmarks(), configs, insts)
-}
-
-/// [`run_matrix_serial`] restricted to the given benchmark subset.
-pub fn run_matrix_serial_on(
-    benchmarks: &[BenchmarkProfile],
-    configs: &[SimConfig],
-    insts: u64,
-) -> Vec<Vec<RunSummary>> {
-    benchmarks
-        .iter()
-        .map(|profile| {
-            configs
-                .iter()
-                .map(|config| run_one(config, profile, insts))
-                .collect()
-        })
-        .collect()
 }
 
 /// Chunks a flat row-major cell list back into per-benchmark rows.
@@ -135,6 +114,7 @@ pub fn insts_budget() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malec_core::digest;
     use malec_trace::profile::Suite;
 
     #[test]
@@ -168,7 +148,7 @@ mod tests {
         let capped = run_matrix_on_with(&benches, &configs, 2_000, Some(1));
         for (frow, crow) in free.iter().zip(&capped) {
             for (f, c) in frow.iter().zip(crow) {
-                assert_eq!(crate::goldens::digest(f), crate::goldens::digest(c));
+                assert_eq!(digest(f), digest(c));
             }
         }
     }
@@ -177,14 +157,14 @@ mod tests {
     fn parallel_matrix_matches_serial_bit_for_bit() {
         let benches: Vec<_> = all_benchmarks().into_iter().take(3).collect();
         let configs = [SimConfig::base1ldst(), SimConfig::malec()];
-        let serial = run_matrix_serial_on(&benches, &configs, 3_000);
+        let serial = run_matrix_on_with(&benches, &configs, 3_000, Some(1));
         let parallel = run_matrix_on(&benches, &configs, 3_000);
         assert_eq!(serial.len(), parallel.len());
         for (srow, prow) in serial.iter().zip(&parallel) {
             for (s, p) in srow.iter().zip(prow) {
                 assert_eq!(s.benchmark, p.benchmark);
                 assert_eq!(s.config, p.config);
-                assert_eq!(crate::goldens::digest(s), crate::goldens::digest(p));
+                assert_eq!(digest(s), digest(p));
             }
         }
     }

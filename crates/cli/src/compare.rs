@@ -6,30 +6,28 @@
 //! per-seed *deltas*: mean ± paired CI, relative improvement over the
 //! baseline, and a win/loss/tie verdict per metric at the spec's alpha.
 //!
-//! Both sides simulate the generator stream directly (no `.mtr` recording
-//! pass — the cells are exactly what the `malec-serve` scheduler would
-//! simulate for the same spec, which is what makes a local `compare`
-//! bit-identical to `GET /v1/jobs/<id>/compare` on a submitted copy).
-//! Under a `ci_target` the pair stops spawning shared seeds once the
-//! paired CI half-width on the target metric's delta converges — the
-//! stopping rule is a pure function of the ordered pair prefix, so serial,
-//! `--jobs N`, and server runs all stop at identical counts.
+//! The spec is restricted to its pair and run as a job on an in-process
+//! `malec-serve` engine (no `.mtr` recording pass) — the same executor and
+//! the same cells as a submitted copy, which is what makes a local
+//! `compare` bit-identical to `GET /v1/jobs/<id>/compare`. Under a
+//! `ci_target` the pair stops spawning shared seeds once the paired CI
+//! half-width on the target metric's delta converges — the stopping rule
+//! is a pure function of the ordered pair prefix, so serial, `--jobs N`,
+//! and server runs all stop at identical counts.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-use malec_core::compare::{paired_rounds, CompareStats, PairSide};
-use malec_core::parallel::workers_for;
-use malec_core::stats::replicate_seed;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::compare::CompareStats;
+use malec_core::RunSummary;
 
-use malec_serve::report::{render_compare, CompareReportMeta};
 use malec_serve::spec::{parse_spec, SweepSpec};
+
+use crate::run::{execute, write_report};
 
 /// Everything a finished comparison produced.
 #[derive(Debug)]
 pub struct CompareOutcome {
-    /// The resolved spec.
+    /// The resolved spec, restricted to the compared pair.
     pub spec: SweepSpec,
     /// The aggregated delta blocks.
     pub stats: CompareStats,
@@ -37,9 +35,9 @@ pub struct CompareOutcome {
     pub baseline: Vec<RunSummary>,
     /// Candidate replicate summaries, replicate order.
     pub candidate: Vec<RunSummary>,
-    /// Workers the parallel fan-out actually used.
+    /// Workers the engine pool ran.
     pub workers: usize,
-    /// Wall-clock of the paired sweep (report excluded).
+    /// Wall-clock of the paired job, submit to settle (report excluded).
     pub wall_seconds: f64,
     /// The rendered compare-report JSON.
     pub json: String,
@@ -50,66 +48,37 @@ pub struct CompareOutcome {
 /// Runs a parsed spec's paired comparison end to end. The spec's
 /// `[compare]` section picks the pair (defaulting to Base1ldst vs MALEC at
 /// `alpha = 0.05`); paths resolve relative to `base_dir`; `jobs` caps the
-/// fan-out (`None` uses every core; results are bit-identical at any cap).
+/// engine pool (`None` uses every core; results are bit-identical at any
+/// cap).
 ///
 /// # Errors
 ///
 /// Returns a descriptive message when the spec has no resolvable pair
-/// (missing configs, single seed), when a workload source fails, or on
-/// I/O failure writing the report.
+/// (missing configs, single seed), when a cell fails, or on I/O failure
+/// writing the report.
 pub fn compare_parsed_spec(
-    spec: SweepSpec,
+    mut spec: SweepSpec,
     spec_path: &str,
     base_dir: &Path,
     jobs: Option<usize>,
 ) -> Result<CompareOutcome, String> {
     let resolved = spec.resolve_compare().map_err(|e| e.to_string())?;
-    let source = ScenarioSource::Scenario(spec.scenario.clone());
-    let rep = spec.replication;
-    let workers = workers_for(2 * rep.initial_count() as usize, jobs);
-    let t = Instant::now();
-    let (baseline, candidate) = paired_rounds(
-        &rep,
-        resolved.alpha,
-        jobs,
-        |side, r| {
-            let cfg = match side {
-                PairSide::Baseline => &spec.configs[resolved.baseline],
-                PairSide::Candidate => &spec.configs[resolved.candidate],
-            };
-            Simulator::new(cfg.clone())
-                .run_source(&source, spec.insts, replicate_seed(spec.seed, r))
-                .map_err(|e| format!("{}: generator run: {e}", cfg.label()))
-        },
-        |s| s,
-    )?;
-    let wall_seconds = t.elapsed().as_secs_f64();
-    let stats = CompareStats::from_pairs(&baseline, &candidate, rep.seeds, resolved.alpha);
-    let json = render_compare(
-        &CompareReportMeta {
-            spec_path,
-            scenario: &spec.scenario.name,
-            segments: &spec.scenario.segment_labels(),
-            insts: spec.insts,
-            seed: spec.seed,
-            seeds: rep.seeds,
-            workers,
-            wall_seconds,
-        },
-        &stats,
-    );
-    let out_path = base_dir.join(&spec.compare_out);
-    if let Some(parent) = out_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| format!("write {}: {e}", out_path.display()))?;
+    let pair = [resolved.baseline, resolved.candidate].map(|i| spec.configs[i].label());
+    spec.restrict_configs(&[&pair[0], &pair[1]])
+        .map_err(|e| e.to_string())?;
+    let (results, workers) = execute(spec, jobs)?;
+    let stats = results.compare().map_err(|e| e.to_string())?;
+    let json = results.render_compare(&stats, spec_path, workers, results.wall_seconds);
+    let out_path = base_dir.join(&results.spec.compare_out);
+    write_report(&out_path, &json)?;
+    let (baseline, candidate, _) = results.pair().map_err(|e| e.to_string())?;
     Ok(CompareOutcome {
-        spec,
+        baseline: baseline.to_vec(),
+        candidate: candidate.to_vec(),
+        wall_seconds: results.wall_seconds,
+        spec: results.spec,
         stats,
-        baseline,
-        candidate,
         workers,
-        wall_seconds,
         json,
         out_path,
     })

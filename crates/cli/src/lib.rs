@@ -1,13 +1,13 @@
 //! `malec-cli` — the TOML-driven scenario sweep runner and `malec-serve`
 //! client.
 //!
-//! The spec language, TOML parser and report schema moved to `malec-serve`
-//! in PR 3 (a submitted job *is* a spec, so the service owns the format);
-//! they are re-exported here under their historical paths. What remains
-//! native to this crate:
+//! The spec language, TOML parser and report schema live in `malec-serve`
+//! (a submitted job *is* a spec, so the service owns the format), and so
+//! does the one executor of spec jobs, its `Engine`. What remains native
+//! to this crate:
 //!
 //! * [`run`] — the local record → sweep → replay-verify pipeline behind
-//!   `malec-cli run`;
+//!   `malec-cli run`, sweeping on an in-process `Engine`;
 //! * [`compare`] — the paired-seed comparison pipeline behind `malec-cli
 //!   compare` (shared-seed deltas, paired CIs, win/loss/tie verdicts);
 //! * the binary's `serve` / `submit` / `status` subcommands, thin wrappers
@@ -15,7 +15,3 @@
 
 pub mod compare;
 pub mod run;
-
-pub use malec_serve::report;
-pub use malec_serve::spec;
-pub use malec_serve::toml;

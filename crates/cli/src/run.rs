@@ -4,12 +4,14 @@
 //!
 //! 1. **Record** — generate the scenario's instruction stream once (under
 //!    the base seed) and stream it into the spec's `.mtr` file;
-//! 2. **Sweep** — fan `(configuration, replicate)` cells out over
-//!    [`parallel_map_with`] (capped by the operator's `--jobs N`, if
-//!    given); replicate `i` simulates the generator stream under
-//!    `replicate_seed(seed, i)`, and with a `ci_target` a configuration
-//!    stops spawning replicates once the target metric's relative 95 % CI
-//!    half-width converges (never before `min_seeds`);
+//! 2. **Sweep** — submit the spec to an in-process `malec-serve`
+//!    [`Engine`] (in-memory cache, no HTTP; its pool is capped by the
+//!    operator's `--jobs N`, if given) and block until the job settles.
+//!    The engine is the one executor of spec jobs, so a local run plans,
+//!    replicates and stops exactly like a submitted job: replicate `i`
+//!    simulates the generator stream under `replicate_seed(seed, i)`, and
+//!    with a `ci_target` a group stops growing once its stopping rule
+//!    converges (never before `min_seeds`);
 //! 3. **Replay-verify** — replicate 0 of each configuration (the recorded
 //!    seed) also simulates the `.mtr` stream and both summaries are
 //!    digested: replay must be bit-identical to generation, every config;
@@ -22,14 +24,13 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use malec_core::parallel::workers_for;
-use malec_core::stats::{replicate_seed, ReplicateStats};
-use malec_core::sweep::replicate_rounds;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::parallel::{parallel_map_with, workers_for};
+use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
 use malec_trace::TraceWriter;
 
-use malec_serve::report::{render, CellResult, ReportMeta};
+use malec_serve::report::CellResult;
 use malec_serve::spec::{parse_spec, SweepSpec};
+use malec_serve::{Engine, JobResults};
 
 /// Everything a finished spec run produced.
 #[derive(Debug)]
@@ -40,11 +41,11 @@ pub struct SweepOutcome {
     /// single-seed columns; `stats` the replicate distribution).
     pub cells: Vec<CellResult>,
     /// Every replicate summary, config-major, replicate order (index 0 is
-    /// the legacy seed path).
+    /// the base-seed run).
     pub replicates: Vec<Vec<RunSummary>>,
-    /// Workers the parallel fan-out actually used.
+    /// Workers the engine pool ran.
     pub workers: usize,
-    /// Wall-clock of the sweep (record and report excluded).
+    /// Wall-clock of the sweep and replay (record and report excluded).
     pub wall_seconds: f64,
     /// Where the trace was recorded.
     pub mtr_path: PathBuf,
@@ -66,9 +67,7 @@ impl SweepOutcome {
 ///
 /// Propagates file-creation and write errors, naming the path.
 pub fn record_trace(spec: &SweepSpec, path: &Path) -> Result<u64, String> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
+    create_parent(path)?;
     let file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
     let mut writer = TraceWriter::new(BufWriter::new(file))
         .map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -84,16 +83,53 @@ pub fn record_trace(spec: &SweepSpec, path: &Path) -> Result<u64, String> {
     Ok(written)
 }
 
+/// Runs `spec` on an in-process [`Engine`] of `workers_for(cells, jobs)`
+/// threads (`cells` being the job's initial cells) and blocks until the
+/// job settles. Returns its results and the pool size.
+///
+/// # Errors
+///
+/// A failed job is an error carrying the job's first cell failure.
+pub(crate) fn execute(spec: SweepSpec, jobs: Option<usize>) -> Result<(JobResults, usize), String> {
+    let cells = spec.configs.len() * spec.replication.initial_count() as usize;
+    let workers = workers_for(cells, jobs);
+    let engine = Engine::new(Some(workers), None).map_err(|e| format!("start engine: {e}"))?;
+    let job = engine.submit(spec);
+    engine.wait_settled(job, None);
+    match engine.job_results(job) {
+        Some(Ok(results)) => Ok((results, workers)),
+        Some(Err(status)) => Err(status
+            .error
+            .unwrap_or_else(|| format!("job ended {}", status.state))),
+        None => Err("the job vanished from the engine".to_owned()),
+    }
+}
+
+fn create_parent(path: &Path) -> Result<(), String> {
+    match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(parent) => {
+            std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))
+        }
+        None => Ok(()),
+    }
+}
+
+/// Writes a rendered report to `path`, creating its directory.
+pub(crate) fn write_report(path: &Path, json: &str) -> Result<(), String> {
+    create_parent(path)?;
+    std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))
+}
+
 /// Runs a parsed spec end to end. Paths in the spec are resolved relative
 /// to `base_dir` (the process working directory for the CLI). `jobs` caps
-/// the parallel fan-out (`None` uses every available core; results are
+/// the engine pool (`None` uses every available core; results are
 /// bit-identical at any cap).
 ///
 /// # Errors
 ///
-/// Returns a descriptive message on I/O failure. A replay-digest mismatch
-/// is **not** an early error — the report records it and the caller decides
-/// (the CLI exits nonzero so CI catches it).
+/// Returns a descriptive message on I/O failure or a failed cell. A
+/// replay-digest mismatch is **not** an error — the report records it and
+/// the caller decides (the CLI exits nonzero so CI catches it).
 pub fn run_parsed_spec(
     spec: SweepSpec,
     spec_path: &str,
@@ -104,84 +140,38 @@ pub fn run_parsed_spec(
     let out_path = base_dir.join(&spec.out);
     record_trace(&spec, &mtr_path)?;
 
+    let t = Instant::now();
+    let (results, workers) = execute(spec, jobs)?;
+    // Replicate 0 runs the recorded (base) seed: its replay of the .mtr
+    // must reproduce the generator run bit for bit.
+    let spec = &results.spec;
     let replay = ScenarioSource::Replay {
         name: spec.scenario.name.clone(),
         path: mtr_path.clone(),
     };
-    let generate = ScenarioSource::Scenario(spec.scenario.clone());
-    let configs = spec.configs.clone();
-    let rep = spec.replication;
-    let workers = workers_for(configs.len() * rep.initial_count() as usize, jobs);
-    let t = Instant::now();
-
-    // Shared round-based replicate driver (see `replicate_rounds`): each
-    // replicate produces its generator summary, and replicate 0 — the
-    // recorded seed — additionally verifies the .mtr replay reproduces the
-    // generator stream bit for bit. The per-config count is a pure
-    // function of the ordered replicate prefix, so results are
-    // bit-identical at any --jobs cap.
-    let rounds: Vec<Vec<(RunSummary, Option<RunSummary>)>> = replicate_rounds(
-        configs.len(),
-        &rep,
-        jobs,
-        |c, r| {
-            let cfg = &configs[c];
-            let sim = Simulator::new(cfg.clone());
-            let seed = replicate_seed(spec.seed, r);
-            let generated = sim
-                .run_source(&generate, spec.insts, seed)
-                .map_err(|e| format!("{}: generator run: {e}", cfg.label()))?;
-            let replayed = if r == 0 {
-                Some(
-                    sim.run_source(&replay, spec.insts, seed)
-                        .map_err(|e| format!("{}: replay run: {e}", cfg.label()))?,
-                )
-            } else {
-                None
-            };
-            Ok::<_, String>((generated, replayed))
+    let replays = parallel_map_with(
+        spec.configs.iter().collect(),
+        |cfg| {
+            Simulator::new((*cfg).clone())
+                .run_source(&replay, spec.insts, spec.seed)
+                .map_err(|e| format!("{}: replay run: {e}", cfg.label()))
         },
-        |pair| &pair.0,
-    )?;
+        workers_for(spec.configs.len(), jobs),
+    );
+    let mut cells = results.cells();
+    for (cell, replayed) in cells.iter_mut().zip(replays) {
+        cell.replay_digest = digest(&replayed?);
+    }
     let wall_seconds = t.elapsed().as_secs_f64();
 
-    let mut replicates: Vec<Vec<RunSummary>> = Vec::with_capacity(configs.len());
-    let mut cells: Vec<CellResult> = Vec::with_capacity(configs.len());
-    for pairs in rounds {
-        let replayed = pairs[0].1.clone().expect("replicate 0 always replays");
-        let reps: Vec<RunSummary> = pairs.into_iter().map(|(generated, _)| generated).collect();
-        let cell = CellResult::new(reps[0].clone(), &replayed);
-        cells.push(if rep.replicated() {
-            cell.with_stats(ReplicateStats::from_replicates(&reps, rep.seeds))
-        } else {
-            cell
-        });
-        replicates.push(reps);
-    }
-
-    let json = render(
-        &ReportMeta {
-            spec_path,
-            scenario: &spec.scenario.name,
-            segments: &spec.scenario.segment_labels(),
-            mtr_path: &spec.mtr,
-            insts: spec.insts,
-            seed: spec.seed,
-            seeds: rep.seeds,
-            workers,
-            wall_seconds,
-        },
-        &cells,
-    );
-    if let Some(parent) = out_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| format!("write {}: {e}", out_path.display()))?;
-
+    write_report(
+        &out_path,
+        &results.render_report(&cells, spec_path, workers, wall_seconds),
+    )?;
     Ok(SweepOutcome {
-        spec,
+        spec: results.spec,
         cells,
-        replicates,
+        replicates: results.groups,
         workers,
         wall_seconds,
         mtr_path,

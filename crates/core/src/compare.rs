@@ -27,15 +27,13 @@
 //! FNV-1a value for golden regression checks. [`paired_converged`] is the
 //! paired analogue of [`Replication::converged`]: a pure function of the
 //! ordered pair prefix, so CI-driven early stopping lands on identical
-//! replicate counts in serial, `--jobs N`, and `malec-serve` drivers
-//! ([`paired_rounds`] is the local driver; the serve scheduler grows the
-//! two cell groups jointly through the same predicate).
+//! replicate counts at any worker count (the `malec-serve` scheduler grows
+//! the two cell groups jointly through it).
 
 use crate::metrics::RunSummary;
 use crate::stats::{
     higher_is_better, reported_extractors, t95, Replication, StatError, Welford, REPORTED_METRICS,
 };
-use crate::sweep::replicate_rounds_by;
 
 /// Two-sided Student-t 95 % quantiles (`t_{0.95, df}`) for 1–30 degrees of
 /// freedom — the `alpha = 0.10` verdict level.
@@ -475,60 +473,6 @@ pub fn paired_converged<'a>(
     scale > f64::EPSILON && hw / scale <= target
 }
 
-/// Which half of a comparison pair a work item belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PairSide {
-    /// The baseline interface.
-    Baseline,
-    /// The candidate interface.
-    Candidate,
-}
-
-/// The local paired replicate driver: runs `run(side, replicate)` for both
-/// sides of the pair in rounds (round 1 launches each side's mandatory
-/// replicates, each later round adds **one** shared seed to both sides),
-/// stopping through [`paired_converged`] — so the two sides always hold
-/// the same replicate count, and the final count is the smallest ordered
-/// pair prefix satisfying the policy, bit-identical at any `jobs` cap.
-/// `summary` projects a produced value onto the [`RunSummary`] the
-/// stopping rule reads.
-///
-/// # Errors
-///
-/// Returns the first `run` error in unit order, once its round completes.
-pub fn paired_rounds<T, E, R, S>(
-    rep: &Replication,
-    alpha: Alpha,
-    jobs: Option<usize>,
-    run: R,
-    summary: S,
-) -> Result<(Vec<T>, Vec<T>), E>
-where
-    T: Send,
-    E: Send,
-    R: Fn(PairSide, u32) -> Result<T, E> + Sync,
-    S: Fn(&T) -> &RunSummary,
-{
-    let sides = [PairSide::Baseline, PairSide::Candidate];
-    let mut out = replicate_rounds_by(
-        2,
-        rep.initial_count(),
-        jobs,
-        |p, r| run(sides[p], r),
-        |_, all| {
-            let n = all[0].len().min(all[1].len());
-            paired_converged(
-                rep,
-                alpha,
-                (0..n).map(|i| (summary(&all[0][i]), summary(&all[1][i]))),
-            )
-        },
-    )?;
-    let candidate = out.pop().expect("two sides");
-    let baseline = out.pop().expect("two sides");
-    Ok((baseline, candidate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,38 +629,5 @@ mod tests {
         let fixed = Replication::fixed(4);
         assert!(!paired_converged(&fixed, Alpha::Five, pairs(3)));
         assert!(paired_converged(&fixed, Alpha::Five, pairs(4)));
-    }
-
-    #[test]
-    fn paired_rounds_keep_both_sides_in_lockstep() {
-        let scenario = malec_trace::scenario::preset_named("store_burst").expect("preset");
-        let source = crate::ScenarioSource::Scenario(scenario);
-        let rep = Replication {
-            seeds: 8,
-            min_seeds: 2,
-            ci_target: Some(0.5),
-            metric: CiMetric::Ipc,
-        };
-        let run = |side: PairSide, r: u32| {
-            let cfg = match side {
-                PairSide::Baseline => SimConfig::base1ldst(),
-                PairSide::Candidate => SimConfig::malec(),
-            };
-            Ok::<_, std::convert::Infallible>(
-                Simulator::new(cfg)
-                    .run_source(&source, 2_000, replicate_seed(7, r))
-                    .expect("generator sources cannot fail"),
-            )
-        };
-        let (b1, c1) =
-            paired_rounds(&rep, Alpha::Five, Some(1), run, |s| s).unwrap_or_else(|e| match e {});
-        let (b4, c4) =
-            paired_rounds(&rep, Alpha::Five, Some(4), run, |s| s).unwrap_or_else(|e| match e {});
-        assert_eq!(b1.len(), c1.len(), "sides stay in lockstep");
-        assert!(b1.len() >= 2 && b1.len() <= 8);
-        assert_eq!(b1.len(), b4.len(), "fan-out must not change the count");
-        for (x, y) in b1.iter().zip(&b4).chain(c1.iter().zip(&c4)) {
-            assert_eq!(crate::digest::digest(x), crate::digest::digest(y));
-        }
     }
 }

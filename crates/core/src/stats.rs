@@ -11,14 +11,14 @@
 //! replicate counts get honestly wide intervals instead of the normal
 //! approximation's false confidence.
 //!
-//! [`Replication`] is the shared policy object the sweep drivers
-//! (`ParameterSweep::run_source_replicated`, `malec-cli run`, the
-//! `malec-serve` scheduler) consult: how many replicates to launch up
-//! front, and — given the replicate summaries produced so far, in replicate
-//! order — whether the target metric's relative CI half-width has fallen
-//! below `ci_target` so the remaining replicates can be skipped. The
-//! decision is a pure function of the ordered replicate prefix, so serial
-//! and parallel drivers stop at exactly the same replicate count.
+//! [`Replication`] is the policy object the `malec-serve` scheduler (the
+//! executor behind `malec-cli run` and `submit` alike) consults: how many
+//! replicates to launch up front, and — given the replicate summaries
+//! produced so far, in replicate order — whether the target metric's
+//! relative CI half-width has fallen below `ci_target` so the remaining
+//! replicates can be skipped. The decision is a pure function of the
+//! ordered replicate prefix, so every worker count stops at exactly the
+//! same replicate count.
 
 use crate::metrics::RunSummary;
 pub use malec_trace::seed::{replicate_seed, splitmix64};

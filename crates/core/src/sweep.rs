@@ -10,10 +10,9 @@ use malec_types::config::SimConfig;
 use malec_types::geometry::CacheGeometry;
 
 use crate::metrics::RunSummary;
-use crate::parallel::{parallel_map, parallel_map_with, workers_for};
+use crate::parallel::parallel_map;
 use crate::sim::Simulator;
 use crate::source::ScenarioSource;
-use crate::stats::{replicate_seed, ReplicateStats, Replication};
 use malec_trace::profile::BenchmarkProfile;
 
 /// One point of a parameter sweep.
@@ -147,147 +146,6 @@ impl ParameterSweep {
             (p.label.clone(), summary)
         })
     }
-
-    /// [`ParameterSweep::run_source`] with multi-seed replication: every
-    /// point runs under `rep.seeds` derived seeds (`replicate_seed(seed,
-    /// i)`; replicate 0 is the legacy single-seed path, bit for bit) and
-    /// reports the per-metric distribution. With a `ci_target`, a point
-    /// stops spawning replicates once the target metric's relative 95 % CI
-    /// half-width falls below the target (never before `min_seeds`).
-    ///
-    /// Replicates fan out across points *and* replicate indices in rounds;
-    /// the early-stopping decision is a pure function of each point's
-    /// ordered replicate prefix, so the outcome is bit-identical at any
-    /// worker count (`jobs` caps the fan-out like `--jobs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replay source's file cannot be read, as in
-    /// [`ParameterSweep::run_source`].
-    pub fn run_source_replicated(
-        points: &[SweepPoint],
-        source: &ScenarioSource,
-        insts: u64,
-        seed: u64,
-        rep: &Replication,
-        jobs: Option<usize>,
-    ) -> Vec<ReplicatedPoint> {
-        let replicates = replicate_rounds(
-            points.len(),
-            rep,
-            jobs,
-            |p, r| {
-                Ok::<_, std::convert::Infallible>(
-                    Simulator::new(points[p].config.clone())
-                        .run_source(source, insts, replicate_seed(seed, r))
-                        .unwrap_or_else(|e| {
-                            panic!("{}: workload source failed: {e}", points[p].label)
-                        }),
-                )
-            },
-            |s| s,
-        )
-        .unwrap_or_else(|e| match e {});
-        points
-            .iter()
-            .zip(replicates)
-            .map(|(p, reps)| {
-                let stats = ReplicateStats::from_replicates(&reps, rep.seeds);
-                ReplicatedPoint {
-                    label: p.label.clone(),
-                    replicates: reps,
-                    stats,
-                }
-            })
-            .collect()
-    }
-}
-
-/// The shared round-based replicate driver behind
-/// [`ParameterSweep::run_source_replicated`] and the `malec-cli run`
-/// pipeline: runs `run(point, replicate)` over `points` points. Round 1
-/// launches every point's mandatory replicates (`rep.initial_count()`);
-/// each later round adds **one** replicate to every not-yet-converged
-/// point, so the final per-point count is the smallest ordered prefix
-/// satisfying the policy — a pure function of the results, bit-identical
-/// at any `jobs` cap. `summary` projects a produced value onto the
-/// [`RunSummary`] the convergence check reads (identity for plain sweeps;
-/// drivers that carry extra per-replicate payload project it away).
-///
-/// # Errors
-///
-/// Returns the first `run` error in unit order, once its round completes.
-pub fn replicate_rounds<T, E, R, S>(
-    points: usize,
-    rep: &Replication,
-    jobs: Option<usize>,
-    run: R,
-    summary: S,
-) -> Result<Vec<Vec<T>>, E>
-where
-    T: Send,
-    E: Send,
-    R: Fn(usize, u32) -> Result<T, E> + Sync,
-    S: Fn(&T) -> &RunSummary,
-{
-    replicate_rounds_by(points, rep.initial_count(), jobs, run, |p, all| {
-        rep.converged(all[p].iter().map(&summary))
-    })
-}
-
-/// The fully general round driver behind [`replicate_rounds`] and the
-/// paired comparison driver (`malec_core::compare::paired_rounds`):
-/// `converged(point, all_replicates)` sees **every** point's ordered
-/// replicate prefix, so a stopping rule may couple points (the paired-delta
-/// criterion stops a baseline/candidate pair jointly). The rule must stay a
-/// pure function of those prefixes — that is what makes serial and parallel
-/// runs stop at identical counts.
-///
-/// # Errors
-///
-/// Returns the first `run` error in unit order, once its round completes.
-pub fn replicate_rounds_by<T, E, R, C>(
-    points: usize,
-    initial: u32,
-    jobs: Option<usize>,
-    run: R,
-    converged: C,
-) -> Result<Vec<Vec<T>>, E>
-where
-    T: Send,
-    E: Send,
-    R: Fn(usize, u32) -> Result<T, E> + Sync,
-    C: Fn(usize, &[Vec<T>]) -> bool,
-{
-    let mut replicates: Vec<Vec<T>> = (0..points).map(|_| Vec::new()).collect();
-    let mut pending: Vec<(usize, u32)> = (0..points)
-        .flat_map(|p| (0..initial).map(move |r| (p, r)))
-        .collect();
-    while !pending.is_empty() {
-        let workers = workers_for(pending.len(), jobs);
-        let round = parallel_map_with(pending.clone(), |&(p, r)| run(p, r), workers);
-        for (&(p, _), result) in pending.iter().zip(round) {
-            replicates[p].push(result?);
-        }
-        pending = (0..points)
-            .filter(|&p| !converged(p, &replicates))
-            .map(|p| (p, replicates[p].len() as u32))
-            .collect();
-    }
-    Ok(replicates)
-}
-
-/// One sweep point's replicated results: every replicate summary in
-/// replicate order (index 0 is the legacy single-seed run) plus the
-/// aggregated per-metric statistics.
-#[derive(Clone, Debug)]
-pub struct ReplicatedPoint {
-    /// The point's label.
-    pub label: String,
-    /// Replicate summaries in replicate order.
-    pub replicates: Vec<RunSummary>,
-    /// Per-metric mean / 95 % CI / min / max over the replicates.
-    pub stats: ReplicateStats,
 }
 
 #[cfg(test)]
@@ -346,77 +204,6 @@ mod tests {
                 run.interface.coverage()
             );
         }
-    }
-
-    #[test]
-    fn replicated_sweep_is_bit_identical_serial_vs_parallel() {
-        let points = ParameterSweep::banks(&[2, 4]);
-        let source = ScenarioSource::Profile(gzip());
-        let rep = Replication::fixed(4);
-        let serial =
-            ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, Some(1));
-        let parallel =
-            ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, Some(4));
-        assert_eq!(serial.len(), 2);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(s.replicates.len(), 4);
-            for (a, b) in s.replicates.iter().zip(&p.replicates) {
-                assert_eq!(a.core, b.core, "{}: fan-out leaked into results", s.label);
-                assert_eq!(a.counters, b.counters);
-            }
-            for ((an, a), (bn, b)) in s.stats.metrics.iter().zip(&p.stats.metrics) {
-                assert_eq!(an, bn);
-                assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{}/{an}", s.label);
-            }
-        }
-    }
-
-    #[test]
-    fn replicate_zero_matches_the_single_seed_path() {
-        let points = ParameterSweep::banks(&[4]);
-        let source = ScenarioSource::Profile(gzip());
-        let single = ParameterSweep::run_source(&points, &source, 5_000, 3);
-        let replicated = ParameterSweep::run_source_replicated(
-            &points,
-            &source,
-            5_000,
-            3,
-            &Replication::fixed(3),
-            None,
-        );
-        assert_eq!(
-            single[0].1.core, replicated[0].replicates[0].core,
-            "replicate 0 is the legacy seed path, bit for bit"
-        );
-        // Later replicates really use different seeds (different streams).
-        assert_ne!(
-            replicated[0].replicates[0].core.cycles,
-            replicated[0].replicates[1].core.cycles
-        );
-    }
-
-    #[test]
-    fn ci_target_stops_early_on_a_generous_target() {
-        let points = ParameterSweep::banks(&[4]);
-        let source = ScenarioSource::Profile(gzip());
-        let rep = Replication {
-            seeds: 16,
-            min_seeds: 3,
-            ci_target: Some(0.5), // 50 % relative half-width: trivially met
-            metric: crate::stats::CiMetric::Ipc,
-        };
-        let out = ParameterSweep::run_source_replicated(&points, &source, 5_000, 3, &rep, None);
-        assert!(
-            out[0].replicates.len() < 16,
-            "a generous target must stop before the seed cap"
-        );
-        assert!(out[0].replicates.len() >= 3, "never before min_seeds");
-        assert_eq!(
-            out[0].stats.saved,
-            16 - out[0].replicates.len() as u32,
-            "saved replicates are priced against the cap"
-        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`toml`] / [`spec`] — the TOML sweep-spec language (moved here from
-//!   `malec-cli`, which re-exports them: a job *is* a spec, so the service
-//!   owns the format and the CLI stays a thin client);
+//! * [`toml`] / [`spec`] — the TOML sweep-spec language (a job *is* a
+//!   spec, so the service owns the format and the CLI stays a thin
+//!   client);
 //! * [`report`] — the JSON report schema shared by `malec-cli run` and the
 //!   fetch-report endpoint;
 //! * [`cache`] — stable 128-bit cell keys ([`malec_types::stable`]) and the
@@ -24,7 +24,9 @@
 //!   snapshot for warming a fresh peer (`/v1/cache/sync`);
 //! * [`scheduler`] — the [`Engine`]: job queue, persistent worker pool,
 //!   in-flight deduplication of concurrent identical cells, panic-safe
-//!   workers that fail the cell instead of shrinking the pool;
+//!   workers that fail the cell instead of shrinking the pool. It is the
+//!   only executor of spec jobs: `malec-cli run` and `compare` drive an
+//!   in-process one;
 //! * [`fault`] — deterministic fault injection: named failpoints that fire
 //!   at exact hit counts under a seeded schedule, so every failure test is
 //!   reproducible;
@@ -79,7 +81,7 @@ pub mod toml;
 pub use cache::{cache_key, CacheStats, CompactOutcome, FsyncPolicy, ResultCache, SyncReport};
 pub use client::{Client, JobView, RetryPolicy};
 pub use fault::{FaultAction, Faults};
-pub use scheduler::{Engine, JobId, JobStatus, Provenance};
+pub use scheduler::{Engine, JobId, JobResults, JobStatus, Provenance};
 pub use server::{Server, ServerHandle, DEFAULT_ADDR};
 pub use shard::ShardMap;
 pub use spec::{parse_spec, SweepSpec};

@@ -46,7 +46,7 @@ use std::io;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::sync::lock;
 use std::thread::JoinHandle;
@@ -65,7 +65,7 @@ use crate::client::{Client, RetryPolicy};
 use crate::fault::{FaultAction, Faults};
 use crate::report::{render, render_compare, CellResult, CompareReportMeta, ReportMeta};
 use crate::shard::ShardMap;
-use crate::spec::SweepSpec;
+use crate::spec::{SpecError, SweepSpec};
 
 /// Server-side job identifier.
 pub type JobId = u64;
@@ -262,12 +262,151 @@ impl Job {
         self.groups.iter().map(|g| g.saved).sum()
     }
 
-    /// Records settlement (idempotently) for the wall clock and TTL.
-    fn note_settled(&mut self) {
+    /// Records settlement (idempotently) for the wall clock and TTL, and
+    /// wakes every thread blocked on `settled` (the caller holds the
+    /// `jobs` lock, so no waiter can miss the transition).
+    fn note_settled(&mut self, settled: &Condvar) {
         if self.settled() && self.settled_at.is_none() {
             self.settled_at = Some(Instant::now());
             self.wall_seconds = Some(self.started.elapsed().as_secs_f64());
+            settled.notify_all();
         }
+    }
+
+    fn status(&self, id: JobId) -> JobStatus {
+        let simulated = self.count(Provenance::Simulated);
+        let cached = self.count(Provenance::Cached);
+        let coalesced = self.count(Provenance::Coalesced);
+        let fetched = self.count(Provenance::Fetched);
+        let failed = self.count_failed();
+        let finished = simulated + cached + coalesced + fetched + failed;
+        JobStatus {
+            id,
+            scenario: self.spec.scenario.name.clone(),
+            state: self.state(),
+            cells: self.cells.len(),
+            simulated,
+            cached,
+            coalesced,
+            fetched,
+            failed,
+            pending: self.cells.len() - finished,
+            replicates_saved: self.replicates_saved() as usize,
+            wall_seconds: self.wall_seconds,
+            error: self.first_error().map(Failure::to_string),
+        }
+    }
+}
+
+/// A done job's per-config replicate summaries: the one result set that
+/// `GET /v1/jobs/<id>/report`, `GET /v1/jobs/<id>/compare` and the local
+/// `malec-cli run` / `compare` pipelines all render from.
+#[derive(Clone, Debug)]
+pub struct JobResults {
+    /// The submitted spec.
+    pub spec: SweepSpec,
+    /// Per config group (spec order), every replicate summary in replicate
+    /// order (index 0 is the base-seed run).
+    pub groups: Vec<Vec<RunSummary>>,
+    /// Wall-clock seconds from submit to settle.
+    pub wall_seconds: f64,
+}
+
+impl JobResults {
+    /// One report row per config group: replicate 0 carries the single-seed
+    /// columns, the stats block (replicated specs only) the replicate
+    /// distribution. Replay digests equal the generator digests (see
+    /// [`CellResult::from_generated`]).
+    pub fn cells(&self) -> Vec<CellResult> {
+        let rep = self.spec.replication;
+        self.groups
+            .iter()
+            .map(|reps| {
+                let cell = CellResult::from_generated(reps[0].clone());
+                if rep.replicated() {
+                    cell.with_stats(ReplicateStats::from_replicates(reps, rep.seeds))
+                } else {
+                    cell
+                }
+            })
+            .collect()
+    }
+
+    /// The replicate groups of the spec's resolved comparison —
+    /// `(baseline, candidate, alpha)`, paired by replicate index.
+    ///
+    /// # Errors
+    ///
+    /// The spec's pairing does not resolve (see
+    /// [`SweepSpec::resolve_compare`]).
+    pub fn pair(&self) -> Result<(&[RunSummary], &[RunSummary], Alpha), SpecError> {
+        let r = self.spec.resolve_compare()?;
+        Ok((&self.groups[r.baseline], &self.groups[r.candidate], r.alpha))
+    }
+
+    /// The paired comparison over [`JobResults::pair`].
+    ///
+    /// # Errors
+    ///
+    /// As [`JobResults::pair`].
+    pub fn compare(&self) -> Result<CompareStats, SpecError> {
+        let (base, cand, alpha) = self.pair()?;
+        Ok(CompareStats::from_pairs(
+            base,
+            cand,
+            self.spec.replication.seeds,
+            alpha,
+        ))
+    }
+
+    /// Renders `cells` as the sweep report (the `malec-cli run` schema).
+    pub fn render_report(
+        &self,
+        cells: &[CellResult],
+        spec_path: &str,
+        workers: usize,
+        wall_seconds: f64,
+    ) -> String {
+        let spec = &self.spec;
+        render(
+            &ReportMeta {
+                spec_path,
+                scenario: &spec.scenario.name,
+                segments: &spec.scenario.segment_labels(),
+                mtr_path: &spec.mtr,
+                insts: spec.insts,
+                seed: spec.seed,
+                seeds: spec.replication.seeds,
+                workers,
+                wall_seconds,
+            },
+            cells,
+        )
+    }
+
+    /// Renders `stats` as the compare report (the `malec-cli compare`
+    /// schema).
+    pub fn render_compare(
+        &self,
+        stats: &CompareStats,
+        spec_path: &str,
+        workers: usize,
+        wall_seconds: f64,
+    ) -> String {
+        let spec = &self.spec;
+        render_compare(
+            &CompareReportMeta {
+                spec_path,
+                scenario: &spec.scenario.name,
+                segments: &spec.scenario.segment_labels(),
+                insts: spec.insts,
+                seed: spec.seed,
+                seeds: spec.replication.seeds,
+                workers,
+                wall_seconds,
+            },
+            stats,
+        )
     }
 }
 
@@ -327,6 +466,8 @@ struct EngineInner {
     /// Cells currently simulating, with the units parked on each.
     in_flight: Mutex<HashMap<u128, Waiters>>,
     jobs: Mutex<HashMap<JobId, Job>>,
+    /// Signalled (under the `jobs` lock) whenever a job settles.
+    settled: Condvar,
     queue: Mutex<VecDeque<WorkUnit>>,
     available: Condvar,
     stop: AtomicBool,
@@ -384,6 +525,7 @@ impl Engine {
             cache: Mutex::new(cache),
             in_flight: Mutex::new(HashMap::new()),
             jobs: Mutex::new(HashMap::new()),
+            settled: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -553,77 +695,93 @@ impl Engine {
 
     /// The current status of `job`, or `None` for an unknown id.
     pub fn job_status(&self, job: JobId) -> Option<JobStatus> {
-        let jobs = lock(&self.inner.jobs);
-        let j = jobs.get(&job)?;
-        let simulated = j.count(Provenance::Simulated);
-        let cached = j.count(Provenance::Cached);
-        let coalesced = j.count(Provenance::Coalesced);
-        let fetched = j.count(Provenance::Fetched);
-        let failed = j.count_failed();
-        let finished = simulated + cached + coalesced + fetched + failed;
-        Some(JobStatus {
-            id: job,
-            scenario: j.spec.scenario.name.clone(),
-            state: j.state(),
-            cells: j.cells.len(),
-            simulated,
-            cached,
-            coalesced,
-            fetched,
-            failed,
-            pending: j.cells.len() - finished,
-            replicates_saved: j.replicates_saved() as usize,
-            wall_seconds: j.wall_seconds,
-            error: j.first_error().map(Failure::to_string),
-        })
+        lock(&self.inner.jobs).get(&job).map(|j| j.status(job))
+    }
+
+    /// Blocks until `job` settles (no cell pending) or `timeout` elapses
+    /// (`None`: no deadline), then returns its status — `None` for an
+    /// unknown id.
+    pub fn wait_settled(&self, job: JobId, timeout: Option<Duration>) -> Option<JobStatus> {
+        let (jobs, _) = self.wait_for(timeout, |jobs| jobs.get(&job).is_none_or(Job::settled));
+        jobs.get(&job).map(|j| j.status(job))
+    }
+
+    /// Waits on the settle notification until `done` holds over the job
+    /// table or `timeout` elapses (`None`: no deadline). Returns the held
+    /// `jobs` guard and whether `done` held.
+    fn wait_for(
+        &self,
+        timeout: Option<Duration>,
+        done: impl Fn(&HashMap<JobId, Job>) -> bool,
+    ) -> (MutexGuard<'_, HashMap<JobId, Job>>, bool) {
+        let until = timeout.map(|t| Instant::now() + t);
+        let mut jobs = lock(&self.inner.jobs);
+        loop {
+            if done(&jobs) {
+                return (jobs, true);
+            }
+            jobs = match until {
+                None => self
+                    .inner
+                    .settled
+                    .wait(jobs)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(until) => {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return (jobs, false);
+                    }
+                    self.inner
+                        .settled
+                        .wait_timeout(jobs, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+
+    /// The done job's per-config replicate summaries, or `None` for an
+    /// unknown id, or `Some(Err(status))` while the job is running or after
+    /// it failed.
+    pub fn job_results(&self, job: JobId) -> Option<Result<JobResults, JobStatus>> {
+        let (spec, groups, wall_seconds) = {
+            let jobs = lock(&self.inner.jobs);
+            let j = jobs.get(&job)?;
+            if !j.done() {
+                return Some(Err(j.status(job)));
+            }
+            let groups: Vec<Vec<Arc<RunSummary>>> = (0..j.spec.configs.len())
+                .map(|c| {
+                    j.group_replicates(c)
+                        .expect("job is done, every replicate finished")
+                })
+                .collect();
+            (j.spec.clone(), groups, j.wall_seconds.unwrap_or(0.0))
+        };
+        let groups = groups
+            .iter()
+            .map(|reps| reps.iter().map(|s| (**s).clone()).collect())
+            .collect();
+        Some(Ok(JobResults {
+            spec,
+            groups,
+            wall_seconds,
+        }))
     }
 
     /// The finished job's report (same JSON schema as `malec-cli run`
     /// writes), or `None` for an unknown id, or `Some(Err(status))` while
     /// the job is still running.
     pub fn job_report(&self, job: JobId) -> Option<Result<String, JobStatus>> {
-        let status = self.job_status(job)?;
-        if status.state != "done" {
-            return Some(Err(status));
-        }
-        let jobs = lock(&self.inner.jobs);
-        let j = jobs.get(&job)?;
-        // One report row per config group: replicate 0 carries the
-        // single-seed columns (the legacy seed path), the stats block the
-        // replicate distribution.
-        let cells: Vec<CellResult> = (0..j.spec.configs.len())
-            .map(|config_idx| {
-                let reps = j
-                    .group_replicates(config_idx)
-                    .expect("job is done, every replicate finished");
-                let cell = CellResult::from_generated((*reps[0]).clone());
-                if j.spec.replication.replicated() {
-                    let owned: Vec<RunSummary> = reps.iter().map(|s| (**s).clone()).collect();
-                    cell.with_stats(ReplicateStats::from_replicates(
-                        &owned,
-                        j.spec.replication.seeds,
-                    ))
-                } else {
-                    cell
-                }
-            })
-            .collect();
-        let spec_path = format!("job:{job}");
-        let json = render(
-            &ReportMeta {
-                spec_path: &spec_path,
-                scenario: &j.spec.scenario.name,
-                segments: &j.spec.scenario.segment_labels(),
-                mtr_path: &j.spec.mtr,
-                insts: j.spec.insts,
-                seed: j.spec.seed,
-                seeds: j.spec.replication.seeds,
-                workers: self.inner.workers,
-                wall_seconds: j.wall_seconds.unwrap_or(0.0),
-            },
-            &cells,
-        );
-        Some(Ok(json))
+        Some(self.job_results(job)?.map(|r| {
+            r.render_report(
+                &r.cells(),
+                &format!("job:{job}"),
+                self.inner.workers,
+                r.wall_seconds,
+            )
+        }))
     }
 
     /// The finished job's **paired comparison report** (the `malec-cli
@@ -639,42 +797,19 @@ impl Engine {
     /// compared ([`CompareError::NotComparable`] — pair not in the job's
     /// configs, or a single-seed sweep).
     pub fn job_compare(&self, job: JobId) -> Option<Result<String, CompareError>> {
-        let status = self.job_status(job)?;
-        if status.state != "done" {
-            return Some(Err(CompareError::Running(status)));
-        }
-        let jobs = lock(&self.inner.jobs);
-        let j = jobs.get(&job)?;
-        let resolved = match j.spec.resolve_compare() {
+        let r = match self.job_results(job)? {
             Ok(r) => r,
-            Err(e) => return Some(Err(CompareError::NotComparable(e.to_string()))),
+            Err(status) => return Some(Err(CompareError::Running(status))),
         };
-        let owned = |config: usize| -> Vec<RunSummary> {
-            j.group_replicates(config)
-                .expect("job is done, every replicate finished")
-                .iter()
-                .map(|s| (**s).clone())
-                .collect()
-        };
-        let base = owned(resolved.baseline);
-        let cand = owned(resolved.candidate);
-        let stats =
-            CompareStats::from_pairs(&base, &cand, j.spec.replication.seeds, resolved.alpha);
-        let spec_path = format!("job:{job}");
-        let json = render_compare(
-            &CompareReportMeta {
-                spec_path: &spec_path,
-                scenario: &j.spec.scenario.name,
-                segments: &j.spec.scenario.segment_labels(),
-                insts: j.spec.insts,
-                seed: j.spec.seed,
-                seeds: j.spec.replication.seeds,
-                workers: self.inner.workers,
-                wall_seconds: j.wall_seconds.unwrap_or(0.0),
-            },
-            &stats,
-        );
-        Some(Ok(json))
+        Some(match r.compare() {
+            Ok(stats) => Ok(r.render_compare(
+                &stats,
+                &format!("job:{job}"),
+                self.inner.workers,
+                r.wall_seconds,
+            )),
+            Err(e) => Err(CompareError::NotComparable(e.to_string())),
+        })
     }
 
     /// Current cache counters.
@@ -774,17 +909,8 @@ impl Engine {
     /// half of graceful shutdown: the caller stops *submitting* first, so
     /// the pool runs the backlog dry.
     pub fn drain(&self, deadline: Duration) -> bool {
-        let until = Instant::now() + deadline;
-        loop {
-            let settled = lock(&self.inner.jobs).values().all(Job::settled);
-            if settled {
-                return true;
-            }
-            if Instant::now() >= until {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.wait_for(Some(deadline), |jobs| jobs.values().all(Job::settled))
+            .1
     }
 
     /// Stops the pool after the current units finish and joins every
@@ -1279,7 +1405,7 @@ fn fail_cell(inner: &EngineInner, job: JobId, cell: usize, failure: Failure) {
     if matches!(j.cells[cell], CellState::Pending) {
         j.cells[cell] = CellState::Failed(failure);
     }
-    j.note_settled();
+    j.note_settled(&inner.settled);
 }
 
 fn finish_cell(
@@ -1299,7 +1425,7 @@ fn finish_cell(
         }
         let (config_idx, _) = j.units[cell];
         let new_units = extend_after_finish(j, job, config_idx);
-        j.note_settled();
+        j.note_settled(&inner.settled);
         new_units
     };
     // Enqueue outside the jobs lock (lock order everywhere: jobs before
@@ -1346,9 +1472,8 @@ fn extend_group(j: &mut Job, job: JobId, config_idx: usize) -> Option<WorkUnit> 
 /// Paired replication step for the `[compare]` groups: once **both**
 /// groups' planned replicates have finished, either certify joint
 /// convergence (the paired-delta criterion of
-/// [`malec_core::compare::paired_converged`] — the same pure prefix
-/// function the local `paired_rounds` driver uses, so server and CLI stop
-/// at identical counts) or grow *both* groups by one shared seed.
+/// [`malec_core::compare::paired_converged`], a pure prefix function) or
+/// grow *both* groups by one shared seed.
 fn extend_pair(j: &mut Job, job: JobId, b: usize, c: usize, alpha: Alpha) -> Vec<WorkUnit> {
     let rep = j.spec.replication;
     if j.groups[b].converged || j.groups[c].converged {
@@ -1410,16 +1535,18 @@ mod tests {
     const SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
                         [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 2000\nseed = 5\n";
 
+    fn wait_settled(engine: &Engine, job: JobId) -> JobStatus {
+        let status = engine
+            .wait_settled(job, Some(Duration::from_secs(60)))
+            .expect("job exists");
+        assert_eq!(status.pending, 0, "job {job} never settled");
+        status
+    }
+
     fn wait_done(engine: &Engine, job: JobId) -> JobStatus {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let status = engine.job_status(job).expect("job exists");
-            if status.state == "done" {
-                return status;
-            }
-            assert!(Instant::now() < deadline, "job {job} never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let status = wait_settled(engine, job);
+        assert_eq!(status.state, "done", "job {job} did not finish");
+        status
     }
 
     #[test]
@@ -1610,18 +1737,6 @@ mod tests {
         engine.shutdown();
     }
 
-    fn wait_settled(engine: &Engine, job: JobId) -> JobStatus {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let status = engine.job_status(job).expect("job exists");
-            if status.pending == 0 {
-                return status;
-            }
-            assert!(Instant::now() < deadline, "job {job} never settled");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
     #[test]
     fn injected_cell_panic_fails_the_job_and_resubmission_recovers() {
         let faults = Faults::disarmed();
@@ -1780,5 +1895,147 @@ mod tests {
             other => panic!("expected NotComparable, got {other:?}"),
         }
         engine.shutdown();
+    }
+
+    #[test]
+    fn wait_settled_times_out_on_a_running_job_and_answers_unknown_ids() {
+        let faults = Faults::disarmed();
+        faults.arm("engine.cell.slow", 1, Some(500));
+        let engine = Engine::with_options(EngineOptions {
+            workers: Some(1),
+            faults,
+            ..EngineOptions::default()
+        })
+        .expect("engine");
+        assert!(engine.wait_settled(999, None).is_none(), "unknown id");
+        let job = engine.submit(parse_spec(SPEC).expect("spec"));
+        let early = engine
+            .wait_settled(job, Some(Duration::from_millis(20)))
+            .expect("job exists");
+        assert_eq!(early.state, "running", "the deadline beats the slowed cell");
+        assert!(early.pending > 0);
+        let settled = engine.wait_settled(job, None).expect("job exists");
+        assert_eq!((settled.state, settled.pending), ("done", 0));
+        engine.shutdown();
+    }
+
+    /// Runs `spec` to completion on a fresh engine of `workers` threads.
+    fn results_at(workers: usize, spec: &SweepSpec) -> JobResults {
+        let engine = Engine::new(Some(workers), None).expect("engine");
+        let job = engine.submit(spec.clone());
+        wait_done(&engine, job);
+        let results = engine.job_results(job).expect("known").expect("done");
+        engine.shutdown();
+        results
+    }
+
+    /// Same replicate count per group and bit-identical summaries.
+    fn assert_bit_identical(a: &JobResults, b: &JobResults) {
+        use malec_core::digest;
+        assert_eq!(a.groups.len(), b.groups.len());
+        for (ga, gb) in a.groups.iter().zip(&b.groups) {
+            assert_eq!(ga.len(), gb.len(), "fan-out must not change the count");
+            for (x, y) in ga.iter().zip(gb) {
+                assert_eq!(digest(x), digest(y), "fan-out leaked into results");
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_sweep_is_bit_identical_serial_vs_parallel() {
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+             [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 2000\nseed = 3\nseeds = 4\n",
+        )
+        .expect("spec");
+        let serial = results_at(1, &spec);
+        let parallel = results_at(4, &spec);
+        assert_eq!(
+            serial.groups.iter().map(Vec::len).collect::<Vec<_>>(),
+            [4, 4]
+        );
+        assert_bit_identical(&serial, &parallel);
+        for (s, p) in serial.cells().iter().zip(&parallel.cells()) {
+            let s = s.stats.as_ref().expect("replicated cell");
+            let p = p.stats.as_ref().expect("replicated cell");
+            for ((sn, sm), (pn, pm)) in s.metrics.iter().zip(&p.metrics) {
+                assert_eq!(sn, pn);
+                assert_eq!(sm.mean.to_bits(), pm.mean.to_bits(), "{sn}");
+            }
+        }
+    }
+
+    #[test]
+    fn replicate_zero_matches_the_single_seed_path() {
+        use malec_core::digest;
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+             [sweep]\nconfigs = [\"MALEC\"]\ninsts = 2000\nseed = 3\nseeds = 3\n",
+        )
+        .expect("spec");
+        let results = results_at(2, &spec);
+        let single = Simulator::new(SimConfig::malec())
+            .run_source(
+                &ScenarioSource::Scenario(spec.scenario.clone()),
+                spec.insts,
+                spec.seed,
+            )
+            .expect("generator sources cannot fail");
+        let reps = &results.groups[0];
+        assert_eq!(
+            digest(&reps[0]),
+            digest(&single),
+            "replicate 0 is the base-seed path, bit for bit"
+        );
+        assert_ne!(
+            digest(&reps[0]),
+            digest(&reps[1]),
+            "later replicates run other seeds"
+        );
+    }
+
+    #[test]
+    fn ci_target_stops_at_the_same_count_at_any_worker_count() {
+        // A tight target grows the group past min_seeds one replicate at a
+        // time; the stop must land on the same prefix however many workers
+        // race through the cells.
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
+             [sweep]\nconfigs = [\"MALEC\"]\ninsts = 2000\nseed = 5\n\
+             seeds = 16\nmin_seeds = 3\nci_target = 0.01\n",
+        )
+        .expect("spec");
+        let serial = results_at(1, &spec);
+        let parallel = results_at(4, &spec);
+        let n = serial.groups[0].len();
+        assert!(n > 3 && n < 16, "the group grew, then stopped early: {n}");
+        assert_bit_identical(&serial, &parallel);
+        let stats = serial.cells()[0].stats.clone().expect("replicated cell");
+        assert_eq!(stats.saved, 16 - n as u32, "savings priced against the cap");
+    }
+
+    #[test]
+    fn paired_groups_stay_in_lockstep_at_any_worker_count() {
+        use malec_core::compare::compare_digest;
+        let spec = parse_spec(
+            "[scenario]\nmode = \"preset\"\npreset = \"mixed_int_media_thrash\"\n\
+             [compare]\n\
+             [sweep]\ninsts = 2000\nseed = 7\nseeds = 8\nmin_seeds = 2\nci_target = 0.05\n",
+        )
+        .expect("spec");
+        let serial = results_at(1, &spec);
+        let parallel = results_at(4, &spec);
+        let (base, cand, _) = serial.pair().expect("pair resolves");
+        assert_eq!(base.len(), cand.len(), "sides stay in lockstep");
+        let n = base.len();
+        assert!(
+            n > 2 && n < 8,
+            "the pair grew jointly, then stopped early: {n}"
+        );
+        assert_bit_identical(&serial, &parallel);
+        assert_eq!(
+            compare_digest(&serial.compare().expect("comparable")),
+            compare_digest(&parallel.compare().expect("comparable")),
+        );
     }
 }

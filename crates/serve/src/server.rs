@@ -47,7 +47,7 @@ use crate::http::{
 };
 use crate::report::esc;
 use crate::scheduler::{CompareError, Engine, EngineOptions, JobStatus};
-use crate::spec::{parse_spec, SweepSpec};
+use crate::spec::parse_spec;
 
 /// The default address `malec-cli serve` binds and its clients target.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4173";
@@ -558,8 +558,9 @@ fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
             // sub-job runs owner-local and the scatter cannot recurse.
             let source = match request.query_param("configs") {
                 Some(list) => {
-                    if let Err(e) = restrict_configs(&mut spec, list) {
-                        respond_error(stream, 400, &e);
+                    let labels: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
+                    if let Err(e) = spec.restrict_configs(&labels) {
+                        respond_error(stream, 400, &format!("?configs=: {e}"));
                         return;
                     }
                     None
@@ -577,32 +578,6 @@ fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
         }
         Err(e) => respond_error(stream, 400, &e.to_string()),
     }
-}
-
-/// Restricts a parsed spec to the named config labels — the scatter
-/// sub-job form of `POST /v1/jobs`. Every label must name a config in the
-/// spec; the `[compare]` pairing survives only if both of its members do
-/// (a filtered-out half would otherwise resurrect as a default).
-fn restrict_configs(spec: &mut SweepSpec, list: &str) -> Result<(), String> {
-    let want: Vec<&str> = list.split(',').filter(|s| !s.is_empty()).collect();
-    if want.is_empty() {
-        return Err("?configs= names no configs".to_owned());
-    }
-    for label in &want {
-        if !spec.configs.iter().any(|c| c.label() == *label) {
-            return Err(format!(
-                "?configs= names `{label}`, which is not in the spec"
-            ));
-        }
-    }
-    let keep_pair = spec.compare.as_ref().is_some_and(|c| {
-        want.contains(&c.baseline.label().as_str()) && want.contains(&c.candidate.label().as_str())
-    });
-    if !keep_pair {
-        spec.compare = None;
-    }
-    spec.configs.retain(|c| want.contains(&c.label().as_str()));
-    Ok(())
 }
 
 /// Records per write of the sync stream — bounds the encode buffer however

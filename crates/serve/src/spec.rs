@@ -144,6 +144,40 @@ impl SweepSpec {
             alpha: cmp.alpha,
         })
     }
+
+    /// Restricts this spec to the named config labels, keeping spec order
+    /// — a scatter sub-job (`POST /v1/jobs?configs=A,B`) and a local
+    /// `compare` both narrow a spec this way. The `[compare]` pairing
+    /// survives only if both of its members do (a filtered-out half would
+    /// otherwise resurrect as a default).
+    ///
+    /// # Errors
+    ///
+    /// Rejects an empty label list and any label that names no config of
+    /// the spec.
+    pub fn restrict_configs(&mut self, labels: &[&str]) -> Result<(), SpecError> {
+        if labels.is_empty() {
+            return Err(bad("the config restriction names no configs"));
+        }
+        if let Some(label) = labels
+            .iter()
+            .find(|&&l| !self.configs.iter().any(|c| c.label() == l))
+        {
+            return Err(bad(format!(
+                "the config restriction names `{label}`, which is not in the spec"
+            )));
+        }
+        let kept = |c: &SimConfig| labels.contains(&c.label().as_str());
+        if !self
+            .compare
+            .as_ref()
+            .is_some_and(|c| kept(&c.baseline) && kept(&c.candidate))
+        {
+            self.compare = None;
+        }
+        self.configs.retain(kept);
+        Ok(())
+    }
 }
 
 /// A spec-level failure: parse error or semantic problem.
@@ -779,6 +813,42 @@ mtr = "demo.mtr"
             let e = parse_spec(doc).expect_err(doc);
             assert!(e.to_string().contains(needle), "`{e}` lacks `{needle}`");
         }
+    }
+
+    #[test]
+    fn restricting_configs_keeps_order_and_drops_a_split_pair() {
+        let doc = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
+                   [compare]\n\
+                   [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\nseeds = 4\n";
+        let labels = |s: &SweepSpec| s.configs.iter().map(SimConfig::label).collect::<Vec<_>>();
+
+        let mut pair = parse_spec(doc).expect("parses");
+        pair.restrict_configs(&["MALEC", "Base1ldst"])
+            .expect("both labels exist");
+        assert_eq!(labels(&pair), ["Base1ldst", "MALEC"], "spec order kept");
+        assert!(
+            pair.compare.is_some(),
+            "both halves kept: the pairing survives"
+        );
+
+        let mut half = parse_spec(doc).expect("parses");
+        half.restrict_configs(&["MALEC"]).expect("label exists");
+        assert_eq!(labels(&half), ["MALEC"]);
+        assert!(
+            half.compare.is_none(),
+            "a split pair is dropped, not defaulted"
+        );
+
+        let mut bad = parse_spec(doc).expect("parses");
+        for (want, needle) in [(&[][..], "names no configs"), (&["Qux"][..], "`Qux`")] {
+            let e = bad.restrict_configs(want).expect_err("rejected");
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+        assert_eq!(
+            labels(&bad).len(),
+            3,
+            "a rejected restriction changes nothing"
+        );
     }
 
     #[test]

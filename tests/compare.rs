@@ -317,27 +317,31 @@ fn paired_stopping_matches_the_marginal_contract_shape() {
 fn compare_spec_file_roundtrip() {
     let dir = tmp_dir("file");
     let name = "cmp_file";
-    let toml = spec_toml(name, 3, "");
+    // Absolute [report] paths: compare_spec_file resolves relative ones
+    // against the cwd, and the report belongs in the tmp dir.
+    let relative = spec_toml(name, 3, "");
+    let at = |file: String| dir.join(file).display().to_string();
+    let toml = format!(
+        "{}[report]\nout = \"{}\"\nmtr = \"{}\"\ncompare = \"{}\"\n",
+        &relative[..relative.find("[report]").expect("report section")],
+        at(format!("{name}.json")),
+        at(format!("{name}.mtr")),
+        at(format!("{name}_compare.json")),
+    );
     let path = dir.join("spec.toml");
     std::fs::write(&path, &toml).expect("write spec");
-    let cwd_neutral = parse_spec(&toml).expect("spec");
-    // compare_spec_file resolves paths relative to the cwd; steer the
-    // report into the tmp dir through the parsed-spec path instead.
-    let inline = compare_parsed_spec(cwd_neutral, "inline", &dir, None).expect("inline");
-    let from_file =
-        malec_cli::compare::compare_spec_file(Path::new(&path.display().to_string()), None);
-    // The file run writes its report next to the cwd; accept either
-    // success (digest must match) or a clean write error — but never a
-    // parse failure.
-    match from_file {
-        Ok(outcome) => {
-            assert_eq!(
-                compare_digest(&outcome.stats),
-                compare_digest(&inline.stats)
-            );
-            std::fs::remove_file(format!("{name}_compare.json")).ok();
-        }
-        Err(e) => assert!(e.contains("write") || e.contains("create"), "{e}"),
-    }
+    let inline = compare_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, None)
+        .expect("inline");
+    let from_file = malec_cli::compare::compare_spec_file(Path::new(&path), None)
+        .expect("the file pipeline compares");
+    assert_eq!(from_file.out_path, dir.join(format!("{name}_compare.json")));
+    assert!(
+        from_file.out_path.exists(),
+        "report written into the tmp dir"
+    );
+    assert_eq!(
+        compare_digest(&from_file.stats),
+        compare_digest(&inline.stats)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

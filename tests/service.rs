@@ -222,6 +222,58 @@ fn paired_compare_survives_restart_and_matches_local_with_zero_resimulation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `[compare]` pair under a `ci_target` grows jointly, by the paired
+/// stopping rule, whether the spec runs locally or is submitted: both
+/// execute on the same engine, so every report row carries the same
+/// replicate count, savings and metric block.
+#[test]
+fn paired_ci_target_stops_at_the_same_count_locally_and_submitted() {
+    let dir = tmp_dir("paired_stop");
+    let toml = "[scenario]\nmode = \"preset\"\npreset = \"phased_compress_decode\"\n\
+                [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+                [sweep]\ninsts = 20000\nseed = 2013\nseeds = 16\nmin_seeds = 3\nci_target = 0.02\n\
+                [report]\nout = \"paired_stop.json\"\nmtr = \"paired_stop.mtr\"\n";
+    let local = run_parsed_spec(parse_spec(toml).expect("spec parses"), "inline", &dir, None)
+        .expect("local run");
+    assert!(local.all_replays_match());
+
+    let server = Server::bind("127.0.0.1:0", Some(2), None)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let client = Client::new(server.addr().to_string());
+    let job = client.submit(toml).expect("submit");
+    client.wait(job, Duration::from_secs(120)).expect("wait");
+    let served = client.report(job).expect("report");
+    client.shutdown().expect("shutdown");
+    server.join().expect("clean exit");
+
+    let rows = |report: &str| -> Vec<[Option<Value>; 4]> {
+        parse(report)
+            .expect("report is valid JSON")
+            .get("cells")
+            .and_then(Value::as_array)
+            .expect("cells array")
+            .iter()
+            .map(|c| {
+                ["config", "replicates", "replicates_saved", "metrics"].map(|k| c.get(k).cloned())
+            })
+            .collect()
+    };
+    let local_rows = rows(&std::fs::read_to_string(&local.out_path).expect("local report"));
+    assert_eq!(local_rows.len(), 2);
+    assert_eq!(
+        local_rows[0][1], local_rows[1][1],
+        "the pair grows jointly: both sides hold the same replicate count"
+    );
+    assert_eq!(
+        local_rows,
+        rows(&served),
+        "local run and submitted job must stop the pair at the same count"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn concurrent_overlapping_submissions_are_deduped_and_bit_identical() {
     let dir = tmp_dir("concurrent");
