@@ -1,28 +1,26 @@
-//! Recorded behavioral digests for the fixed `malec-bench` workload.
+//! The golden workloads and their recorded behavioral digests.
 //!
-//! Each digest folds every behavioral field of one cell's [`RunSummary`] —
-//! core statistics, interface statistics, all energy event counters, the
-//! priced energy (bit pattern) and the miss rates (bit patterns) — into a
-//! single FNV-1a value. The `malec-bench` binary recomputes the digests on
-//! every run and compares them against [`GOLDEN_DIGESTS`], recorded from
-//! the simulator as bootstrapped (before the allocation-free hot-path
-//! rewrite), so any optimization that changes simulated behavior, however
-//! slightly, fails the bench run.
+//! Each digest folds every behavioral field of one cell's
+//! [`RunSummary`](malec_core::RunSummary) — core statistics, interface
+//! statistics, all energy event counters, the priced energy (bit pattern)
+//! and the miss rates (bit patterns) — into a single FNV-1a value. Three
+//! tables pin the simulator: [`GOLDEN_DIGESTS`] (24 benchmark cells),
+//! [`SCENARIO_GOLDEN_DIGESTS`] (10 preset-scenario cells) and
+//! [`COMPARE_GOLDEN_DIGESTS`] (5 paired comparisons). The benchmark table
+//! was recorded from the simulator as bootstrapped (before the
+//! allocation-free hot-path rewrite). The harness test `tests/goldens.rs`
+//! recomputes all 39 digests on every `cargo test`, the scenario and
+//! compare cells on an in-process serve `Engine`, so any change to
+//! simulated behavior, however slight, fails tier-1.
 //!
 //! To re-record after an *intentional* behavior change:
 //!
 //! ```sh
-//! cargo run --release -p malec-bench --bin malec-bench -- --record
+//! cargo test --release -p malec-harness --test goldens -- --ignored --nocapture
 //! ```
 //!
-//! and replace the [`GOLDEN_DIGESTS`] table with the printed one.
+//! and replace the three tables with the printed ones.
 
-use malec_core::compare::{Alpha, CompareStats};
-use malec_core::parallel::{parallel_map_with, workers_for};
-use malec_core::stats::replicate_seed;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
-use malec_trace::scenario::presets;
-use malec_trace::Scenario;
 use malec_types::SimConfig;
 
 /// The eight representative benchmarks of the fixed workload: four
@@ -44,35 +42,6 @@ pub fn scenario_configs() -> Vec<SimConfig> {
     vec![SimConfig::base1ldst(), SimConfig::malec()]
 }
 
-/// The scenario golden workload: every preset scenario under every
-/// [`scenario_configs`] entry, scenario-major, at [`SCENARIO_INSTS`]
-/// instructions and the fixed [`crate::DEFAULT_SEED`], fanned out over at
-/// most `jobs` workers (`--jobs N`; `None`: every core).
-pub fn run_scenario_cells_with(jobs: Option<usize>) -> Vec<RunSummary> {
-    let cells: Vec<(Scenario, SimConfig)> = presets()
-        .into_iter()
-        .flat_map(|s| {
-            scenario_configs()
-                .into_iter()
-                .map(move |cfg| (s.clone(), cfg))
-        })
-        .collect();
-    let workers = workers_for(cells.len(), jobs);
-    parallel_map_with(
-        cells,
-        |(scenario, cfg)| {
-            Simulator::new(cfg.clone())
-                .run_source(
-                    &ScenarioSource::Scenario(scenario.clone()),
-                    SCENARIO_INSTS,
-                    crate::DEFAULT_SEED,
-                )
-                .expect("generator sources cannot fail")
-        },
-        workers,
-    )
-}
-
 /// Instructions per side per shared seed of a compare golden cell (smaller
 /// than [`SCENARIO_INSTS`] because each preset runs `2 × COMPARE_SEEDS`
 /// simulations instead of 2).
@@ -80,51 +49,6 @@ pub const COMPARE_INSTS: u64 = 20_000;
 
 /// Shared seeds per compare golden cell.
 pub const COMPARE_SEEDS: u32 = 3;
-
-/// The compare golden workload: every preset scenario paired as
-/// `Base1ldst` (baseline) vs `MALEC` (candidate) over [`COMPARE_SEEDS`]
-/// shared seeds at [`COMPARE_INSTS`] instructions, the fixed
-/// [`crate::DEFAULT_SEED`], and `alpha = 0.05`. Returns `(preset name,
-/// comparison)` in preset order.
-pub fn run_compare_cells_with(jobs: Option<usize>) -> Vec<(String, CompareStats)> {
-    let scenarios = presets();
-    // One flat fan-out over (preset, side, replicate); the pairing is
-    // reassembled below, so the schedule never touches the statistics.
-    let cells: Vec<(usize, SimConfig, u32)> = (0..scenarios.len())
-        .flat_map(|s| {
-            scenario_configs()
-                .into_iter()
-                .flat_map(move |cfg| (0..COMPARE_SEEDS).map(move |r| (s, cfg.clone(), r)))
-        })
-        .collect();
-    let workers = workers_for(cells.len(), jobs);
-    let summaries = parallel_map_with(
-        cells.clone(),
-        |(s, cfg, r)| {
-            Simulator::new(cfg.clone())
-                .run_source(
-                    &ScenarioSource::Scenario(scenarios[*s].clone()),
-                    COMPARE_INSTS,
-                    replicate_seed(crate::DEFAULT_SEED, *r),
-                )
-                .expect("generator sources cannot fail")
-        },
-        workers,
-    );
-    let per_preset = 2 * COMPARE_SEEDS as usize;
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, scenario)| {
-            let chunk = &summaries[s * per_preset..(s + 1) * per_preset];
-            let (base, cand) = chunk.split_at(COMPARE_SEEDS as usize);
-            (
-                scenario.name.clone(),
-                CompareStats::from_pairs(base, cand, COMPARE_SEEDS, Alpha::Five),
-            )
-        })
-        .collect()
-}
 
 /// `(benchmark, config label, digest)` per cell of the fixed workload,
 /// row-major in `(BENCH_BENCHMARKS, Table I configs)` order. Recorded at
@@ -156,10 +80,10 @@ pub const GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
     ("h263dec", "MALEC", 0xee45a3856c04bb41),
 ];
 
-/// `(scenario, config label, digest)` per cell of the scenario workload
-/// ([`run_scenario_cells_with`] order). Recorded at [`SCENARIO_INSTS`]
-/// instructions, [`crate::DEFAULT_SEED`] seed; refresh with
-/// `malec-bench -- --record` after an intentional behavior change.
+/// `(scenario, config label, digest)` per cell of the scenario workload:
+/// every preset scenario under every [`scenario_configs`] entry,
+/// scenario-major. Recorded at [`SCENARIO_INSTS`] instructions,
+/// [`crate::DEFAULT_SEED`] seed.
 pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
     ("phased_compress_decode", "Base1ldst", 0xd2bc356cf4edc460),
     ("phased_compress_decode", "MALEC", 0x7d15453dd09fbd03),
@@ -173,14 +97,12 @@ pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[
     ("store_burst", "MALEC", 0xce455fc869e46c0e),
 ];
 
-/// `(preset scenario, compare digest)` per compare golden cell
-/// ([`run_compare_cells_with`] order): the paired Base1ldst-vs-MALEC delta
-/// blocks of each preset, digested bit-exactly
-/// ([`malec_core::compare::compare_digest`] folds
-/// every delta mean, CI width, relative improvement and verdict). Recorded
-/// at [`COMPARE_INSTS`] / [`COMPARE_SEEDS`] / [`crate::DEFAULT_SEED`] /
-/// `alpha = 0.05`; refresh with `malec-bench -- --record` after an
-/// intentional behavior change.
+/// `(preset scenario, compare digest)` per compare golden cell, in preset
+/// order: the paired Base1ldst-vs-MALEC delta blocks of each preset over
+/// [`COMPARE_SEEDS`] shared seeds, digested bit-exactly
+/// ([`malec_core::compare::compare_digest`] folds every delta mean, CI
+/// width, relative improvement and verdict). Recorded at [`COMPARE_INSTS`]
+/// / [`COMPARE_SEEDS`] / [`crate::DEFAULT_SEED`] / `alpha = 0.05`.
 pub const COMPARE_GOLDEN_DIGESTS: &[(&str, u64)] = &[
     ("phased_compress_decode", 0x0e5f18eb758778e4),
     ("mixed_int_media_thrash", 0xf123fcd9e392037d),
@@ -193,10 +115,10 @@ pub const COMPARE_GOLDEN_DIGESTS: &[(&str, u64)] = &[
 mod tests {
     use super::*;
     use crate::{run_one, DEFAULT_SEED};
-    use malec_core::compare::compare_digest;
-    use malec_core::digest;
+    use malec_core::compare::{compare_digest, Alpha, CompareStats};
+    use malec_core::stats::replicate_seed;
+    use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
     use malec_trace::all_benchmarks;
-    use malec_types::SimConfig;
 
     #[test]
     fn digest_is_stable_and_sensitive() {

@@ -672,7 +672,7 @@ fn cmd_cache_sync(args: &[String]) -> Result<(), String> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}\n{}", usage()));
     }
-    let (status, mut stream) = request_stream(
+    let (status, _, mut stream) = request_stream(
         from.as_str(),
         "GET",
         "/v1/cache/sync",

@@ -8,10 +8,8 @@
 //! Two summaries digest equal **iff** their behavioral content is
 //! bit-identical, which is what lets a content-addressed cache return a
 //! stored summary in place of a simulation: the generator is deterministic,
-//! so one key maps to one digest forever. (This function lived in
-//! `malec_bench::goldens` through PR 2; it moved here so goldens,
-//! replay-verify and the cache share one implementation. `goldens`
-//! re-exports it.)
+//! so one key maps to one digest forever. The golden tables, replay
+//! verification and the cache share this one implementation.
 //!
 //! [`write_summary`] / [`read_summary`] are the compact little-endian codec
 //! the cache's append-only log uses to persist summaries across restarts.

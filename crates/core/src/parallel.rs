@@ -34,7 +34,7 @@ pub fn workers_used(items: usize) -> usize {
 }
 
 /// [`workers_used`] with an optional operator-imposed cap (the `--jobs N`
-/// flag of `malec-cli run`, `malec-bench` and `malec-cli serve`): the
+/// flag of `malec-cli run`, `compare` and `serve`): the
 /// fan-out for `items` items, never exceeding `cap`. `Some(0)` and
 /// `Some(1)` both mean serial.
 pub fn workers_for(items: usize, cap: Option<usize>) -> usize {

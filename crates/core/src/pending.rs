@@ -121,7 +121,7 @@ impl FillTable {
     /// semantically invisible (a probe removes them and reports `None`), so
     /// pruning at any point cannot change simulated behavior; it only keeps
     /// the probe short on workloads that touch many lines once. Called from
-    /// `tick()`, and a no-op below [`PRUNE_THRESHOLD`] occupancy.
+    /// `tick()`, and a no-op below `PRUNE_THRESHOLD` occupancy.
     #[inline]
     pub fn prune(&mut self, cycle: u64) {
         if self.entries.len() >= PRUNE_THRESHOLD {

@@ -47,7 +47,7 @@
 //! least-recently-used entries are dropped from memory immediately (and
 //! from disk at the next compaction), so a long-lived server holds a
 //! steady-state footprint. The live record set can also be streamed in log
-//! format ([`export_live`](ResultCache::export_live) /
+//! format ([`live_records`](ResultCache::live_records) /
 //! [`ingest`](ResultCache::ingest)) — the `/v1/cache/sync` wire format a
 //! fresh peer warms up from, verified record by record with the same
 //! per-record checksums.
@@ -717,27 +717,16 @@ impl ResultCache {
         })
     }
 
-    /// The live record set in log format (header + one record per
-    /// resident key, LRU order) — the `/v1/cache/sync` response body. A
-    /// receiver feeds it to [`ingest`](Self::ingest), which verifies every
-    /// record's checksum before accepting it.
-    pub fn export_live(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity((HEADER_LEN + self.stats.live_bytes) as usize);
-        out.extend_from_slice(&log_header());
-        for &key in self.lru.values() {
-            // analyze: allow(panic-surface) lru values are exactly the resident map keys
-            out.extend_from_slice(&encode_record(key, &self.map[&key].summary));
-        }
-        out
-    }
-
     /// A snapshot of the live set for chunked streaming: `(key, summary)`
     /// handles in LRU order (`Arc` clones, not encoded bytes), plus the
-    /// exact byte length of the corresponding log stream (header + every
-    /// record). The `/v1/cache/sync` handler encodes and writes chunk by
-    /// chunk from this instead of materializing the whole byte body under
-    /// the cache lock — summaries are immutable once inserted, so the
-    /// handles stay a consistent snapshot after the lock is released.
+    /// exact byte length of the corresponding log stream ([`log_header`] +
+    /// one [`encode_record`] per entry). The `/v1/cache/sync` handler
+    /// encodes and writes chunk by chunk from this instead of materializing
+    /// the whole byte body under the cache lock — summaries are immutable
+    /// once inserted, so the handles stay a consistent snapshot after the
+    /// lock is released. A receiver feeds the stream to
+    /// [`ingest`](Self::ingest), which verifies every record's checksum
+    /// before accepting it.
     pub fn live_records(&self) -> (Vec<(u128, Arc<RunSummary>)>, u64) {
         let mut records = Vec::with_capacity(self.map.len());
         for &key in self.lru.values() {
@@ -747,12 +736,11 @@ impl ResultCache {
         (records, HEADER_LEN + self.stats.live_bytes)
     }
 
-    /// Streams a log-format record set (an [`export_live`](Self::export_live)
-    /// body) into this cache, verifying each record's checksum and
-    /// persisting every record not already resident. Damage mid-stream
-    /// keeps the verified prefix and reports it in
-    /// [`SyncReport::damaged`] — the receive side of longest-valid-prefix
-    /// recovery.
+    /// Streams a log-format record set (a `/v1/cache/sync` body) into this
+    /// cache, verifying each record's checksum and persisting every record
+    /// not already resident. Damage mid-stream keeps the verified prefix
+    /// and reports it in [`SyncReport::damaged`] — the receive side of
+    /// longest-valid-prefix recovery.
     ///
     /// # Errors
     ///
@@ -1436,8 +1424,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The `/v1/cache/sync` body the server streams for `cache`:
+    /// [`log_header`] plus one [`encode_record`] per live record.
+    fn sync_stream(cache: &ResultCache) -> Vec<u8> {
+        let (records, _) = cache.live_records();
+        let mut stream = log_header().to_vec();
+        for (key, summary) in &records {
+            stream.extend_from_slice(&encode_record(*key, summary));
+        }
+        stream
+    }
+
     #[test]
-    fn export_ingest_round_trips_bit_identical() {
+    fn sync_stream_ingest_round_trips_bit_identical() {
         let path_a = tmp("sync_a");
         let path_b = tmp("sync_b");
         std::fs::remove_file(&path_a).ok();
@@ -1448,11 +1447,11 @@ mod tests {
             a.insert_persist(i as u128, Arc::new(s.clone()))
                 .expect("insert");
         }
-        let stream = a.export_live();
+        let stream = sync_stream(&a);
         assert_eq!(
             stream.len() as u64,
             HEADER_LEN + a.stats().live_bytes,
-            "the export is exactly the live record set"
+            "the stream is exactly the live record set"
         );
 
         let mut b = ResultCache::open(&path_b).expect("open b");
@@ -1521,21 +1520,19 @@ mod tests {
     }
 
     #[test]
-    fn live_records_snapshot_matches_export_live_exactly() {
+    fn live_records_declare_the_exact_sync_stream_length() {
         let mut cache = ResultCache::in_memory();
         for i in 0..3u128 {
             cache
                 .insert_persist(i, Arc::new(sample(120 + i as u64)))
                 .expect("insert");
         }
-        let export = cache.export_live();
-        let (records, len) = cache.live_records();
-        assert_eq!(len, export.len() as u64, "declared length is exact");
-        let mut rebuilt = log_header().to_vec();
-        for (key, summary) in &records {
-            rebuilt.extend_from_slice(&encode_record(*key, summary));
-        }
-        assert_eq!(rebuilt, export, "chunk-encoded stream is byte-identical");
+        let (_, len) = cache.live_records();
+        assert_eq!(
+            len,
+            sync_stream(&cache).len() as u64,
+            "declared length is exact"
+        );
     }
 
     #[test]

@@ -94,6 +94,17 @@ impl RetryPolicy {
         half + Duration::from_millis(jitter_ms)
     }
 
+    /// The delay before retry `attempt` of a call to `path`: the server's
+    /// `Retry-After` when it sent one, clamped to [`cap`](Self::cap) — one
+    /// misbehaving peer must not park a client for a day — and the computed
+    /// [`backoff`](Self::backoff) otherwise.
+    fn retry_delay(&self, attempt: u32, path: &str, retry_after: Option<u64>) -> Duration {
+        retry_after.map_or_else(
+            || self.backoff(attempt, path),
+            |s| Duration::from_secs(s).min(self.cap),
+        )
+    }
+
     /// The delay before the next status poll, given how many polls have
     /// already happened: starts at [`poll_interval`](Self::poll_interval)
     /// and doubles toward [`poll_max`](Self::poll_max) — a short job is
@@ -113,6 +124,15 @@ impl RetryPolicy {
 /// and retried never.
 fn retryable_status(status: u16) -> bool {
     status == 408 || status == 429 || (500..600).contains(&status)
+}
+
+/// Why one record-fetch attempt failed.
+enum FetchFailure {
+    /// A deterministic answer: `404`, or a status the policy never retries.
+    Final(String),
+    /// Transport trouble, a damaged body or a retryable status, with the
+    /// server's `Retry-After` seconds when it sent them.
+    Retry(String, Option<u64>),
 }
 
 /// A client bound to one server address.
@@ -251,14 +271,7 @@ impl Client {
                     )),
                 };
             }
-            // A server pacing hint is honored, but never beyond the
-            // policy's own ceiling — one misbehaving peer must not park
-            // this client for a day.
-            let delay = retry_after.map_or_else(
-                || self.retry.backoff(attempt, path),
-                |s| Duration::from_secs(s).min(self.retry.cap),
-            );
-            std::thread::sleep(delay);
+            std::thread::sleep(self.retry.retry_delay(attempt, path, retry_after));
         }
     }
 
@@ -304,22 +317,23 @@ impl Client {
     /// `GET /v1/cache/record/<key>` endpoint — the peer-miss path of
     /// sharded serving. The response is a single log-format record; its
     /// checksum and key are verified before the summary is returned.
-    /// Transport failures and retryable statuses back off under the
-    /// policy; a `404` (the peer has no such record) is deterministic and
-    /// returns immediately.
+    /// Retries follow the policy of every other call: transport failures,
+    /// a damaged body and retryable statuses back off (a `Retry-After`
+    /// capped at the policy ceiling); a `404` (the peer has no such record)
+    /// and every other status are deterministic and return at once.
     ///
     /// # Errors
     ///
-    /// Returns a message for connection failures, a missing record, and a
-    /// damaged or mismatched response body.
+    /// Returns a message for connection failures, a missing record, a
+    /// non-retryable status, and a damaged or mismatched response body.
     pub fn fetch_record(&self, key: u128) -> Result<RunSummary, String> {
         let path = format!("/v1/cache/record/{key:032x}");
         let mut attempt = 0u32;
         loop {
-            let fail = match self.try_fetch_record(&path, key) {
-                Ok(Some(summary)) => return Ok(summary),
-                Ok(None) => return Err(format!("{}: no record for key {key:032x}", self.addr)),
-                Err(e) => e,
+            let (fail, retry_after) = match self.try_fetch_record(&path, key) {
+                Ok(summary) => return Ok(summary),
+                Err(FetchFailure::Final(e)) => return Err(e),
+                Err(FetchFailure::Retry(e, retry_after)) => (e, retry_after),
             };
             attempt += 1;
             if attempt > self.retry.retries {
@@ -329,30 +343,38 @@ impl Client {
                     if attempt == 1 { "" } else { "s" }
                 ));
             }
-            std::thread::sleep(self.retry.backoff(attempt, &path));
+            std::thread::sleep(self.retry.retry_delay(attempt, &path, retry_after));
         }
     }
 
-    /// One record-fetch attempt: `Ok(None)` is the deterministic "no such
-    /// record" answer, `Err` is worth retrying.
-    fn try_fetch_record(&self, path: &str, key: u128) -> Result<Option<RunSummary>, String> {
-        let (status, mut stream) =
-            request_stream(&self.addr, "GET", path, REQUEST_TIMEOUT).map_err(|e| e.to_string())?;
-        if status == 404 {
-            return Ok(None);
-        }
+    /// One record-fetch attempt.
+    fn try_fetch_record(&self, path: &str, key: u128) -> Result<RunSummary, FetchFailure> {
+        let retry = |e: String| FetchFailure::Retry(e, None);
+        let (status, retry_after, mut stream) =
+            request_stream(&self.addr, "GET", path, REQUEST_TIMEOUT)
+                .map_err(|e| retry(e.to_string()))?;
         if status != 200 {
-            return Err(format!("server returned {status}"));
+            return Err(match status {
+                404 => FetchFailure::Final(format!("{}: no record for key {key:032x}", self.addr)),
+                s if retryable_status(s) => {
+                    FetchFailure::Retry(format!("server returned {s}"), retry_after)
+                }
+                s => {
+                    FetchFailure::Final(format!("GET {path} at {}: server returned {s}", self.addr))
+                }
+            });
         }
         let mut body = Vec::new();
-        stream.read_to_end(&mut body).map_err(|e| e.to_string())?;
-        let (got, summary) = decode_single_record(&body).map_err(|e| e.to_string())?;
+        stream
+            .read_to_end(&mut body)
+            .map_err(|e| retry(e.to_string()))?;
+        let (got, summary) = decode_single_record(&body).map_err(|e| retry(e.to_string()))?;
         if got != key {
-            return Err(format!(
+            return Err(retry(format!(
                 "record key mismatch (asked {key:032x}, got {got:032x})"
-            ));
+            )));
         }
-        Ok(Some(summary))
+        Ok(summary)
     }
 
     /// Fetches one job's status.
@@ -803,9 +825,10 @@ mod tests {
 
     #[test]
     fn call_caps_a_hostile_retry_after_at_the_policy_ceiling() {
-        // First answer: a 503 claiming `Retry-After: 86400`. Honored
-        // verbatim, the retry would sleep a day; capped, it sleeps ≤50 ms
-        // and the second answer succeeds.
+        // A JSON call, then a record fetch, each first answered by a 503
+        // claiming `Retry-After: 86400`. Honored verbatim, a retry would
+        // sleep a day; capped, it sleeps ≤50 ms and the second answer
+        // lands.
         let (addr, server) = scripted_server(vec![
             (503, vec![("Retry-After", "86400")], "{}\n"),
             (
@@ -814,15 +837,37 @@ mod tests {
                 "{\n  \"entries\": 0,\n  \"loaded_from_disk\": 0,\n  \"hits\": 0,\n  \
                  \"misses\": 0,\n  \"coalesced\": 0,\n  \"bytes_appended\": 0\n}\n",
             ),
+            (503, vec![("Retry-After", "86400")], "{}\n"),
+            (404, vec![], "{}\n"),
         ]);
         let client = Client::new(addr).with_retry(tight_policy());
         let start = Instant::now();
         client.cache_stats().expect("second attempt succeeds");
+        let err = client
+            .fetch_record(7)
+            .expect_err("the retry finds no record");
+        assert!(err.contains("no record for key"), "{err}");
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "a day-long Retry-After must be capped at the policy ceiling, waited {:?}",
             start.elapsed()
         );
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn fetch_record_returns_a_deterministic_4xx_at_once() {
+        // A 400 cannot change on retry: the error names it, and the 404
+        // scripted behind it is left for the next call.
+        let (addr, server) = scripted_server(vec![
+            (400, vec![], "{\"error\": \"bad record key\"}\n"),
+            (404, vec![], "{}\n"),
+        ]);
+        let client = Client::new(addr).with_retry(RetryPolicy::retries(2));
+        let err = client.fetch_record(7).expect_err("a 400 fails the fetch");
+        assert!(err.contains("server returned 400"), "{err}");
+        let err = client.fetch_record(7).expect_err("the 404 answers next");
+        assert!(err.contains("no record for key"), "{err}");
         server.join().expect("server thread");
     }
 

@@ -3,11 +3,11 @@
 //! this workspace already carries (the build environment has no network
 //! crates).
 //!
-//! Server side: [`read_request`] parses one request (request line, headers,
-//! `Content-Length` body) off a stream; [`write_response`] emits a complete
-//! `Connection: close` response. Client side: [`request`] performs one
-//! round trip. One request per connection keeps the framing trivial —
-//! connection reuse buys nothing for a localhost batch API.
+//! Server side: [`read_request_deadline`] parses one request (request
+//! line, headers, `Content-Length` body) off a stream; [`write_response`]
+//! emits a complete `Connection: close` response. Client side: [`request`]
+//! performs one round trip. One request per connection keeps the framing
+//! trivial — connection reuse buys nothing for a localhost batch API.
 //!
 //! Binary endpoints (`/v1/cache/sync`) stream instead of buffering:
 //! [`write_response_head`] emits the head and lets the handler write the
@@ -132,17 +132,6 @@ impl Read for DeadlineStream<'_> {
             }
         })
     }
-}
-
-/// Parses one request off `stream`.
-///
-/// # Errors
-///
-/// Returns `InvalidData` for malformed or over-limit requests and
-/// propagates socket errors.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
-    parse_request(&mut reader)
 }
 
 /// Parses one request off `stream`, spending at most `deadline` in total —
@@ -445,11 +434,11 @@ impl Read for ByteStream {
     }
 }
 
-/// Performs one bodyless round trip against `addr` and returns the status
-/// plus a [`ByteStream`] over the response body — the client side of
-/// binary endpoints, where the body may exceed the JSON body cap and
-/// should be consumed incrementally (the cache's `ingest` verifies it
-/// record by record as it arrives).
+/// Performs one bodyless round trip against `addr` and returns the status,
+/// the `Retry-After` seconds if the server sent them, and a [`ByteStream`]
+/// over the response body — the client side of binary endpoints, where the
+/// body may exceed the JSON body cap and should be consumed incrementally
+/// (the cache's `ingest` verifies it record by record as it arrives).
 ///
 /// # Errors
 ///
@@ -460,7 +449,7 @@ pub fn request_stream(
     method: &str,
     path: &str,
     timeout: Duration,
-) -> io::Result<(u16, ByteStream)> {
+) -> io::Result<(u16, Option<u64>, ByteStream)> {
     let mut stream = connect_timeout(addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -470,10 +459,11 @@ pub fn request_stream(
     stream.write_all(head.as_bytes())?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
-    let (status, content_length, _) = read_response_head(&mut reader)?;
+    let (status, content_length, retry_after) = read_response_head(&mut reader)?;
     let limit = content_length.map_or(u64::MAX, |l| l as u64);
     Ok((
         status,
+        retry_after,
         ByteStream {
             reader: reader.take(limit),
         },
@@ -508,7 +498,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            match read_request(&mut stream) {
+            match read_request_deadline(&stream, Duration::from_secs(5)) {
                 Ok(req) => {
                     let body = format!(
                         "{} {} {}",
@@ -613,7 +603,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
+            read_request_deadline(&stream, Duration::from_secs(5)).ok();
             write_response_with(
                 &mut stream,
                 503,
@@ -668,7 +658,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
+            read_request_deadline(&stream, Duration::from_secs(5)).ok();
             stream
                 .write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello",
@@ -695,7 +685,7 @@ mod tests {
         let expected = payload.clone();
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            read_request(&mut stream).ok();
+            read_request_deadline(&stream, Duration::from_secs(5)).ok();
             write_response_head(&mut stream, 200, "application/octet-stream", payload.len())
                 .expect("head");
             let (a, b) = payload.split_at(payload.len() / 2);
@@ -705,9 +695,9 @@ mod tests {
             stream.write_all(b).expect("second half");
             stream.write_all(b"TRAILING-GARBAGE").ok();
         });
-        let (status, mut body) =
+        let (status, retry_after, mut body) =
             request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(5)).expect("stream");
-        assert_eq!(status, 200);
+        assert_eq!((status, retry_after), (200, None));
         let mut got = Vec::new();
         body.read_to_end(&mut got).expect("read body");
         assert_eq!(got, expected, "chunked writes reassemble bit-identically");
@@ -719,7 +709,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            match read_request(&mut stream) {
+            match read_request_deadline(&stream, Duration::from_secs(5)) {
                 Ok(_) => write_response(&mut stream, 200, "text/plain", b"ok").ok(),
                 Err(_) => write_response(&mut stream, 400, "text/plain", b"bad").ok(),
             };

@@ -1,7 +1,6 @@
-//! JSON report emission for scenario sweeps, shape-compatible with the
-//! workspace's `BENCH_simulator.json` artifact (same top-level `bench` /
-//! `workload` / `workers` / wall-clock vocabulary), plus per-cell rows and
-//! the generator-vs-replay digest verdict.
+//! JSON report emission for scenario sweeps and paired comparisons: a
+//! top-level `bench` / `workload` / `workers` / wall-clock header, then
+//! per-cell rows and the generator-vs-replay digest verdict.
 
 use malec_core::compare::{compare_digest, CompareStats};
 use malec_core::digest::digest;

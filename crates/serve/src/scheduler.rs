@@ -844,15 +844,10 @@ impl Engine {
         lock(&self.inner.cache).compact()
     }
 
-    /// The live record set in cache-log format — the `GET /v1/cache/sync`
-    /// response body a fresh peer warms up from.
-    pub fn sync_snapshot(&self) -> Vec<u8> {
-        lock(&self.inner.cache).export_live()
-    }
-
     /// The live record set as shared summaries plus the exact cache-log
-    /// byte length of [`Engine::sync_snapshot`] — the chunked sync handler
-    /// streams from this without materializing the whole log.
+    /// byte length of the `GET /v1/cache/sync` body a fresh peer warms up
+    /// from — the chunked sync handler streams from this without
+    /// materializing the whole log.
     pub fn sync_records(&self) -> (Vec<(u128, Arc<RunSummary>)>, u64) {
         lock(&self.inner.cache).live_records()
     }
@@ -894,7 +889,7 @@ impl Engine {
     /// Propagates connection errors, a non-200 peer answer, a stream that
     /// is not a cache log, and local append failures.
     pub fn warm_from(&self, addr: &str) -> io::Result<SyncReport> {
-        let (status, mut stream) =
+        let (status, _, mut stream) =
             crate::http::request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(60))?;
         if status != 200 {
             return Err(io::Error::other(format!(
@@ -1930,13 +1925,13 @@ mod tests {
     }
 
     /// Same replicate count per group and bit-identical summaries.
-    fn assert_bit_identical(a: &JobResults, b: &JobResults) {
+    fn assert_bit_identical(a: &[Vec<RunSummary>], b: &[Vec<RunSummary>]) {
         use malec_core::digest;
-        assert_eq!(a.groups.len(), b.groups.len());
-        for (ga, gb) in a.groups.iter().zip(&b.groups) {
-            assert_eq!(ga.len(), gb.len(), "fan-out must not change the count");
+        assert_eq!(a.len(), b.len());
+        for (ga, gb) in a.iter().zip(b) {
+            assert_eq!(ga.len(), gb.len(), "replicate counts differ");
             for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(digest(x), digest(y), "fan-out leaked into results");
+                assert_eq!(digest(x), digest(y), "replicate summaries differ");
             }
         }
     }
@@ -1954,7 +1949,7 @@ mod tests {
             serial.groups.iter().map(Vec::len).collect::<Vec<_>>(),
             [4, 4]
         );
-        assert_bit_identical(&serial, &parallel);
+        assert_bit_identical(&serial.groups, &parallel.groups);
         for (s, p) in serial.cells().iter().zip(&parallel.cells()) {
             let s = s.stats.as_ref().expect("replicated cell");
             let p = p.stats.as_ref().expect("replicated cell");
@@ -2009,7 +2004,7 @@ mod tests {
         let parallel = results_at(4, &spec);
         let n = serial.groups[0].len();
         assert!(n > 3 && n < 16, "the group grew, then stopped early: {n}");
-        assert_bit_identical(&serial, &parallel);
+        assert_bit_identical(&serial.groups, &parallel.groups);
         let stats = serial.cells()[0].stats.clone().expect("replicated cell");
         assert_eq!(stats.saved, 16 - n as u32, "savings priced against the cap");
     }
@@ -2032,10 +2027,49 @@ mod tests {
             n > 2 && n < 8,
             "the pair grew jointly, then stopped early: {n}"
         );
-        assert_bit_identical(&serial, &parallel);
+        assert_bit_identical(&serial.groups, &parallel.groups);
         assert_eq!(
             compare_digest(&serial.compare().expect("comparable")),
             compare_digest(&parallel.compare().expect("comparable")),
         );
+    }
+
+    #[test]
+    fn a_compare_pair_and_a_third_config_grow_in_one_job_as_they_do_alone() {
+        // Under one ci_target the [compare] pair stops jointly on its paired
+        // delta and the third config on its own marginal CI. Sharing a job
+        // must couple neither rule: each side reaches the count and the
+        // summaries it reaches when submitted alone.
+        let spec = |preset: &str, seed: u64, ci_target: f64, compare: &str, configs: &str| {
+            parse_spec(&format!(
+                "[scenario]\nmode = \"preset\"\npreset = \"{preset}\"\n{compare}\
+                 [sweep]\n{configs}insts = 2000\nseed = {seed}\nseeds = 16\nmin_seeds = 3\n\
+                 ci_target = {ci_target}\n"
+            ))
+            .expect("spec")
+        };
+        // Base1ldst / Base2ld1st / MALEC replicates: the third config grows
+        // in one case, the pair (and the third, to the seed cap) in the other.
+        for (preset, seed, ci_target, counts) in [
+            ("tlb_thrash", 5, 0.01, [3, 9, 3]),
+            ("mixed_int_media_thrash", 7, 0.03, [5, 16, 5]),
+        ] {
+            let all = "configs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\n";
+            let mixed = spec(preset, seed, ci_target, "[compare]\n", all);
+            let pair = results_at(1, &spec(preset, seed, ci_target, "[compare]\n", ""));
+            let third = spec(preset, seed, ci_target, "", "configs = [\"Base2ld1st\"]\n");
+            let third = results_at(1, &third);
+            let alone = [
+                pair.groups[0].clone(),
+                third.groups[0].clone(),
+                pair.groups[1].clone(),
+            ];
+            for workers in [1, 4] {
+                let got = results_at(workers, &mixed);
+                let got_counts: Vec<usize> = got.groups.iter().map(Vec::len).collect();
+                assert_eq!(got_counts, counts, "{preset} at {workers} workers");
+                assert_bit_identical(&got.groups, &alone);
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@
 //! it if it is a health check or a shutdown: saturation must never make
 //! the server unobservable or unstoppable), each request
 //! must arrive within [`ServeOptions::request_deadline`] **total** (the
-//! slow-loris bound), and writes carry [`ServeOptions::io_timeout`].
+//! slow-loris bound), and writes time out after a fixed 60 s.
 //! Shutdown defaults to graceful: stop accepting, let in-flight jobs run
 //! to completion (bounded by [`ServeOptions::drain_timeout`]), fsync the
 //! cache log, exit. `POST /v1/shutdown?mode=abort` skips the drain.
@@ -70,8 +70,6 @@ pub struct ServeOptions {
     /// Total budget for reading one request off the wire — however slowly
     /// the client drips bytes (the slow-loris bound).
     pub request_deadline: Duration,
-    /// Socket write timeout for responses.
-    pub io_timeout: Duration,
     /// How long a graceful shutdown waits for in-flight jobs to settle
     /// before stopping anyway.
     pub drain_timeout: Duration,
@@ -95,7 +93,6 @@ impl Default for ServeOptions {
             faults: engine.faults,
             max_connections: 64,
             request_deadline: Duration::from_secs(10),
-            io_timeout: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(30),
             retain_done: engine.retain_done,
             job_ttl: engine.job_ttl,
@@ -220,7 +217,7 @@ impl Server {
                     continue;
                 }
             };
-            stream.set_write_timeout(Some(self.opts.io_timeout)).ok();
+            stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
             // The saturation gate: when every handler slot is taken, shed
             // the connection with a retryable 503 *without reading it* — a
             // saturated server must spend no parsing work on load it is
@@ -336,6 +333,9 @@ impl ServerHandle {
 /// are saturated. Small and fixed: the control lane exists to keep the
 /// server observable and stoppable, not to serve traffic.
 const CONTROL_SLOTS: usize = 4;
+
+/// Socket write timeout for every response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One claimed handler slot; dropping it frees the slot.
 struct SlotGuard(Arc<AtomicUsize>);
@@ -1010,7 +1010,7 @@ mod tests {
         assert_eq!(stats.get("compactions").and_then(Value::as_u64), Some(1));
 
         // The sync stream is a valid cache log: header + the live records.
-        let (status, mut body) =
+        let (status, _, mut body) =
             request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(10))
                 .expect("sync stream");
         assert_eq!(status, 200);
