@@ -46,7 +46,7 @@ use malec_trace::scenario::presets;
 use malec_types::SimConfig;
 
 fn usage() -> String {
-    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n  malec-cli analyze [--root DIR] [--pass NAME]... [--dump-graph]\n                  run the workspace-invariant lints (lock-order,\n                  panic-surface, determinism, failpoint-coverage);\n                  nonzero exit on any finding — see ANALYSIS.md\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), a submission to any peer\nscatters config groups to their owners and gathers a report bit-identical\nto a standalone run, and a peer missing a cell it does not own fetches\nthe record from the owner before falling back to simulating locally;\n--faults arms the deterministic failpoint schedule (`name@hit[:param];...`,\nalso read from MALEC_FAULTS) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
+    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n  malec-cli analyze [--root DIR] [--pass NAME]... [--dump-graph]\n                  run the workspace-invariant lints (lock-order,\n                  panic-surface, determinism, failpoint-coverage);\n                  nonzero exit on any finding — see ANALYSIS.md\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), and a compared pair is owned\nas one. A submission to any peer forwards each config or pair another\npeer owns to that owner, waits for it, then fetches the records from the\nowner, simulating locally only what the owner cannot serve, so the\nreport is bit-identical to a standalone run;\n--faults arms the deterministic failpoint schedule (`name@hit[:param];...`,\nalso read from MALEC_FAULTS) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
         .to_owned()
 }
 
@@ -273,13 +273,14 @@ fn cmd_compare_remote(
 }
 
 fn cmd_record(args: &[String]) -> Result<(), String> {
-    let spec_path = args.first().ok_or_else(usage)?;
+    let mut args = args.to_vec();
+    let out: Option<PathBuf> = take_flag(&mut args, "-o")?;
+    let [spec_path] = args.as_slice() else {
+        return Err(usage());
+    };
     let text = std::fs::read_to_string(spec_path).map_err(|e| format!("read {spec_path}: {e}"))?;
     let spec = parse_spec(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-    let out = match args.iter().position(|a| a == "-o") {
-        Some(i) => PathBuf::from(args.get(i + 1).ok_or_else(usage)?),
-        None => PathBuf::from(&spec.mtr),
-    };
+    let out = out.unwrap_or_else(|| PathBuf::from(&spec.mtr));
     let written = record_trace(&spec, &out)?;
     println!(
         "recorded {written} instructions of `{}` (seed {}) -> {}",
@@ -291,41 +292,20 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let trace = args.first().ok_or_else(usage)?;
-    let mut config = SimConfig::malec();
-    let mut insts = u64::MAX;
-    let mut seed = malec_serve::spec::DEFAULT_SEED;
-    let mut name: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--name" => {
-                name = Some(args.get(i + 1).ok_or_else(usage)?.clone());
-                i += 2;
-            }
-            "--config" => {
-                let label = args.get(i + 1).ok_or_else(usage)?;
-                config = SimConfig::by_label(label)
-                    .ok_or_else(|| format!("unknown config `{label}`"))?;
-                i += 2;
-            }
-            "--insts" => {
-                insts = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(usage)?;
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(usage)?;
-                i += 2;
-            }
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+    let mut args = args.to_vec();
+    let label: Option<String> = take_flag(&mut args, "--config")?;
+    let insts: u64 = take_flag(&mut args, "--insts")?.unwrap_or(u64::MAX);
+    let seed: u64 = take_flag(&mut args, "--seed")?.unwrap_or(malec_serve::spec::DEFAULT_SEED);
+    let name: Option<String> = take_flag(&mut args, "--name")?;
+    let [trace] = args.as_slice() else {
+        return Err(usage());
+    };
+    let config = match label {
+        Some(label) => {
+            SimConfig::by_label(&label).ok_or_else(|| format!("unknown config `{label}`"))?
         }
-    }
+        None => SimConfig::malec(),
+    };
     // The digest folds the workload name, so default to the file stem but
     // let --name restore the recorded scenario's name for bit-identity
     // checks against a `run` report.
@@ -755,5 +735,35 @@ fn cmd_presets() {
     println!("built-in scenarios (use with `mode = \"preset\"`):");
     for s in presets() {
         println!("  {:<26} [{}]", s.name, s.segment_labels().join(" + "));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&a| a.to_owned()).collect()
+    }
+
+    #[test]
+    fn record_and_replay_take_flags_anywhere_and_reject_leftovers() {
+        let dir = std::env::temp_dir().join(format!("malec_cli_flags_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let trace = dir.join("mixed.mtr");
+        let trace = trace.to_str().expect("utf-8 path");
+        let spec = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/mixed.toml"
+        );
+        cmd_record(&strings(&["-o", trace, spec])).expect("-o before the spec");
+        cmd_replay(&strings(&["--insts", "500", trace])).expect("--insts before the trace");
+        for err in [
+            cmd_record(&strings(&[spec, "-o", trace, "extra", "junk"])),
+            cmd_replay(&strings(&[trace, "--insts", "500", "extra"])),
+        ] {
+            assert!(err.is_err_and(|e| e.starts_with("usage:")));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

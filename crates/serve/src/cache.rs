@@ -177,7 +177,7 @@ pub struct CacheStats {
     /// starting their own (the scheduler reports these).
     pub coalesced: u64,
     /// Records fetched from an owning peer's cache instead of simulated
-    /// locally (sharded serving — the scheduler and the gather path report
+    /// locally (sharded serving — the scheduler's owner fetch reports
     /// these).
     pub fetched: u64,
     /// Bytes appended to the log over this process lifetime.
@@ -519,12 +519,6 @@ impl ResultCache {
     /// Counts one peer-fetched record (see [`CacheStats::fetched`]).
     pub fn count_fetched(&mut self) {
         self.stats.fetched += 1;
-    }
-
-    /// Whether `key` is resident — without counting a hit or touching the
-    /// entry's recency (unlike [`lookup`](Self::lookup)).
-    pub fn contains(&self, key: u128) -> bool {
-        self.map.contains_key(&key)
     }
 
     /// Inserts a summary into the in-memory map (replacing any entry the

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use crate::cache::{decode_single_record, CacheStats};
 use crate::http::{request_meta, request_stream};
 use crate::json::{parse, Value};
+use crate::report::esc;
 
 use malec_core::RunSummary;
 
@@ -142,7 +143,11 @@ pub struct Client {
     retry: RetryPolicy,
 }
 
-/// A client-side view of one job's status.
+/// A point-in-time view of one job: what [`Engine::job_status`]
+/// returns, `GET /v1/jobs/<id>` serves ([`JobView::to_json`]) and
+/// [`Client::status`] parses back.
+///
+/// [`Engine::job_status`]: crate::scheduler::Engine::job_status
 #[derive(Clone, Debug)]
 pub struct JobView {
     /// The job id.
@@ -165,11 +170,11 @@ pub struct JobView {
     pub failed: u64,
     /// Cells still queued or simulating.
     pub pending: u64,
-    /// Replicates a CI target saved across the job's cell groups.
+    /// Replicates a CI target saved across the job's clusters so far.
     pub replicates_saved: u64,
-    /// Submit-to-done wall clock, once finished.
+    /// Submit-to-settle wall clock (`None` while running).
     pub wall_seconds: Option<f64>,
-    /// The first cell failure, when `state` is `"failed"`.
+    /// The first failed cell's `kind: detail` payload, if any.
     pub error: Option<String>,
 }
 
@@ -182,6 +187,30 @@ impl JobView {
     /// Whether the job has reached a terminal state.
     pub fn is_terminal(&self) -> bool {
         self.state == "done" || self.state == "failed"
+    }
+
+    /// Renders this view as the status-endpoint JSON, the format
+    /// [`Client::status`] parses back.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\n  \"job\": {},\n  \"scenario\": \"{}\",\n  \"state\": \"{}\",\n  \"cells\": {},\n  \"simulated\": {},\n  \"cached\": {},\n  \"coalesced\": {},\n  \"fetched\": {},\n  \"failed\": {},\n  \"pending\": {},\n  \"replicates_saved\": {},\n  \"wall_seconds\": {},\n  \"error\": {}\n}}\n",
+            self.job,
+            esc(&self.scenario),
+            esc(&self.state),
+            self.cells,
+            self.simulated,
+            self.cached,
+            self.coalesced,
+            self.fetched,
+            self.failed,
+            self.pending,
+            self.replicates_saved,
+            self.wall_seconds
+                .map_or_else(|| "null".to_owned(), |w| format!("{w:.4}")),
+            self.error
+                .as_deref()
+                .map_or_else(|| "null".to_owned(), |e| format!("\"{}\"", esc(e))),
+        )
     }
 }
 

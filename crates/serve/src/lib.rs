@@ -81,7 +81,7 @@ pub mod toml;
 pub use cache::{cache_key, CacheStats, CompactOutcome, FsyncPolicy, ResultCache, SyncReport};
 pub use client::{Client, JobView, RetryPolicy};
 pub use fault::{FaultAction, Faults};
-pub use scheduler::{Engine, JobId, JobResults, JobStatus, Provenance};
+pub use scheduler::{Engine, JobId, JobResults, Provenance};
 pub use server::{Server, ServerHandle, DEFAULT_ADDR};
 pub use shard::ShardMap;
 pub use spec::{parse_spec, SweepSpec};

@@ -1,9 +1,10 @@
 //! The batch engine: a job queue feeding a persistent worker pool, fused
 //! with the content-addressed [`ResultCache`].
 //!
-//! [`Engine::submit`] shards one [`SweepSpec`] into per-cell work units
-//! (one unit per configuration; the scenario, horizon and seed are shared)
-//! and enqueues them. A fixed pool of worker threads — sized like
+//! [`Engine::submit`] plans one [`SweepSpec`] as *clusters* — the explicit
+//! `[compare]` pair, which grows jointly, or a single config — and enqueues
+//! one work unit per `(config, replicate)` cell (the scenario, horizon and
+//! seed are shared). A fixed pool of worker threads — sized like
 //! [`malec_core::parallel`]'s fan-out, but *persistent* across jobs instead
 //! of scoped per call — drains the queue. For each unit a worker:
 //!
@@ -24,27 +25,23 @@
 //! tests).
 //!
 //! With a [`ShardMap`] installed ([`Engine::set_shard`]), the engine is
-//! one peer of a sharded cluster. Two mechanisms kick in, both built on
-//! the same determinism:
+//! one peer of a sharded cluster. Each cluster routes by the replicate-0
+//! cache key of its first config (the pair's baseline), so a compared pair
+//! is owned as one: its owner simulates both sides.
+//! [`Engine::submit_with_source`] forwards each cluster another peer owns
+//! to that owner as a `?configs=`-filtered sub-job and waits for it, then
+//! queues the cluster's cells here. A worker claiming a cell of a cluster
+//! this peer does not own first asks the owner for the record
+//! (`GET /v1/cache/record/<key>`), lands it as [`Provenance::Fetched`], and
+//! simulates only on a miss.
 //!
-//! * **scatter/gather** — [`Engine::submit_with_source`] partitions a
-//!   job's config groups by their owners (a group routes by its
-//!   replicate-0 cache key, and an explicit `[compare]` pair clusters as
-//!   one so paired growth stays on one owner), forwards each remote
-//!   cluster to its owner as a `?configs=`-filtered sub-job, polls it
-//!   with the backoff client, and lands the fetched records as
-//!   [`Provenance::Fetched`] cells;
-//! * **peer-miss fetch** — a worker claiming a cell this peer does not
-//!   own first asks the owner for the record
-//!   (`GET /v1/cache/record/<key>`) and only simulates on a miss.
-//!
-//! Both degrade, never fail: an unreachable owner means the work runs
+//! This degrades, never fails: an unreachable owner means the work runs
 //! locally — exactly what a standalone server would have done.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -60,67 +57,16 @@ use malec_trace::Scenario;
 use malec_types::error::{Failure, FailureKind};
 use malec_types::SimConfig;
 
-use crate::cache::{cache_key, CacheStats, CompactOutcome, FsyncPolicy, ResultCache, SyncReport};
-use crate::client::{Client, RetryPolicy};
+use crate::cache::{cache_key, CacheStats, CompactOutcome, ResultCache, SyncReport};
+use crate::client::{Client, JobView, RetryPolicy};
 use crate::fault::{FaultAction, Faults};
 use crate::report::{render, render_compare, CellResult, CompareReportMeta, ReportMeta};
+use crate::server::ServeOptions;
 use crate::shard::ShardMap;
 use crate::spec::{SpecError, SweepSpec};
 
 /// Server-side job identifier.
 pub type JobId = u64;
-
-/// Default for [`EngineOptions::retain_done`]: terminal jobs retained for
-/// status/report queries. Beyond this, the oldest terminal jobs are
-/// evicted at submit time (their results stay in the cache; only the
-/// per-job bookkeeping goes), so a long-lived server's memory is bounded
-/// by its workload, not its uptime. Evicted ids answer like unknown ids.
-const MAX_RETAINED_DONE: usize = 256;
-
-/// Construction knobs for an [`Engine`]. `Default` matches what
-/// `Engine::new(None, None)` always did: fan-out workers, in-memory
-/// cache, no fault injection, 256 retained terminal jobs, no TTL.
-#[derive(Clone, Debug)]
-pub struct EngineOptions {
-    /// Pool threads (`None`: the sweep fan-out [`worker_count`]).
-    pub workers: Option<usize>,
-    /// Cache-log path (`None`: in-memory cache).
-    pub cache_path: Option<PathBuf>,
-    /// When the cache log reaches stable storage.
-    pub fsync: FsyncPolicy,
-    /// Failpoint registry (disarmed in production).
-    pub faults: Arc<Faults>,
-    /// Terminal jobs retained for status/report queries before the oldest
-    /// are evicted at submit time.
-    pub retain_done: usize,
-    /// Additionally expire terminal jobs this long after they settle
-    /// (`None`: count-based eviction only).
-    pub job_ttl: Option<Duration>,
-    /// Cap on live cache bytes (`None`: unbounded). Past it, the
-    /// least-recently-used entries are evicted from memory — and from disk
-    /// at the next compaction.
-    pub cache_max_bytes: Option<u64>,
-    /// Auto-compaction trigger: when the log's dead-byte ratio reaches
-    /// this fraction, the append that crossed it compacts the log in
-    /// place (`None`: compaction only on demand via
-    /// [`Engine::compact_cache`]).
-    pub compact_threshold: Option<f64>,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            workers: None,
-            cache_path: None,
-            fsync: FsyncPolicy::default(),
-            faults: Faults::disarmed(),
-            retain_done: MAX_RETAINED_DONE,
-            job_ttl: None,
-            cache_max_bytes: None,
-            compact_threshold: None,
-        }
-    }
-}
 
 /// How a finished cell got its summary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,35 +77,40 @@ pub enum Provenance {
     Cached,
     /// Attached to a concurrent identical simulation (no own simulation).
     Coalesced,
-    /// Fetched from the owning peer's cache (sharded serving) — by the
-    /// per-cell owner fetch or the scatter/gather path.
+    /// Fetched from the peer owning the cell's cluster (sharded serving).
     Fetched,
 }
 
-/// One schedulable cell: a `(config, replicate)` pair of one job. The
-/// cache key folds `(base seed, replicate)`; the simulation runs under the
-/// derived `replicate_seed(seed, replicate)`.
+/// A cell's place in its job: `(config index, replicate index)`.
+type CellId = (usize, u32);
+
+/// One schedulable cell of one job. The cache key folds `(base seed,
+/// replicate)`; the simulation runs under the derived
+/// `replicate_seed(seed, replicate)`.
 struct WorkUnit {
     job: JobId,
-    cell: usize,
+    cell: CellId,
     config: SimConfig,
     scenario: Arc<Scenario>,
     insts: u64,
     /// The job's base seed (replicate 0 runs it verbatim).
     seed: u64,
-    /// Replicate index within the config's cell group.
-    replicate: u32,
+    /// The owner-routing key of the cell's cluster.
+    route: u128,
 }
 
-/// Replication progress of one config's cell group.
-struct Group {
-    /// Replicates enqueued so far (cells `0..planned` of this group exist).
-    planned: u32,
-    /// Whether the group stopped growing (seed cap or CI convergence).
+/// A job's unit of ownership and replication: the explicit `[compare]`
+/// pair, which stops jointly on the paired-delta rule, or one config on
+/// its marginal rule.
+struct Cluster {
+    /// Config indices; the pair lists its baseline first.
+    configs: Vec<usize>,
+    /// The pair's verdict level (`None` for a single config).
+    alpha: Option<Alpha>,
+    /// The replicate-0 cache key of `configs[0]`, which picks the owner.
+    route: u128,
+    /// Whether the cluster stopped growing (seed cap or CI convergence).
     converged: bool,
-    /// Replicates the CI target saved (`seeds - planned` once converged
-    /// early; 0 otherwise).
-    saved: u32,
 }
 
 /// One cell slot's lifecycle.
@@ -174,19 +125,15 @@ enum CellState {
     Failed(Failure),
 }
 
-/// One submitted spec and its per-cell progress. `cells` and `units` grow
-/// in lockstep when a CI-targeted group is extended by one replicate.
+/// One submitted spec, planned as clusters, and its per-cell progress.
 struct Job {
+    id: JobId,
     spec: SweepSpec,
     scenario: Arc<Scenario>,
-    /// `(config index, replicate index)` of each cell slot.
-    units: Vec<(usize, u32)>,
-    cells: Vec<CellState>,
-    groups: Vec<Group>,
-    /// Explicit `[compare]` pairing `(baseline group, candidate group,
-    /// alpha)`: under a `ci_target` these two groups stop **jointly**
-    /// through the paired-delta criterion instead of their marginal CIs.
-    pair: Option<(usize, usize, Alpha)>,
+    clusters: Vec<Cluster>,
+    /// `cells[config][replicate]`: a growing cluster appends one replicate
+    /// to each of its configs.
+    cells: Vec<Vec<CellState>>,
     started: Instant,
     wall_seconds: Option<f64>,
     /// When the job settled (all cells terminal) — the TTL clock.
@@ -194,12 +141,67 @@ struct Job {
 }
 
 impl Job {
+    /// Lowers `spec` into its plan: the explicit `[compare]` pair as one
+    /// cluster (a defaulted comparison over a plain spec is an aggregation
+    /// concern, not a scheduling one), every other config as its own, and
+    /// the replication policy's initial replicates pending for each.
+    fn new(id: JobId, spec: SweepSpec) -> Self {
+        let scenario = Arc::new(spec.scenario.clone());
+        let pair = spec
+            .compare
+            .as_ref()
+            .and_then(|_| spec.resolve_compare().ok());
+        let mut plan: Vec<(Vec<usize>, Option<Alpha>)> = pair
+            .iter()
+            .map(|r| (vec![r.baseline, r.candidate], Some(r.alpha)))
+            .collect();
+        plan.extend(
+            (0..spec.configs.len())
+                .filter(|&c| !pair.is_some_and(|r| c == r.baseline || c == r.candidate))
+                .map(|c| (vec![c], None)),
+        );
+        let clusters = plan
+            .into_iter()
+            .map(|(configs, alpha)| Cluster {
+                route: cache_key(
+                    &spec.configs[configs[0]],
+                    &scenario,
+                    spec.insts,
+                    spec.seed,
+                    0,
+                ),
+                configs,
+                alpha,
+                converged: false,
+            })
+            .collect();
+        let initial = spec.replication.initial_count();
+        Self {
+            id,
+            cells: spec
+                .configs
+                .iter()
+                .map(|_| (0..initial).map(|_| CellState::Pending).collect())
+                .collect(),
+            clusters,
+            scenario,
+            spec,
+            started: Instant::now(),
+            wall_seconds: None,
+            settled_at: None,
+        }
+    }
+
+    fn all_cells(&self) -> impl Iterator<Item = &CellState> {
+        self.cells.iter().flatten()
+    }
+
     fn done(&self) -> bool {
-        self.cells.iter().all(|c| matches!(c, CellState::Done(..)))
+        self.all_cells().all(|c| matches!(c, CellState::Done(..)))
     }
 
     fn failed(&self) -> bool {
-        self.cells.iter().any(|c| matches!(c, CellState::Failed(_)))
+        self.all_cells().any(|c| matches!(c, CellState::Failed(_)))
     }
 
     /// No cell is pending: every slot is `Done` or `Failed`. (A job is
@@ -207,7 +209,7 @@ impl Job {
     /// client resubmit immediately — but it *settles*, for TTL and drain
     /// purposes, only when its in-flight siblings also land.)
     fn settled(&self) -> bool {
-        !self.cells.iter().any(|c| matches!(c, CellState::Pending))
+        !self.all_cells().any(|c| matches!(c, CellState::Pending))
     }
 
     fn state(&self) -> &'static str {
@@ -221,45 +223,140 @@ impl Job {
     }
 
     fn first_error(&self) -> Option<&Failure> {
-        self.cells.iter().find_map(|c| match c {
+        self.all_cells().find_map(|c| match c {
             CellState::Failed(f) => Some(f),
             _ => None,
         })
     }
 
-    fn count(&self, p: Provenance) -> usize {
-        self.cells
-            .iter()
+    fn count(&self, p: Provenance) -> u64 {
+        self.all_cells()
             .filter(|c| matches!(c, CellState::Done(_, q) if *q == p))
-            .count()
+            .count() as u64
     }
 
-    fn count_failed(&self) -> usize {
-        self.cells
-            .iter()
+    fn count_failed(&self) -> u64 {
+        self.all_cells()
             .filter(|c| matches!(c, CellState::Failed(_)))
-            .count()
+            .count() as u64
     }
 
-    /// This config group's finished replicate summaries, in replicate
-    /// order; `None` while any planned replicate is still pending (or
-    /// failed — a failed replicate never aggregates and never extends).
-    fn group_replicates(&self, config: usize) -> Option<Vec<Arc<RunSummary>>> {
-        let mut reps: Vec<(u32, Arc<RunSummary>)> = Vec::new();
-        for (&(c, r), cell) in self.units.iter().zip(&self.cells) {
-            if c == config {
-                match cell {
-                    CellState::Done(s, _) => reps.push((r, Arc::clone(s))),
-                    CellState::Pending | CellState::Failed(_) => return None,
+    /// One config's finished replicate summaries, in replicate order;
+    /// `None` while any planned replicate is still pending (or failed — a
+    /// failed replicate never aggregates and never grows its cluster).
+    fn replicates(&self, config: usize) -> Option<Vec<Arc<RunSummary>>> {
+        self.cells[config]
+            .iter()
+            .map(|c| match c {
+                CellState::Done(s, _) => Some(Arc::clone(s)),
+                CellState::Pending | CellState::Failed(_) => None,
+            })
+            .collect()
+    }
+
+    /// Replicates the CI target saved: the seed cap minus the count, for
+    /// each config of a converged cluster.
+    fn replicates_saved(&self) -> u64 {
+        let seeds = u64::from(self.spec.replication.seeds);
+        self.clusters
+            .iter()
+            .filter(|k| k.converged)
+            .flat_map(|k| &k.configs)
+            .map(|&c| seeds.saturating_sub(self.cells[c].len() as u64))
+            .sum()
+    }
+
+    /// The work unit of cell `(config, replicate)` of cluster `k`.
+    fn unit(&self, k: usize, (config, replicate): CellId) -> WorkUnit {
+        WorkUnit {
+            job: self.id,
+            cell: (config, replicate),
+            config: self.spec.configs[config].clone(),
+            scenario: Arc::clone(&self.scenario),
+            insts: self.spec.insts,
+            seed: self.spec.seed,
+            route: self.clusters[k].route,
+        }
+    }
+
+    /// Work units for every pending cell of the clusters `keep` selects.
+    fn pending_units(&self, keep: impl Fn(&Cluster) -> bool) -> Vec<WorkUnit> {
+        let mut units = Vec::new();
+        for (k, cluster) in self.clusters.iter().enumerate() {
+            if !keep(cluster) {
+                continue;
+            }
+            for &c in &cluster.configs {
+                for (r, cell) in self.cells[c].iter().enumerate() {
+                    if matches!(cell, CellState::Pending) {
+                        units.push(self.unit(k, (c, r as u32)));
+                    }
                 }
             }
         }
-        reps.sort_unstable_by_key(|&(r, _)| r);
-        Some(reps.into_iter().map(|(_, s)| s).collect())
+        units
     }
 
-    fn replicates_saved(&self) -> u32 {
-        self.groups.iter().map(|g| g.saved).sum()
+    /// Replication step for cluster `k` after one of its cells finished.
+    /// Once every planned replicate of every member has finished, it
+    /// either marks the cluster converged or grows every member by one
+    /// shared replicate and returns the new units. The pair stops on the
+    /// paired-delta rule ([`paired_converged`]), a single config on
+    /// [`Replication::converged`](malec_core::stats::Replication::converged);
+    /// both stop at the seed cap. Growing one replicate at a time makes
+    /// the final count the smallest prefix satisfying the policy — the
+    /// same count at any worker count, on any peer.
+    fn grow(&mut self, k: usize) -> Vec<WorkUnit> {
+        let rep = self.spec.replication;
+        let cluster = &self.clusters[k];
+        if cluster.converged {
+            return Vec::new();
+        }
+        let Some(reps) = cluster
+            .configs
+            .iter()
+            .map(|&c| self.replicates(c))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return Vec::new(); // a member still has pending replicates
+        };
+        let converged = match (cluster.alpha, reps.as_slice()) {
+            (Some(alpha), [base, cand]) => paired_converged(
+                &rep,
+                alpha,
+                base.iter().zip(cand).map(|(b, c)| (b.as_ref(), c.as_ref())),
+            ),
+            _ => reps
+                .iter()
+                .all(|r| rep.converged(r.iter().map(Arc::as_ref))),
+        };
+        let configs = cluster.configs.clone();
+        if converged {
+            self.clusters[k].converged = true;
+            let n = reps.first().map_or(0, Vec::len) as u32;
+            if n < rep.seeds {
+                let labels: Vec<String> = configs
+                    .iter()
+                    .map(|&c| self.spec.configs[c].label())
+                    .collect();
+                eprintln!(
+                    "malec-serve: job {} `{}` converged after {n}/{} replicates ({} saved)",
+                    self.id,
+                    labels.join("` + `"),
+                    rep.seeds,
+                    rep.seeds - n,
+                );
+            }
+            return Vec::new();
+        }
+        configs
+            .into_iter()
+            .map(|c| {
+                let replicate = self.cells[c].len() as u32;
+                self.cells[c].push(CellState::Pending);
+                self.unit(k, (c, replicate))
+            })
+            .collect()
     }
 
     /// Records settlement (idempotently) for the wall clock and TTL, and
@@ -273,25 +370,25 @@ impl Job {
         }
     }
 
-    fn status(&self, id: JobId) -> JobStatus {
+    fn status(&self) -> JobView {
         let simulated = self.count(Provenance::Simulated);
         let cached = self.count(Provenance::Cached);
         let coalesced = self.count(Provenance::Coalesced);
         let fetched = self.count(Provenance::Fetched);
         let failed = self.count_failed();
-        let finished = simulated + cached + coalesced + fetched + failed;
-        JobStatus {
-            id,
+        let cells = self.all_cells().count() as u64;
+        JobView {
+            job: self.id,
             scenario: self.spec.scenario.name.clone(),
-            state: self.state(),
-            cells: self.cells.len(),
+            state: self.state().to_owned(),
+            cells,
             simulated,
             cached,
             coalesced,
             fetched,
             failed,
-            pending: self.cells.len() - finished,
-            replicates_saved: self.replicates_saved() as usize,
+            pending: cells - (simulated + cached + coalesced + fetched + failed),
+            replicates_saved: self.replicates_saved(),
             wall_seconds: self.wall_seconds,
             error: self.first_error().map(Failure::to_string),
         }
@@ -410,56 +507,17 @@ impl JobResults {
     }
 }
 
-/// A point-in-time view of one job, served by `GET /v1/jobs/<id>`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobStatus {
-    /// The job id.
-    pub id: JobId,
-    /// Scenario name of the submitted spec.
-    pub scenario: String,
-    /// `"running"`, `"done"`, or `"failed"`.
-    pub state: &'static str,
-    /// Total cells.
-    pub cells: usize,
-    /// Cells finished by a fresh simulation.
-    pub simulated: usize,
-    /// Cells served from the result cache.
-    pub cached: usize,
-    /// Cells that attached to a concurrent identical simulation.
-    pub coalesced: usize,
-    /// Cells fetched from their owning peer's cache (sharded serving).
-    pub fetched: usize,
-    /// Cells whose simulation failed (see [`JobStatus::error`]).
-    pub failed: usize,
-    /// Cells still queued or simulating.
-    pub pending: usize,
-    /// Replicates the CI target saved across all cell groups so far.
-    pub replicates_saved: usize,
-    /// Wall-clock seconds from submit to completion (`None` while
-    /// running).
-    pub wall_seconds: Option<f64>,
-    /// The first failed cell's `kind: detail` payload, if any.
-    pub error: Option<String>,
-}
-
-impl JobStatus {
-    /// Cells that completed without a simulation of their own.
-    pub fn served_without_simulation(&self) -> usize {
-        self.cached + self.coalesced + self.fetched
-    }
-}
-
 /// Why a comparison cannot be served for a known job.
 #[derive(Clone, Debug)]
 pub enum CompareError {
     /// The job is still running; the status says how far along it is.
-    Running(JobStatus),
+    Running(JobView),
     /// The job is done but has no comparable pair (message says why).
     NotComparable(String),
 }
 
 /// Waiters parked on an in-flight simulation.
-type Waiters = Vec<(JobId, usize)>;
+type Waiters = Vec<(JobId, CellId)>;
 
 struct EngineInner {
     cache: Mutex<ResultCache>,
@@ -502,19 +560,20 @@ impl Engine {
     ///
     /// Propagates cache-log open errors.
     pub fn new(workers: Option<usize>, cache_path: Option<&Path>) -> io::Result<Self> {
-        Self::with_options(EngineOptions {
+        Self::with_options(&ServeOptions {
             workers,
             cache_path: cache_path.map(Path::to_owned),
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
     }
 
-    /// Builds an engine from explicit [`EngineOptions`].
+    /// Builds an engine from the pool and cache fields of `opts` (the
+    /// request-lifecycle fields belong to the [`Server`](crate::server::Server)).
     ///
     /// # Errors
     ///
     /// Propagates cache-log open errors.
-    pub fn with_options(opts: EngineOptions) -> io::Result<Self> {
+    pub fn with_options(opts: &ServeOptions) -> io::Result<Self> {
         let cache = match &opts.cache_path {
             Some(p) => ResultCache::open_with(p, opts.fsync, Arc::clone(&opts.faults))?,
             None => ResultCache::in_memory(),
@@ -531,7 +590,7 @@ impl Engine {
             stop: AtomicBool::new(false),
             next_job: AtomicU64::new(1),
             workers,
-            faults: opts.faults,
+            faults: Arc::clone(&opts.faults),
             retain_done: opts.retain_done.max(1),
             job_ttl: opts.job_ttl,
             compact_threshold: opts.compact_threshold,
@@ -566,10 +625,9 @@ impl Engine {
         &self.inner.faults
     }
 
-    /// Shards `spec` into per-cell units — one per `(config, replicate)`
-    /// pair, starting with the replication policy's initial count — and
-    /// enqueues them; returns the job id immediately (cells complete
-    /// asynchronously; CI-targeted groups may grow by one replicate at a
+    /// Plans `spec` as clusters (see the module docs) and enqueues one unit
+    /// per initial cell; returns the job id immediately (cells complete
+    /// asynchronously; CI-targeted clusters may grow by one replicate at a
     /// time until they converge or hit the seed cap).
     pub fn submit(&self, spec: SweepSpec) -> JobId {
         self.submit_with_source(spec, None)
@@ -577,91 +635,43 @@ impl Engine {
 
     /// [`Engine::submit`] plus the scatter half of sharded serving: when a
     /// [`ShardMap`] is installed **and** `source` carries the job's
-    /// original spec text, config groups owned by other peers are not
-    /// enqueued locally — each remote cluster is forwarded to its owner as
-    /// a `?configs=`-filtered sub-job and gathered back as
-    /// [`Provenance::Fetched`] cells by a detached thread. An unreachable
-    /// owner degrades to local simulation; the job never fails for
-    /// topology reasons. Forwarded sub-jobs arrive *without* a source
-    /// (the server hands `None` for forwarded submissions), so they run
-    /// owner-local and the scatter cannot recurse.
+    /// original spec text, each cluster another peer owns is not enqueued
+    /// at once. A detached thread forwards it to its owner as a
+    /// `?configs=`-filtered sub-job, waits for it, then enqueues the
+    /// cluster's cells, which land through the owner fetch as
+    /// [`Provenance::Fetched`]. An unreachable owner degrades to local
+    /// simulation; the job never fails for topology reasons. Forwarded
+    /// sub-jobs arrive *without* a source (the server hands `None` for
+    /// forwarded submissions), so they run owner-local and the scatter
+    /// cannot recurse.
     pub fn submit_with_source(&self, spec: SweepSpec, source: Option<Arc<str>>) -> JobId {
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
-        let scenario = Arc::new(spec.scenario.clone());
-        let initial = spec.replication.initial_count();
-        let mut units: Vec<WorkUnit> = Vec::new();
-        let mut unit_map: Vec<(usize, u32)> = Vec::new();
-        for (config_idx, config) in spec.configs.iter().enumerate() {
-            for replicate in 0..initial {
-                unit_map.push((config_idx, replicate));
-                units.push(WorkUnit {
-                    job: id,
-                    cell: units.len(),
-                    config: config.clone(),
-                    scenario: Arc::clone(&scenario),
-                    insts: spec.insts,
-                    seed: spec.seed,
-                    replicate,
-                });
-            }
-        }
-        let unit_cfgs: Vec<usize> = unit_map.iter().map(|&(c, _)| c).collect();
-        let job = Job {
-            cells: (0..units.len()).map(|_| CellState::Pending).collect(),
-            units: unit_map,
-            groups: spec
-                .configs
+        let job = Job::new(id, spec);
+        // The scatter decision happens before the job is visible. (The
+        // shard mutex is locked alone, as always.)
+        let shard = lock(&self.inner.shard).clone();
+        let forwards: Vec<(String, Vec<String>, u128)> = match (&shard, &source) {
+            (Some(shard), Some(_)) => job
+                .clusters
                 .iter()
-                .map(|_| Group {
-                    planned: initial,
-                    converged: false,
-                    saved: 0,
+                .filter(|k| !shard.is_owner(k.route))
+                .map(|k| {
+                    let labels = k.configs.iter().map(|&c| job.spec.configs[c].label());
+                    let owner = shard.owner(k.route).as_str().to_owned();
+                    (owner, labels.collect(), k.route)
                 })
                 .collect(),
-            // Only an explicit [compare] couples the pair's stopping rule
-            // (a defaulted comparison over a plain spec is an aggregation
-            // concern, not a scheduling one).
-            pair: spec
-                .compare
-                .is_some()
-                .then(|| spec.resolve_compare().ok())
-                .flatten()
-                .map(|r| (r.baseline, r.candidate, r.alpha)),
-            scenario,
-            spec,
-            started: Instant::now(),
-            wall_seconds: None,
-            settled_at: None,
-        };
-        // Scatter decision happens before the job is visible: groups with a
-        // remote owner are withheld from the local queue and handed to
-        // gather threads instead. (Shard mutex is locked alone, as always.)
-        let shard = lock(&self.inner.shard).clone();
-        let remote: Vec<(String, Vec<usize>)> = match (&shard, &source) {
-            (Some(shard), Some(_)) if shard.peers().len() > 1 => remote_clusters(&job, shard),
             _ => Vec::new(),
         };
-        {
-            let mut jobs = lock(&self.inner.jobs);
-            jobs.insert(id, job);
-        }
+        let local = job.pending_units(|k| !forwards.iter().any(|(_, _, r)| *r == k.route));
+        lock(&self.inner.jobs).insert(id, job);
         self.expire_terminal();
-        let forwarded: HashSet<usize> =
-            remote.iter().flat_map(|(_, c)| c.iter().copied()).collect();
-        let local: Vec<WorkUnit> = units
-            .into_iter()
-            .filter(|u| !forwarded.contains(&unit_cfgs[u.cell]))
-            .collect();
-        if !local.is_empty() {
-            let mut q = lock(&self.inner.queue);
-            q.extend(local);
-        }
-        self.inner.available.notify_all();
+        enqueue(&self.inner, local);
         if let Some(source) = source {
-            for (owner, cfgs) in remote {
+            for (owner, labels, route) in forwards {
                 let inner = Arc::clone(&self.inner);
                 let source = Arc::clone(&source);
-                std::thread::spawn(move || gather_cluster(&inner, id, &owner, &cfgs, &source));
+                std::thread::spawn(move || scatter(&inner, id, &owner, &labels, route, &source));
             }
         }
         id
@@ -694,16 +704,16 @@ impl Engine {
     }
 
     /// The current status of `job`, or `None` for an unknown id.
-    pub fn job_status(&self, job: JobId) -> Option<JobStatus> {
-        lock(&self.inner.jobs).get(&job).map(|j| j.status(job))
+    pub fn job_status(&self, job: JobId) -> Option<JobView> {
+        lock(&self.inner.jobs).get(&job).map(Job::status)
     }
 
     /// Blocks until `job` settles (no cell pending) or `timeout` elapses
     /// (`None`: no deadline), then returns its status — `None` for an
     /// unknown id.
-    pub fn wait_settled(&self, job: JobId, timeout: Option<Duration>) -> Option<JobStatus> {
+    pub fn wait_settled(&self, job: JobId, timeout: Option<Duration>) -> Option<JobView> {
         let (jobs, _) = self.wait_for(timeout, |jobs| jobs.get(&job).is_none_or(Job::settled));
-        jobs.get(&job).map(|j| j.status(job))
+        jobs.get(&job).map(Job::status)
     }
 
     /// Waits on the settle notification until `done` holds over the job
@@ -744,16 +754,16 @@ impl Engine {
     /// The done job's per-config replicate summaries, or `None` for an
     /// unknown id, or `Some(Err(status))` while the job is running or after
     /// it failed.
-    pub fn job_results(&self, job: JobId) -> Option<Result<JobResults, JobStatus>> {
+    pub fn job_results(&self, job: JobId) -> Option<Result<JobResults, JobView>> {
         let (spec, groups, wall_seconds) = {
             let jobs = lock(&self.inner.jobs);
             let j = jobs.get(&job)?;
             if !j.done() {
-                return Some(Err(j.status(job)));
+                return Some(Err(j.status()));
             }
             let groups: Vec<Vec<Arc<RunSummary>>> = (0..j.spec.configs.len())
                 .map(|c| {
-                    j.group_replicates(c)
+                    j.replicates(c)
                         .expect("job is done, every replicate finished")
                 })
                 .collect();
@@ -773,7 +783,7 @@ impl Engine {
     /// The finished job's report (same JSON schema as `malec-cli run`
     /// writes), or `None` for an unknown id, or `Some(Err(status))` while
     /// the job is still running.
-    pub fn job_report(&self, job: JobId) -> Option<Result<String, JobStatus>> {
+    pub fn job_report(&self, job: JobId) -> Option<Result<String, JobView>> {
         Some(self.job_results(job)?.map(|r| {
             r.render_report(
                 &r.cells(),
@@ -853,8 +863,8 @@ impl Engine {
     }
 
     /// Installs the sharded-serving map: from now on this engine forwards
-    /// remotely-owned config groups at submit (when given the spec source)
-    /// and asks owners before simulating cells it does not own.
+    /// remotely-owned clusters at submit (when given the spec source) and
+    /// asks owners before simulating cells of clusters it does not own.
     pub fn set_shard(&self, shard: ShardMap) {
         *lock(&self.inner.shard) = Some(Arc::new(shard));
     }
@@ -989,12 +999,13 @@ enum Claim {
 }
 
 fn process(inner: &EngineInner, unit: WorkUnit) {
+    let (_, replicate) = unit.cell;
     let key = cache_key(
         &unit.config,
         &unit.scenario,
         unit.insts,
         unit.seed,
-        unit.replicate,
+        replicate,
     );
     let claim = {
         // Lock order: cache before in_flight, here and in the completion
@@ -1020,37 +1031,24 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
         Claim::Hit(summary) => finish_cell(inner, unit.job, unit.cell, summary, Provenance::Cached),
         Claim::Parked => {}
         Claim::Run => {
-            // Sharded serving: a cell this peer does not own is first asked
-            // from its owner. Cells route by their *group* key (the
-            // replicate-0 key), so a whole config group lands on one owner
-            // and its replication growth stays owner-local. A dead or
-            // missing owner degrades to local simulation below.
+            // Sharded serving: a cell of a cluster this peer does not own is
+            // first asked from the cluster's owner. This lands a scattered
+            // cluster once its owner has run it, and serves any other cell
+            // the owner already holds. A dead or missing owner degrades to
+            // local simulation below.
             let shard = lock(&inner.shard).clone();
-            if let Some(shard) = shard {
-                let route = if unit.replicate == 0 {
-                    key
-                } else {
-                    cache_key(&unit.config, &unit.scenario, unit.insts, unit.seed, 0)
-                };
-                if !shard.is_owner(route) {
-                    let owner = shard.owner(route).as_str().to_owned();
-                    match fetch_from_owner(&owner, key) {
-                        Ok(summary) => {
-                            lock(&inner.cache).count_fetched();
-                            complete_run(
-                                inner,
-                                &unit,
-                                key,
-                                &Arc::new(summary),
-                                Provenance::Fetched,
-                            );
-                            return;
-                        }
-                        Err(failure) => eprintln!(
-                            "malec-serve: fetch of key {key:032x} from owner {owner} failed \
-                             ({failure}); simulating locally"
-                        ),
+            if let Some(shard) = shard.filter(|s| !s.is_owner(unit.route)) {
+                let owner = shard.owner(unit.route).as_str();
+                match fetch_from_owner(owner, key) {
+                    Ok(summary) => {
+                        lock(&inner.cache).count_fetched();
+                        complete_run(inner, &unit, key, &Arc::new(summary), Provenance::Fetched);
+                        return;
                     }
+                    Err(failure) => eprintln!(
+                        "malec-serve: fetch of key {key:032x} from owner {owner} failed \
+                         ({failure}); simulating locally"
+                    ),
                 }
             }
             // A miss is counted where the simulation actually starts, so a
@@ -1071,7 +1069,7 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
                     .run_source(
                         &ScenarioSource::Scenario((*unit.scenario).clone()),
                         unit.insts,
-                        replicate_seed(unit.seed, unit.replicate),
+                        replicate_seed(unit.seed, replicate),
                     )
                     .expect("generator sources cannot fail")
             }));
@@ -1084,8 +1082,11 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
                     let waiters = lock(&inner.in_flight).remove(&key).unwrap_or_default();
                     let failure = Failure::panic(panic_detail(payload.as_ref()));
                     eprintln!(
-                        "malec-serve: cell simulation panicked ({}); job {} cell {} failed",
-                        failure.detail, unit.job, unit.cell
+                        "malec-serve: cell simulation panicked ({}); job {} `{}` replicate {} failed",
+                        failure.detail,
+                        unit.job,
+                        unit.config.label(),
+                        replicate
                     );
                     fail_cell(inner, unit.job, unit.cell, failure.clone());
                     for (job, cell) in waiters {
@@ -1139,216 +1140,68 @@ fn complete_run(
     }
 }
 
+/// Retries for every call against an owning peer: the forward, its wait
+/// and each record fetch.
+const PEER_RETRIES: u32 = 2;
+/// How long a scatter thread waits for a forwarded sub-job to finish.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// Asks `owner` for the record of `key` over the retrying client. Every
 /// failure maps to [`FailureKind::Unavailable`]; the caller's recourse is
 /// local simulation, never failing the cell.
 fn fetch_from_owner(owner: &str, key: u128) -> Result<RunSummary, Failure> {
     Client::new(owner)
-        .with_retry(RetryPolicy::retries(FETCH_RETRIES))
+        .with_retry(RetryPolicy::retries(PEER_RETRIES))
         .fetch_record(key)
         .map_err(|e| Failure::new(FailureKind::Unavailable, e))
 }
 
-/// How long a gather thread waits for a forwarded sub-job to finish.
-const GATHER_TIMEOUT: Duration = Duration::from_secs(600);
-/// Retries for the scatter/gather calls against an owning peer.
-const GATHER_RETRIES: u32 = 2;
-/// Retries for a per-cell record fetch from an owning peer.
-const FETCH_RETRIES: u32 = 2;
-
-/// Partitions a job's config groups into ownership clusters and keeps the
-/// remotely-owned ones: an explicit `[compare]` pair is **one** cluster
-/// (routed by the baseline's replicate-0 key, so paired joint growth stays
-/// on one owner); every other config is a singleton routed by its own
-/// replicate-0 key.
-fn remote_clusters(j: &Job, shard: &ShardMap) -> Vec<(String, Vec<usize>)> {
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
-    let paired: HashSet<usize> = match j.pair {
-        Some((b, c, _)) => {
-            clusters.push(vec![b, c]);
-            [b, c].into_iter().collect()
-        }
-        None => HashSet::new(),
-    };
-    for idx in 0..j.spec.configs.len() {
-        if !paired.contains(&idx) {
-            clusters.push(vec![idx]);
-        }
-    }
-    clusters
-        .into_iter()
-        .filter_map(|cfgs| {
-            let route = cache_key(
-                &j.spec.configs[cfgs[0]],
-                &j.scenario,
-                j.spec.insts,
-                j.spec.seed,
-                0,
-            );
-            (!shard.is_owner(route)).then(|| (shard.owner(route).as_str().to_owned(), cfgs))
-        })
-        .collect()
-}
-
-/// Gather thread for one remote cluster: forward, wait, fetch, land. Any
-/// failure — owner down, sub-job failed, a record missing — falls back to
-/// enqueueing the cluster's pending cells locally, so topology never fails
-/// a job (the cells simulate here exactly as a standalone server would).
-fn gather_cluster(inner: &Arc<EngineInner>, job: JobId, owner: &str, cfgs: &[usize], source: &str) {
-    if let Err(detail) = gather_remote(inner, job, owner, cfgs, source) {
-        let failure = Failure::new(FailureKind::Unavailable, detail);
-        eprintln!(
-            "malec-serve: gather from owner {owner} for job {job} failed ({failure}); \
-             falling back to local simulation"
-        );
-        enqueue_cluster_locally(inner, job, cfgs);
-    }
-}
-
-/// The success path of [`gather_cluster`]: submits the cluster's configs
-/// to their owner as a `?configs=`-filtered sub-job, waits with the
-/// backoff client, fetches **every** per-replicate record before landing
-/// any (all-or-nothing: a partial gather falls back cleanly), then grows
-/// the local groups to the owner's converged counts and finishes each
-/// cell as [`Provenance::Fetched`].
-fn gather_remote(
-    inner: &Arc<EngineInner>,
+/// Scatter thread for the cluster routed by `route`: forwards its configs
+/// (`labels`) to `owner` as a `?configs=`-filtered sub-job, waits for it,
+/// then enqueues the cluster's cells here, where [`process`] lands each
+/// one through the owner fetch. A failed forward only logs: the cells
+/// queue all the same, and each one the owner cannot serve simulates
+/// locally, exactly as a standalone server would.
+fn scatter(
+    inner: &EngineInner,
     job: JobId,
     owner: &str,
-    cfgs: &[usize],
+    labels: &[String],
+    route: u128,
     source: &str,
-) -> Result<(), String> {
-    let (labels, snapshot, scenario, insts, seed) = {
-        let jobs = lock(&inner.jobs);
-        let j = jobs
-            .get(&job)
-            .ok_or_else(|| "job expired before gather started".to_owned())?;
-        (
-            cfgs.iter()
-                .map(|&c| j.spec.configs[c].label())
-                .collect::<Vec<String>>(),
-            cfgs.iter()
-                .map(|&c| j.spec.configs[c].clone())
-                .collect::<Vec<SimConfig>>(),
-            Arc::clone(&j.scenario),
-            j.spec.insts,
-            j.spec.seed,
-        )
-    };
-    let client = Client::new(owner).with_retry(RetryPolicy::retries(GATHER_RETRIES));
-    let sub = client.submit_configs(source, &labels)?;
-    let view = client.wait(sub, GATHER_TIMEOUT)?;
-    if view.state != "done" {
-        return Err(format!(
-            "sub-job {sub} at {owner} ended {}{}",
+) {
+    let client = Client::new(owner).with_retry(RetryPolicy::retries(PEER_RETRIES));
+    let forwarded = client
+        .submit_configs(source, labels)
+        .and_then(|sub| client.wait(sub, FORWARD_TIMEOUT));
+    let failure = match forwarded {
+        Ok(view) if view.state == "done" => None,
+        Ok(view) => Some(format!(
+            "sub-job {} ended {}{}",
+            view.job,
             view.state,
             view.error.map(|e| format!(" ({e})")).unwrap_or_default()
-        ));
-    }
-    if view.cells == 0 || view.cells % cfgs.len() as u64 != 0 {
-        return Err(format!(
-            "sub-job {sub} at {owner} reported {} cells for {} configs",
-            view.cells,
-            cfgs.len()
-        ));
-    }
-    // The pair (and any singleton) grows every group in the cluster in
-    // lockstep, so per-group counts divide evenly.
-    let per_group = (view.cells / cfgs.len() as u64) as u32;
-    let saved_per_group = (view.replicates_saved / cfgs.len() as u64) as u32;
-    let mut fetched: Vec<(usize, u32, u128, Arc<RunSummary>)> = Vec::new();
-    for (ci, config) in cfgs.iter().zip(&snapshot) {
-        for r in 0..per_group {
-            let key = cache_key(config, &scenario, insts, seed, r);
-            let summary = client.fetch_record(key)?;
-            fetched.push((*ci, r, key, Arc::new(summary)));
-        }
-    }
-    // Persist into the local cache (lock taken alone): losing an append
-    // costs warm restarts, not correctness, so append errors only log.
-    {
-        let mut cache = lock(&inner.cache);
-        for (_, _, key, summary) in &fetched {
-            if !cache.contains(*key) {
-                cache.count_fetched();
-                if let Err(e) = cache.insert_persist(*key, Arc::clone(summary)) {
-                    eprintln!("malec-serve: cache append failed: {e}");
-                }
-            }
-        }
-    }
-    let cells: Vec<(usize, Arc<RunSummary>)> = {
-        let mut jobs = lock(&inner.jobs);
-        let j = jobs
-            .get_mut(&job)
-            .ok_or_else(|| "job expired during gather".to_owned())?;
-        for &ci in cfgs {
-            if per_group < j.groups[ci].planned {
-                return Err(format!(
-                    "sub-job {sub} at {owner} returned {per_group} replicates for `{}`, \
-                     fewer than the {} already planned",
-                    j.spec.configs[ci].label(),
-                    j.groups[ci].planned
-                ));
-            }
-            // Grow the group to the owner's count and mark it converged
-            // BEFORE any cell finishes: the owner already ran the stopping
-            // rule, so extend_after_finish must be a no-op here.
-            for r in j.groups[ci].planned..per_group {
-                j.units.push((ci, r));
-                j.cells.push(CellState::Pending);
-            }
-            let g = &mut j.groups[ci];
-            g.planned = per_group;
-            g.converged = true;
-            g.saved = saved_per_group;
-        }
-        fetched
-            .iter()
-            .map(|(ci, r, _, summary)| {
-                j.units
-                    .iter()
-                    .position(|&(c, rr)| c == *ci && rr == *r)
-                    .map(|cell| (cell, Arc::clone(summary)))
-                    .ok_or_else(|| format!("no cell slot for config {ci} replicate {r}"))
-            })
-            .collect::<Result<_, _>>()?
+        )),
+        Err(e) => Some(e),
     };
-    for (cell, summary) in cells {
-        finish_cell(inner, job, cell, summary, Provenance::Fetched);
+    if let Some(failure) = failure {
+        eprintln!(
+            "malec-serve: forward of job {job} to owner {owner} failed ({failure}); \
+             cells the owner cannot serve simulate locally"
+        );
     }
-    Ok(())
+    let units = match lock(&inner.jobs).get(&job) {
+        Some(j) => j.pending_units(|k| k.route == route),
+        None => Vec::new(),
+    };
+    enqueue(inner, units);
 }
 
-/// The fallback half of [`gather_cluster`]: enqueues every still-pending
-/// cell of the cluster's configs for local simulation.
-fn enqueue_cluster_locally(inner: &Arc<EngineInner>, job: JobId, cfgs: &[usize]) {
-    let units: Vec<WorkUnit> = {
-        let jobs = lock(&inner.jobs);
-        let Some(j) = jobs.get(&job) else {
-            return;
-        };
-        j.units
-            .iter()
-            .enumerate()
-            .filter(|&(cell, &(ci, _))| {
-                cfgs.contains(&ci) && matches!(j.cells[cell], CellState::Pending)
-            })
-            .map(|(cell, &(ci, replicate))| WorkUnit {
-                job,
-                cell,
-                config: j.spec.configs[ci].clone(),
-                scenario: Arc::clone(&j.scenario),
-                insts: j.spec.insts,
-                seed: j.spec.seed,
-                replicate,
-            })
-            .collect()
-    };
+/// Appends `units` to the work queue and wakes the pool. The queue lock is
+/// always taken alone.
+fn enqueue(inner: &EngineInner, units: Vec<WorkUnit>) {
     if !units.is_empty() {
-        let mut q = lock(&inner.queue);
-        q.extend(units);
-        drop(q);
+        lock(&inner.queue).extend(units);
         inner.available.notify_all();
     }
 }
@@ -1392,21 +1245,24 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Marks one cell failed (idempotently — a cell can only fail out of
 /// `Pending`) and settles the job if that was its last outstanding cell.
-fn fail_cell(inner: &EngineInner, job: JobId, cell: usize, failure: Failure) {
+fn fail_cell(inner: &EngineInner, job: JobId, (config, replicate): CellId, failure: Failure) {
     let mut jobs = lock(&inner.jobs);
     let Some(j) = jobs.get_mut(&job) else {
         return;
     };
-    if matches!(j.cells[cell], CellState::Pending) {
-        j.cells[cell] = CellState::Failed(failure);
+    let slot = &mut j.cells[config][replicate as usize];
+    if matches!(slot, CellState::Pending) {
+        *slot = CellState::Failed(failure);
     }
     j.note_settled(&inner.settled);
 }
 
+/// Finishes one cell, runs its cluster's replication step, and enqueues
+/// any replicates the step added.
 fn finish_cell(
     inner: &EngineInner,
     job: JobId,
-    cell: usize,
+    (config, replicate): CellId,
     summary: Arc<RunSummary>,
     provenance: Provenance,
 ) {
@@ -1415,110 +1271,17 @@ fn finish_cell(
         let Some(j) = jobs.get_mut(&job) else {
             return;
         };
-        if matches!(j.cells[cell], CellState::Pending) {
-            j.cells[cell] = CellState::Done(summary, provenance);
+        let slot = &mut j.cells[config][replicate as usize];
+        if matches!(slot, CellState::Pending) {
+            *slot = CellState::Done(summary, provenance);
         }
-        let (config_idx, _) = j.units[cell];
-        let new_units = extend_after_finish(j, job, config_idx);
+        let cluster = j.clusters.iter().position(|k| k.configs.contains(&config));
+        let new_units = cluster.map(|k| j.grow(k)).unwrap_or_default();
         j.note_settled(&inner.settled);
         new_units
     };
-    // Enqueue outside the jobs lock (lock order everywhere: jobs before
-    // queue is never held; queue is only ever taken alone).
-    if !new_units.is_empty() {
-        let mut q = lock(&inner.queue);
-        q.extend(new_units);
-        drop(q);
-        inner.available.notify_all();
-    }
-}
-
-/// Replication step after one cell of `config_idx` finished. Groups paired
-/// by an explicit `[compare]` section route to [`extend_pair`] (the paired
-/// delta is their stopping criterion); every other group keeps the
-/// marginal rule of [`extend_group`].
-fn extend_after_finish(j: &mut Job, job: JobId, config_idx: usize) -> Vec<WorkUnit> {
-    if let Some((b, c, alpha)) = j.pair {
-        if config_idx == b || config_idx == c {
-            return extend_pair(j, job, b, c, alpha);
-        }
-    }
-    extend_group(j, job, config_idx).into_iter().collect()
-}
-
-/// Marginal replication step for one config group: once every planned
-/// replicate has finished, either certify convergence (CI target met, or
-/// the seed cap reached) or grow the group by exactly one replicate.
-/// Growing one at a time makes the final count the smallest prefix
-/// satisfying the policy — the same count a serial driver picks.
-fn extend_group(j: &mut Job, job: JobId, config_idx: usize) -> Option<WorkUnit> {
-    let rep = j.spec.replication;
-    if j.groups[config_idx].converged {
-        return None;
-    }
-    let replicates = j.group_replicates(config_idx)?;
-    if rep.converged(replicates.iter().map(Arc::as_ref)) {
-        certify(j, job, config_idx);
-        return None;
-    }
-    Some(push_unit(j, job, config_idx))
-}
-
-/// Paired replication step for the `[compare]` groups: once **both**
-/// groups' planned replicates have finished, either certify joint
-/// convergence (the paired-delta criterion of
-/// [`malec_core::compare::paired_converged`], a pure prefix function) or
-/// grow *both* groups by one shared seed.
-fn extend_pair(j: &mut Job, job: JobId, b: usize, c: usize, alpha: Alpha) -> Vec<WorkUnit> {
-    let rep = j.spec.replication;
-    if j.groups[b].converged || j.groups[c].converged {
-        return Vec::new();
-    }
-    let (Some(base), Some(cand)) = (j.group_replicates(b), j.group_replicates(c)) else {
-        return Vec::new(); // one side still has pending replicates
-    };
-    let n = base.len().min(cand.len());
-    let pairs = (0..n).map(|i| (base[i].as_ref(), cand[i].as_ref()));
-    if paired_converged(&rep, alpha, pairs) {
-        certify(j, job, b);
-        certify(j, job, c);
-        return Vec::new();
-    }
-    vec![push_unit(j, job, b), push_unit(j, job, c)]
-}
-
-/// Marks one group converged and prices what the CI target saved.
-fn certify(j: &mut Job, job: JobId, config_idx: usize) {
-    let rep = j.spec.replication;
-    let g = &mut j.groups[config_idx];
-    g.converged = true;
-    g.saved = rep.seeds.saturating_sub(g.planned);
-    if g.saved > 0 {
-        eprintln!(
-            "malec-serve: job {job} `{}` converged after {}/{} replicates ({} saved)",
-            j.spec.configs[config_idx].label(),
-            g.planned,
-            rep.seeds,
-            g.saved,
-        );
-    }
-}
-
-/// Appends one more replicate slot to a group and builds its work unit.
-fn push_unit(j: &mut Job, job: JobId, config_idx: usize) -> WorkUnit {
-    let replicate = j.groups[config_idx].planned;
-    j.groups[config_idx].planned += 1;
-    j.units.push((config_idx, replicate));
-    j.cells.push(CellState::Pending);
-    WorkUnit {
-        job,
-        cell: j.cells.len() - 1,
-        config: j.spec.configs[config_idx].clone(),
-        scenario: Arc::clone(&j.scenario),
-        insts: j.spec.insts,
-        seed: j.spec.seed,
-        replicate,
-    }
+    // Enqueue outside the jobs lock: the queue is only ever taken alone.
+    enqueue(inner, new_units);
 }
 
 #[cfg(test)]
@@ -1530,7 +1293,7 @@ mod tests {
     const SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
                         [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 2000\nseed = 5\n";
 
-    fn wait_settled(engine: &Engine, job: JobId) -> JobStatus {
+    fn wait_settled(engine: &Engine, job: JobId) -> JobView {
         let status = engine
             .wait_settled(job, Some(Duration::from_secs(60)))
             .expect("job exists");
@@ -1538,7 +1301,7 @@ mod tests {
         status
     }
 
-    fn wait_done(engine: &Engine, job: JobId) -> JobStatus {
+    fn wait_done(engine: &Engine, job: JobId) -> JobView {
         let status = wait_settled(engine, job);
         assert_eq!(status.state, "done", "job {job} did not finish");
         status
@@ -1737,10 +1500,10 @@ mod tests {
         let faults = Faults::disarmed();
         // The first simulated cell panics; every later cell is clean.
         faults.arm("worker.panic", 1, None);
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(1), // serial: the panic lands on cell 0
             faults: faults.clone(),
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         let spec = parse_spec(SPEC).expect("spec");
@@ -1774,12 +1537,12 @@ mod tests {
     fn panicking_cell_fails_parked_waiters_too() {
         let faults = Faults::disarmed();
         faults.arm("worker.panic", 1, None);
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(4),
             faults: faults.clone(),
             // Slow the doomed cell so the overlapping submissions park on
             // its in-flight claim before it panics.
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         faults.arm("engine.cell.slow", 1, Some(150));
@@ -1810,10 +1573,10 @@ mod tests {
     fn loop_panic_respawns_the_worker_and_work_continues() {
         let faults = Faults::disarmed();
         faults.arm("worker.loop.panic", 2, None);
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(1), // the sole worker must die and come back
             faults: faults.clone(),
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         let spec = parse_spec(SPEC).expect("spec");
@@ -1827,11 +1590,11 @@ mod tests {
 
     #[test]
     fn terminal_jobs_expire_by_count_and_ttl() {
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(2),
             retain_done: 2,
             job_ttl: Some(Duration::from_millis(60)),
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         let spec = parse_spec(SPEC).expect("spec");
@@ -1859,10 +1622,10 @@ mod tests {
     fn drain_waits_for_inflight_work() {
         let faults = Faults::disarmed();
         faults.arm("engine.cell.slow", 1, Some(120));
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(2),
             faults,
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         let spec = parse_spec(SPEC).expect("spec");
@@ -1896,10 +1659,10 @@ mod tests {
     fn wait_settled_times_out_on_a_running_job_and_answers_unknown_ids() {
         let faults = Faults::disarmed();
         faults.arm("engine.cell.slow", 1, Some(500));
-        let engine = Engine::with_options(EngineOptions {
+        let engine = Engine::with_options(&ServeOptions {
             workers: Some(1),
             faults,
-            ..EngineOptions::default()
+            ..ServeOptions::default()
         })
         .expect("engine");
         assert!(engine.wait_settled(999, None).is_none(), "unknown id");
@@ -1910,7 +1673,7 @@ mod tests {
         assert_eq!(early.state, "running", "the deadline beats the slowed cell");
         assert!(early.pending > 0);
         let settled = engine.wait_settled(job, None).expect("job exists");
-        assert_eq!((settled.state, settled.pending), ("done", 0));
+        assert_eq!((settled.state.as_str(), settled.pending), ("done", 0));
         engine.shutdown();
     }
 

@@ -46,17 +46,18 @@ use crate::http::{
     read_request_deadline, write_response, write_response_head, write_response_with, Request,
 };
 use crate::report::esc;
-use crate::scheduler::{CompareError, Engine, EngineOptions, JobStatus};
+use crate::scheduler::{CompareError, Engine};
 use crate::spec::parse_spec;
 
 /// The default address `malec-cli serve` binds and its clients target.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4173";
 
-/// Construction knobs for a [`Server`]. `Default` keeps the engine knobs
-/// of [`EngineOptions`] and adds the request-lifecycle bounds.
+/// Construction knobs for a [`Server`] and its [`Engine`]
+/// ([`Engine::with_options`] reads the pool and cache fields).
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Pool threads (`None`: the sweep fan-out).
+    /// Pool threads (`None`: the sweep fan-out
+    /// [`worker_count`](malec_core::parallel::worker_count)).
     pub workers: Option<usize>,
     /// Cache-log path (`None`: in-memory cache).
     pub cache_path: Option<PathBuf>,
@@ -73,31 +74,40 @@ pub struct ServeOptions {
     /// How long a graceful shutdown waits for in-flight jobs to settle
     /// before stopping anyway.
     pub drain_timeout: Duration,
-    /// Terminal jobs retained for status queries (count-based eviction).
+    /// Terminal jobs retained for status/report queries. Beyond this, the
+    /// oldest terminal jobs are evicted at submit time (their results stay
+    /// in the cache; only the per-job bookkeeping goes), so a long-lived
+    /// server's memory is bounded by its workload, not its uptime. Evicted
+    /// ids answer like unknown ids.
     pub retain_done: usize,
-    /// Terminal-job expiry TTL (`None`: count-based eviction only).
+    /// Additionally expire terminal jobs this long after they settle
+    /// (`None`: count-based eviction only).
     pub job_ttl: Option<Duration>,
-    /// Cap on live cache bytes (`None`: unbounded).
+    /// Cap on live cache bytes (`None`: unbounded). Past it, the
+    /// least-recently-used entries are evicted from memory — and from disk
+    /// at the next compaction.
     pub cache_max_bytes: Option<u64>,
-    /// Auto-compaction dead-byte ratio (`None`: compaction on demand only).
+    /// Auto-compaction trigger: when the log's dead-byte ratio reaches
+    /// this fraction, the append that crossed it compacts the log in
+    /// place (`None`: compaction only on demand via
+    /// [`Engine::compact_cache`]).
     pub compact_threshold: Option<f64>,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let engine = EngineOptions::default();
         Self {
             workers: None,
             cache_path: None,
-            fsync: engine.fsync,
-            faults: engine.faults,
+            fsync: FsyncPolicy::default(),
+            faults: Faults::disarmed(),
             max_connections: 64,
             request_deadline: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(30),
-            retain_done: engine.retain_done,
-            job_ttl: engine.job_ttl,
-            cache_max_bytes: engine.cache_max_bytes,
-            compact_threshold: engine.compact_threshold,
+            retain_done: 256,
+            job_ttl: None,
+            cache_max_bytes: None,
+            compact_threshold: None,
         }
     }
 }
@@ -153,16 +163,7 @@ impl Server {
     /// Propagates bind and cache-open errors.
     pub fn bind_with(addr: impl ToSocketAddrs, opts: ServeOptions) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let engine = Arc::new(Engine::with_options(EngineOptions {
-            workers: opts.workers,
-            cache_path: opts.cache_path.clone(),
-            fsync: opts.fsync,
-            faults: Arc::clone(&opts.faults),
-            retain_done: opts.retain_done,
-            job_ttl: opts.job_ttl,
-            cache_max_bytes: opts.cache_max_bytes,
-            compact_threshold: opts.compact_threshold,
-        })?);
+        let engine = Arc::new(Engine::with_options(&opts)?);
         Ok(Self {
             listener,
             engine,
@@ -661,46 +662,23 @@ fn handle_job_get(stream: &mut TcpStream, engine: &Engine, path: &str) {
             None => respond_error(stream, 404, &format!("unknown job {id}")),
             Some(Err(status)) => {
                 // 409: the resource exists but is not in a fetchable state.
-                respond_json(stream, 409, &job_status_json(&status));
+                respond_json(stream, 409, &status.to_json());
             }
             Some(Ok(report)) => respond_json(stream, 200, &report),
         },
         JobQuery::Compare => match engine.job_compare(id) {
             None => respond_error(stream, 404, &format!("unknown job {id}")),
             Some(Err(CompareError::Running(status))) => {
-                respond_json(stream, 409, &job_status_json(&status));
+                respond_json(stream, 409, &status.to_json());
             }
             Some(Err(CompareError::NotComparable(msg))) => respond_error(stream, 400, &msg),
             Some(Ok(report)) => respond_json(stream, 200, &report),
         },
         JobQuery::Status => match engine.job_status(id) {
             None => respond_error(stream, 404, &format!("unknown job {id}")),
-            Some(status) => respond_json(stream, 200, &job_status_json(&status)),
+            Some(status) => respond_json(stream, 200, &status.to_json()),
         },
     }
-}
-
-/// Renders a [`JobStatus`] as the status-endpoint JSON.
-pub fn job_status_json(s: &JobStatus) -> String {
-    format!(
-        "{{\n  \"job\": {},\n  \"scenario\": \"{}\",\n  \"state\": \"{}\",\n  \"cells\": {},\n  \"simulated\": {},\n  \"cached\": {},\n  \"coalesced\": {},\n  \"fetched\": {},\n  \"failed\": {},\n  \"pending\": {},\n  \"replicates_saved\": {},\n  \"wall_seconds\": {},\n  \"error\": {}\n}}\n",
-        s.id,
-        esc(&s.scenario),
-        s.state,
-        s.cells,
-        s.simulated,
-        s.cached,
-        s.coalesced,
-        s.fetched,
-        s.failed,
-        s.pending,
-        s.replicates_saved,
-        s.wall_seconds
-            .map_or_else(|| "null".to_owned(), |w| format!("{w:.4}")),
-        s.error
-            .as_deref()
-            .map_or_else(|| "null".to_owned(), |e| format!("\"{}\"", esc(e))),
-    )
 }
 
 /// Renders the cache-stats endpoint JSON.
@@ -737,6 +715,7 @@ fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::JobView;
     use crate::http::request;
     use crate::json::{parse, Value};
     use std::time::{Duration, Instant};
@@ -818,10 +797,10 @@ mod tests {
     fn status_json_escapes_control_characters() {
         // TOML strings legally contain \n / \t escapes; the status JSON
         // must stay parseable anyway.
-        let s = JobStatus {
-            id: 1,
+        let s = JobView {
+            job: 1,
             scenario: "a\nb\"c".into(),
-            state: "failed",
+            state: "failed".into(),
             cells: 1,
             simulated: 0,
             cached: 0,
@@ -833,7 +812,7 @@ mod tests {
             wall_seconds: None,
             error: Some("panic: index out of \"bounds\"".into()),
         };
-        let v = parse(&job_status_json(&s)).expect("valid JSON despite control chars");
+        let v = parse(&s.to_json()).expect("valid JSON despite control chars");
         assert_eq!(v.get("scenario").and_then(Value::as_str), Some("a\nb\"c"));
         assert_eq!(v.get("state").and_then(Value::as_str), Some("failed"));
         assert_eq!(v.get("failed").and_then(Value::as_u64), Some(1));

@@ -474,14 +474,18 @@ fn parse_configs(root: &Table, compare: Option<&CompareSpec>) -> Result<Vec<SimC
     if list.is_empty() {
         return Err(bad("[sweep]: `configs` must not be empty"));
     }
-    list.iter()
-        .map(|v| {
-            let label = v
-                .as_str()
-                .ok_or_else(|| bad("[sweep]: `configs` must be a list of strings"))?;
-            config_by_label(label, "[sweep]")
-        })
-        .collect()
+    let mut configs: Vec<SimConfig> = Vec::with_capacity(list.len());
+    for v in list {
+        let label = v
+            .as_str()
+            .ok_or_else(|| bad("[sweep]: `configs` must be a list of strings"))?;
+        // A repeated config would run (and report) the same cells twice.
+        if configs.iter().any(|c| c.label() == label) {
+            return Err(bad(format!("[sweep]: config `{label}` is listed twice")));
+        }
+        configs.push(config_by_label(label, "[sweep]")?);
+    }
+    Ok(configs)
 }
 
 /// Parses a complete spec document.
@@ -849,6 +853,23 @@ mtr = "demo.mtr"
             3,
             "a rejected restriction changes nothing"
         );
+    }
+
+    #[test]
+    fn rejects_a_config_listed_twice() {
+        for configs in [
+            "\"MALEC\", \"MALEC\"",
+            "\"MALEC\", \"Base1ldst\", \"MALEC\"",
+        ] {
+            let doc = format!(
+                "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n[sweep]\nconfigs = [{configs}]\n"
+            );
+            let e = parse_spec(&doc).expect_err(&doc);
+            assert!(
+                e.to_string().contains("config `MALEC` is listed twice"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -5,22 +5,27 @@
 //!   keys spread over the peer set within loose balance bounds; and
 //!   removing one peer reassigns only the keys that peer owned (the
 //!   minimal-movement property of rendezvous hashing);
-//! * **Two-peer scatter/gather** — a replication + compare sweep submitted
+//! * **Two-peer forwarding** — a replication + compare sweep submitted
 //!   to either peer of a two-peer cluster produces a report and compare
 //!   digest **bit-identical** to a standalone server's, with every cell
 //!   simulated exactly once cluster-wide (the sum of per-peer cache
 //!   misses equals the cell count);
 //! * **Owner loss** — killing the peer that owns the compared pair while
 //!   the job is in flight degrades to local simulation on the surviving
-//!   peer: the job still completes, bit-identical to standalone.
+//!   peer: the job still completes, bit-identical to standalone;
+//! * **The cluster plan** — a compared pair is owned as one (its owner
+//!   asks the other peer for nothing), a front door answers a warm
+//!   resubmission from its own cache, and a scattered CI-target cluster
+//!   grows on the front door to exactly the count its owner stopped at.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use malec_serve::client::Client;
 use malec_serve::json::{parse, Value};
 use malec_serve::server::{ServeOptions, Server, ServerHandle};
-use malec_serve::{cache_key, parse_spec, ShardMap};
+use malec_serve::{cache_key, parse_spec, Faults, ShardMap};
 use proptest::prelude::*;
 
 /// Three config groups, four shared replicate seeds, an explicit compared
@@ -55,15 +60,21 @@ fn compare_digest_of(report: &str) -> String {
 /// Runs `SHARD_SPEC` on a standalone server: the ground truth every
 /// cluster run must match bit for bit.
 fn standalone_reference() -> (String, String) {
+    standalone(SHARD_SPEC, 12)
+}
+
+/// Runs `spec` on a standalone server, expecting `n_cells` cells; returns
+/// its report cells and compare digest.
+fn standalone(spec: &str, n_cells: u64) -> (String, String) {
     let server = serve(ServeOptions {
         workers: Some(2),
         ..ServeOptions::default()
     });
     let client = Client::new(server.addr().to_string());
-    let job = client.submit(SHARD_SPEC).expect("submit");
+    let job = client.submit(spec).expect("submit");
     let view = client.wait(job, Duration::from_secs(120)).expect("wait");
     assert_eq!(view.state, "done");
-    assert_eq!(view.cells, 12, "3 configs x 4 replicate seeds");
+    assert_eq!(view.cells, n_cells);
     let cells = report_cells(&client.report(job).expect("report"));
     let digest = compare_digest_of(&client.compare(job).expect("compare"));
     client.shutdown().expect("shutdown");
@@ -75,8 +86,18 @@ fn standalone_reference() -> (String, String) {
 /// shard map in both (addresses are only known after binding, so this is
 /// the programmatic equivalent of `serve --peers A,B` on each).
 fn two_peer_cluster() -> (ServerHandle, ServerHandle, String, String) {
-    let a = Server::bind_with("127.0.0.1:0", two_worker_opts()).expect("bind a");
-    let b = Server::bind_with("127.0.0.1:0", two_worker_opts()).expect("bind b");
+    two_peer_cluster_with([Faults::disarmed(), Faults::disarmed()])
+}
+
+/// [`two_peer_cluster`] with a failpoint registry per peer.
+fn two_peer_cluster_with(faults: [Arc<Faults>; 2]) -> (ServerHandle, ServerHandle, String, String) {
+    let [fa, fb] = faults;
+    let opts = |faults| ServeOptions {
+        faults,
+        ..two_worker_opts()
+    };
+    let a = Server::bind_with("127.0.0.1:0", opts(fa)).expect("bind a");
+    let b = Server::bind_with("127.0.0.1:0", opts(fb)).expect("bind b");
     let addr_a = a.local_addr().expect("addr a").to_string();
     let addr_b = b.local_addr().expect("addr b").to_string();
     let peers = [addr_a.clone(), addr_b.clone()];
@@ -112,8 +133,8 @@ fn two_peer_cluster_matches_standalone_and_simulates_each_cell_once() {
     assert_eq!(ca.peers().expect("peers of a"), expect);
     assert_eq!(cb.peers().expect("peers of b"), expect);
 
-    // Submit through peer A: the front door scatters remotely-owned
-    // clusters and gathers their cells back.
+    // Submit through peer A: the front door forwards remotely-owned
+    // clusters to their owners, then fetches their cells.
     let job = ca.submit(SHARD_SPEC).expect("submit via a");
     let view = ca.wait(job, Duration::from_secs(120)).expect("wait");
     assert_eq!(view.state, "done", "{:?}", view.error);
@@ -123,7 +144,7 @@ fn two_peer_cluster_matches_standalone_and_simulates_each_cell_once() {
     let got_cells = report_cells(&ca.report(job).expect("report"));
     assert_eq!(
         got_cells, want_cells,
-        "gathered report must be bit-identical"
+        "the front door's report must be bit-identical"
     );
     let got_digest = compare_digest_of(&ca.compare(job).expect("compare"));
     assert_eq!(
@@ -197,9 +218,9 @@ fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
 
     let client = Client::new(door.clone());
     let job = client.submit(SHARD_SPEC).expect("submit via non-owner");
-    // Give the scatter a moment to reach the owner, then kill it. Every
-    // window is safe: whether the forward, the wait, or the record fetch
-    // dies, the gather thread falls back to simulating locally.
+    // Give the forward a moment to reach the owner, then kill it. Every
+    // window is safe: whether the forward, the wait, or a record fetch
+    // dies, each cell the owner cannot serve simulates locally.
     std::thread::sleep(Duration::from_millis(25));
     malec_serve::http::request(owner.as_str(), "POST", "/v1/shutdown?mode=abort", b"")
         .expect("abort the owner");
@@ -220,6 +241,126 @@ fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
 
     client.shutdown().expect("shutdown survivor");
     door_handle.join().expect("clean exit");
+}
+
+/// The peer that owns the replicate-0 key of `config` in `spec`.
+fn owner_of(map: &ShardMap, spec: &malec_serve::SweepSpec, config: usize) -> String {
+    let key = cache_key(
+        &spec.configs[config],
+        &spec.scenario,
+        spec.insts,
+        spec.seed,
+        0,
+    );
+    map.owner(key).as_str().to_owned()
+}
+
+/// A peer that does not own every cluster of `spec` (the `[compare]` pair
+/// routes by its baseline, every other config by itself), so a job
+/// submitted there forwards at least one cluster.
+fn forwarding_door(spec: &str, addr_a: &str, addr_b: &str) -> String {
+    let spec = parse_spec(spec).expect("spec");
+    let candidate = spec.resolve_compare().expect("explicit pair").candidate;
+    let map = ShardMap::new([addr_a, addr_b], addr_a).expect("map");
+    let a_owns_all = (0..spec.configs.len())
+        .filter(|&c| c != candidate)
+        .all(|c| owner_of(&map, &spec, c) == addr_a);
+    if a_owns_all { addr_b } else { addr_a }.to_owned()
+}
+
+fn shut_down(handles: [ServerHandle; 2], addrs: [&str; 2]) {
+    for addr in addrs {
+        Client::new(addr).shutdown().expect("shutdown");
+    }
+    for handle in handles {
+        handle.join().expect("clean exit");
+    }
+}
+
+#[test]
+fn a_compared_pair_is_owned_as_one() {
+    // A stall armed at a hit that never comes makes `Faults::hits` count
+    // every request a peer serves.
+    let faults = [Faults::disarmed(), Faults::disarmed()];
+    for f in &faults {
+        f.arm("http.read.stall", u64::MAX, None);
+    }
+    let (ha, hb, addr_a, addr_b) = two_peer_cluster_with(faults.clone());
+    let map = ShardMap::new([addr_a.as_str(), addr_b.as_str()], &addr_a).expect("map");
+    // The first seed whose baseline and candidate keys have different
+    // owners: routed by its own key, the candidate would belong elsewhere.
+    let (text, owner) = (1u64..)
+        .find_map(|seed| {
+            let text = format!(
+                "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n[compare]\n\
+                 [sweep]\ninsts = 2000\nseed = {seed}\nseeds = 3\n"
+            );
+            let spec = parse_spec(&text).expect("spec");
+            let pair = spec.resolve_compare().expect("pair");
+            let owner = owner_of(&map, &spec, pair.baseline);
+            (owner != owner_of(&map, &spec, pair.candidate)).then_some((text, owner))
+        })
+        .expect("some seed splits the pair's keys");
+    let other = usize::from(owner == addr_a);
+
+    let client = Client::new(owner.clone());
+    let job = client.submit(&text).expect("submit to the pair's owner");
+    let view = client.wait(job, Duration::from_secs(120)).expect("wait");
+    assert_eq!(view.state, "done", "{:?}", view.error);
+    assert_eq!((view.cells, view.simulated), (6, 6), "{view:?}");
+    assert_eq!(
+        faults[other].hits("http.read.stall"),
+        0,
+        "the pair's owner runs the candidate too and asks the other peer nothing"
+    );
+    shut_down([ha, hb], [&addr_a, &addr_b]);
+}
+
+#[test]
+fn a_front_door_serves_its_warm_resubmission_from_its_own_cache() {
+    let (ha, hb, addr_a, addr_b) = two_peer_cluster();
+    let client = Client::new(forwarding_door(SHARD_SPEC, &addr_a, &addr_b));
+    let cold = client.submit(SHARD_SPEC).expect("cold submit");
+    let view = client.wait(cold, Duration::from_secs(120)).expect("wait");
+    assert_eq!(view.state, "done", "{:?}", view.error);
+
+    // The cold job landed the forwarded cells in the front door's cache,
+    // so the warm one is answered there, with no record fetched again.
+    let warm = client.submit(SHARD_SPEC).expect("warm submit");
+    let view = client.wait(warm, Duration::from_secs(120)).expect("wait");
+    assert_eq!(view.state, "done", "{:?}", view.error);
+    assert_eq!((view.cached, view.fetched), (view.cells, 0), "{view:?}");
+    shut_down([ha, hb], [&addr_a, &addr_b]);
+}
+
+#[test]
+fn a_scattered_ci_target_cluster_stops_where_the_owner_stopped() {
+    // The pair stops on its paired delta at 5 replicates, `Base2ld1st` on
+    // its own CI at the 16-seed cap: 26 cells.
+    let spec = "[scenario]\nmode = \"preset\"\npreset = \"mixed_int_media_thrash\"\n[compare]\n\
+                [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\ninsts = 2000\nseed = 7\n\
+                seeds = 16\nmin_seeds = 3\nci_target = 0.03\n";
+    let (want_cells, want_digest) = standalone(spec, 26);
+    let (ha, hb, addr_a, addr_b) = two_peer_cluster();
+    let client = Client::new(forwarding_door(spec, &addr_a, &addr_b));
+    let job = client.submit(spec).expect("submit");
+    let view = client.wait(job, Duration::from_secs(120)).expect("wait");
+    assert_eq!(view.state, "done", "{:?}", view.error);
+    assert_eq!(view.cells, 26);
+    assert_eq!(
+        report_cells(&client.report(job).expect("report")),
+        want_cells
+    );
+    assert_eq!(
+        compare_digest_of(&client.compare(job).expect("compare")),
+        want_digest
+    );
+    let misses: u64 = [&addr_a, &addr_b]
+        .iter()
+        .map(|a| Client::new(a.as_str()).cache_stats().expect("stats").misses)
+        .sum();
+    assert_eq!(misses, 26, "each cell simulated exactly once cluster-wide");
+    shut_down([ha, hb], [&addr_a, &addr_b]);
 }
 
 /// Deterministic 64-bit mixer (splitmix64) for spreading proptest seeds
