@@ -3,11 +3,12 @@
 //! The workspace's correctness story rests on invariants no compiler
 //! checks: bit-identical golden digests, a serve layer whose scheduler
 //! holds several mutexes with only convention preventing deadlock,
-//! untrusted-byte parsers that must never panic per request, and
+//! untrusted-byte parsers that must never panic per request,
 //! string-named failpoints whose value is zero if a name is never
-//! exercised by a test. This crate machine-checks those conventions with
-//! four lexical analysis passes over the source tree (see [`lexer`] for
-//! the tokenizer that makes a lexical approach sound):
+//! exercised by a test, and `pub` API that rustc's `dead_code` lint never
+//! sees. This crate machine-checks those conventions with five lexical
+//! analysis passes over the source tree (see [`lexer`] for the tokenizer
+//! that makes a lexical approach sound):
 //!
 //! * [`lock_order`] — nested `lock(…)` acquisitions in `crates/serve`
 //!   resolved to named lock fields; the acquisition graph must be
@@ -19,7 +20,9 @@
 //!   environment-dependent branches in the golden-digest crates;
 //! * [`failpoint_coverage`] — every failpoint name is registered, armed
 //!   at exactly one site, documented in the fault-table, and referenced
-//!   by at least one test.
+//!   by at least one test;
+//! * [`dead_export`] — every plain-`pub` item in `crates/*/src` is named
+//!   in some other scanned file, so unused public API cannot pile up.
 //!
 //! Exceptions are explicit, in-source, and carry a mandatory reason:
 //!
@@ -31,6 +34,7 @@
 //! itself a finding — the annotation budget is audited on every run.
 //! See `ANALYSIS.md` at the repository root for the full lint catalog.
 
+pub mod dead_export;
 pub mod determinism;
 pub mod failpoint_coverage;
 pub mod lexer;
@@ -43,12 +47,13 @@ use std::path::{Path, PathBuf};
 
 use lexer::{Comment, Lexed};
 
-/// The four analysis passes, in the order they run.
+/// The five analysis passes, in the order they run.
 pub const PASSES: &[&str] = &[
     "lock-order",
     "panic-surface",
     "determinism",
     "failpoint-coverage",
+    "dead-export",
 ];
 
 /// One source file, with a workspace-relative path (always `/`-separated,
@@ -222,6 +227,9 @@ pub fn analyze(sources: &[Source], passes: &[&str]) -> Report {
     if passes.contains(&"failpoint-coverage") {
         raw.extend(failpoint_coverage::run(&units));
     }
+    if passes.contains(&"dead-export") {
+        raw.extend(dead_export::run(&units));
+    }
 
     // Apply suppressions: an annotation covers findings of its lint on
     // its own line and on the line directly below it.
@@ -290,27 +298,31 @@ pub fn analyze(sources: &[Source], passes: &[&str]) -> Report {
     }
 }
 
-/// Loads every analyzable source under `root`: `crates/*/src/**/*.rs`
-/// and `tests/*.rs`, sorted by path. Vendored stand-ins and build output
-/// are out of scope.
+/// Loads every analyzable source under `root`, sorted by path:
+/// `crates/*/src`, `crates/*/benches`, `tests`, `examples` and
+/// `perfbench/src` (the benchmark, read so its imports count as uses).
+/// Vendored stand-ins and build output are out of scope.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from the walk.
 pub fn load_workspace(root: &Path) -> io::Result<Vec<Source>> {
-    let mut files: Vec<PathBuf> = Vec::new();
+    let mut dirs = vec![
+        root.join("tests"),
+        root.join("examples"),
+        root.join("perfbench/src"),
+    ];
     let crates = root.join("crates");
     if crates.is_dir() {
         for entry in std::fs::read_dir(&crates)? {
-            let src = entry?.path().join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut files)?;
-            }
+            let krate = entry?.path();
+            dirs.push(krate.join("src"));
+            dirs.push(krate.join("benches"));
         }
     }
-    let tests = root.join("tests");
-    if tests.is_dir() {
-        collect_rs(&tests, &mut files)?;
+    let mut files: Vec<PathBuf> = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
     }
     files.sort();
     let mut out = Vec::with_capacity(files.len());

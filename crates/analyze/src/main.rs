@@ -5,15 +5,20 @@
 //! ```
 //!
 //! With no `--root`, walks up from the current directory to the
-//! workspace root. With no `--pass`, runs all four passes. Exits 1 if
+//! workspace root. With no `--pass`, runs all five passes. Exits 1 if
 //! any finding survives suppression — the CI contract.
 
 use std::process::ExitCode;
 
 use malec_analyze::{analyze, find_root, load_workspace, PASSES};
 
-const USAGE: &str = "usage: malec-analyze [--root DIR] [--pass NAME]... [--dump-graph]
-passes: lock-order, panic-surface, determinism, failpoint-coverage (default: all)";
+fn usage() -> String {
+    format!(
+        "usage: malec-analyze [--root DIR] [--pass NAME]... [--dump-graph]\n\
+         passes: {} (default: all)",
+        PASSES.join(", ")
+    )
+}
 
 fn main() -> ExitCode {
     let mut root = None;
@@ -34,7 +39,7 @@ fn main() -> ExitCode {
             },
             "--dump-graph" => dump_graph = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             other => return fail(&format!("unknown argument `{other}`")),
@@ -66,6 +71,20 @@ fn main() -> ExitCode {
 }
 
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("malec-analyze: {msg}\n{USAGE}");
+    eprintln!("malec-analyze: {msg}\n{}", usage());
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_pass() {
+        let text = usage();
+        assert_eq!(PASSES.len(), 5, "{PASSES:?}");
+        for pass in PASSES {
+            assert!(text.contains(pass), "--help omits `{pass}`:\n{text}");
+        }
+    }
 }

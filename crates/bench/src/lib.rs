@@ -1,7 +1,8 @@
 //! Shared plumbing for the table/figure benches.
 //!
-//! Each `[[bench]]` target regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). The heavy lifting — sweeping the 38
+//! Each `[[bench]]` target regenerates one table or figure of the paper and
+//! is named after it (`tab1_configurations`, `fig4a_performance`, …; the
+//! list is `crates/bench/benches/`). The heavy lifting — sweeping the 38
 //! benchmark profiles over the five analyzed configurations — lives here so
 //! the individual benches stay declarative.
 
@@ -18,7 +19,8 @@ pub mod timing;
 
 /// Instructions simulated per benchmark per configuration. The paper uses
 /// 1-billion-instruction SimPoint phases; the synthetic workloads' statistics
-/// converge orders of magnitude sooner (see DESIGN.md §1).
+/// converge orders of magnitude sooner, because a profile's generator is
+/// stationary: every window draws from the same calibrated distributions.
 pub const DEFAULT_INSTS: u64 = 120_000;
 
 /// Seed used by every figure (bit-for-bit reproducibility).

@@ -46,7 +46,7 @@ use malec_trace::scenario::presets;
 use malec_types::SimConfig;
 
 fn usage() -> String {
-    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n  malec-cli analyze [--root DIR] [--pass NAME]... [--dump-graph]\n                  run the workspace-invariant lints (lock-order,\n                  panic-surface, determinism, failpoint-coverage);\n                  nonzero exit on any finding — see ANALYSIS.md\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), and a compared pair is owned\nas one. A submission to any peer forwards each config or pair another\npeer owns to that owner, waits for it, then fetches the records from the\nowner, simulating locally only what the owner cannot serve, so the\nreport is bit-identical to a standalone run;\n--faults arms the deterministic failpoint schedule (`name@hit[:param];...`,\nalso read from MALEC_FAULTS) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
+    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), and a compared pair is owned\nas one. A submission to any peer forwards each config or pair another\npeer owns to that owner, waits for it, then fetches the records from the\nowner, simulating locally only what the owner cannot serve, so the\nreport is bit-identical to a standalone run;\n--faults arms the deterministic failpoint schedule (`name@hit[:param];...`,\nalso read from MALEC_FAULTS) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
         .to_owned()
 }
 
@@ -71,7 +71,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("submit") => cmd_submit(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
         Some("presets") => {
             cmd_presets();
             Ok(())
@@ -245,30 +244,63 @@ fn cmd_compare_remote(
             .as_ref()
             .map_or_else(|| "Base1ldst".to_owned(), |c| c.baseline.label()),
     );
-    let (job, view) = wait_with_resubmits(&client, &text, job, retries)?;
-    let report = client.compare(job)?;
     let out_path = out.unwrap_or_else(|| spec.compare_out.clone());
-    if let Some(parent) = Path::new(&out_path)
+    finish_remote(
+        &client,
+        &text,
+        job,
+        retries,
+        Client::compare,
+        &out_path,
+        "compare report",
+    )
+}
+
+/// The tail `submit` and `compare --addr` share: waits for `job` (backing
+/// off and resubmitting `text` if it fails, up to `retries` times — cached
+/// cells make a resubmission re-simulate only what failed), writes the JSON
+/// `fetch` returns to `out_path` under a created parent directory, and
+/// prints the done, cache and `label -> out_path` lines.
+fn finish_remote(
+    client: &Client,
+    text: &str,
+    job: u64,
+    retries: u32,
+    fetch: fn(&Client, u64) -> Result<String, String>,
+    out_path: &str,
+    label: &str,
+) -> Result<(), String> {
+    let (job, view) = client.wait_with_resubmits(text, job, Duration::from_secs(600), retries)?;
+    let json = fetch(client, job)?;
+    if let Some(parent) = Path::new(out_path)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
     {
         std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
     }
-    std::fs::write(&out_path, &report).map_err(|e| format!("write {out_path}: {e}"))?;
+    std::fs::write(out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
     println!(
-        "job {job} done in {:.3}s: {} simulated, {} cached, {} coalesced, {} fetched",
+        "job {job} done in {:.3}s: {} simulated, {} cached, {} coalesced, {} fetched{}",
         view.wall_seconds.unwrap_or(0.0),
         view.simulated,
         view.cached,
         view.coalesced,
         view.fetched,
+        if view.replicates_saved > 0 {
+            format!(
+                ", {} replicate(s) saved by early stop",
+                view.replicates_saved
+            )
+        } else {
+            String::new()
+        },
     );
     println!(
         "  cache: {}/{} cells served from cache",
         view.served_without_simulation(),
         view.cells
     );
-    println!("  compare report -> {out_path}");
+    println!("  {label} -> {out_path}");
     Ok(())
 }
 
@@ -441,32 +473,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-/// Waits for `job`; if it **fails** (a worker panic, say) and the retry
-/// budget allows, resubmits the spec — completed cells were cached, so a
-/// resubmission re-simulates only what actually failed. Returns the view
-/// of the job that reached `done`.
-fn wait_with_resubmits(
-    client: &Client,
-    text: &str,
-    job: u64,
-    retries: u32,
-) -> Result<(u64, malec_serve::JobView), String> {
-    let mut job = job;
-    let mut view = client.wait(job, Duration::from_secs(600))?;
-    let mut round = 0u32;
-    while view.state == "failed" {
-        let detail = view.error.as_deref().unwrap_or("unknown failure");
-        if round >= retries {
-            return Err(format!("job {job} failed: {detail}"));
-        }
-        round += 1;
-        eprintln!("malec-cli: job {job} failed ({detail}); resubmitting ({round}/{retries})");
-        job = client.submit(text)?;
-        view = client.wait(job, Duration::from_secs(600))?;
-    }
-    Ok((job, view))
-}
-
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let addr: String = take_flag(&mut args, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_owned());
@@ -498,39 +504,16 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let (job, view) = wait_with_resubmits(&client, &text, job, retries)?;
-    let report = client.report(job)?;
     let out_path = out.unwrap_or_else(|| spec.out.clone());
-    if let Some(parent) = Path::new(&out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(parent).map_err(|e| format!("create {}: {e}", parent.display()))?;
-    }
-    std::fs::write(&out_path, &report).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!(
-        "job {job} done in {:.3}s: {} simulated, {} cached, {} coalesced, {} fetched{}",
-        view.wall_seconds.unwrap_or(0.0),
-        view.simulated,
-        view.cached,
-        view.coalesced,
-        view.fetched,
-        if view.replicates_saved > 0 {
-            format!(
-                ", {} replicate(s) saved by early stop",
-                view.replicates_saved
-            )
-        } else {
-            String::new()
-        },
-    );
-    println!(
-        "  cache: {}/{} cells served from cache",
-        view.served_without_simulation(),
-        view.cells
-    );
-    println!("  report -> {out_path}");
-    Ok(())
+    finish_remote(
+        &client,
+        &text,
+        job,
+        retries,
+        Client::report,
+        &out_path,
+        "report",
+    )
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
@@ -683,54 +666,6 @@ fn cmd_cache_sync(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `analyze`: the workspace-invariant lint gate, in-process (the same
-/// passes the standalone `malec-analyze` binary and CI run).
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let root: Option<PathBuf> = take_flag(&mut args, "--root")?;
-    let dump_graph = if let Some(i) = args.iter().position(|a| a == "--dump-graph") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let mut passes: Vec<String> = Vec::new();
-    while let Some(name) = take_flag::<String>(&mut args, "--pass")? {
-        if !malec_analyze::PASSES.contains(&name.as_str()) {
-            return Err(format!("unknown pass `{name}`\n{}", usage()));
-        }
-        passes.push(name);
-    }
-    if let Some(extra) = args.first() {
-        return Err(format!("unknown argument `{extra}`\n{}", usage()));
-    }
-
-    let root = match root {
-        Some(r) => r,
-        None => std::env::current_dir()
-            .ok()
-            .and_then(|d| malec_analyze::find_root(&d))
-            .ok_or("not inside a MALEC workspace (pass --root DIR)")?,
-    };
-    let sources = malec_analyze::load_workspace(&root)
-        .map_err(|e| format!("failed to read workspace: {e}"))?;
-    let selected: Vec<&str> = if passes.is_empty() {
-        malec_analyze::PASSES.to_vec()
-    } else {
-        passes.iter().map(String::as_str).collect()
-    };
-    let report = malec_analyze::analyze(&sources, &selected);
-    print!("{}", report.render(dump_graph));
-    if report.findings.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} lint finding(s) — fix them or annotate the invariant",
-            report.findings.len()
-        ))
-    }
-}
-
 fn cmd_presets() {
     println!("built-in scenarios (use with `mode = \"preset\"`):");
     for s in presets() {
@@ -765,5 +700,99 @@ mod tests {
             assert!(err.is_err_and(|e| e.starts_with("usage:")));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const SWEEP_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
+                              [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 1200\nseed = 9\n";
+
+    /// Runs `cmd` (given the server address, the spec path and an output
+    /// path two directories below a fresh scratch directory) against an
+    /// in-process one-worker server armed with the `faults` schedule, and
+    /// returns the JSON it wrote there, or the command's error.
+    fn remote_output(
+        name: &str,
+        faults: &str,
+        spec: &str,
+        cmd: fn(&[String]) -> Result<(), String>,
+        args: fn(&str, &str, &str) -> Vec<String>,
+    ) -> Result<String, String> {
+        let opts = ServeOptions {
+            workers: Some(1),
+            faults: Faults::parse(faults).expect("fault schedule"),
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", opts)
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let addr = server.addr().to_string();
+        let dir = std::env::temp_dir().join(format!("malec_cli_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let spec_path = dir.join("spec.toml");
+        std::fs::write(&spec_path, spec).expect("write spec");
+        let out = dir.join("nested/deeper/out.json");
+        let result = cmd(&args(
+            &addr,
+            spec_path.to_str().expect("utf-8 path"),
+            out.to_str().expect("utf-8 path"),
+        ));
+        let json = std::fs::read_to_string(&out);
+        Client::new(addr).shutdown().expect("shutdown");
+        server.join().expect("clean exit");
+        std::fs::remove_dir_all(&dir).ok();
+        result.map(|()| json.expect("the output landed under a created directory"))
+    }
+
+    #[test]
+    fn submit_writes_the_report_under_a_created_directory() {
+        let json = remote_output("submit", "", SWEEP_SPEC, cmd_submit, |addr, spec, out| {
+            strings(&["--addr", addr, "-o", out, spec])
+        })
+        .expect("submit succeeds");
+        assert!(
+            json.contains("\"bench\": \"malec_scenario_sweep\""),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn remote_compare_writes_the_report_under_a_created_directory() {
+        let json = remote_output(
+            "compare",
+            "",
+            "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
+             [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
+             [sweep]\ninsts = 1200\nseed = 9\nseeds = 2\n",
+            cmd_compare,
+            |addr, spec, out| strings(&[spec, "--addr", addr, "-o", out]),
+        )
+        .expect("compare --addr succeeds");
+        assert!(json.contains("\"bench\": \"malec_compare\""), "{json}");
+    }
+
+    #[test]
+    fn submit_retries_resubmit_a_failed_job_and_no_retries_report_it() {
+        let json = remote_output(
+            "retried",
+            "worker.panic@1",
+            SWEEP_SPEC,
+            cmd_submit,
+            |addr, spec, out| strings(&["--addr", addr, "--retries", "1", "-o", out, spec]),
+        )
+        .expect("the resubmission completes");
+        assert!(
+            json.contains("\"bench\": \"malec_scenario_sweep\""),
+            "{json}"
+        );
+
+        let err = remote_output(
+            "unretried",
+            "worker.panic@1",
+            SWEEP_SPEC,
+            cmd_submit,
+            |addr, spec, out| strings(&["--addr", addr, "-o", out, spec]),
+        )
+        .expect_err("one failed submission and no budget to resubmit");
+        assert!(err.contains("after 1 submission(s)"), "{err}");
     }
 }

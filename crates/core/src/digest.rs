@@ -11,7 +11,7 @@
 //! so one key maps to one digest forever. The golden tables, replay
 //! verification and the cache share this one implementation.
 //!
-//! [`write_summary`] / [`read_summary`] are the compact little-endian codec
+//! [`summary_to_bytes`] / [`read_summary`] are the compact little-endian codec
 //! the cache's append-only log uses to persist summaries across restarts.
 //! The round trip is lossless: `read(write(s))` digests identically to `s`.
 
@@ -198,7 +198,7 @@ fn intern_suite(name: &str) -> Option<&'static str> {
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_summary(w: &mut impl Write, s: &RunSummary) -> io::Result<()> {
+fn write_summary(w: &mut impl Write, s: &RunSummary) -> io::Result<()> {
     write_str(w, &s.config)?;
     write_str(w, &s.benchmark)?;
     write_str(w, s.suite)?;
@@ -225,7 +225,7 @@ pub fn write_summary(w: &mut impl Write, s: &RunSummary) -> io::Result<()> {
     write_f64(w, s.utlb_miss_rate)
 }
 
-/// Deserializes one summary written by [`write_summary`].
+/// Deserializes one summary written by [`summary_to_bytes`].
 ///
 /// # Errors
 ///
@@ -339,7 +339,7 @@ pub fn read_summary(r: &mut impl Read) -> io::Result<RunSummary> {
     })
 }
 
-/// [`write_summary`] into a fresh buffer.
+/// Serializes `s` to the compact little-endian wire form.
 pub fn summary_to_bytes(s: &RunSummary) -> Vec<u8> {
     let mut buf = Vec::with_capacity(512);
     write_summary(&mut buf, s).expect("writing to a Vec cannot fail");

@@ -49,17 +49,15 @@ pub mod parallel;
 pub mod pending;
 pub mod report;
 pub mod sbmb;
-pub mod segmented_wt;
 pub mod sim;
 pub mod source;
 pub mod stats;
-pub mod sweep;
 pub mod waytable;
 pub mod wdu;
 
 pub use baseline::BaselineInterface;
 pub use compare::{Alpha, CompareStats, DeltaSummary, PairedSample, Verdict};
-pub use digest::{digest, read_summary, summary_to_bytes, write_summary};
+pub use digest::{digest, read_summary, summary_to_bytes};
 pub use malec::MalecInterface;
 pub use metrics::{InterfaceStats, RunSummary};
 pub use sim::Simulator;

@@ -189,11 +189,6 @@ impl MalecInterface {
         &self.mmu
     }
 
-    /// The WDU coverage, when the WDU substitutes the way tables.
-    pub fn wdu_coverage(&self) -> Option<f64> {
-        self.wdu.as_ref().map(Wdu::coverage)
-    }
-
     fn vpage_of(&self, op: &MemOp) -> VPageId {
         self.config.page.vpage_of(op.vaddr)
     }
@@ -871,7 +866,7 @@ mod tests {
         run_until_done(&mut i, 601, 1);
         // Reduced twice: the post-fill replay and the second access.
         assert_eq!(i.stats().reduced_accesses, 2);
-        assert!(i.wdu_coverage().is_some());
+        assert!(i.wdu.is_some());
         assert!(i.counters().wdu_lookups >= 2);
     }
 

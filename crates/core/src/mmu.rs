@@ -129,30 +129,9 @@ impl Mmu {
         self.tlb.lookup_by_ppage(ppage).map(|(s, _)| s)
     }
 
-    /// TLB slot currently holding `vpage` (no statistics side effects).
-    pub fn tlb_slot_of_vpage(&self, vpage: VPageId) -> Option<usize> {
-        self.tlb
-            .lookup_by_ppage(self.peek_translate(vpage)?)
-            .map(|(s, _)| s)
-    }
-
-    /// Physical page for `vpage` if it is currently cached in the TLB
-    /// (no state change).
-    fn peek_translate(&self, vpage: VPageId) -> Option<PPageId> {
-        (0..self.tlb.capacity())
-            .filter_map(|s| self.tlb.entry(s))
-            .find(|e| e.vpage == vpage)
-            .map(|e| e.ppage)
-    }
-
     /// uTLB hit/miss statistics.
     pub fn utlb_stats(&self) -> (u64, u64) {
         (self.utlb.hits(), self.utlb.misses())
-    }
-
-    /// TLB hit/miss statistics.
-    pub fn tlb_stats(&self) -> (u64, u64) {
-        (self.tlb.hits(), self.tlb.misses())
     }
 }
 

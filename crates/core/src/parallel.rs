@@ -29,14 +29,13 @@ pub fn worker_count() -> usize {
 /// The number of workers [`parallel_map`] actually runs for `items` items —
 /// [`worker_count`] capped by the item count (a 24-cell sweep never spawns
 /// 32 threads). This is the figure reports should quote.
-pub fn workers_used(items: usize) -> usize {
+fn workers_used(items: usize) -> usize {
     worker_count().min(items).max(1)
 }
 
-/// [`workers_used`] with an optional operator-imposed cap (the `--jobs N`
-/// flag of `malec-cli run`, `compare` and `serve`): the
-/// fan-out for `items` items, never exceeding `cap`. `Some(0)` and
-/// `Some(1)` both mean serial.
+/// The fan-out for `items` items under an optional operator-imposed cap
+/// (the `--jobs N` flag of `malec-cli run`, `compare` and `serve`): never
+/// more than `cap`. `Some(0)` and `Some(1)` both mean serial.
 pub fn workers_for(items: usize, cap: Option<usize>) -> usize {
     workers_used(items).min(cap.unwrap_or(usize::MAX)).max(1)
 }

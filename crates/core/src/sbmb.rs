@@ -113,8 +113,6 @@ pub struct MergeBuffer {
     entries: VecDeque<MbEntry>,
     capacity: usize,
     line_shift: u32,
-    merged_stores: u64,
-    allocations: u64,
 }
 
 impl MergeBuffer {
@@ -130,8 +128,6 @@ impl MergeBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             line_shift,
-            merged_stores: 0,
-            allocations: 0,
         }
     }
 
@@ -146,7 +142,6 @@ impl MergeBuffer {
         let line = self.line_of(&op);
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.merged += 1;
-            self.merged_stores += 1;
             return None;
         }
         let evicted = if self.entries.len() == self.capacity {
@@ -154,18 +149,12 @@ impl MergeBuffer {
         } else {
             None
         };
-        self.allocations += 1;
         self.entries.push_back(MbEntry {
             line,
             rep: op,
             merged: 1,
         });
         evicted
-    }
-
-    /// Checks whether `line` currently has an MB entry (lookup for loads).
-    pub fn holds_line(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
     }
 
     /// Drains one entry for end-of-run cleanup.
@@ -181,16 +170,6 @@ impl MergeBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Stores that were merged into existing entries (L1 writes avoided).
-    pub fn merged_stores(&self) -> u64 {
-        self.merged_stores
-    }
-
-    /// Entries allocated over the run.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
     }
 }
 
@@ -226,8 +205,7 @@ mod tests {
         assert!(mb.insert(st(2, 0x104)).is_none()); // same 64B line
         assert!(mb.insert(st(3, 0x13c)).is_none()); // still same line
         assert_eq!(mb.len(), 1);
-        assert_eq!(mb.merged_stores(), 2);
-        assert_eq!(mb.allocations(), 1);
+        assert_eq!(mb.pop().unwrap().merged, 3, "one entry holds all three");
     }
 
     #[test]
@@ -238,9 +216,8 @@ mod tests {
         let ev = mb.insert(st(3, 0x080)).expect("full MB evicts");
         assert_eq!(ev.line, LineAddr::new(0));
         assert_eq!(mb.len(), 2);
-        assert!(mb.holds_line(LineAddr::new(1)));
-        assert!(mb.holds_line(LineAddr::new(2)));
-        assert!(!mb.holds_line(LineAddr::new(0)));
+        let held: Vec<LineAddr> = mb.entries.iter().map(|e| e.line).collect();
+        assert_eq!(held, [LineAddr::new(1), LineAddr::new(2)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! seeded draw per cell; this module is what turns a cell into a
 //! *distribution*. A [`Welford`] accumulator ingests one metric value per
 //! replicate in a single numerically stable pass (no stored sample vector,
-//! no cancellation-prone `Σx²`), and [`Welford::ci95_half_width`] prices the
+//! no cancellation-prone `Σx²`), and its 95 % CI half-width prices the
 //! uncertainty with the two-sided Student-t 95 % quantile, so small
 //! replicate counts get honestly wide intervals instead of the normal
 //! approximation's false confidence.
@@ -146,7 +146,7 @@ impl Welford {
     /// `t_{0.975, n-1} · s / √n`. `None` below two observations (one draw
     /// carries no width information).
     #[must_use]
-    pub fn ci95_half_width(&self) -> Option<f64> {
+    fn ci95_half_width(&self) -> Option<f64> {
         let s = self.std_dev()?;
         Some(t95(self.n - 1) * s / (self.n as f64).sqrt())
     }
@@ -156,53 +156,10 @@ impl Welford {
     /// mean is (numerically) zero, in which case a relative target can
     /// never be certified.
     #[must_use]
-    pub fn relative_ci95(&self) -> Option<f64> {
+    fn relative_ci95(&self) -> Option<f64> {
         let hw = self.ci95_half_width()?;
         let m = self.mean.abs();
         (m > f64::EPSILON).then(|| hw / m)
-    }
-
-    /// Which [`StatError`] the current sample count implies for a
-    /// statistic needing `need` observations (1 for extrema, 2 for spread).
-    fn short_of(&self, need: u64) -> StatError {
-        debug_assert!(self.n < need);
-        if self.n == 0 {
-            StatError::Empty
-        } else {
-            StatError::OneSample
-        }
-    }
-
-    /// [`Self::min`] with the failure mode spelled out: `Err(Empty)` for an
-    /// empty accumulator, never `NaN`.
-    ///
-    /// # Errors
-    ///
-    /// [`StatError::Empty`] with no observations.
-    pub fn try_min(&self) -> Result<f64, StatError> {
-        self.min().ok_or(StatError::Empty)
-    }
-
-    /// [`Self::max`] with the failure mode spelled out: `Err(Empty)` for an
-    /// empty accumulator, never `NaN`.
-    ///
-    /// # Errors
-    ///
-    /// [`StatError::Empty`] with no observations.
-    pub fn try_max(&self) -> Result<f64, StatError> {
-        self.max().ok_or(StatError::Empty)
-    }
-
-    /// [`Self::ci95_half_width`] with the failure mode spelled out:
-    /// `Err(Empty)` for zero samples, `Err(OneSample)` for one (a single
-    /// draw has no interval), never `NaN` and never an infinite width.
-    ///
-    /// # Errors
-    ///
-    /// [`StatError::Empty`] / [`StatError::OneSample`] below two
-    /// observations.
-    pub fn try_ci95(&self) -> Result<f64, StatError> {
-        self.ci95_half_width().ok_or_else(|| self.short_of(2))
     }
 }
 
@@ -249,7 +206,7 @@ impl CiMetric {
 /// Total priced energy divided by committed memory accesses (loads +
 /// stores); 0 for a run with no memory traffic.
 #[must_use]
-pub fn energy_per_access(s: &RunSummary) -> f64 {
+fn energy_per_access(s: &RunSummary) -> f64 {
     let accesses = s.core.loads + s.core.stores;
     if accesses == 0 {
         0.0
@@ -563,14 +520,12 @@ mod tests {
     }
 
     /// Pins the small-sample contract: n = 0 and n = 1 queries are
-    /// well-defined *errors* — never `NaN`, never an infinite or sentinel
+    /// well-defined `None`s — never `NaN`, never an infinite or sentinel
     /// width that a report would happily print.
     #[test]
     fn empty_and_single_sample_queries_are_errors_not_nan() {
         let empty = Welford::new();
-        assert_eq!(empty.try_min(), Err(StatError::Empty));
-        assert_eq!(empty.try_max(), Err(StatError::Empty));
-        assert_eq!(empty.try_ci95(), Err(StatError::Empty));
+        assert!(empty.ci95_half_width().is_none());
         assert_eq!(empty.min(), None);
         assert_eq!(empty.max(), None);
         assert!(!empty.mean().is_nan(), "empty mean is 0, not NaN");
@@ -578,9 +533,9 @@ mod tests {
 
         let mut one = Welford::new();
         one.push(7.25);
-        assert_eq!(one.try_min(), Ok(7.25), "one sample has an extremum");
-        assert_eq!(one.try_max(), Ok(7.25));
-        assert_eq!(one.try_ci95(), Err(StatError::OneSample));
+        assert_eq!(one.min(), Some(7.25), "one sample has an extremum");
+        assert_eq!(one.max(), Some(7.25));
+        assert!(one.ci95_half_width().is_none(), "one draw has no interval");
         assert!(one.variance().is_none(), "spread needs two samples");
         // The error values explain themselves (they reach spec users).
         assert!(StatError::Empty.to_string().contains("no samples"));
@@ -675,5 +630,23 @@ mod tests {
         let s = &replicates(1)[0];
         assert!(CiMetric::Ipc.extract(s) > 0.0);
         assert!(CiMetric::EnergyPerAccess.extract(s) > 0.0);
+    }
+
+    #[test]
+    fn energy_per_access_prices_committed_loads_and_stores() {
+        let mut s = replicates(1).remove(0);
+        let accesses = s.core.loads + s.core.stores;
+        assert!(s.core.loads > 0 && s.core.stores > 0);
+        assert_eq!(
+            energy_per_access(&s).to_bits(),
+            (s.energy.total() / accesses as f64).to_bits()
+        );
+        s.core.loads = 0;
+        s.core.stores = 0;
+        assert_eq!(
+            energy_per_access(&s).to_bits(),
+            0.0f64.to_bits(),
+            "a run without memory traffic prices to 0, not NaN"
+        );
     }
 }

@@ -122,11 +122,6 @@ impl Wdu {
         }
     }
 
-    /// Lookups performed (each costs a multi-ported CAM search).
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
     /// Valid hits (reduced accesses enabled).
     pub fn hits(&self) -> u64 {
         self.hits
@@ -154,7 +149,7 @@ mod tests {
         assert_eq!(w.lookup(line), None);
         w.record(line, WayId(1));
         assert_eq!(w.lookup(line), Some(WayId(1)));
-        assert_eq!(w.lookups(), 2);
+        assert_eq!(w.lookups, 2);
         assert_eq!(w.hits(), 1);
         assert!((w.coverage() - 0.5).abs() < 1e-12);
     }

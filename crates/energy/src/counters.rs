@@ -119,64 +119,6 @@ impl EnergyCounters {
         self.l1_tag_bank_writes += 1;
         self.l1_data_subblock_writes += u64::from(sub_blocks_per_line);
     }
-
-    /// Sum of all raw counter fields — useful for sanity checks.
-    pub fn total_events(&self) -> u64 {
-        let Self {
-            l1_tag_bank_reads,
-            l1_data_subblock_reads,
-            l1_data_subblock_writes,
-            l1_tag_bank_writes,
-            utlb_lookups,
-            utlb_fills,
-            utlb_reverse_lookups,
-            tlb_lookups,
-            tlb_fills,
-            tlb_reverse_lookups,
-            uwt_reads,
-            uwt_writes,
-            uwt_bit_updates,
-            wt_reads,
-            wt_writes,
-            wt_bit_updates,
-            wdu_lookups,
-            wdu_writes,
-            sb_lookups_full,
-            sb_lookups_page_segment,
-            sb_lookups_narrow,
-            mb_lookups_full,
-            mb_lookups_page_segment,
-            mb_lookups_narrow,
-            input_buffer_compares,
-            arbitration_compares,
-        } = *self;
-        l1_tag_bank_reads
-            + l1_data_subblock_reads
-            + l1_data_subblock_writes
-            + l1_tag_bank_writes
-            + utlb_lookups
-            + utlb_fills
-            + utlb_reverse_lookups
-            + tlb_lookups
-            + tlb_fills
-            + tlb_reverse_lookups
-            + uwt_reads
-            + uwt_writes
-            + uwt_bit_updates
-            + wt_reads
-            + wt_writes
-            + wt_bit_updates
-            + wdu_lookups
-            + wdu_writes
-            + sb_lookups_full
-            + sb_lookups_page_segment
-            + sb_lookups_narrow
-            + mb_lookups_full
-            + mb_lookups_page_segment
-            + mb_lookups_narrow
-            + input_buffer_compares
-            + arbitration_compares
-    }
 }
 
 impl Add for EnergyCounters {
@@ -260,16 +202,5 @@ mod tests {
         assert_eq!(c.utlb_lookups, 8);
         assert_eq!(c.wt_reads, 2);
         assert_eq!(c.wdu_lookups, 7);
-        assert_eq!(c.total_events(), 17);
-    }
-
-    #[test]
-    fn total_events_counts_everything() {
-        let mut c = EnergyCounters::new();
-        c.input_buffer_compares = 1;
-        c.arbitration_compares = 2;
-        c.sb_lookups_page_segment = 3;
-        c.mb_lookups_narrow = 4;
-        assert_eq!(c.total_events(), 10);
     }
 }

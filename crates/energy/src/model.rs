@@ -57,7 +57,7 @@ impl EnergyBreakdown {
 /// attribute energy to. Deserializers intern decoded names through this
 /// list, so [`StructureEnergy::name`] stays `&'static str` even for
 /// breakdowns loaded back from a persisted result cache.
-pub const STRUCTURE_NAMES: &[&str] = &[
+const STRUCTURE_NAMES: &[&str] = &[
     "L1 tag arrays",
     "L1 data arrays",
     "uTLB",
@@ -124,7 +124,7 @@ impl EnergyModel {
     }
 
     /// Builds the model with explicit technology parameters.
-    pub fn with_params(config: &SimConfig, params: SramParams) -> Self {
+    fn with_params(config: &SimConfig, params: SramParams) -> Self {
         let page_bits = u64::from(config.address_bits - config.page.page_offset_bits());
         let line_offset_bits = u64::from(config.page.line_offset_bits());
         let in_page_line_bits = u64::from(config.address_bits) - page_bits - line_offset_bits;

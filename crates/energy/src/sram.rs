@@ -52,7 +52,7 @@ pub struct SramParams {
 impl SramParams {
     /// Calibrated 32 nm-like defaults (low dynamic power objective,
     /// low-standby-power cells, high-performance peripherals — Table II).
-    pub const fn paper_32nm() -> Self {
+    const fn paper_32nm() -> Self {
         Self {
             c_decode: 0.08,
             c_bitline: 0.55,

@@ -88,16 +88,6 @@ impl BackingMemory {
         self.l2.fill(set, tag, None);
     }
 
-    /// L2 hit count.
-    pub fn l2_hits(&self) -> u64 {
-        self.l2_hits
-    }
-
-    /// L2 miss count.
-    pub fn l2_misses(&self) -> u64 {
-        self.l2_misses
-    }
-
     /// L2 miss rate over backing fetches (0 if none).
     pub fn l2_miss_rate(&self) -> f64 {
         let total = self.l2_hits + self.l2_misses;
@@ -123,8 +113,8 @@ mod tests {
         let line = LineAddr::new(42);
         assert_eq!(m.fetch(line), (BackingOutcome::DramFill, 66));
         assert_eq!(m.fetch(line), (BackingOutcome::L2Hit, 12));
-        assert_eq!(m.l2_hits(), 1);
-        assert_eq!(m.l2_misses(), 1);
+        assert_eq!(m.l2_hits, 1);
+        assert_eq!(m.l2_misses, 1);
     }
 
     #[test]
@@ -142,12 +132,12 @@ mod tests {
         for i in 0..lines {
             m.fetch(LineAddr::new(i));
         }
-        let misses_before = m.l2_misses();
+        let misses_before = m.l2_misses;
         for i in 0..lines {
             m.fetch(LineAddr::new(i));
         }
         assert!(
-            m.l2_misses() > misses_before,
+            m.l2_misses > misses_before,
             "a 2x-capacity sweep must keep missing"
         );
     }

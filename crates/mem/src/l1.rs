@@ -5,7 +5,7 @@
 //! tables can maintain their validity bits ("validity bits are set/reset on
 //! cache line fills/evictions", Sec. V).
 
-use malec_types::addr::{BankId, LineAddr, WayId};
+use malec_types::addr::{LineAddr, WayId};
 use malec_types::geometry::CacheGeometry;
 
 use crate::bank::CacheBank;
@@ -62,11 +62,6 @@ impl BankedL1 {
     /// The cache geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// Bank servicing `line`.
-    pub fn bank_of(&self, line: LineAddr) -> BankId {
-        self.geometry.bank_of_line(line)
     }
 
     /// Looks up a physical line, updating LRU and hit/miss statistics.
@@ -153,7 +148,9 @@ mod tests {
     #[test]
     fn adjacent_lines_hit_different_banks() {
         let l1 = l1();
-        let b: Vec<u8> = (0..4).map(|i| l1.bank_of(LineAddr::new(i)).0).collect();
+        let b: Vec<u8> = (0..4)
+            .map(|i| l1.geometry().bank_of_line(LineAddr::new(i)).0)
+            .collect();
         assert_eq!(b, [0, 1, 2, 3]);
     }
 

@@ -18,7 +18,7 @@
 //!   ver   u8            — the KEY_VERSION the record was written under
 //!   len   u32           — byte length of the summary encoding
 //!   sum   u64           — FNV-1a-64 over key ‖ ver ‖ len ‖ body
-//!   body  [u8; len]     — malec_core::digest::write_summary encoding
+//!   body  [u8; len]     — malec_core::digest::summary_to_bytes encoding
 //! ```
 //!
 //! On open, the log is replayed into memory. Recovery salvages the
@@ -625,7 +625,7 @@ impl ResultCache {
     /// Bytes of the log occupied by dead records: duplicates superseded by
     /// a newer append, stale-`KEY_VERSION` records, and records whose keys
     /// were evicted from memory.
-    pub fn dead_bytes(&self) -> u64 {
+    fn dead_bytes(&self) -> u64 {
         self.stats
             .log_bytes
             .saturating_sub(HEADER_LEN)

@@ -78,7 +78,7 @@ impl RetryPolicy {
 
     /// The delay before retry `attempt` (1-based) of a call to `path`.
     #[must_use]
-    pub fn backoff(&self, attempt: u32, path: &str) -> Duration {
+    fn backoff(&self, attempt: u32, path: &str) -> Duration {
         let exp = attempt.min(20).saturating_sub(1);
         let ceiling = self
             .base
@@ -98,7 +98,7 @@ impl RetryPolicy {
     /// The delay before retry `attempt` of a call to `path`: the server's
     /// `Retry-After` when it sent one, clamped to [`cap`](Self::cap) — one
     /// misbehaving peer must not park a client for a day — and the computed
-    /// [`backoff`](Self::backoff) otherwise.
+    /// backoff otherwise.
     fn retry_delay(&self, attempt: u32, path: &str, retry_after: Option<u64>) -> Duration {
         retry_after.map_or_else(
             || self.backoff(attempt, path),
@@ -503,39 +503,43 @@ impl Client {
         }
     }
 
-    /// Submits `spec` and waits for `done`, resubmitting up to `resubmits`
-    /// times if the job **fails** (a worker panic, say). Resubmission is
-    /// cheap and safe: cells that completed before the failure were cached,
-    /// so each retry re-simulates only the cells that actually failed.
+    /// Waits for `job`, already submitted from `spec`, to reach `done`; if
+    /// it **fails** (a worker panic, say), backs off and resubmits `spec`,
+    /// up to `resubmits` times. Resubmission is cheap and safe: cells that
+    /// completed before the failure were cached, so each round re-simulates
+    /// only the cells that actually failed. Each round waits up to
+    /// `round_timeout`. Returns the id and view of the job that finished.
     ///
     /// # Errors
     ///
-    /// Returns a message if the spec is rejected, the deadline passes, or
-    /// every submission fails.
-    pub fn run_to_completion(
+    /// Returns a message if a resubmission is rejected, a round's wait
+    /// fails, or the last allowed submission fails too.
+    pub fn wait_with_resubmits(
         &self,
         spec: &str,
-        timeout: Duration,
+        mut job: u64,
+        round_timeout: Duration,
         resubmits: u32,
-    ) -> Result<JobView, String> {
-        let deadline = Instant::now() + timeout;
-        let mut last = String::new();
-        for round in 0..=resubmits {
-            let job = self.submit(spec)?;
-            let left = deadline.saturating_duration_since(Instant::now());
-            let view = self.wait(job, left)?;
+    ) -> Result<(u64, JobView), String> {
+        let mut round = 0u32;
+        loop {
+            let view = self.wait(job, round_timeout)?;
             if view.state == "done" {
-                return Ok(view);
+                return Ok((job, view));
             }
-            last = view.error.unwrap_or_else(|| "unknown failure".to_owned());
-            if round < resubmits {
-                std::thread::sleep(self.retry.backoff(round + 1, "resubmit"));
+            round += 1;
+            let detail = view.error.as_deref().unwrap_or("unknown failure");
+            if round > resubmits {
+                return Err(format!(
+                    "job {job} failed after {round} submission(s): {detail}"
+                ));
             }
+            eprintln!(
+                "malec-serve: job {job} failed ({detail}); resubmitting ({round}/{resubmits})"
+            );
+            std::thread::sleep(self.retry.backoff(round, "resubmit"));
+            job = self.submit(spec)?;
         }
-        Err(format!(
-            "job failed after {} submission(s): {last}",
-            u64::from(resubmits) + 1
-        ))
     }
 
     /// Fetches a finished job's report JSON (the `malec-cli run` schema).
@@ -614,13 +618,6 @@ impl Client {
         self.call_json("POST", "/v1/shutdown", b"").map(|_| ())
     }
 
-    /// Whether a server is answering at this address.
-    pub fn healthy(&self) -> bool {
-        self.call_json("GET", "/v1/healthz", b"")
-            .map(|v| v.get("ok").and_then(Value::as_bool) == Some(true))
-            .unwrap_or(false)
-    }
-
     /// The peer set a sharded server is configured with (self included),
     /// from `/v1/healthz`. Empty for a standalone or pre-sharding server.
     ///
@@ -655,7 +652,6 @@ mod tests {
             .spawn()
             .expect("spawn");
         let client = Client::new(server.addr().to_string());
-        assert!(client.healthy());
 
         let job = client.submit(SPEC).expect("submit");
         let view = client.wait(job, Duration::from_secs(60)).expect("wait");
@@ -789,14 +785,33 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_recovers_from_a_worker_panic() {
+    fn wait_with_resubmits_recovers_from_a_worker_panic() {
         let server = faulty_server(&[("worker.panic", 1, None)]);
         let client = Client::new(server.addr().to_string());
-        let view = client
-            .run_to_completion(SPEC, Duration::from_secs(60), 1)
+        let first = client.submit(SPEC).expect("submit");
+        let (job, view) = client
+            .wait_with_resubmits(SPEC, first, Duration::from_secs(60), 1)
             .expect("second submission completes");
+        assert_ne!(job, first, "the finished job is the resubmission");
+        assert_eq!(view.job, job);
         assert_eq!(view.state, "done");
         assert_eq!(view.pending, 0);
+        client.shutdown().expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn wait_with_resubmits_keeps_a_job_that_finishes_first_time() {
+        let server = faulty_server(&[]);
+        let client = Client::new(server.addr().to_string());
+        let first = client.submit(SPEC).expect("submit");
+        let (job, view) = client
+            .wait_with_resubmits(SPEC, first, Duration::from_secs(60), 3)
+            .expect("the first submission completes");
+        assert_eq!(job, first, "no failure, no resubmission");
+        assert_eq!(view.job, first);
+        assert_eq!(view.state, "done");
+        assert_eq!(view.simulated, view.cells, "simulated once, not retried");
         client.shutdown().expect("shutdown");
         server.join().expect("clean exit");
     }
@@ -943,12 +958,13 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_gives_up_after_the_resubmit_budget() {
+    fn wait_with_resubmits_gives_up_after_the_resubmit_budget() {
         // Arm enough panics to defeat one resubmission.
         let server = faulty_server(&[("worker.panic", 1, None), ("worker.panic", 3, None)]);
         let client = Client::new(server.addr().to_string());
+        let first = client.submit(SPEC).expect("submit");
         let err = client
-            .run_to_completion(SPEC, Duration::from_secs(60), 1)
+            .wait_with_resubmits(SPEC, first, Duration::from_secs(60), 1)
             .expect_err("both submissions fail");
         assert!(err.contains("after 2 submission(s)"), "{err}");
         assert!(err.contains("panic:"), "{err}");

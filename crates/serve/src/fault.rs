@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use crate::sync::lock;
 
 /// The environment variable [`Faults::from_env`] reads.
-pub const FAULTS_ENV: &str = "MALEC_FAULTS";
+const FAULTS_ENV: &str = "MALEC_FAULTS";
 
 /// What a fired failpoint does at its site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,7 +103,7 @@ impl std::error::Error for FaultParseError {}
 
 /// The failpoint names the serving code compiles in. Arming any other name
 /// is a schedule typo and is rejected loudly.
-pub const KNOWN_POINTS: &[&str] = &[
+const KNOWN_POINTS: &[&str] = &[
     "worker.panic",
     "worker.loop.panic",
     "cache.append.torn",
@@ -205,7 +205,7 @@ impl Faults {
     ///
     /// # Panics
     ///
-    /// Panics on a name outside [`KNOWN_POINTS`] — tests arming a
+    /// Panics on a name outside the compiled-in failpoints — tests arming a
     /// nonexistent site would otherwise silently test nothing.
     pub fn arm(&self, name: &str, at: u64, param: Option<u64>) {
         let action =

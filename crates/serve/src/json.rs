@@ -85,7 +85,7 @@ impl Value {
     }
 
     /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,

@@ -681,7 +681,7 @@ impl Engine {
     /// then the oldest beyond the retention count. Runs at every submit;
     /// results stay in the cache — only per-job bookkeeping goes, and
     /// evicted ids answer like unknown ids.
-    pub fn expire_terminal(&self) {
+    fn expire_terminal(&self) {
         let mut jobs = lock(&self.inner.jobs);
         if let Some(ttl) = self.inner.job_ttl {
             let now = Instant::now();

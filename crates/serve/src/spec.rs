@@ -24,13 +24,13 @@ pub const DEFAULT_INSTS: u64 = 20_000;
 /// Default seed (the repository-wide reproducibility seed).
 pub const DEFAULT_SEED: u64 = 2013;
 /// Default mandatory replicates before a `ci_target` may stop a cell.
-pub const DEFAULT_MIN_SEEDS: u32 = 3;
+const DEFAULT_MIN_SEEDS: u32 = 3;
 /// Upper bound on `seeds`. Statistically, t-based CIs stop narrowing
 /// meaningfully long before this; operationally, the scheduler eagerly
 /// shards `configs x seeds` work units per submission, so an unbounded
 /// knob would let one tiny POST body demand a multi-gigabyte allocation
 /// (the same one-request kill class as unbounded parser nesting).
-pub const MAX_SEEDS: u32 = 1024;
+const MAX_SEEDS: u32 = 1024;
 
 /// A fully resolved sweep spec.
 #[derive(Clone, Debug)]

@@ -11,8 +11,7 @@
 //!
 //! MALEC's mechanisms only observe the *statistics* of the reference stream —
 //! page-transition run lengths, line adjacency, reorderability, miss rates —
-//! so matching those axes is what makes the reproduction meaningful. See
-//! DESIGN.md §1 for the substitution argument.
+//! so matching those axes is what makes the reproduction meaningful.
 //!
 //! * [`inst`] — the trace instruction vocabulary ([`TraceInst`]);
 //! * [`profile`] — benchmark profiles and suites ([`BenchmarkProfile`],
@@ -26,7 +25,7 @@
 //! * [`seed`] — SplitMix64 replicate-seed derivation for multi-seed
 //!   replication ([`replicate_seed`]);
 //! * [`stats`] — Fig. 1 statistics (consecutive same-page access runs with
-//!   allowed intermediates) and same-line adjacency.
+//!   allowed intermediates).
 //!
 //! [`TraceInst`]: inst::TraceInst
 //! [`BenchmarkProfile`]: profile::BenchmarkProfile
@@ -55,7 +54,7 @@ pub mod stats;
 pub use generate::WorkloadGenerator;
 pub use inst::{DepDistance, TraceInst};
 pub use profile::{all_benchmarks, benchmark_named, benchmarks_of, BenchmarkProfile, Suite};
-pub use record::{read_trace, write_trace, TraceReader, TraceWriter, MTR_EXTENSION};
+pub use record::{read_trace, write_trace, TraceReader, TraceWriter};
 pub use scenario::{Composition, MixPart, Phase, Scenario, ScenarioGenerator, SegmentKind};
 pub use seed::{replicate_seed, splitmix64};
-pub use stats::{page_locality_ratios, run_length_buckets, same_line_adjacency, RunLengthBuckets};
+pub use stats::{page_locality_ratios, run_length_buckets, RunLengthBuckets};

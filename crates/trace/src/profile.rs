@@ -1,7 +1,8 @@
 //! Benchmark profiles: one calibrated parameter set per benchmark named in
 //! the paper's Fig. 4.
 //!
-//! Each profile captures the axes MALEC is sensitive to (see DESIGN.md §1):
+//! Each profile captures the axes MALEC is sensitive to (the crate docs say
+//! why matching them is enough):
 //! how much of the instruction stream references memory, how references
 //! cluster into pages and lines, how large the working set is (miss-rate
 //! class), and how serialized the stream is (dependencies limit the Input

@@ -4,7 +4,7 @@
 //! portable across tool versions, lets external (real) traces drive the
 //! simulator, and lets any scenario be recorded once and replayed
 //! bit-identically. The format is a compact little-endian byte stream,
-//! conventionally stored with the [`MTR_EXTENSION`] (`.mtr`):
+//! conventionally stored with the `.mtr` extension:
 //!
 //! ```text
 //! magic "MLCT"  version u8
@@ -31,9 +31,6 @@ use std::io::{self, Read, Write};
 use malec_types::addr::VAddr;
 
 use crate::inst::TraceInst;
-
-/// Conventional file extension of this trace format.
-pub const MTR_EXTENSION: &str = "mtr";
 
 const MAGIC: &[u8; 4] = b"MLCT";
 const VERSION: u8 = 1;

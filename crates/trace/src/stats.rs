@@ -1,5 +1,5 @@
 //! Fig. 1 statistics: consecutive same-page access runs with allowed
-//! intermediates, plus the same-line adjacency that motivates load merging.
+//! intermediates.
 //!
 //! The paper's Fig. 1 plots, for each benchmark and for n ∈ {0, 1, 2, 3, 4,
 //! 8} allowed intermediate accesses to a *different* page, the share of
@@ -30,7 +30,7 @@ pub struct RunLengthBuckets {
 impl RunLengthBuckets {
     /// Share of loads that belong to a run of length ≥ 2, i.e. loads that
     /// are followed (within the allowed intermediates) by a same-page load.
-    pub fn grouped_share(&self) -> f64 {
+    fn grouped_share(&self) -> f64 {
         self.pair + self.three_to_four + self.five_to_eight + self.more_than_eight
     }
 }
@@ -110,16 +110,6 @@ pub fn page_locality_ratios(pages: &[VPageId], allowed: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Share of accesses directly followed by an access to the same cache line
-/// (Sec. III reports 46 % for loads; this motivates load merging).
-pub fn same_line_adjacency(lines: &[u64]) -> f64 {
-    if lines.len() < 2 {
-        return 0.0;
-    }
-    let same = lines.windows(2).filter(|w| w[0] == w[1]).count();
-    same as f64 / (lines.len() - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +119,16 @@ mod tests {
 
     fn p(v: u64) -> VPageId {
         VPageId::new(v)
+    }
+
+    /// Share of accesses directly followed by an access to the same cache
+    /// line (Sec. III reports 46 % for loads; this motivates load merging).
+    fn same_line_adjacency(lines: &[u64]) -> f64 {
+        if lines.len() < 2 {
+            return 0.0;
+        }
+        let same = lines.windows(2).filter(|w| w[0] == w[1]).count();
+        same as f64 / (lines.len() - 1) as f64
     }
 
     #[test]

@@ -164,18 +164,6 @@ impl fmt::Display for SetIndex {
     }
 }
 
-/// Index of a 128-bit sub-block within a cache line (4 per 64 B line).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-pub struct SubBlockId(pub u8);
-
-impl fmt::Display for SubBlockId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sub{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +206,6 @@ mod tests {
         assert_eq!(BankId(2).to_string(), "bank2");
         assert_eq!(WayId(3).to_string(), "way3");
         assert_eq!(SetIndex(7).to_string(), "set7");
-        assert_eq!(SubBlockId(1).to_string(), "sub1");
     }
 
     #[test]

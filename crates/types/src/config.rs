@@ -67,7 +67,7 @@ impl LatencyVariant {
     }
 
     /// Suffix used in figure labels ("", "_1cycleL1", "_3cycleL1").
-    pub const fn label_suffix(self) -> &'static str {
+    const fn label_suffix(self) -> &'static str {
         match self {
             LatencyVariant::OneCycle => "_1cycleL1",
             LatencyVariant::TwoCycle => "",
@@ -136,11 +136,6 @@ impl PortConfig {
     pub const fn read_capable(self) -> u8 {
         self.rw + self.rd
     }
-
-    /// Number of ports usable for writes.
-    pub const fn write_capable(self) -> u8 {
-        self.rw + self.wr
-    }
 }
 
 impl Default for PortConfig {
@@ -158,23 +153,6 @@ pub struct AgwConfig {
     pub store_only: u8,
     /// AGU slots usable by either.
     pub shared: u8,
-}
-
-impl AgwConfig {
-    /// Maximum loads that can compute an address this cycle.
-    pub const fn max_loads(self) -> u8 {
-        self.load_only + self.shared
-    }
-
-    /// Maximum stores that can compute an address this cycle.
-    pub const fn max_stores(self) -> u8 {
-        self.store_only + self.shared
-    }
-
-    /// Maximum total memory operations per cycle.
-    pub const fn max_total(self) -> u8 {
-        self.load_only + self.store_only + self.shared
-    }
 }
 
 /// Complete simulation configuration: interface kind, latency variant,
@@ -464,15 +442,16 @@ mod tests {
 
     #[test]
     fn table1_agus() {
-        assert_eq!(SimConfig::base1ldst().agus().max_total(), 1);
-        let b2 = SimConfig::base2ld1st().agus();
-        assert_eq!(b2.max_loads(), 2);
-        assert_eq!(b2.max_stores(), 1);
-        assert_eq!(b2.max_total(), 3);
-        let m = SimConfig::malec().agus();
-        assert_eq!(m.max_loads(), 3);
-        assert_eq!(m.max_stores(), 2);
-        assert_eq!(m.max_total(), 3);
+        let agus = |load_only, store_only, shared| AgwConfig {
+            load_only,
+            store_only,
+            shared,
+        };
+        // Base1ldst: 1 memory op a cycle; Base2ld1st: 2 loads + 1 store;
+        // MALEC: 3 ops, up to 3 loads or 2 stores.
+        assert_eq!(SimConfig::base1ldst().agus(), agus(0, 0, 1));
+        assert_eq!(SimConfig::base2ld1st().agus(), agus(2, 1, 0));
+        assert_eq!(SimConfig::malec().agus(), agus(1, 0, 2));
     }
 
     #[test]
@@ -573,8 +552,9 @@ mod tests {
     fn wide_malec_overrides_agus() {
         let wide = SimConfig::malec_wide();
         wide.validate().expect("wide MALEC validates");
-        assert_eq!(wide.agus().max_loads(), 4);
-        assert_eq!(wide.agus().max_stores(), 2);
+        let agus = wide.agus();
+        assert_eq!(agus.load_only + agus.shared, 4, "max loads a cycle");
+        assert_eq!(agus.store_only + agus.shared, 2, "max stores a cycle");
         // Ports stay single: that is the whole point of page grouping.
         assert_eq!(wide.tlb_ports(), PortConfig::SINGLE);
         assert_eq!(wide.cache_ports(), PortConfig::SINGLE);

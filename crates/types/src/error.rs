@@ -67,13 +67,6 @@ impl FailureKind {
             Self::Invalid => "invalid",
         }
     }
-
-    /// Whether an identical retry can succeed. Panics and timeouts are
-    /// transient for pure content-addressed work; invalid requests never
-    /// are.
-    pub const fn retryable(self) -> bool {
-        !matches!(self, Self::Invalid)
-    }
 }
 
 impl fmt::Display for FailureKind {
@@ -138,9 +131,6 @@ mod tests {
         let f = Failure::panic("cell blew up");
         assert_eq!(f.kind.tag(), "panic");
         assert_eq!(f.to_string(), "panic: cell blew up");
-        assert!(f.kind.retryable());
-        assert!(!FailureKind::Invalid.retryable());
-        assert!(FailureKind::Timeout.retryable());
         assert_eq!(FailureKind::Unavailable.tag(), "unavailable");
     }
 }

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{BankId, LineAddr, PAddr, PPageId, SetIndex, SubBlockId, VAddr, VPageId};
+use crate::addr::{BankId, LineAddr, SetIndex, VAddr, VPageId};
 use crate::error::ConfigError;
 
 /// Page geometry: page size and cache-line size, from which every
@@ -91,12 +91,6 @@ impl PageGeometry {
         VPageId::new(a.raw() >> self.page_offset_bits())
     }
 
-    /// Physical page id of a physical address.
-    #[inline]
-    pub fn ppage_of(self, a: PAddr) -> PPageId {
-        PPageId::new(a.raw() >> self.page_offset_bits())
-    }
-
     /// Line-aligned address (physical or virtual raw value).
     #[inline]
     pub fn line_of(self, raw: u64) -> LineAddr {
@@ -107,22 +101,6 @@ impl PageGeometry {
     #[inline]
     pub fn line_in_page(self, raw: u64) -> u8 {
         ((raw >> self.line_offset_bits()) & u64::from(self.lines_per_page() - 1)) as u8
-    }
-
-    /// Byte offset within the line.
-    #[inline]
-    pub fn offset_in_line(self, raw: u64) -> u32 {
-        (raw & (self.line_bytes - 1)) as u32
-    }
-
-    /// Reconstructs a physical byte address from a physical page id and a
-    /// line-in-page index (offset 0 within the line).
-    #[inline]
-    pub fn paddr_of_line(self, page: PPageId, line_in_page: u8) -> PAddr {
-        PAddr::new(
-            (page.raw() << self.page_offset_bits())
-                | (u64::from(line_in_page) << self.line_offset_bits()),
-        )
     }
 }
 
@@ -291,12 +269,6 @@ impl CacheGeometry {
         line.raw() >> (self.banks.trailing_zeros() + self.sets_per_bank().trailing_zeros())
     }
 
-    /// Sub-block touched by byte offset `offset_in_line`.
-    #[inline]
-    pub fn sub_block_of(self, offset_in_line: u32) -> SubBlockId {
-        SubBlockId((u64::from(offset_in_line) / self.sub_block_bytes()) as u8)
-    }
-
     /// Number of tag bits for a 32-bit physical address space with the given
     /// page geometry (used by the energy model to size tag arrays).
     pub fn tag_bits(self, address_bits: u32) -> u32 {
@@ -342,16 +314,6 @@ mod tests {
         let a = VAddr::new(0x0001_2fc4);
         assert_eq!(g.vpage_of(a).raw(), 0x12);
         assert_eq!(g.line_in_page(a.raw()), (0xfc4 >> 6) as u8);
-        assert_eq!(g.offset_in_line(a.raw()), 0x04);
-    }
-
-    #[test]
-    fn paddr_of_line_roundtrip() {
-        let g = PageGeometry::default();
-        let p = g.paddr_of_line(PPageId::new(0x77), 63);
-        assert_eq!(g.ppage_of(p).raw(), 0x77);
-        assert_eq!(g.line_in_page(p.raw()), 63);
-        assert_eq!(g.offset_in_line(p.raw()), 0);
     }
 
     #[test]
@@ -392,15 +354,8 @@ mod tests {
         assert!(CacheGeometry::new(32 * 1024, 3, 4, 64, 128).is_err());
         assert!(CacheGeometry::new(32 * 1024, 4, 4, 64, 100).is_err());
         assert!(CacheGeometry::new(512, 4, 4, 64, 128).is_err());
-    }
-
-    #[test]
-    fn sub_block_of_offsets() {
-        let l1 = CacheGeometry::paper_l1();
-        assert_eq!(l1.sub_block_of(0).0, 0);
-        assert_eq!(l1.sub_block_of(15).0, 0);
-        assert_eq!(l1.sub_block_of(16).0, 1);
-        assert_eq!(l1.sub_block_of(63).0, 3);
+        // Banks must be a power of two too (line interleaving masks them).
+        assert!(CacheGeometry::new(32 * 1024, 4, 3, 64, 128).is_err());
     }
 
     proptest! {

@@ -5,7 +5,7 @@
 //!
 //! * [`addr`] — strongly-typed virtual/physical addresses and the derived
 //!   quantities MALEC reasons about (page identifiers, line indices within a
-//!   page, cache bank/set/way coordinates, sub-block indices);
+//!   page, cache bank/set/way coordinates);
 //! * [`geometry`] — cache and page geometry descriptors used to slice
 //!   addresses ([`CacheGeometry`], [`PageGeometry`]);
 //! * [`op`] — memory-operation records flowing from the CPU model through the
@@ -44,7 +44,7 @@ pub mod params;
 pub mod peer;
 pub mod stable;
 
-pub use addr::{BankId, LineAddr, PAddr, PPageId, SetIndex, SubBlockId, VAddr, VPageId, WayId};
+pub use addr::{BankId, LineAddr, PAddr, PPageId, SetIndex, VAddr, VPageId, WayId};
 pub use config::{InterfaceKind, LatencyVariant, PortConfig, SimConfig, WayDetermination};
 pub use error::ConfigError;
 pub use geometry::{CacheGeometry, PageGeometry};

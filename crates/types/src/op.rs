@@ -38,12 +38,6 @@ impl MemOpKind {
     pub const fn is_load(self) -> bool {
         matches!(self, MemOpKind::Load)
     }
-
-    /// Whether this operation writes the cache when serviced.
-    #[inline]
-    pub const fn is_write(self) -> bool {
-        matches!(self, MemOpKind::MergeBufferEvict)
-    }
 }
 
 /// A dynamic memory operation as seen by the L1 data interface.
@@ -100,12 +94,6 @@ impl MemOp {
             size,
         }
     }
-
-    /// Last byte address touched by this access.
-    #[inline]
-    pub fn end_vaddr(&self) -> VAddr {
-        self.vaddr.offset(u64::from(self.size.max(1)) - 1)
-    }
 }
 
 #[cfg(test)]
@@ -127,18 +115,7 @@ mod tests {
     fn kind_predicates() {
         assert!(MemOpKind::Load.is_load());
         assert!(!MemOpKind::Store.is_load());
-        assert!(MemOpKind::MergeBufferEvict.is_write());
-        assert!(!MemOpKind::Load.is_write());
-    }
-
-    #[test]
-    fn end_vaddr_spans_size() {
-        let op = MemOp::load(OpId(0), VAddr::new(0x100), 16);
-        assert_eq!(op.end_vaddr().raw(), 0x10f);
-        let one = MemOp::load(OpId(0), VAddr::new(0x100), 1);
-        assert_eq!(one.end_vaddr().raw(), 0x100);
-        let zero = MemOp::load(OpId(0), VAddr::new(0x100), 0);
-        assert_eq!(zero.end_vaddr().raw(), 0x100);
+        assert!(!MemOpKind::MergeBufferEvict.is_load());
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub const L2_LATENCY: u32 = 12;
 pub const L2_WAYS: u32 = 16;
 /// DRAM access latency in cycles.
 pub const DRAM_LATENCY: u32 = 54;
-/// Core clock in Hz (1 GHz); used only to convert leakage power to energy.
-pub const CLOCK_HZ: u64 = 1_000_000_000;
 /// Result buses limiting parallel load results (Fig. 2a shows four).
 pub const RESULT_BUSES: u8 = 4;
 /// Input-buffer storage for loads held from previous cycles (Sec. IV lists

@@ -64,14 +64,14 @@ impl StableHasher {
     /// Folds raw bytes (no length prefix; use [`write_str`](Self::write_str)
     /// or [`write_len_bytes`](Self::write_len_bytes) for variable-size
     /// data).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u8(b);
         }
     }
 
     /// Folds a length prefix followed by the bytes.
-    pub fn write_len_bytes(&mut self, bytes: &[u8]) {
+    fn write_len_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         self.write_bytes(bytes);
     }
@@ -93,7 +93,7 @@ impl StableHasher {
     }
 
     /// Folds a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
+    fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));
     }
 

@@ -1,7 +1,7 @@
 //! Acceptance tests for `malec-analyze`, the workspace-invariant lint
 //! gate (tier-1: CI runs these on every change):
 //!
-//! * **The workspace is clean** — all four passes over the real source
+//! * **The workspace is clean** — all five passes over the real source
 //!   tree produce zero findings (this is the deny-by-default gate: a
 //!   regression anywhere in the tree fails this test, not just the CI
 //!   job);
@@ -10,7 +10,8 @@
 //! * **Synthetic violations** of each lint class are detected at their
 //!   exact `file:line` — reversed lock nestings form a cycle, direct
 //!   `.lock()` calls, every forbidden panic form, nondeterminism in a
-//!   golden crate, and each failpoint-registry mismatch;
+//!   golden crate, each failpoint-registry mismatch, and `pub` items no
+//!   other file names;
 //! * **Suppressions** silence exactly one adjacent finding, demand a
 //!   written reason, and rot loudly when they no longer bite.
 
@@ -34,15 +35,25 @@ fn sites(report: &Report) -> Vec<(u32, &str)> {
         .collect()
 }
 
+/// `(path, line)` pairs of a report's findings, for multi-file fixtures.
+fn places(report: &Report) -> Vec<(&str, u32)> {
+    report
+        .findings
+        .iter()
+        .map(|f| (f.path.as_str(), f.line))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // The real workspace
 // ---------------------------------------------------------------------------
 
-/// The deny-by-default gate: all four passes over the actual source tree
-/// must come back clean, and the suppression budget must be in use (the
-/// funnel's own `.lock()` is always annotated).
+/// The deny-by-default gate: all five passes over the actual source tree
+/// (crates, benches, tests, examples and the benchmark's sources) must come
+/// back clean, and the suppression budget must be in use (the funnel's own
+/// `.lock()` is always annotated).
 #[test]
-fn the_workspace_passes_all_four_lints() {
+fn the_workspace_passes_all_five_lints() {
     let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     let sources = load_workspace(&root).expect("load workspace");
     let report = analyze(&sources, PASSES);
@@ -77,6 +88,37 @@ fn the_serve_lock_graph_is_acyclic_with_only_the_documented_edge() {
         [("cache", "in_flight")],
         "the only permitted nesting is cache before in_flight"
     );
+}
+
+/// One scanned set for every pass: each crate's `src` and `benches`, the
+/// root `tests` and `examples`, and the benchmark's `perfbench/src` (read
+/// only, so its imports keep the items they name alive) — and nothing
+/// else, so build output and vendored stand-ins are never linted.
+#[test]
+fn the_scanned_set_spans_crates_benches_tests_examples_and_perfbench() {
+    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let sources = load_workspace(&root).expect("load workspace");
+    let paths: Vec<&str> = sources.iter().map(|s| s.path.as_str()).collect();
+    for want in [
+        "crates/analyze/src/dead_export.rs",
+        "crates/bench/benches/micro_structures.rs",
+        "tests/analyze.rs",
+        "examples/quickstart.rs",
+        "perfbench/src/main.rs",
+    ] {
+        assert!(paths.contains(&want), "{want} is scanned");
+    }
+    for path in &paths {
+        let scanned = path.starts_with("tests/")
+            || path.starts_with("examples/")
+            || path.starts_with("perfbench/src/")
+            || (path.starts_with("crates/")
+                && matches!(path.split('/').nth(2), Some("src" | "benches")));
+        assert!(
+            scanned && path.ends_with(".rs"),
+            "{path} is outside the set"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +297,288 @@ fn failpoint_registry_docs_sites_and_tests_are_cross_checked() {
             ("crates/serve/src/server.rs", 3, "good.point"), // second arming site
             ("crates/serve/src/server.rs", 6, "rogue.point"), // unregistered
         ],
+        "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_flags_pub_items_only_a_reexport_names() {
+    let lib = src(
+        "crates/demo/src/lib.rs",
+        "pub mod util;\n\
+         pub use util::{orphan, reexported};\n",
+    );
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub fn orphan() {}\n\
+         pub const fn reexported() -> u8 { 1 }\n\
+         pub(crate) fn crate_only() {}\n",
+    );
+    // Outside `crates/*/src` nothing is a candidate.
+    let helper = src("tests/common.rs", "pub fn helper() {}\n");
+    let report = analyze(&[lib, util, helper], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [
+            ("crates/demo/src/util.rs", 1),
+            ("crates/demo/src/util.rs", 2)
+        ],
+        "the orphan and the re-exported-only fn, never pub(crate):\n{}",
+        report.render(false)
+    );
+    assert!(report.findings.iter().all(|f| f.lint == "dead-export"));
+}
+
+#[test]
+fn dead_export_counts_test_code_in_other_files_but_not_its_own() {
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub fn used_by_tests_dir() {}\n\
+         pub fn used_by_other_unit_tests() {}\n\
+         pub fn used_by_own_tests_only() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   pub fn test_helpers_are_not_candidates() {}\n\
+         \x20   #[test]\n\
+         \x20   fn t() { super::used_by_own_tests_only(); }\n\
+         }\n",
+    );
+    let other = src(
+        "crates/demo/src/other.rs",
+        "#[cfg(test)]\n\
+         mod tests {\n\
+         \x20   #[test]\n\
+         \x20   fn t() { crate::util::used_by_other_unit_tests(); }\n\
+         }\n",
+    );
+    let it = src(
+        "tests/it.rs",
+        "#[test]\nfn it() { demo::util::used_by_tests_dir(); }\n",
+    );
+    let report = analyze(&[util, other, it], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/util.rs", 3)],
+        "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_keeps_a_type_its_own_signatures_carry() {
+    let shape = src(
+        "crates/demo/src/shape.rs",
+        "pub struct Carried;\n\
+         pub struct Unused;\n\
+         impl Unused {}\n\
+         impl Clone for Unused { fn clone(&self) -> Self { Self } }\n\
+         pub fn make() -> Carried { Carried }\n",
+    );
+    let it = src("tests/it.rs", "fn f() { demo::shape::make(); }\n");
+    let report = analyze(&[shape, it], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/shape.rs", 2)],
+        "impl headers are not uses; a return type is:\n{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_type_exception_skips_own_tests_and_reexports() {
+    let lib = src(
+        "crates/demo/src/lib.rs",
+        "pub mod shape;\n\
+         pub use shape::Reexported;\n",
+    );
+    let shape = src(
+        "crates/demo/src/shape.rs",
+        "pub struct Tested;\n\
+         pub struct Reexported;\n\
+         pub use self::Reexported as Alias;\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   fn make() -> super::Tested { super::Tested }\n\
+         }\n",
+    );
+    let report = analyze(&[lib, shape], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [
+            ("crates/demo/src/shape.rs", 1),
+            ("crates/demo/src/shape.rs", 2)
+        ],
+        "a type named only by its own tests or a re-export is dead:\n{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_flags_every_candidate_item_kind() {
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub fn plain() {}\n\
+         pub const fn constant_fn() -> u8 { 0 }\n\
+         pub const LIMIT: u8 = 0;\n\
+         pub static COUNTER: u8 = 0;\n\
+         pub struct Shape;\n\
+         pub enum Mode {}\n\
+         pub trait Probe {}\n\
+         pub type Width = u8;\n",
+    );
+    let report = analyze(&[util], &["dead-export"]);
+    assert_eq!(
+        sites(&report),
+        (1..=8)
+            .map(|line| (line, "dead-export"))
+            .collect::<Vec<_>>(),
+        "{}",
+        report.render(false)
+    );
+    let named = [
+        "pub fn plain",
+        "pub fn constant_fn",
+        "pub const LIMIT",
+        "pub static COUNTER",
+        "pub struct Shape",
+        "pub enum Mode",
+        "pub trait Probe",
+        "pub type Width",
+    ];
+    for (finding, item) in report.findings.iter().zip(named) {
+        assert!(finding.message.contains(item), "{}", finding.message);
+    }
+}
+
+#[test]
+fn dead_export_never_flags_restricted_visibility() {
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub(crate) fn crate_only() {}\n\
+         pub(super) struct ParentOnly;\n\
+         pub(in crate::demo) const PATH_ONLY: u8 = 0;\n\
+         fn private() {}\n\
+         pub fn public() {}\n",
+    );
+    let report = analyze(&[util], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/util.rs", 5)],
+        "only the plain-pub item is a candidate:\n{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_skips_modules_reexports_fields_and_variants() {
+    let lib = src(
+        "crates/demo/src/lib.rs",
+        "pub mod shape;\n\
+         pub mod unnamed_module;\n\
+         pub use shape::Point as Spot;\n",
+    );
+    let shape = src(
+        "crates/demo/src/shape.rs",
+        "pub struct Point {\n\
+         \x20   pub x: u8,\n\
+         \x20   pub unnamed_field: u8,\n\
+         }\n\
+         pub enum Dir {\n\
+         \x20   UnnamedVariant,\n\
+         }\n",
+    );
+    let it = src(
+        "tests/it.rs",
+        "fn f(_: demo::shape::Point, _: demo::shape::Dir) {}\n",
+    );
+    let report = analyze(&[lib, shape, it], &["dead-export"]);
+    assert!(report.findings.is_empty(), "{}", report.render(false));
+}
+
+#[test]
+fn dead_export_only_weighs_items_under_crates_src() {
+    let sources = [
+        src("crates/demo/src/lib.rs", "pub fn in_src() {}\n"),
+        src("crates/demo/benches/b.rs", "pub fn in_bench() {}\n"),
+        src("tests/common.rs", "pub fn in_tests() {}\n"),
+        src("examples/demo.rs", "pub fn in_example() {}\n"),
+        src("perfbench/src/main.rs", "pub fn in_perfbench() {}\n"),
+    ];
+    let report = analyze(&sources, &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/lib.rs", 1)],
+        "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_counts_benches_examples_and_perfbench_as_users() {
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub fn for_bench() {}\n\
+         pub fn for_example() {}\n\
+         pub fn for_perfbench() {}\n\
+         pub fn for_nobody() {}\n",
+    );
+    let bench = src(
+        "crates/demo/benches/b.rs",
+        "fn main() { demo::util::for_bench(); }\n",
+    );
+    let example = src(
+        "examples/e.rs",
+        "fn main() { demo::util::for_example(); }\n",
+    );
+    // A plain `use` is a use, unlike a `pub use` re-export.
+    let perf = src(
+        "perfbench/src/main.rs",
+        "use demo::util::for_perfbench;\n\
+         fn main() { for_perfbench(); }\n",
+    );
+    let report = analyze(&[util, bench, example, perf], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/util.rs", 4)],
+        "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_ignores_names_in_comments_and_string_literals() {
+    let util = src("crates/demo/src/util.rs", "pub fn orphan() {}\n");
+    let other = src(
+        "crates/demo/src/other.rs",
+        "// orphan\n\
+         /// orphan\n\
+         /* orphan */\n\
+         fn name() -> &'static str { \"orphan\" }\n\
+         fn raw() -> &'static str { r#\"orphan\"# }\n",
+    );
+    let report = analyze(&[util, other], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [("crates/demo/src/util.rs", 1)],
+        "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn a_dead_export_suppression_silences_exactly_one_finding() {
+    let util = src(
+        "crates/demo/src/util.rs",
+        "// analyze: allow(dead-export) stands in for an API kept on purpose\n\
+         pub fn kept() {}\n\
+         pub fn dropped() {}\n",
+    );
+    let report = analyze(&[util], &["dead-export"]);
+    assert_eq!(report.suppressed, 1);
+    assert_eq!(
+        sites(&report),
+        [(3, "dead-export")],
         "{}",
         report.render(false)
     );

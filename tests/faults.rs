@@ -100,8 +100,9 @@ fn chaos_schedule_converges_to_the_fault_free_report() {
     });
     let client = Client::new(server.addr().to_string()).with_retry(RetryPolicy::retries(3));
 
-    let view = client
-        .run_to_completion(REPLICATION_SPEC, Duration::from_secs(120), 3)
+    let first = client.submit(REPLICATION_SPEC).expect("submit");
+    let (_, view) = client
+        .wait_with_resubmits(REPLICATION_SPEC, first, Duration::from_secs(120), 3)
         .expect("resubmission rides out the injected faults");
     assert_eq!(view.state, "done");
     assert_eq!(view.pending, 0);

@@ -5,7 +5,10 @@
 //! benches use the complete suite.
 
 use malec_core::report::geo_mean;
-use malec_harness::{all_benchmarks, SimConfig, Simulator, WayDetermination};
+use malec_harness::{
+    all_benchmarks, benchmark_named, RunSummary, SimConfig, Simulator, WayDetermination,
+};
+use malec_types::CacheGeometry;
 
 const INSTS: u64 = 30_000;
 const SEED: u64 = 2013;
@@ -212,5 +215,73 @@ fn merging_is_what_saves_mcf_energy() {
         "merging must save mcf dynamic energy: {} vs {}",
         with.energy.dynamic,
         without.energy.dynamic
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Sec. VI-D: grouping and way determination "scale well with most cache
+// parameters". Each check edits one knob of the MALEC config and runs gzip.
+// ---------------------------------------------------------------------------
+
+/// MALEC with its L1 rebuilt at `kib` KiB, `ways` ways and `banks` banks
+/// (64 B lines, 128 B sub-banks, as in Table I).
+fn malec_l1(kib: u64, ways: u32, banks: u32) -> SimConfig {
+    let mut config = SimConfig::malec();
+    config.l1 = CacheGeometry::new(kib * 1024, ways, banks, 64, 128).expect("valid L1 geometry");
+    config.validate().expect("valid MALEC config");
+    config
+}
+
+fn gzip_on(config: SimConfig) -> RunSummary {
+    let gzip = benchmark_named("gzip").expect("gzip exists");
+    Simulator::new(config).run(&gzip, 15_000, 3)
+}
+
+#[test]
+fn more_banks_never_hurt_grouped_throughput() {
+    let one_bank = gzip_on(malec_l1(32, 4, 1)).core.cycles;
+    let four_banks = gzip_on(malec_l1(32, 4, 4)).core.cycles;
+    assert!(
+        four_banks <= one_bank,
+        "banking enables parallel servicing: {four_banks} vs {one_bank}"
+    );
+}
+
+#[test]
+fn bigger_caches_miss_less() {
+    let small = gzip_on(malec_l1(8, 4, 4));
+    let big = gzip_on(malec_l1(64, 4, 4));
+    assert!(
+        big.l1_miss_rate <= small.l1_miss_rate,
+        "64KiB should not miss more than 8KiB"
+    );
+}
+
+#[test]
+fn way_determination_survives_associativity_changes() {
+    // The 2-bit encoding generalizes to 8 ways (3 bits would be naive;
+    // we keep 2 bits and one excluded way — coverage still works).
+    for ways in [2, 4, 8] {
+        let run = gzip_on(malec_l1(32, ways, 4));
+        assert!(
+            run.interface.coverage() > 0.5,
+            "ways={ways}: coverage collapsed to {}",
+            run.interface.coverage()
+        );
+    }
+}
+
+#[test]
+fn result_buses_bound_malec_throughput() {
+    let buses = |r: u8| {
+        let mut config = SimConfig::malec();
+        config.result_buses = r;
+        config.validate().expect("valid MALEC config");
+        gzip_on(config).core.cycles
+    };
+    let (narrow, wide) = (buses(1), buses(4));
+    assert!(
+        wide < narrow,
+        "one result bus must throttle MALEC: {wide} vs {narrow}"
     );
 }
