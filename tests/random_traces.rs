@@ -16,8 +16,17 @@
 //!
 //! The table was recorded from the scan-based issue stage that preceded
 //! wakeup/select. A change to `OoOCore`'s issue stage that alters any
-//! cycle, counter or energy figure fails here. To re-record after an
-//! *intentional* behaviour change:
+//! cycle, counter or energy figure fails here.
+//!
+//! A second table runs the same traces on three edge configurations the
+//! Table II sizes never reach: a 40-entry ROB (smaller than the window
+//! the dependency distances span), a 300-entry ROB (past a power of two,
+//! so the ROB ring has 512 slots and wraps unevenly) and MALEC with a
+//! 2-entry uTLB over a 4-entry TLB (nearly every page group evicts a uTLB
+//! entry and syncs its uWT entry). It was recorded from the `Vec`-scan
+//! ROB, cache banks and TLBs that preceded the ring ROB and the flat
+//! arrays. To re-record both tables after an *intentional* behaviour
+//! change:
 //!
 //! ```sh
 //! cargo test --release -p malec-harness --test random_traces -- --ignored --nocapture
@@ -42,6 +51,27 @@ fn configs() -> [SimConfig; 4] {
         SimConfig::base2ld1st(),
         SimConfig::malec(),
         SimConfig::malec_wide(),
+    ]
+}
+
+/// Names for diagnostics of the edge table.
+const EDGE_NAMES: [&str; 3] = ["Base2ld1st-rob40", "MALEC-rob300", "MALEC-utlb2-tlb4"];
+
+fn edge_configs() -> [SimConfig; 3] {
+    [
+        SimConfig {
+            rob_entries: 40,
+            ..SimConfig::base2ld1st()
+        },
+        SimConfig {
+            rob_entries: 300,
+            ..SimConfig::malec()
+        },
+        SimConfig {
+            utlb_entries: 2,
+            tlb_entries: 4,
+            ..SimConfig::malec()
+        },
     ]
 }
 
@@ -108,10 +138,10 @@ fn trace(seed: u64) -> Vec<TraceInst> {
         .collect()
 }
 
-fn digests_of(seed: u64) -> [u64; 4] {
+fn digests_of<const N: usize>(seed: u64, configs: [SimConfig; N], names: [&str; N]) -> [u64; N] {
     let t = trace(seed);
-    let mut names = CONFIG_NAMES.iter();
-    configs().map(|cfg| {
+    let mut names = names.iter();
+    configs.map(|cfg| {
         let s = Simulator::new(cfg).run_trace(
             format!("random-{seed}"),
             "random",
@@ -124,18 +154,29 @@ fn digests_of(seed: u64) -> [u64; 4] {
     })
 }
 
-#[test]
-fn random_traces_match_recorded_digests() {
+/// Every row of `table` against fresh digests of `configs`; returns one
+/// line per cell that moved.
+fn diverged<const N: usize>(
+    table: &[[u64; N]],
+    configs: impl Fn() -> [SimConfig; N],
+    names: [&str; N],
+) -> Vec<String> {
     let mut diverged = Vec::new();
-    for (i, want) in DIGESTS.iter().enumerate() {
+    for (i, want) in table.iter().enumerate() {
         let seed = SEED + i as u64;
-        let got = digests_of(seed);
-        for ((name, got), want) in CONFIG_NAMES.iter().zip(got).zip(want) {
+        let got = digests_of(seed, configs(), names);
+        for ((name, got), want) in names.iter().zip(got).zip(want) {
             if got != *want {
                 diverged.push(format!("seed {seed} {name}: {got:#018x} != {want:#018x}"));
             }
         }
     }
+    diverged
+}
+
+#[test]
+fn random_traces_match_recorded_digests() {
+    let diverged = diverged(&DIGESTS, configs, CONFIG_NAMES);
     assert!(
         diverged.is_empty(),
         "issue behaviour diverged from the recorded digests:\n{}",
@@ -144,17 +185,36 @@ fn random_traces_match_recorded_digests() {
 }
 
 #[test]
-#[ignore = "prints a fresh DIGESTS table; run only after an intentional behaviour change"]
-fn record_random_trace_digests() {
-    println!("const DIGESTS: [[u64; 4]; {}] = [", DIGESTS.len());
-    for i in 0..DIGESTS.len() {
-        let d = digests_of(SEED + i as u64);
-        println!(
-            "    [{:#018x}, {:#018x}, {:#018x}, {:#018x}],",
-            d[0], d[1], d[2], d[3]
-        );
+fn edge_configs_match_recorded_digests() {
+    let diverged = diverged(&EDGE_DIGESTS, edge_configs, EDGE_NAMES);
+    assert!(
+        diverged.is_empty(),
+        "edge-configuration behaviour diverged from the recorded digests:\n{}",
+        diverged.join("\n")
+    );
+}
+
+/// Prints `table` in source form, recomputed from `configs`.
+fn print_table<const N: usize>(
+    name: &str,
+    rows: usize,
+    configs: impl Fn() -> [SimConfig; N],
+    names: [&str; N],
+) {
+    println!("const {name}: [[u64; {N}]; {rows}] = [");
+    for i in 0..rows {
+        let d = digests_of(SEED + i as u64, configs(), names);
+        let cells: Vec<String> = d.iter().map(|d| format!("{d:#018x}")).collect();
+        println!("    [{}],", cells.join(", "));
     }
     println!("];");
+}
+
+#[test]
+#[ignore = "prints fresh digest tables; run only after an intentional behaviour change"]
+fn record_random_trace_digests() {
+    print_table("DIGESTS", DIGESTS.len(), configs, CONFIG_NAMES);
+    print_table("EDGE_DIGESTS", EDGE_DIGESTS.len(), edge_configs, EDGE_NAMES);
 }
 
 /// Digests per seed, in `configs()` order.
@@ -303,4 +363,32 @@ const DIGESTS: [[u64; 4]; 24] = [
         0xd6ff59eff97d1775,
         0x723bded1e44b4f9c,
     ],
+];
+
+/// Digests per seed, in `edge_configs()` order.
+const EDGE_DIGESTS: [[u64; 3]; 24] = [
+    [0xa25568760b0291ea, 0x807eab4f5bf9791c, 0x523a8d9fc46eaa77],
+    [0x2213af173cf2eaa0, 0x13b2b962bc60900a, 0x3fdb7e0583b2ef0c],
+    [0xef6f9195703ea139, 0xe40964442065e9ae, 0x8d611c857133ff9a],
+    [0x38d6565a725d8513, 0xe923f301bafb5269, 0x4056366f7554809f],
+    [0x77b976743f708c9e, 0x50372fd2bfae9f66, 0x98ac9cddd7bc377b],
+    [0x4ea0811b33c7a4df, 0x931f6d4355402258, 0xe51193c418a6b650],
+    [0x2c89941c7f6f22d0, 0x96e609fc05ef760c, 0xaec9e294d6cc6546],
+    [0x2fc26911ec4601a3, 0x5b5c42d9277d3018, 0x06be24dd85bd2ad0],
+    [0x5939882bc8f21756, 0x054b528055eeac72, 0xc5084f979a2d32eb],
+    [0xc0610ffa4a269ba1, 0xb1629b62979f8fdb, 0x731bd178772ae4d7],
+    [0xe8dc6a453b8d7199, 0x2fe74401ef1fdc75, 0xcfb7cbb45853f974],
+    [0x2f32f7587f57ae3d, 0x82a8176982b3ef6b, 0xfd54eab99311ac7f],
+    [0xc395abb9423ed23a, 0x5012a8bb177fbb63, 0xe23af28e306ae83e],
+    [0x98cca517d8af24de, 0xd8361bb4845a8624, 0x0b460c1d0c6df2e7],
+    [0x6e97b46bc0d78035, 0xa9b2b4a474b89bc2, 0x2c73a13903625005],
+    [0x05b6e91e06f10f87, 0x64b23e59b6e22b96, 0x32db5e15f6768c48],
+    [0xe270618f4eedbc85, 0x00cb1211f48d4cbd, 0x94ef38d86cc57b9d],
+    [0x46b9ff17c7e1b526, 0x44b1607cc8c43ee1, 0x6daf695191eb4e65],
+    [0x39b7529e32395b9b, 0x9c61dfb848e3a12f, 0xa97468e6cffad76e],
+    [0xad96bf8186523742, 0x64fdf5d20a8ef211, 0xee553208fc5e5d9c],
+    [0xdc46ee288ce5010e, 0xdb15aa3f5f4cc80c, 0x3e65a40c2f857d29],
+    [0x4ebd5083308151d1, 0x5dee18bd9d91cd31, 0x36a36c90d93171ae],
+    [0x8c072ee56108dbbc, 0x1f27a27c191eadeb, 0x0aaaa34ab561c5b1],
+    [0x6fc0c7ee95152a09, 0xccce17269c4a0240, 0xd3ccd622c9aea4f2],
 ];
