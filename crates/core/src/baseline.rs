@@ -94,7 +94,7 @@ impl BaselineInterface {
             stats: InterfaceStats::default(),
             pending: VecDeque::with_capacity(64),
             pending_writes: VecDeque::with_capacity(8),
-            completions: CompletionQueue::with_capacity(32),
+            completions: CompletionQueue::with_capacity(usize::from(config.lq_entries)),
             pending_fills: FillTable::with_capacity(128),
             cycle: 0,
             read_capacity,
@@ -149,9 +149,10 @@ impl BaselineInterface {
     /// Sub-blocks a baseline access activates: one, or two when the access
     /// crosses a 128-bit sub-block boundary.
     fn sub_blocks_of(&self, op: &MemOp, paddr: PAddr) -> u32 {
-        let sb_bytes = self.config.l1.sub_block_bytes();
-        let first = paddr.raw() / sb_bytes;
-        let last = (paddr.raw() + u64::from(op.size.max(1)) - 1) / sb_bytes;
+        // A power of two: it divides the power-of-two line.
+        let sb_shift = self.config.l1.sub_block_bytes().trailing_zeros();
+        let first = paddr.raw() >> sb_shift;
+        let last = (paddr.raw() + u64::from(op.size.max(1)) - 1) >> sb_shift;
         (last - first + 1) as u32
     }
 
@@ -225,10 +226,9 @@ impl BaselineInterface {
     /// (no TLB energy: the SB entry already carries the physical tag).
     fn physical_line(&self, vline: LineAddr) -> LineAddr {
         let page = self.config.page;
-        let lines_per_page = u64::from(page.lines_per_page());
-        let vpage = malec_types::addr::VPageId::new(vline.raw() / lines_per_page);
+        let vpage = malec_types::addr::VPageId::new(page.page_of_line(vline));
         let ppage = malec_mem::tlb::PageTable::default().translate(vpage);
-        LineAddr::new(ppage.raw() * lines_per_page + vline.raw() % lines_per_page)
+        page.rebase_line(vline, ppage.raw())
     }
 }
 

@@ -22,20 +22,6 @@ pub struct IbEntry {
     pub arrived: u64,
 }
 
-/// The group selected for one cycle.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GroupSelection {
-    /// The page every member shares.
-    pub vpage: VPageId,
-    /// Member loads in priority order (leader first).
-    pub loads: Vec<MemOp>,
-    /// Whether the pending MBE belongs to the group.
-    pub include_mbe: bool,
-    /// vPageID comparisons performed (energy: one 20-bit compare per other
-    /// valid entry).
-    pub compares: u32,
-}
-
 /// The group metadata of one cycle's selection, without the member list —
 /// [`InputBuffer::select_into`] writes the members into a caller-owned
 /// buffer so the per-cycle hot path allocates nothing.
@@ -63,9 +49,10 @@ pub struct GroupMeta {
 /// ib.push_load(MemOp::load(OpId(0), VAddr::new(0x1000), 4), VPageId::new(1), 0);
 /// ib.push_load(MemOp::load(OpId(1), VAddr::new(0x1040), 4), VPageId::new(1), 0);
 /// ib.push_load(MemOp::load(OpId(2), VAddr::new(0x2000), 4), VPageId::new(2), 0);
-/// let group = ib.select().expect("entries present");
+/// let mut members = Vec::new();
+/// let group = ib.select_into(&mut members).expect("entries present");
 /// assert_eq!(group.vpage, VPageId::new(1));
-/// assert_eq!(group.loads.len(), 2);
+/// assert_eq!(members.len(), 2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct InputBuffer {
@@ -137,23 +124,9 @@ impl InputBuffer {
     /// all same-page entries join. Loads outrank the MBE; among loads, age
     /// then program order.
     ///
-    /// Convenience wrapper over [`select_into`](Self::select_into) that
-    /// allocates the member list; the simulation hot path uses
-    /// `select_into` with a reused buffer instead.
-    pub fn select(&self) -> Option<GroupSelection> {
-        let mut members = Vec::new();
-        let meta = self.select_into(&mut members)?;
-        Some(GroupSelection {
-            vpage: meta.vpage,
-            loads: members.into_iter().map(|e| e.op).collect(),
-            include_mbe: meta.include_mbe,
-            compares: meta.compares,
-        })
-    }
-
-    /// Allocation-free group selection: clears `members` and fills it with
-    /// this cycle's group in priority order (leader first). Returns the
-    /// group metadata, or `None` when the buffer holds nothing.
+    /// Allocation-free: clears `members` and fills it with this cycle's
+    /// group in priority order (leader first). Returns the group metadata,
+    /// or `None` when the buffer holds nothing.
     pub fn select_into(&self, members: &mut Vec<IbEntry>) -> Option<GroupMeta> {
         members.clear();
         let leader = self
@@ -197,6 +170,25 @@ mod tests {
         (op, VPageId::new(addr >> 12))
     }
 
+    /// One cycle's group with its member loads collected.
+    struct GroupSelection {
+        vpage: VPageId,
+        loads: Vec<MemOp>,
+        include_mbe: bool,
+        compares: u32,
+    }
+
+    fn select(ib: &InputBuffer) -> Option<GroupSelection> {
+        let mut members = Vec::new();
+        let meta = ib.select_into(&mut members)?;
+        Some(GroupSelection {
+            vpage: meta.vpage,
+            loads: members.into_iter().map(|e| e.op).collect(),
+            include_mbe: meta.include_mbe,
+            compares: meta.compares,
+        })
+    }
+
     #[test]
     fn capacity_enforced() {
         let mut ib = InputBuffer::new(2);
@@ -216,7 +208,7 @@ mod tests {
         let (b, pb) = ld(9, 0x1000); // arrives cycle 0 => older
         ib.push_load(b, pb, 0);
         ib.push_load(a, pa, 1);
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert_eq!(g.vpage, VPageId::new(1));
         assert_eq!(g.loads[0].id, OpId(9));
     }
@@ -228,7 +220,7 @@ mod tests {
         let (b, pb) = ld(3, 0x2000);
         ib.push_load(a, pa, 0);
         ib.push_load(b, pb, 0);
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert_eq!(g.loads[0].id, OpId(3), "lower id = older in program order");
         assert_eq!(g.vpage, VPageId::new(2));
     }
@@ -240,7 +232,7 @@ mod tests {
             let (op, vp) = ld(i as u64, *addr);
             ib.push_load(op, vp, 0);
         }
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert_eq!(g.loads.len(), 3);
         assert_eq!(g.compares, 3, "three other valid entries compared");
         assert!(!g.include_mbe);
@@ -254,14 +246,14 @@ mod tests {
         assert!(!ib.set_mbe(mbe, VPageId::new(5), 0), "one MBE slot");
 
         // Alone: the MBE leads.
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert!(g.include_mbe);
         assert!(g.loads.is_empty());
 
         // With a load on another page: the load leads, MBE excluded.
         let (a, pa) = ld(0, 0x1000);
         ib.push_load(a, pa, 1);
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert_eq!(g.vpage, VPageId::new(1));
         assert!(!g.include_mbe);
 
@@ -269,7 +261,7 @@ mod tests {
         let (b, pb) = ld(1, 0x5040);
         ib.push_load(b, pb, 1);
         ib.remove_load(OpId(0));
-        let g = ib.select().expect("group");
+        let g = select(&ib).expect("group");
         assert_eq!(g.vpage, VPageId::new(5));
         assert!(g.include_mbe);
     }
@@ -285,6 +277,6 @@ mod tests {
         assert_eq!(ib.len(), 0);
         assert_eq!(ib.take_mbe().map(|m| m.id), Some(OpId(50)));
         assert!(ib.is_empty());
-        assert!(ib.select().is_none());
+        assert!(select(&ib).is_none());
     }
 }

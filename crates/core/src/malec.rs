@@ -156,7 +156,7 @@ impl MalecInterface {
             feedback,
             counters: EnergyCounters::default(),
             stats: InterfaceStats::default(),
-            completions: CompletionQueue::with_capacity(32),
+            completions: CompletionQueue::with_capacity(usize::from(config.lq_entries)),
             pending_mbe: std::collections::VecDeque::with_capacity(4),
             pending_fills: FillTable::with_capacity(128),
             last_translation: None,
@@ -286,9 +286,9 @@ impl MalecInterface {
     /// includes all uWT entries, it is only updated if no corresponding uWT
     /// entry was found").
     fn update_way_slot(&mut self, line: LineAddr, way: Option<WayId>) {
-        let lines_per_page = u64::from(self.config.page.lines_per_page());
-        let ppage = PPageId::new(line.raw() / lines_per_page);
-        let line_in_page = (line.raw() % lines_per_page) as u8;
+        let page = self.config.page;
+        let ppage = PPageId::new(page.page_of_line(line));
+        let line_in_page = page.index_in_page(line);
 
         self.counters.utlb_reverse_lookups += 1;
         if let Some(uslot) = self.mmu.utlb_slot_of_ppage(ppage) {
@@ -318,8 +318,6 @@ impl MalecInterface {
     /// Way prediction for a line about to be accessed. Returns `Some(way)`
     /// when the access may bypass the tag arrays.
     fn predict_way(&mut self, utlb_slot: usize, line: LineAddr) -> Option<WayId> {
-        let lines_per_page = u64::from(self.config.page.lines_per_page());
-        let line_in_page = (line.raw() % lines_per_page) as u8;
         match self.config.way_determination {
             WayDetermination::None => None,
             WayDetermination::Wdu(_) => {
@@ -331,7 +329,7 @@ impl MalecInterface {
                 .as_ref()
                 .expect("uWT configured")
                 .entry(utlb_slot)
-                .get(line_in_page),
+                .get(self.config.page.index_in_page(line)),
         }
     }
 
@@ -345,8 +343,7 @@ impl MalecInterface {
                 self.counters.wdu_writes += 1;
             }
             WayDetermination::WayTables if self.feedback => {
-                let lines_per_page = u64::from(self.config.page.lines_per_page());
-                let line_in_page = (line.raw() % lines_per_page) as u8;
+                let line_in_page = self.config.page.index_in_page(line);
                 self.uwt
                     .as_mut()
                     .expect("uWT configured")
@@ -369,11 +366,12 @@ impl MalecInterface {
         {
             return None;
         }
-        let lines_per_page = u64::from(self.config.page.lines_per_page());
-        let line_in_page = (line.raw() % lines_per_page) as u8;
-        let banks = self.config.l1.banks();
-        let ways = self.config.l1.ways();
-        Some(WayId(((u32::from(line_in_page) / banks) % ways) as u8))
+        let line_in_page = u32::from(self.config.page.index_in_page(line));
+        let l1 = self.config.l1;
+        // Both are powers of two: `/ banks % ways` as a shift and a mask.
+        Some(WayId(
+            ((line_in_page >> l1.banks().trailing_zeros()) & (l1.ways() - 1)) as u8,
+        ))
     }
 
     /// Services this cycle's page group. Returns how many loads were
@@ -408,14 +406,16 @@ impl MalecInterface {
         }
 
         // --- Arbitration: per-bank leaders, same-line merging, result-bus cap.
-        let window_bytes = 2 * self.config.l1.sub_block_bytes();
+        // Two sub-blocks, a power of two (`CacheGeometry::new` makes the
+        // sub-block divide the power-of-two line): `/ window` as a shift.
+        let window_shift = (2 * self.config.l1.sub_block_bytes()).trailing_zeros();
         let mut infos = std::mem::take(&mut self.scratch_infos);
         infos.clear();
         for entry in &group_loads {
             let op = entry.op;
             let line = self.line_of(&op, t.ppage);
             let bank = self.config.l1.bank_of_line(line).0 as usize;
-            let window = (op.vaddr.raw() & (self.config.page.line_bytes() - 1)) / window_bytes;
+            let window = (op.vaddr.raw() & (self.config.page.line_bytes() - 1)) >> window_shift;
             infos.push((op, line, bank, window));
         }
 

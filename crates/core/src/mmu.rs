@@ -83,9 +83,10 @@ impl Mmu {
             };
         }
 
-        // uTLB miss: consult the TLB.
+        // uTLB miss: consult the TLB. Both lookups missed before their
+        // table is filled, so the fills skip the refresh check.
         if let Some((tlb_slot, entry)) = self.tlb.lookup(vpage) {
-            let ev = self.utlb.insert(vpage, entry.ppage);
+            let ev = self.utlb.fill(vpage, entry.ppage);
             return Translation {
                 ppage: entry.ppage,
                 path: TranslationPath::TlbHit { tlb_slot },
@@ -97,7 +98,7 @@ impl Mmu {
 
         // Page-table walk.
         let ppage = self.page_table.translate(vpage);
-        let tlb_ev = self.tlb.insert(vpage, ppage);
+        let tlb_ev = self.tlb.fill(vpage, ppage);
         // A TLB eviction kills any uTLB copy of the evicted page.
         let mut tlb_evicted = None;
         if let Some(evicted) = tlb_ev.evicted {
@@ -106,7 +107,7 @@ impl Mmu {
             }
             tlb_evicted = Some((tlb_ev.slot, evicted));
         }
-        let u_ev = self.utlb.insert(vpage, ppage);
+        let u_ev = self.utlb.fill(vpage, ppage);
         Translation {
             ppage,
             path: TranslationPath::Walk {
@@ -121,12 +122,12 @@ impl Mmu {
     /// Reverse lookup by physical page in the uTLB (for way-table validity
     /// maintenance on line fills/evictions).
     pub fn utlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
-        self.utlb.lookup_by_ppage(ppage).map(|(s, _)| s)
+        self.utlb.slot_of_ppage(ppage)
     }
 
     /// Reverse lookup by physical page in the TLB.
     pub fn tlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
-        self.tlb.lookup_by_ppage(ppage).map(|(s, _)| s)
+        self.tlb.slot_of_ppage(ppage)
     }
 
     /// uTLB hit/miss statistics.

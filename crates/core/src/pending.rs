@@ -13,10 +13,13 @@
 //! * [`FillTable`] — a small open vector of `(line, ready)` pairs mirroring
 //!   the MSHRs: with ≤ a handful of outstanding fills, a linear probe beats
 //!   hashing, never allocates in steady state, and expired entries are
-//!   pruned in place.
+//!   pruned in place as soon as the earliest of them lands, so a probe
+//!   scans only fills still in flight (plus those landing this cycle).
 //!
 //! Both structures preallocate in the constructor and only touch their own
-//! storage afterwards, so a steady-state tick performs no heap allocation.
+//! storage afterwards, so a steady-state tick performs no heap allocation
+//! (the interfaces size the completion heap from the load queue, which
+//! bounds the loads in flight).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,25 +79,27 @@ impl CompletionQueue {
 /// [`note_fill`](Self::note_fill) overwrites an existing entry for the same
 /// line, and [`ready_after`](Self::ready_after) drops entries whose fill
 /// already landed.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FillTable {
     entries: Vec<(u64, u64)>,
+    /// A lower bound on every entry's `ready` cycle (`u64::MAX` when
+    /// empty): [`prune`](Self::prune) has nothing to drop before it.
+    earliest: u64,
 }
-
-/// Above this occupancy the table prunes expired fills on `tick`.
-const PRUNE_THRESHOLD: usize = 64;
 
 impl FillTable {
     /// Creates a table with room for `capacity` outstanding fills.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             entries: Vec::with_capacity(capacity),
+            earliest: u64::MAX,
         }
     }
 
     /// Records that `line`'s fill completes at `ready`.
     #[inline]
     pub fn note_fill(&mut self, line: u64, ready: u64) {
+        self.earliest = self.earliest.min(ready);
         if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line) {
             e.1 = ready;
         } else {
@@ -120,13 +125,21 @@ impl FillTable {
     /// Drops entries whose fill already landed. Expired entries are
     /// semantically invisible (a probe removes them and reports `None`), so
     /// pruning at any point cannot change simulated behavior; it only keeps
-    /// the probe short on workloads that touch many lines once. Called from
-    /// `tick()`, and a no-op below `PRUNE_THRESHOLD` occupancy.
+    /// the probe short. Called from `tick()`: a compare until `cycle`
+    /// reaches the earliest ready cycle, then one pass that drops every
+    /// landed fill and finds the next earliest.
     #[inline]
     pub fn prune(&mut self, cycle: u64) {
-        if self.entries.len() >= PRUNE_THRESHOLD {
-            self.entries.retain(|&(_, ready)| ready > cycle);
+        if cycle < self.earliest {
+            return;
         }
+        self.entries.retain(|&(_, ready)| ready > cycle);
+        self.earliest = self
+            .entries
+            .iter()
+            .map(|&(_, ready)| ready)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Outstanding fills tracked (including not-yet-pruned expired ones).
@@ -145,6 +158,7 @@ impl FillTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn completions_deliver_in_due_order() {
@@ -185,13 +199,86 @@ mod tests {
 
     #[test]
     fn prune_only_drops_expired() {
-        let mut t = FillTable::with_capacity(PRUNE_THRESHOLD);
-        for i in 0..PRUNE_THRESHOLD as u64 {
-            t.note_fill(i, i);
+        let mut t = FillTable::with_capacity(64);
+        for i in 0..64u64 {
+            t.note_fill(i, i + 20);
         }
-        t.prune(10);
-        assert!(t.len() < PRUNE_THRESHOLD);
-        assert_eq!(t.ready_after(50, 10), Some(50), "live entries survive");
-        assert_eq!(t.ready_after(5, 10), None, "expired entries are gone");
+        // Nothing has landed before cycle 20: the table keeps every entry.
+        t.prune(19);
+        assert_eq!(t.len(), 64);
+        // From the earliest ready cycle on, every landed fill goes at once.
+        t.prune(30);
+        assert_eq!(t.len(), 64 - 11);
+        assert_eq!(t.ready_after(50, 30), Some(70), "live entries survive");
+        assert_eq!(t.ready_after(5, 30), None, "expired entries are gone");
+        // A later fill landing first moves the next prune earlier.
+        t.note_fill(100, 35);
+        t.prune(35);
+        assert_eq!(t.ready_after(100, 34), None, "pruned at its ready cycle");
+        assert_eq!(t.len(), 64 - 16);
+    }
+
+    /// The fill table as it was before cycle-driven pruning: it pruned only
+    /// once it held 64 or more entries.
+    struct ThresholdFillTable {
+        entries: Vec<(u64, u64)>,
+    }
+
+    impl ThresholdFillTable {
+        fn note_fill(&mut self, line: u64, ready: u64) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line) {
+                e.1 = ready;
+            } else {
+                self.entries.push((line, ready));
+            }
+        }
+
+        fn ready_after(&mut self, line: u64, cycle: u64) -> Option<u64> {
+            let idx = self.entries.iter().position(|e| e.0 == line)?;
+            let ready = self.entries[idx].1;
+            if ready > cycle {
+                Some(ready)
+            } else {
+                self.entries.swap_remove(idx);
+                None
+            }
+        }
+
+        fn prune(&mut self, cycle: u64) {
+            if self.entries.len() >= 64 {
+                self.entries.retain(|&(_, ready)| ready > cycle);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Ticks (each pruning both tables), fills and probes in random
+        /// order: every `ready_after` answer matches the threshold-pruned
+        /// model, so when pruning happens never shows. The line range and
+        /// latencies keep 64 or more fills in flight at times, so the
+        /// model prunes too.
+        #[test]
+        fn prop_fill_table_matches_threshold_model(
+            ops in proptest::collection::vec((0u64..3, 0u8..3, 0u64..96, 0u64..120), 0..600),
+        ) {
+            let mut table = FillTable::with_capacity(8);
+            let mut model = ThresholdFillTable { entries: Vec::new() };
+            let mut cycle = 0u64;
+            for (advance, kind, line, latency) in ops {
+                if advance > 0 {
+                    cycle += advance;
+                    table.prune(cycle);
+                    model.prune(cycle);
+                }
+                if kind == 0 {
+                    table.note_fill(line, cycle + latency);
+                    model.note_fill(line, cycle + latency);
+                } else {
+                    prop_assert_eq!(table.ready_after(line, cycle), model.ready_after(line, cycle));
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,14 @@
 //! come. Select merges the ALU-op, branch and load ready lists with the
 //! head of the in-order store queue, oldest first, and stops drawing from
 //! a class once that class's resource is spent.
+//!
+//! The ROB is a ring of `rob_entries.next_power_of_two()` slots indexed by
+//! absolute instruction index: entry `idx` lives in slot `idx & mask` while
+//! `rob_base <= idx < next_idx`, so reaching an entry, committing the head
+//! and checking that a completion still names an in-flight entry are each
+//! a mask or a compare. The ready lists stay sorted by index; entries
+//! mostly become ready in program order, so `make_ready` appends at the
+//! back and falls back to a sorted insert only for an older entry.
 
 use std::collections::VecDeque;
 
@@ -61,6 +69,18 @@ struct RobEntry {
     /// Next entry in the list this one waits in: its producer's waiters
     /// or a wake queue slot.
     next: u64,
+}
+
+impl RobEntry {
+    /// Contents of a ring slot no instruction has used yet.
+    const VACANT: Self = Self {
+        kind: EntryKind::Op { latency: 0 },
+        mem: None,
+        dep: NO_DEP,
+        done_at: UNKNOWN,
+        waiters: NIL,
+        next: NIL,
+    };
 }
 
 /// Aggregate statistics of one run.
@@ -118,8 +138,12 @@ pub struct OoOCore<I> {
     load_only_agus: u32,
     store_only_agus: u32,
     shared_agus: u32,
-    rob: VecDeque<RobEntry>,
+    /// Ring of ROB slots; entry `idx` lives in `rob[idx & rob_mask]`.
+    rob: Vec<RobEntry>,
+    rob_mask: u64,
+    /// Oldest in-flight index (the commit head).
     rob_base: u64,
+    /// Index the next dispatched instruction gets.
     next_idx: u64,
     cycle: u64,
     inflight_loads: usize,
@@ -147,6 +171,7 @@ impl<I: L1DataInterface> OoOCore<I> {
     pub fn new(config: &SimConfig, interface: I) -> Self {
         let agus = config.agus();
         let rob_size = usize::from(config.rob_entries);
+        let ring = rob_size.next_power_of_two();
         Self {
             interface,
             rob_size,
@@ -156,7 +181,8 @@ impl<I: L1DataInterface> OoOCore<I> {
             load_only_agus: u32::from(agus.load_only),
             store_only_agus: u32::from(agus.store_only),
             shared_agus: u32::from(agus.shared),
-            rob: VecDeque::with_capacity(rob_size),
+            rob: vec![RobEntry::VACANT; ring],
+            rob_mask: ring as u64 - 1,
             rob_base: 0,
             next_idx: 0,
             cycle: 0,
@@ -200,10 +226,7 @@ impl<I: L1DataInterface> OoOCore<I> {
             let mut completed = std::mem::take(&mut self.completed_buf);
             self.interface.tick(self.cycle, &mut completed);
             for &OpId(idx) in &completed {
-                let in_rob = idx
-                    .checked_sub(self.rob_base)
-                    .is_some_and(|pos| pos < self.rob.len() as u64);
-                if in_rob {
+                if (self.rob_base..self.next_idx).contains(&idx) {
                     debug_assert_eq!(self.entry(idx).kind, EntryKind::Load);
                     self.complete(idx, self.cycle);
                     self.inflight_loads -= 1;
@@ -213,17 +236,17 @@ impl<I: L1DataInterface> OoOCore<I> {
 
             // 2. Commit.
             let mut commits = 0;
-            while commits < self.dispatch_width {
-                let Some(head) = self.rob.front() else { break };
+            while commits < self.dispatch_width && self.rob_base < self.next_idx {
+                let idx = self.rob_base;
+                let head = self.entry(idx);
                 if head.done_at == UNKNOWN || head.done_at > self.cycle {
                     break;
                 }
-                let head = self.rob.pop_front().expect("front exists");
-                let idx = self.rob_base;
+                let kind = head.kind;
                 self.rob_base += 1;
                 commits += 1;
                 self.stats.committed += 1;
-                match head.kind {
+                match kind {
                     EntryKind::Load => self.stats.loads += 1,
                     EntryKind::Store => {
                         self.stats.stores += 1;
@@ -246,7 +269,7 @@ impl<I: L1DataInterface> OoOCore<I> {
             }
 
             // 5. Termination / watchdog.
-            if trace_done && self.rob.is_empty() {
+            if trace_done && self.rob_len() == 0 {
                 break;
             }
             if self.cycle.saturating_sub(last_commit_cycle) > DEADLOCK_LIMIT {
@@ -254,7 +277,7 @@ impl<I: L1DataInterface> OoOCore<I> {
                     "no commit for {DEADLOCK_LIMIT} cycles at cycle {}: \
                      rob={} inflight={} pending={}",
                     self.cycle,
-                    self.rob.len(),
+                    self.rob_len(),
                     self.inflight_loads,
                     self.interface.pending_loads()
                 );
@@ -266,12 +289,19 @@ impl<I: L1DataInterface> OoOCore<I> {
         self.stats
     }
 
+    /// In-flight entries.
+    fn rob_len(&self) -> u64 {
+        self.next_idx - self.rob_base
+    }
+
     fn entry(&self, idx: u64) -> &RobEntry {
-        &self.rob[(idx - self.rob_base) as usize]
+        debug_assert!((self.rob_base..self.next_idx).contains(&idx));
+        &self.rob[(idx & self.rob_mask) as usize]
     }
 
     fn entry_mut(&mut self, idx: u64) -> &mut RobEntry {
-        &mut self.rob[(idx - self.rob_base) as usize]
+        debug_assert!((self.rob_base..self.next_idx).contains(&idx));
+        &mut self.rob[(idx & self.rob_mask) as usize]
     }
 
     /// Whether `dep` has produced its result by this cycle.
@@ -279,7 +309,8 @@ impl<I: L1DataInterface> OoOCore<I> {
         dep == NO_DEP || dep < self.rob_base || self.entry(dep).done_at <= self.cycle
     }
 
-    /// Inserts `idx` into its class's ready list, keeping program order.
+    /// Inserts `idx` into its class's ready list, keeping program order:
+    /// an append when `idx` is the youngest, else a sorted insert.
     fn make_ready(&mut self, idx: u64) {
         let list = match self.entry(idx).kind {
             EntryKind::Op { .. } => &mut self.ready_ops,
@@ -287,8 +318,12 @@ impl<I: L1DataInterface> OoOCore<I> {
             EntryKind::Load => &mut self.ready_loads,
             EntryKind::Store => unreachable!("stores issue from the store queue"),
         };
-        let pos = list.partition_point(|&i| i < idx);
-        list.insert(pos, idx);
+        if list.back().is_none_or(|&last| last < idx) {
+            list.push_back(idx);
+        } else {
+            let pos = list.partition_point(|&i| i < idx);
+            list.insert(pos, idx);
+        }
     }
 
     /// Makes `idx` ready in cycle `at`: now if that cycle has come, else
@@ -448,7 +483,7 @@ impl<I: L1DataInterface> OoOCore<I> {
         }
 
         for _ in 0..self.dispatch_width {
-            if self.rob.len() >= self.rob_size {
+            if self.rob_len() >= self.rob_size as u64 {
                 return false;
             }
             let Some(inst) = trace.next() else {
@@ -486,14 +521,14 @@ impl<I: L1DataInterface> OoOCore<I> {
                 Some(dist) if u64::from(dist) <= idx => idx - u64::from(dist),
                 _ => NO_DEP,
             };
-            self.rob.push_back(RobEntry {
+            *self.entry_mut(idx) = RobEntry {
                 kind,
                 mem,
                 dep,
                 done_at: UNKNOWN,
                 waiters: NIL,
                 next: NIL,
-            });
+            };
             if kind == EntryKind::Store {
                 self.stores.push_back(idx);
             } else if dep == NO_DEP || dep < self.rob_base {

@@ -90,6 +90,7 @@ impl EnergyCounters {
 
     /// Records a conventional cache access: all `ways` tag comparisons in
     /// one bank plus `ways × sub_blocks` data-array activations.
+    #[inline]
     pub fn l1_conventional_read(&mut self, ways: u32, sub_blocks: u32) {
         self.l1_tag_bank_reads += 1;
         self.l1_data_subblock_reads += u64::from(ways) * u64::from(sub_blocks);
@@ -97,12 +98,14 @@ impl EnergyCounters {
 
     /// Records a reduced cache access (way known and valid): the tag arrays
     /// are bypassed and only one way's `sub_blocks` are activated.
+    #[inline]
     pub fn l1_reduced_read(&mut self, sub_blocks: u32) {
         self.l1_data_subblock_reads += u64::from(sub_blocks);
     }
 
     /// Records a cache write of `sub_blocks` sub-blocks (tag check + data
     /// write into the hit way).
+    #[inline]
     pub fn l1_write(&mut self, sub_blocks: u32) {
         self.l1_tag_bank_reads += 1;
         self.l1_data_subblock_writes += u64::from(sub_blocks);
@@ -110,11 +113,13 @@ impl EnergyCounters {
 
     /// Records a reduced cache write (way known and valid): tag arrays
     /// bypassed.
+    #[inline]
     pub fn l1_reduced_write(&mut self, sub_blocks: u32) {
         self.l1_data_subblock_writes += u64::from(sub_blocks);
     }
 
     /// Records a line fill (written as whole-line data write + tag update).
+    #[inline]
     pub fn l1_line_fill(&mut self, sub_blocks_per_line: u32) {
         self.l1_tag_bank_writes += 1;
         self.l1_data_subblock_writes += u64::from(sub_blocks_per_line);

@@ -36,7 +36,9 @@ pub enum BackingOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BackingMemory {
-    geometry: CacheGeometry,
+    /// log2 of the L2's set count: the set is the line's low bits, the tag
+    /// the bits above.
+    set_bits: u32,
     l2: CacheBank,
     l2_latency: u32,
     dram_latency: u32,
@@ -48,7 +50,7 @@ impl BackingMemory {
     /// Creates the backing system.
     pub fn new(l2_geometry: CacheGeometry, l2_latency: u32, dram_latency: u32) -> Self {
         Self {
-            geometry: l2_geometry,
+            set_bits: l2_geometry.total_set_bits(),
             l2: CacheBank::new(l2_geometry.total_sets(), l2_geometry.ways()),
             l2_latency,
             dram_latency,
@@ -57,15 +59,17 @@ impl BackingMemory {
         }
     }
 
+    #[inline]
     fn set_and_tag(&self, line: LineAddr) -> (u32, u64) {
-        let sets = u64::from(self.geometry.total_sets());
-        ((line.raw() % sets) as u32, line.raw() / sets)
+        let set = line.raw() & ((1 << self.set_bits) - 1);
+        (set as u32, line.raw() >> self.set_bits)
     }
 
     /// Fetches a line on behalf of an L1 miss, returning where it was found
     /// and the additional latency beyond the L1.
     ///
     /// A DRAM fill installs the line into the L2.
+    #[inline]
     pub fn fetch(&mut self, line: LineAddr) -> (BackingOutcome, u32) {
         let (set, tag) = self.set_and_tag(line);
         if self.l2.lookup(set, tag).is_some() {
@@ -83,6 +87,7 @@ impl BackingMemory {
 
     /// Accepts a line evicted from the L1 (inclusive hierarchy: make sure it
     /// is present in the L2 so a re-fetch is an L2 hit).
+    #[inline]
     pub fn accept_writeback(&mut self, line: LineAddr) {
         let (set, tag) = self.set_and_tag(line);
         self.l2.fill(set, tag, None);

@@ -62,6 +62,7 @@ impl MemoryHierarchy {
     /// Resolves `line`: L1 lookup, then (on a miss) L2/DRAM fetch, L1 fill
     /// and writeback of any evicted line. `exclude_way` steers fills away
     /// from a way (the WT fill restriction); pass `None` normally.
+    #[inline]
     pub fn resolve_line(&mut self, line: LineAddr, exclude_way: Option<WayId>) -> AccessOutcome {
         if let Some(way) = self.l1.lookup(line) {
             return AccessOutcome {

@@ -65,6 +65,7 @@ impl BankedL1 {
     }
 
     /// Looks up a physical line, updating LRU and hit/miss statistics.
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> Option<WayId> {
         let bank = self.geometry.bank_of_line(line);
         let set = self.geometry.set_of_line(line).0;
@@ -79,6 +80,7 @@ impl BankedL1 {
     }
 
     /// Checks residency without touching LRU or statistics.
+    #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<WayId> {
         let bank = self.geometry.bank_of_line(line);
         let set = self.geometry.set_of_line(line).0;
@@ -88,6 +90,7 @@ impl BankedL1 {
 
     /// Installs `line`, optionally steering the allocation away from
     /// `exclude_way` (the WT fill restriction), and reports what happened.
+    #[inline]
     pub fn fill(&mut self, line: LineAddr, exclude_way: Option<WayId>) -> L1FillEvent {
         let bank = self.geometry.bank_of_line(line);
         let set = self.geometry.set_of_line(line).0;

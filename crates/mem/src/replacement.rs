@@ -60,17 +60,6 @@ impl Lru {
             .expect("LRU has at least one slot")
     }
 
-    /// Returns the least recently used slot among those enabled in `mask`
-    /// (bit *i* set ⇒ slot *i* allowed), or `None` if the mask is empty.
-    pub fn victim_masked(&self, mask: u64) -> Option<usize> {
-        self.last_use
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask & (1 << i) != 0)
-            .min_by_key(|&(i, &t)| (t, i))
-            .map(|(i, _)| i)
-    }
-
     /// Number of slots tracked.
     pub fn len(&self) -> usize {
         self.last_use.len()
@@ -186,19 +175,6 @@ mod tests {
         let mut lru = Lru::new(4);
         lru.touch(0);
         assert_eq!(lru.victim(), 1);
-    }
-
-    #[test]
-    fn lru_masked_respects_mask() {
-        let mut lru = Lru::new(4);
-        lru.touch(1);
-        lru.touch(2);
-        lru.touch(3);
-        lru.touch(0); // 1 is now LRU overall
-        assert_eq!(lru.victim(), 1);
-        // Exclude way 1: the victim must come from {0, 2, 3}.
-        assert_eq!(lru.victim_masked(0b1101), Some(2));
-        assert_eq!(lru.victim_masked(0), None);
     }
 
     #[test]

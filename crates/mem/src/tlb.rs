@@ -6,6 +6,12 @@
 //! (the uWT must sync to the WT, the WT entry must be invalidated), and
 //! support **reverse lookups by physical page** — cache line fills and
 //! evictions carry physical tags only (Sec. V).
+//!
+//! Both TLBs keep their slots as two parallel dense arrays of raw page ids,
+//! `vpages` and `ppages`, with the sentinel `EMPTY` (`u64::MAX`) in both
+//! for a free slot. A lookup, the refresh check and the free-slot search of
+//! an insert, and a reverse lookup by physical page each scan one
+//! contiguous `u64` array; a full table skips the free-slot search.
 
 use malec_types::addr::{PPageId, VPageId};
 
@@ -38,6 +44,7 @@ impl PageTable {
     }
 
     /// Translates a virtual page to its (deterministic) physical page.
+    #[inline]
     pub fn translate(self, vpage: VPageId) -> PPageId {
         // Fibonacci-hash style mix keeps consecutive virtual pages from
         // colliding in the physical space while staying deterministic.
@@ -57,6 +64,10 @@ impl Default for PageTable {
     }
 }
 
+/// Page id of a free slot. Page ids are addresses shifted right past the
+/// page offset, so no real page reaches it.
+const EMPTY: u64 = u64::MAX;
+
 /// One TLB entry: a virtual→physical pair.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TlbEntry {
@@ -73,6 +84,98 @@ pub struct TlbEvent {
     pub slot: usize,
     /// The translation that was evicted, if the slot was occupied.
     pub evicted: Option<TlbEntry>,
+}
+
+/// The fully associative slots both TLBs share: parallel arrays of raw
+/// virtual and physical page ids, `EMPTY` in both for a free slot.
+#[derive(Clone, Debug)]
+struct Slots {
+    vpages: Vec<u64>,
+    ppages: Vec<u64>,
+    /// Slots in use: a full table skips the free-slot scan.
+    occupied: usize,
+}
+
+impl Slots {
+    fn new(entries: usize) -> Self {
+        Self {
+            vpages: vec![EMPTY; entries],
+            ppages: vec![EMPTY; entries],
+            occupied: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.vpages.len()
+    }
+
+    /// Slot holding `vpage`.
+    #[inline]
+    fn find(&self, vpage: VPageId) -> Option<usize> {
+        debug_assert_ne!(
+            vpage.raw(),
+            EMPTY,
+            "page id collides with the free-slot sentinel"
+        );
+        self.vpages.iter().position(|&v| v == vpage.raw())
+    }
+
+    /// First slot holding `ppage`.
+    #[inline]
+    fn find_ppage(&self, ppage: PPageId) -> Option<usize> {
+        debug_assert_ne!(
+            ppage.raw(),
+            EMPTY,
+            "page id collides with the free-slot sentinel"
+        );
+        self.ppages.iter().position(|&p| p == ppage.raw())
+    }
+
+    /// `(slot, entry)` of the slot holding `vpage`.
+    #[inline]
+    fn lookup(&self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        let slot = self.find(vpage)?;
+        let ppage = PPageId::new(self.ppages[slot]);
+        Some((slot, TlbEntry { vpage, ppage }))
+    }
+
+    /// First free slot.
+    #[inline]
+    fn free(&self) -> Option<usize> {
+        if self.occupied == self.len() {
+            return None;
+        }
+        self.vpages.iter().position(|&v| v == EMPTY)
+    }
+
+    /// Entry in `slot`, if occupied.
+    #[inline]
+    fn entry(&self, slot: usize) -> Option<TlbEntry> {
+        let vpage = self.vpages[slot];
+        (vpage != EMPTY).then(|| TlbEntry {
+            vpage: VPageId::new(vpage),
+            ppage: PPageId::new(self.ppages[slot]),
+        })
+    }
+
+    /// Writes `vpage → ppage` into `slot`, returning what it held.
+    #[inline]
+    fn install(&mut self, slot: usize, vpage: VPageId, ppage: PPageId) -> Option<TlbEntry> {
+        let old = self.entry(slot);
+        self.occupied += usize::from(old.is_none());
+        self.vpages[slot] = vpage.raw();
+        self.ppages[slot] = ppage.raw();
+        old
+    }
+
+    /// Frees `slot`, returning what it held.
+    fn clear(&mut self, slot: usize) -> Option<TlbEntry> {
+        let old = self.entry(slot)?;
+        self.occupied -= 1;
+        self.vpages[slot] = EMPTY;
+        self.ppages[slot] = EMPTY;
+        Some(old)
+    }
 }
 
 /// The main TLB: fully associative with seeded-random replacement (Sec. V).
@@ -92,10 +195,8 @@ pub struct TlbEvent {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<Option<TlbEntry>>,
+    slots: Slots,
     policy: SeededRandom,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -108,80 +209,48 @@ impl Tlb {
     pub fn new(entries: usize, seed: u64) -> Self {
         assert!(entries > 0, "TLB needs entries");
         Self {
-            entries: vec![None; entries],
+            slots: Slots::new(entries),
             policy: SeededRandom::new(seed),
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
     }
 
     /// Looks up a virtual page; returns `(slot, entry)` on a hit.
-    pub fn lookup(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
-        let found = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)));
-        if found.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        found
+    #[inline]
+    pub fn lookup(&self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        self.slots.lookup(vpage)
     }
 
-    /// Reverse lookup by physical page (used on line fills/evictions);
-    /// does not perturb statistics — it is a different tag array.
-    pub fn lookup_by_ppage(&self, ppage: PPageId) -> Option<(usize, TlbEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.ppage == ppage).map(|e| (i, e)))
+    /// Reverse lookup by physical page (used on line fills/evictions): the
+    /// first slot translating to `ppage`.
+    #[inline]
+    pub fn slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
+        self.slots.find_ppage(ppage)
     }
 
     /// Installs a translation, preferring a free slot, else evicting a
-    /// random victim.
+    /// random victim. A page already present is refreshed in place.
     pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some((slot, _)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)))
-        {
-            // Refresh of an existing translation.
-            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        if let Some(slot) = self.slots.find(vpage) {
+            self.slots.install(slot, vpage, ppage);
             return TlbEvent {
                 slot,
                 evicted: None,
             };
         }
-        let slot = match self.entries.iter().position(Option::is_none) {
+        self.fill(vpage, ppage)
+    }
+
+    /// [`insert`](Self::insert) for a page the TLB does not hold, such as
+    /// a walk's result after a missed lookup: skips the refresh check.
+    #[inline]
+    pub fn fill(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        debug_assert!(self.slots.find(vpage).is_none(), "page already present");
+        let slot = match self.slots.free() {
             Some(free) => free,
-            None => self.policy.victim(self.entries.len()),
+            None => self.policy.victim(self.slots.len()),
         };
-        let evicted = self.entries[slot];
-        self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        let evicted = self.slots.install(slot, vpage, ppage);
         TlbEvent { slot, evicted }
-    }
-
-    /// Entry currently in `slot`.
-    pub fn entry(&self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get(slot).copied().flatten()
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -190,7 +259,7 @@ impl Tlb {
 /// therefore uWT→WT full-entry synchronization transfers (Sec. V).
 #[derive(Clone, Debug)]
 pub struct MicroTlb {
-    entries: Vec<Option<TlbEntry>>,
+    slots: Slots,
     policy: SecondChance,
     hits: u64,
     misses: u64,
@@ -205,25 +274,17 @@ impl MicroTlb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "uTLB needs entries");
         Self {
-            entries: vec![None; entries],
+            slots: Slots::new(entries),
             policy: SecondChance::new(entries),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Looks up a virtual page; a hit marks the slot referenced.
+    #[inline]
     pub fn lookup(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
-        let found = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)));
+        let found = self.slots.lookup(vpage);
         if let Some((slot, _)) = found {
             self.hits += 1;
             self.policy.touch(slot);
@@ -233,37 +294,39 @@ impl MicroTlb {
         found
     }
 
-    /// Reverse lookup by physical page.
-    pub fn lookup_by_ppage(&self, ppage: PPageId) -> Option<(usize, TlbEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.ppage == ppage).map(|e| (i, e)))
+    /// Reverse lookup by physical page: the first slot translating to
+    /// `ppage`.
+    #[inline]
+    pub fn slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
+        self.slots.find_ppage(ppage)
     }
 
     /// Installs a translation, preferring a free slot, else the
     /// second-chance victim. The evicted entry (if any) must be synced to
-    /// the WT by the caller.
+    /// the WT by the caller. A page already present is refreshed in place
+    /// and marked referenced.
     pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some((slot, _)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)))
-        {
-            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        if let Some(slot) = self.slots.find(vpage) {
+            self.slots.install(slot, vpage, ppage);
             self.policy.touch(slot);
             return TlbEvent {
                 slot,
                 evicted: None,
             };
         }
-        let slot = match self.entries.iter().position(Option::is_none) {
+        self.fill(vpage, ppage)
+    }
+
+    /// [`insert`](Self::insert) for a page the uTLB does not hold, such as
+    /// a refill after a missed lookup: skips the refresh check.
+    #[inline]
+    pub fn fill(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        debug_assert!(self.slots.find(vpage).is_none(), "page already present");
+        let slot = match self.slots.free() {
             Some(free) => free,
             None => self.policy.victim(),
         };
-        let evicted = self.entries[slot];
-        self.entries[slot] = Some(TlbEntry { vpage, ppage });
+        let evicted = self.slots.install(slot, vpage, ppage);
         // The reference bit stays clear on insertion: only a subsequent hit
         // marks the page hot. This is what lets the clock distinguish
         // streaming pages (touched once) from re-used ones.
@@ -273,19 +336,16 @@ impl MicroTlb {
     /// Removes the translation in `slot` (e.g. when the main TLB evicted the
     /// page), returning it.
     pub fn invalidate_slot(&mut self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get_mut(slot).and_then(Option::take)
+        if slot < self.slots.len() {
+            self.slots.clear(slot)
+        } else {
+            None
+        }
     }
 
     /// Finds the slot holding `vpage` without statistics side effects.
     pub fn slot_of(&self, vpage: VPageId) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.map(|e| e.vpage) == Some(vpage))
-    }
-
-    /// Entry currently in `slot`.
-    pub fn entry(&self, slot: usize) -> Option<TlbEntry> {
-        self.entries.get(slot).copied().flatten()
+        self.slots.find(vpage)
     }
 
     /// Lookup hits so far.
@@ -335,8 +395,6 @@ mod tests {
         let (slot, entry) = tlb.lookup(v).expect("hit after insert");
         assert_eq!(slot, ev.slot);
         assert_eq!(entry.ppage, pt.translate(v));
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 1);
     }
 
     #[test]
@@ -346,9 +404,9 @@ mod tests {
         let v = VPageId::new(33);
         let p = pt.translate(v);
         tlb.insert(v, p);
-        let (_, e) = tlb.lookup_by_ppage(p).expect("reverse hit");
-        assert_eq!(e.vpage, v);
-        assert!(tlb.lookup_by_ppage(PPageId::new(p.raw() ^ 1)).is_none());
+        let slot = tlb.slot_of_ppage(p).expect("reverse hit");
+        assert_eq!(tlb.slots.entry(slot).map(|e| e.vpage), Some(v));
+        assert!(tlb.slot_of_ppage(PPageId::new(p.raw() ^ 1)).is_none());
     }
 
     #[test]
@@ -414,10 +472,7 @@ mod tests {
                 tlb.insert(vp, pt.translate(vp));
             }
             for v in 0..32u64 {
-                let vp = VPageId::new(v);
-                let count = (0..tlb.capacity())
-                    .filter(|&s| tlb.entry(s).map(|e| e.vpage) == Some(vp))
-                    .count();
+                let count = tlb.slots.vpages.iter().filter(|&&s| s == v).count();
                 prop_assert!(count <= 1, "vpage {v} duplicated");
             }
         }
@@ -441,8 +496,177 @@ mod tests {
                 let vp = VPageId::new(v);
                 utlb.insert(vp, pt.translate(vp));
             }
-            let occupied = (0..utlb.capacity()).filter(|&s| utlb.entry(s).is_some()).count();
+            let occupied = utlb.slots.vpages.iter().filter(|&&v| v != EMPTY).count();
             prop_assert!(occupied <= 16);
+        }
+    }
+
+    /// The TLB as it was before the dense slot arrays: a
+    /// `Vec<Option<TlbEntry>>` scanned linearly, with the same seeded
+    /// random replacement.
+    struct ModelTlb {
+        entries: Vec<Option<TlbEntry>>,
+        policy: SeededRandom,
+    }
+
+    /// The uTLB as it was before the dense slot arrays, with the same
+    /// second-chance replacement.
+    struct ModelMicroTlb {
+        entries: Vec<Option<TlbEntry>>,
+        policy: SecondChance,
+        hits: u64,
+        misses: u64,
+    }
+
+    fn model_find(entries: &[Option<TlbEntry>], vpage: VPageId) -> Option<(usize, TlbEntry)> {
+        entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| e.filter(|e| e.vpage == vpage).map(|e| (i, e)))
+    }
+
+    fn model_find_ppage(entries: &[Option<TlbEntry>], ppage: PPageId) -> Option<usize> {
+        entries
+            .iter()
+            .position(|e| e.is_some_and(|e| e.ppage == ppage))
+    }
+
+    impl ModelTlb {
+        fn new(entries: usize, seed: u64) -> Self {
+            Self {
+                entries: vec![None; entries],
+                policy: SeededRandom::new(seed),
+            }
+        }
+
+        fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+            if let Some((slot, _)) = model_find(&self.entries, vpage) {
+                self.entries[slot] = Some(TlbEntry { vpage, ppage });
+                return TlbEvent {
+                    slot,
+                    evicted: None,
+                };
+            }
+            let slot = match self.entries.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => self.policy.victim(self.entries.len()),
+            };
+            let evicted = self.entries[slot];
+            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+            TlbEvent { slot, evicted }
+        }
+    }
+
+    impl ModelMicroTlb {
+        fn new(entries: usize) -> Self {
+            Self {
+                entries: vec![None; entries],
+                policy: SecondChance::new(entries),
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn lookup(&mut self, vpage: VPageId) -> Option<(usize, TlbEntry)> {
+            let found = model_find(&self.entries, vpage);
+            if let Some((slot, _)) = found {
+                self.hits += 1;
+                self.policy.touch(slot);
+            } else {
+                self.misses += 1;
+            }
+            found
+        }
+
+        fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+            if let Some((slot, _)) = model_find(&self.entries, vpage) {
+                self.entries[slot] = Some(TlbEntry { vpage, ppage });
+                self.policy.touch(slot);
+                return TlbEvent {
+                    slot,
+                    evicted: None,
+                };
+            }
+            let slot = match self.entries.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => self.policy.victim(),
+            };
+            let evicted = self.entries[slot];
+            self.entries[slot] = Some(TlbEntry { vpage, ppage });
+            TlbEvent { slot, evicted }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random lookups, inserts and reverse lookups give the model's
+        /// answer at every step. Few pages over few physical pages make
+        /// refreshes, evictions and shared physical pages common.
+        #[test]
+        fn prop_tlb_matches_vec_model(
+            entries in 1usize..70,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec((0u8..3, 0u64..1000, 0u64..8), 0..400),
+        ) {
+            let mut tlb = Tlb::new(entries, seed);
+            let mut model = ModelTlb::new(entries, seed);
+            // Three pages per slot: hits, misses and evictions all common.
+            let pages = 3 * entries as u64;
+            for (kind, v, p) in ops {
+                let (vpage, ppage) = (VPageId::new(v % pages), PPageId::new(p));
+                match kind {
+                    0 => prop_assert_eq!(tlb.lookup(vpage), model_find(&model.entries, vpage)),
+                    // Half the absent pages go in through `fill`.
+                    1 if p % 2 == 0 && tlb.lookup(vpage).is_none() => {
+                        prop_assert_eq!(tlb.fill(vpage, ppage), model.insert(vpage, ppage));
+                    }
+                    1 => prop_assert_eq!(tlb.insert(vpage, ppage), model.insert(vpage, ppage)),
+                    _ => prop_assert_eq!(
+                        tlb.slot_of_ppage(ppage),
+                        model_find_ppage(&model.entries, ppage)
+                    ),
+                }
+            }
+        }
+
+        /// The same for the uTLB, with invalidations and `slot_of`; the
+        /// hit and miss counters agree at the end.
+        #[test]
+        fn prop_utlb_matches_vec_model(
+            entries in 1usize..20,
+            ops in proptest::collection::vec((0u8..5, 0u64..1000, 0u64..8), 0..400),
+        ) {
+            let mut utlb = MicroTlb::new(entries);
+            let mut model = ModelMicroTlb::new(entries);
+            let pages = 3 * entries as u64;
+            for (kind, v, p) in ops {
+                let (vpage, ppage) = (VPageId::new(v % pages), PPageId::new(p));
+                match kind {
+                    0 => prop_assert_eq!(utlb.lookup(vpage), model.lookup(vpage)),
+                    // Half the absent pages go in through `fill`.
+                    1 if p % 2 == 0 && utlb.slot_of(vpage).is_none() => {
+                        prop_assert_eq!(utlb.fill(vpage, ppage), model.insert(vpage, ppage));
+                    }
+                    1 => prop_assert_eq!(utlb.insert(vpage, ppage), model.insert(vpage, ppage)),
+                    2 => prop_assert_eq!(
+                        utlb.slot_of_ppage(ppage),
+                        model_find_ppage(&model.entries, ppage)
+                    ),
+                    3 => {
+                        // Slots one past the end must report nothing.
+                        let slot = v as usize % (entries + 1);
+                        let want = model.entries.get_mut(slot).and_then(Option::take);
+                        prop_assert_eq!(utlb.invalidate_slot(slot), want);
+                    }
+                    _ => prop_assert_eq!(
+                        utlb.slot_of(vpage),
+                        model_find(&model.entries, vpage).map(|(s, _)| s)
+                    ),
+                }
+            }
+            prop_assert_eq!((utlb.hits(), utlb.misses()), (model.hits, model.misses));
+            prop_assert_eq!(utlb.slots.occupied, model.entries.iter().flatten().count());
         }
     }
 }

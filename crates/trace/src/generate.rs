@@ -244,6 +244,7 @@ impl WorkloadGenerator {
 impl Iterator for WorkloadGenerator {
     type Item = TraceInst;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceInst> {
         let inst = if self.rng.gen_bool(self.profile.mem_fraction) {
             if self.rng.gen_bool(self.profile.load_share) {

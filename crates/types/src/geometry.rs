@@ -6,6 +6,12 @@
 //! 4 KiB pages. Lines are interleaved across banks by low line-address bits
 //! ("a cache consisting of four banks may allocate lines 0..3 to separate
 //! banks and lines 0, 4, 8, .., 60 to the same bank", Sec. V).
+//!
+//! Every size here is a power of two: [`PageGeometry::new`] and
+//! [`CacheGeometry::new`] reject anything else, and the fields are private,
+//! so no other value can be built. Each slicing method relies on that and
+//! uses only shifts and masks, never a division, since the simulator
+//! slices an address on every L1 lookup and fill.
 
 use serde::{Deserialize, Serialize};
 
@@ -70,7 +76,13 @@ impl PageGeometry {
     /// Number of cache lines per page (64 for the paper's 4 KiB / 64 B).
     #[inline]
     pub const fn lines_per_page(self) -> u32 {
-        (self.page_bytes / self.line_bytes) as u32
+        1 << self.line_index_bits()
+    }
+
+    /// Number of bits of the line-in-page index (6 for 4 KiB / 64 B).
+    #[inline]
+    const fn line_index_bits(self) -> u32 {
+        self.page_offset_bits() - self.line_offset_bits()
     }
 
     /// Number of bits of the in-page byte offset (12 for 4 KiB pages).
@@ -101,6 +113,26 @@ impl PageGeometry {
     #[inline]
     pub fn line_in_page(self, raw: u64) -> u8 {
         ((raw >> self.line_offset_bits()) & u64::from(self.lines_per_page() - 1)) as u8
+    }
+
+    /// Page id of a line address (physical or virtual): the line bits above
+    /// the line-in-page index.
+    #[inline]
+    pub fn page_of_line(self, line: LineAddr) -> u64 {
+        line.raw() >> self.line_index_bits()
+    }
+
+    /// Index of a line address within its page (0..`lines_per_page`).
+    #[inline]
+    pub fn index_in_page(self, line: LineAddr) -> u8 {
+        (line.raw() & u64::from(self.lines_per_page() - 1)) as u8
+    }
+
+    /// `line` moved to page `page`, keeping its index within the page.
+    #[inline]
+    pub fn rebase_line(self, line: LineAddr, page: u64) -> LineAddr {
+        let index = line.raw() & u64::from(self.lines_per_page() - 1);
+        LineAddr::new((page << self.line_index_bits()) | index)
     }
 }
 
@@ -239,13 +271,28 @@ impl CacheGeometry {
     /// Total number of sets across all banks.
     #[inline]
     pub const fn total_sets(self) -> u32 {
-        (self.total_bytes / self.line_bytes) as u32 / self.ways
+        1 << self.total_set_bits()
+    }
+
+    /// log2 of [`total_sets`](Self::total_sets).
+    #[inline]
+    pub const fn total_set_bits(self) -> u32 {
+        self.total_bytes.trailing_zeros()
+            - self.line_bytes.trailing_zeros()
+            - self.ways.trailing_zeros()
     }
 
     /// Number of sets per bank.
     #[inline]
     pub const fn sets_per_bank(self) -> u32 {
-        self.total_sets() / self.banks
+        1 << self.set_bits()
+    }
+
+    /// log2 of [`sets_per_bank`](Self::sets_per_bank): the width of the set
+    /// selector above the bank selector.
+    #[inline]
+    const fn set_bits(self) -> u32 {
+        self.total_set_bits() - self.banks.trailing_zeros()
     }
 
     /// Bank holding `line`: low line-address bits select the bank
@@ -266,15 +313,14 @@ impl CacheGeometry {
     /// Tag for `line`: the line-address bits above bank and set selectors.
     #[inline]
     pub fn tag_of_line(self, line: LineAddr) -> u64 {
-        line.raw() >> (self.banks.trailing_zeros() + self.sets_per_bank().trailing_zeros())
+        line.raw() >> self.total_set_bits()
     }
 
     /// Number of tag bits for a 32-bit physical address space with the given
     /// page geometry (used by the energy model to size tag arrays).
     pub fn tag_bits(self, address_bits: u32) -> u32 {
         let line_bits = self.line_bytes.trailing_zeros();
-        let index_bits =
-            self.banks.trailing_zeros() + self.sets_per_bank().trailing_zeros() + line_bits;
+        let index_bits = self.total_set_bits() + line_bits;
         address_bits.saturating_sub(index_bits)
     }
 }
@@ -314,6 +360,10 @@ mod tests {
         let a = VAddr::new(0x0001_2fc4);
         assert_eq!(g.vpage_of(a).raw(), 0x12);
         assert_eq!(g.line_in_page(a.raw()), (0xfc4 >> 6) as u8);
+        let line = g.line_of(a.raw());
+        assert_eq!(g.page_of_line(line), 0x12);
+        assert_eq!(g.index_in_page(line), (0xfc4 >> 6) as u8);
+        assert_eq!(g.rebase_line(line, 0x34), g.line_of(0x0003_4fc4));
     }
 
     #[test]
@@ -385,6 +435,34 @@ mod tests {
         fn prop_line_in_page_bounds(raw in proptest::num::u64::ANY) {
             let g = PageGeometry::default();
             prop_assert!(u32::from(g.line_in_page(raw)) < g.lines_per_page());
+        }
+
+        /// The shifts and masks agree with the divisions they replace, for
+        /// every geometry `new` accepts.
+        #[test]
+        fn prop_shifts_match_divisions(
+            page_bits in 4u32..16,
+            line_bits in 3u32..10,
+            raw in 0u64..(1 << 40),
+            ways_bits in 0u32..5,
+            banks_bits in 0u32..4,
+            extra_bits in 0u32..6,
+        ) {
+            if let Ok(g) = PageGeometry::new(1 << page_bits, 1 << line_bits) {
+                let lpp = (1u64 << page_bits) / (1u64 << line_bits);
+                prop_assert_eq!(u64::from(g.lines_per_page()), lpp);
+                let line = LineAddr::new(raw);
+                prop_assert_eq!(g.page_of_line(line), raw / lpp);
+                prop_assert_eq!(g.index_in_page(line), (raw % lpp) as u8);
+                prop_assert_eq!(g.rebase_line(line, 7).raw(), 7 * lpp + raw % lpp);
+            }
+            let (ways, banks) = (1u32 << ways_bits, 1u32 << banks_bits);
+            let total = (64u64 * u64::from(ways * banks)) << extra_bits;
+            let c = CacheGeometry::new(total, ways, banks, 64, 128).expect("valid geometry");
+            let sets = (total / 64) as u32 / ways;
+            prop_assert_eq!(c.total_sets(), sets);
+            prop_assert_eq!(c.sets_per_bank(), sets / banks);
+            prop_assert_eq!(c.tag_of_line(LineAddr::new(raw)), raw / u64::from(sets));
         }
     }
 }
