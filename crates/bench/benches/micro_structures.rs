@@ -70,8 +70,8 @@ fn main() {
         utlb.lookup(VPageId::new(i))
     });
 
-    // A page-table walk into a full TLB, filled as the MMU fills it after
-    // a missed lookup: every page is fresh, so each picks a random victim.
+    // A page-table walk into a full TLB: every page is fresh, so each
+    // insert picks a random victim.
     let mut tlb = Tlb::new(64, 1);
     for v in 0..64 {
         let vpage = VPageId::new(v);
@@ -81,7 +81,7 @@ fn main() {
     bench("tlb_walk_insert", || {
         v += 1;
         let vpage = VPageId::new(v);
-        tlb.fill(vpage, pt.translate(vpage))
+        tlb.insert(vpage, pt.translate(vpage))
     });
 
     // One tick of the MSHR view: prune, note a DRAM fill every 8th cycle

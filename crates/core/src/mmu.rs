@@ -83,10 +83,9 @@ impl Mmu {
             };
         }
 
-        // uTLB miss: consult the TLB. Both lookups missed before their
-        // table is filled, so the fills skip the refresh check.
+        // uTLB miss: consult the TLB.
         if let Some((tlb_slot, entry)) = self.tlb.lookup(vpage) {
-            let ev = self.utlb.fill(vpage, entry.ppage);
+            let ev = self.utlb.insert(vpage, entry.ppage);
             return Translation {
                 ppage: entry.ppage,
                 path: TranslationPath::TlbHit { tlb_slot },
@@ -98,7 +97,7 @@ impl Mmu {
 
         // Page-table walk.
         let ppage = self.page_table.translate(vpage);
-        let tlb_ev = self.tlb.fill(vpage, ppage);
+        let tlb_ev = self.tlb.insert(vpage, ppage);
         // A TLB eviction kills any uTLB copy of the evicted page.
         let mut tlb_evicted = None;
         if let Some(evicted) = tlb_ev.evicted {
@@ -107,7 +106,7 @@ impl Mmu {
             }
             tlb_evicted = Some((tlb_ev.slot, evicted));
         }
-        let u_ev = self.utlb.fill(vpage, ppage);
+        let u_ev = self.utlb.insert(vpage, ppage);
         Translation {
             ppage,
             path: TranslationPath::Walk {

@@ -11,9 +11,13 @@
 //! an invalid way, and in `last_use`, its LRU recency stamp. One clock per
 //! bank stamps every touch. Stamps only ever compare within a set, where a
 //! bank-wide clock orders the touches exactly as a per-set counter would,
-//! so the LRU victims are those of true per-set LRU.
+//! so the LRU victims are those of true per-set LRU. A set's victim comes
+//! from `replacement::lru_victim` over its slice of `last_use`, the same
+//! rule `Lru` uses.
 
 use malec_types::addr::WayId;
+
+use crate::replacement::lru_victim;
 
 /// Tag of an invalid way. Line tags are line addresses shifted right past
 /// the set selector, so no real tag reaches it.
@@ -128,20 +132,14 @@ impl CacheBank {
                 mask = without;
             }
         }
-        let allowed = |w: &usize| mask & (1 << w) != 0;
+        let allowed = |w: usize| mask & (1 << w) != 0;
 
         // Prefer an invalid way within the mask, else the least recently
-        // used one (ties toward the lowest way).
+        // used one.
         let tags = &self.tags[base..base + self.ways];
-        let last_use = &self.last_use[base..base + self.ways];
         let victim = (0..self.ways)
-            .filter(allowed)
-            .find(|&w| tags[w] == EMPTY)
-            .or_else(|| {
-                (0..self.ways)
-                    .filter(allowed)
-                    .min_by_key(|&w| (last_use[w], w))
-            })
+            .find(|&w| allowed(w) && tags[w] == EMPTY)
+            .or_else(|| lru_victim(&self.last_use[base..base + self.ways], allowed))
             .expect("mask is never empty");
 
         let evicted = std::mem::replace(&mut self.tags[base + victim], tag);

@@ -52,12 +52,7 @@ impl Lru {
     /// Returns the least recently used slot (ties break toward the lowest
     /// index, so never-touched slots are preferred in order).
     pub fn victim(&self) -> usize {
-        self.last_use
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .map(|(i, _)| i)
-            .expect("LRU has at least one slot")
+        lru_victim(&self.last_use, |_| true).expect("LRU has at least one slot")
     }
 
     /// Number of slots tracked.
@@ -69,6 +64,20 @@ impl Lru {
     pub fn is_empty(&self) -> bool {
         self.last_use.is_empty()
     }
+}
+
+/// The LRU victim among the slots `allowed` admits: the one with the
+/// oldest recency stamp in `last_use`, ties toward the lowest index. `None`
+/// if no slot is allowed. [`Lru`] and the cache banks' flat stamp arrays
+/// both pick their victims here.
+#[inline]
+pub(crate) fn lru_victim(last_use: &[u64], allowed: impl Fn(usize) -> bool) -> Option<usize> {
+    last_use
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| allowed(i))
+        .min_by_key(|&(i, &t)| (t, i))
+        .map(|(i, _)| i)
 }
 
 /// Seeded uniform-random victim selection (deterministic across runs).
@@ -175,6 +184,17 @@ mod tests {
         let mut lru = Lru::new(4);
         lru.touch(0);
         assert_eq!(lru.victim(), 1);
+    }
+
+    #[test]
+    fn lru_victim_skips_disallowed_slots() {
+        let last_use = [4, 1, 2, 3];
+        assert_eq!(lru_victim(&last_use, |_| true), Some(1));
+        // Without slot 1 the oldest is slot 2.
+        assert_eq!(lru_victim(&last_use, |i| i != 1), Some(2));
+        // Equal stamps break toward the lowest allowed index.
+        assert_eq!(lru_victim(&[0, 0, 0], |i| i > 0), Some(1));
+        assert_eq!(lru_victim(&last_use, |_| false), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `vpages` and `ppages`, with the sentinel `EMPTY` (`u64::MAX`) in both
 //! for a free slot. A lookup, the refresh check and the free-slot search of
 //! an insert, and a reverse lookup by physical page each scan one
-//! contiguous `u64` array; a full table skips the free-slot search.
+//! contiguous `u64` array.
 
 use malec_types::addr::{PPageId, VPageId};
 
@@ -92,8 +92,6 @@ pub struct TlbEvent {
 struct Slots {
     vpages: Vec<u64>,
     ppages: Vec<u64>,
-    /// Slots in use: a full table skips the free-slot scan.
-    occupied: usize,
 }
 
 impl Slots {
@@ -101,7 +99,6 @@ impl Slots {
         Self {
             vpages: vec![EMPTY; entries],
             ppages: vec![EMPTY; entries],
-            occupied: 0,
         }
     }
 
@@ -142,9 +139,6 @@ impl Slots {
     /// First free slot.
     #[inline]
     fn free(&self) -> Option<usize> {
-        if self.occupied == self.len() {
-            return None;
-        }
         self.vpages.iter().position(|&v| v == EMPTY)
     }
 
@@ -162,7 +156,6 @@ impl Slots {
     #[inline]
     fn install(&mut self, slot: usize, vpage: VPageId, ppage: PPageId) -> Option<TlbEntry> {
         let old = self.entry(slot);
-        self.occupied += usize::from(old.is_none());
         self.vpages[slot] = vpage.raw();
         self.ppages[slot] = ppage.raw();
         old
@@ -171,7 +164,6 @@ impl Slots {
     /// Frees `slot`, returning what it held.
     fn clear(&mut self, slot: usize) -> Option<TlbEntry> {
         let old = self.entry(slot)?;
-        self.occupied -= 1;
         self.vpages[slot] = EMPTY;
         self.ppages[slot] = EMPTY;
         Some(old)
@@ -237,14 +229,6 @@ impl Tlb {
                 evicted: None,
             };
         }
-        self.fill(vpage, ppage)
-    }
-
-    /// [`insert`](Self::insert) for a page the TLB does not hold, such as
-    /// a walk's result after a missed lookup: skips the refresh check.
-    #[inline]
-    pub fn fill(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        debug_assert!(self.slots.find(vpage).is_none(), "page already present");
         let slot = match self.slots.free() {
             Some(free) => free,
             None => self.policy.victim(self.slots.len()),
@@ -314,14 +298,6 @@ impl MicroTlb {
                 evicted: None,
             };
         }
-        self.fill(vpage, ppage)
-    }
-
-    /// [`insert`](Self::insert) for a page the uTLB does not hold, such as
-    /// a refill after a missed lookup: skips the refresh check.
-    #[inline]
-    pub fn fill(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        debug_assert!(self.slots.find(vpage).is_none(), "page already present");
         let slot = match self.slots.free() {
             Some(free) => free,
             None => self.policy.victim(),
@@ -617,10 +593,6 @@ mod tests {
                 let (vpage, ppage) = (VPageId::new(v % pages), PPageId::new(p));
                 match kind {
                     0 => prop_assert_eq!(tlb.lookup(vpage), model_find(&model.entries, vpage)),
-                    // Half the absent pages go in through `fill`.
-                    1 if p % 2 == 0 && tlb.lookup(vpage).is_none() => {
-                        prop_assert_eq!(tlb.fill(vpage, ppage), model.insert(vpage, ppage));
-                    }
                     1 => prop_assert_eq!(tlb.insert(vpage, ppage), model.insert(vpage, ppage)),
                     _ => prop_assert_eq!(
                         tlb.slot_of_ppage(ppage),
@@ -628,6 +600,8 @@ mod tests {
                     ),
                 }
             }
+            let slots: Vec<_> = (0..entries).map(|s| tlb.slots.entry(s)).collect();
+            prop_assert_eq!(slots, model.entries);
         }
 
         /// The same for the uTLB, with invalidations and `slot_of`; the
@@ -644,10 +618,6 @@ mod tests {
                 let (vpage, ppage) = (VPageId::new(v % pages), PPageId::new(p));
                 match kind {
                     0 => prop_assert_eq!(utlb.lookup(vpage), model.lookup(vpage)),
-                    // Half the absent pages go in through `fill`.
-                    1 if p % 2 == 0 && utlb.slot_of(vpage).is_none() => {
-                        prop_assert_eq!(utlb.fill(vpage, ppage), model.insert(vpage, ppage));
-                    }
                     1 => prop_assert_eq!(utlb.insert(vpage, ppage), model.insert(vpage, ppage)),
                     2 => prop_assert_eq!(
                         utlb.slot_of_ppage(ppage),
@@ -666,7 +636,8 @@ mod tests {
                 }
             }
             prop_assert_eq!((utlb.hits(), utlb.misses()), (model.hits, model.misses));
-            prop_assert_eq!(utlb.slots.occupied, model.entries.iter().flatten().count());
+            let slots: Vec<_> = (0..entries).map(|s| utlb.slots.entry(s)).collect();
+            prop_assert_eq!(slots, model.entries);
         }
     }
 }
