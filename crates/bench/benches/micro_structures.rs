@@ -42,10 +42,11 @@ fn main() {
     bench("wdu16_lookup_record", || {
         i = (i + 1) % 64;
         let line = LineAddr::new(i);
-        if wdu.lookup(line).is_none() {
+        let way = wdu.lookup(line);
+        if way.is_none() {
             wdu.record(line, WayId((i % 4) as u8));
         }
-        wdu.hits()
+        way
     });
 
     let mut bank = CacheBank::new(32, 4);

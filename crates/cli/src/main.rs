@@ -37,8 +37,6 @@ use malec_cli::run::{record_trace, run_spec_file};
 use malec_core::digest::digest;
 use malec_core::{ScenarioSource, Simulator};
 use malec_serve::client::{Client, RetryPolicy};
-use malec_serve::http::{request, request_stream};
-use malec_serve::json::{parse as parse_json, Value};
 use malec_serve::server::{ServeOptions, Server, DEFAULT_ADDR};
 use malec_serve::spec::parse_spec;
 use malec_serve::{Faults, FsyncPolicy, ResultCache, ShardMap};
@@ -603,22 +601,10 @@ fn cmd_cache_compact(args: &[String]) -> Result<(), String> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}\n{}", usage()));
     }
-    let (status, body) = request(addr.as_str(), "POST", "/v1/cache/compact", b"")
-        .map_err(|e| format!("POST {addr}/v1/cache/compact: {e}"))?;
-    if status != 200 {
-        let detail = parse_json(&body)
-            .ok()
-            .and_then(|v| v.get("error").and_then(Value::as_str).map(str::to_owned))
-            .unwrap_or(body);
-        return Err(format!("server returned {status}: {}", detail.trim()));
-    }
-    let v = parse_json(&body).map_err(|e| format!("malformed response: {e}"))?;
-    let get = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let outcome = Client::new(addr.as_str()).compact()?;
     println!(
         "compacted cache at {addr}: {} -> {} bytes, {} live record(s)",
-        get("bytes_before"),
-        get("bytes_after"),
-        get("live_records"),
+        outcome.bytes_before, outcome.bytes_after, outcome.records,
     );
     Ok(())
 }
@@ -635,16 +621,7 @@ fn cmd_cache_sync(args: &[String]) -> Result<(), String> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments {args:?}\n{}", usage()));
     }
-    let (status, _, mut stream) = request_stream(
-        from.as_str(),
-        "GET",
-        "/v1/cache/sync",
-        Duration::from_secs(60),
-    )
-    .map_err(|e| format!("GET {from}/v1/cache/sync: {e}"))?;
-    if status != 200 {
-        return Err(format!("{from} answered {status} to GET /v1/cache/sync"));
-    }
+    let mut stream = Client::new(from.as_str()).sync_stream()?;
     let mut cache = ResultCache::open(Path::new(&out)).map_err(|e| format!("open {out}: {e}"))?;
     let report = cache
         .ingest(&mut stream)
@@ -676,6 +653,7 @@ fn cmd_presets() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malec_serve::server::ServerHandle;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|&a| a.to_owned()).collect()
@@ -794,5 +772,96 @@ mod tests {
         )
         .expect_err("one failed submission and no budget to resubmit");
         assert!(err.contains("after 1 submission(s)"), "{err}");
+    }
+
+    /// A fresh scratch directory for test `name`.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("malec_cli_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        dir
+    }
+
+    /// An in-process one-worker server, its cache persisted at `cache`
+    /// when given, that has already run the two cells of `SWEEP_SPEC`.
+    fn warm_server(cache: Option<PathBuf>) -> ServerHandle {
+        let opts = ServeOptions {
+            workers: Some(1),
+            cache_path: cache,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", opts)
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let client = Client::new(server.addr().to_string());
+        let job = client.submit(SWEEP_SPEC).expect("submit");
+        client.wait(job, Duration::from_secs(120)).expect("wait");
+        server
+    }
+
+    fn stop(server: ServerHandle) {
+        Client::new(server.addr().to_string())
+            .shutdown()
+            .expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn cache_compact_rewrites_a_persisted_log() {
+        let dir = scratch("compact");
+        let server = warm_server(Some(dir.join("results.cache")));
+        let addr = server.addr().to_string();
+        cmd_cache(&strings(&["compact", "--addr", &addr])).expect("a persisted cache compacts");
+        let stats = Client::new(addr).cache_stats().expect("stats");
+        assert_eq!(stats.compactions, 1, "{stats:?}");
+        stop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cache_compact_of_an_in_memory_cache_fails_with_the_server_message() {
+        let server = warm_server(None);
+        let addr = server.addr().to_string();
+        let err = cmd_cache(&strings(&["compact", "--addr", &addr]))
+            .expect_err("an in-memory cache has no log to compact");
+        assert!(err.contains("400"), "{err}");
+        assert!(
+            err.contains("in-memory"),
+            "the server's message travels: {err}"
+        );
+        stop(server);
+    }
+
+    #[test]
+    fn cache_sync_writes_a_log_that_reloads_every_entry() {
+        let dir = scratch("sync");
+        let out = dir.join("synced.cache");
+        let server = warm_server(None);
+        let addr = server.addr().to_string();
+        let out_arg = out.to_str().expect("utf-8 path");
+        cmd_cache(&strings(&["sync", "--from", &addr, "-o", out_arg])).expect("sync");
+        let entries = Client::new(&addr).cache_stats().expect("stats").entries;
+        assert_eq!(entries, 2);
+        let synced = ResultCache::open(&out).expect("the synced log reopens");
+        assert_eq!(synced.stats().entries, entries);
+        stop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cache_sync_from_a_dead_address_names_it() {
+        let dir = scratch("sync_dead");
+        let out = dir.join("never.cache");
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port")
+            .to_string();
+        let out_arg = out.to_str().expect("utf-8 path");
+        let err = cmd_cache(&strings(&["sync", "--from", &dead, "-o", out_arg]))
+            .expect_err("nothing listens there");
+        assert!(err.contains(&dead), "the error names the address: {err}");
+        assert!(!out.exists(), "no log is created for a failed sync");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

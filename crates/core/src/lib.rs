@@ -10,8 +10,8 @@
 //!   cycle via physical multi-porting (the performance-oriented baseline);
 //! * [`MalecInterface`] — Page-Based Memory Access Grouping
 //!   ([`InputBuffer`], [`ArbitrationUnit`]-style bank/merge selection) with
-//!   optional Page-Based Way Determination ([`WayTable`]/[`MicroWayTable`])
-//!   or a [`Wdu`] substitute.
+//!   optional Page-Based Way Determination (a [`WayTable`] beside each
+//!   TLB) or a [`Wdu`] substitute.
 //!
 //! [`sim::Simulator`] glues a configuration, a benchmark profile,
 //! the out-of-order core, the memory hierarchy and the energy model into one
@@ -34,7 +34,6 @@
 //! [`MalecInterface`]: malec::MalecInterface
 //! [`InputBuffer`]: input_buffer::InputBuffer
 //! [`WayTable`]: waytable::WayTable
-//! [`MicroWayTable`]: waytable::MicroWayTable
 //! [`Wdu`]: wdu::Wdu
 //! [`ArbitrationUnit`]: malec::MalecInterface
 

@@ -38,7 +38,7 @@ use crate::metrics::InterfaceStats;
 use crate::mmu::{Mmu, Translation, TranslationPath};
 use crate::pending::{CompletionQueue, FillTable};
 use crate::sbmb::{MergeBuffer, StoreBuffer};
-use crate::waytable::{MicroWayTable, WayTable};
+use crate::waytable::WayTable;
 use crate::wdu::Wdu;
 
 /// One arbitration candidate: the op, its physical line, its bank, and its
@@ -64,7 +64,7 @@ pub struct MalecInterface {
     sb: StoreBuffer,
     mb: MergeBuffer,
     ib: InputBuffer,
-    uwt: Option<MicroWayTable>,
+    uwt: Option<WayTable>,
     wt: Option<WayTable>,
     wdu: Option<Wdu>,
     feedback: bool,
@@ -101,8 +101,8 @@ impl MalecInterface {
         let banks = config.l1.banks();
         let ways = config.l1.ways();
         let (uwt, wt, wdu, feedback) = match config.way_determination {
-            WayDetermination::WayTables => (
-                Some(MicroWayTable::new(
+            WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => (
+                Some(WayTable::new(
                     usize::from(config.utlb_entries),
                     lines,
                     banks,
@@ -115,23 +115,7 @@ impl MalecInterface {
                     ways,
                 )),
                 None,
-                true,
-            ),
-            WayDetermination::WayTablesNoFeedback => (
-                Some(MicroWayTable::new(
-                    usize::from(config.utlb_entries),
-                    lines,
-                    banks,
-                    ways,
-                )),
-                Some(WayTable::new(
-                    usize::from(config.tlb_entries),
-                    lines,
-                    banks,
-                    ways,
-                )),
-                None,
-                false,
+                config.way_determination == WayDetermination::WayTables,
             ),
             WayDetermination::Wdu(n) => (None, None, Some(Wdu::new(usize::from(n.max(1)))), true),
             WayDetermination::None => (None, None, None, false),

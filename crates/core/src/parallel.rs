@@ -7,12 +7,13 @@
 //! sweeps need on top of `std::thread::scope`: an order-preserving parallel
 //! map with atomic work-stealing over the item list.
 //!
-//! Results are written to the output slot matching the input index, so the
+//! Results are stored in the output slot matching the input index, so the
 //! output of [`parallel_map`] is **identical** to the serial
 //! `items.map(f).collect()` no matter how the items were interleaved across
 //! threads — determinism of the sweep matrix does not depend on scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Upper bound on worker threads (beyond this, memory bandwidth — not the
 /// core count — limits simulator throughput).
@@ -75,51 +76,31 @@ where
         return items.iter().map(f).collect();
     }
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
+    // Each worker claims the next index through the shared cursor and
+    // stores its result in that index's slot; the scope joins every worker
+    // before the slots are read. A worker holds the lock only for that
+    // store, which cannot panic, so the lock is never poisoned. Items are
+    // whole simulation cells, so one lock per item costs nothing measurable.
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
-    let items = &items;
-    let f = &f;
-
-    // Hand each worker a disjoint set of output slots, discovered through
-    // the shared cursor. Slots are disjoint by construction (fetch_add), so
-    // the unsafe write below never aliases; the scope guarantees all writes
-    // complete before `results` is read again.
-    let results_ptr = SendPtr(results.as_mut_ptr());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let results_ptr = &results_ptr;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&items[i]);
-                    // SAFETY: `i` is unique to this worker (atomic
-                    // fetch_add), in bounds (checked above), and the slot
-                    // outlives the scope.
-                    unsafe {
-                        *results_ptr.0.add(i) = Some(r);
-                    }
-                }
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(item);
+                slots.lock().expect("a slot store cannot panic")[i] = Some(r);
             });
         }
     });
 
-    results
+    slots
+        .into_inner()
+        .expect("a slot store cannot panic")
         .into_iter()
         .map(|r| r.expect("every slot written by exactly one worker"))
         .collect()
 }
-
-/// Raw-pointer wrapper asserting cross-thread sendability for the disjoint
-/// slot writes above.
-struct SendPtr<T>(*mut T);
-
-// SAFETY: workers write disjoint indices and the pointee outlives the scope.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

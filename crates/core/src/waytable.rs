@@ -8,8 +8,8 @@
 //! leakage over a naive 1-valid-bit + 2-way-bit format (128 vs 192 bits for
 //! 64 lines per page).
 //!
-//! The [`MicroWayTable`] mirrors the uTLB slot-for-slot, the [`WayTable`]
-//! mirrors the TLB. A TLB hit returns the WT entry alongside the
+//! One [`WayTable`] mirrors the uTLB slot-for-slot (the uWT), another
+//! mirrors the TLB (the WT). A TLB hit returns the WT entry alongside the
 //! translation, so one lookup services *all* references to the page.
 
 use malec_types::addr::WayId;
@@ -113,44 +113,8 @@ impl WaySlots {
     }
 }
 
-/// The micro way table: one [`WaySlots`] entry per uTLB slot.
-#[derive(Clone, Debug)]
-pub struct MicroWayTable {
-    entries: Vec<WaySlots>,
-}
-
-impl MicroWayTable {
-    /// Creates an all-unknown table with one entry per uTLB slot.
-    pub fn new(slots: usize, lines: u32, banks: u32, ways: u32) -> Self {
-        Self {
-            entries: (0..slots)
-                .map(|_| WaySlots::new(lines, banks, ways))
-                .collect(),
-        }
-    }
-
-    /// Entry for a uTLB slot.
-    pub fn entry(&self, slot: usize) -> &WaySlots {
-        &self.entries[slot]
-    }
-
-    /// Mutable entry for a uTLB slot.
-    pub fn entry_mut(&mut self, slot: usize) -> &mut WaySlots {
-        &mut self.entries[slot]
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table has zero slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The way table proper: one [`WaySlots`] entry per TLB slot.
+/// A way table: one [`WaySlots`] entry per slot of the TLB it mirrors —
+/// the uTLB for the micro way table (uWT), the TLB for the way table (WT).
 #[derive(Clone, Debug)]
 pub struct WayTable {
     entries: Vec<WaySlots>,
@@ -272,7 +236,7 @@ mod tests {
         wt.entry_mut(0).set(1, WayId(2));
         assert_eq!(wt.entry(0).get(1), Some(WayId(2)));
         assert_eq!(wt.entry(1).get(1), None);
-        let uwt = MicroWayTable::new(2, 64, 4, 4);
+        let uwt = WayTable::new(2, 64, 4, 4);
         assert_eq!(known_lines(uwt.entry(0)), 0);
         assert_eq!(uwt.len(), 2);
         assert_eq!(wt.len(), 4);

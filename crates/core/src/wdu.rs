@@ -37,8 +37,6 @@ struct WduEntry {
 pub struct Wdu {
     entries: Vec<Option<WduEntry>>,
     lru: Lru,
-    lookups: u64,
-    hits: u64,
 }
 
 impl Wdu {
@@ -52,20 +50,12 @@ impl Wdu {
         Self {
             entries: vec![None; entries],
             lru: Lru::new(entries),
-            lookups: 0,
-            hits: 0,
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
     }
 
     /// Looks up the way for `line`; `Some(way)` only when the entry is valid
     /// (reduced cache access allowed).
     pub fn lookup(&mut self, line: LineAddr) -> Option<WayId> {
-        self.lookups += 1;
         let found = self
             .entries
             .iter()
@@ -74,7 +64,6 @@ impl Wdu {
             self.lru.touch(slot);
             let e = self.entries[slot].expect("slot occupied");
             if e.valid {
-                self.hits += 1;
                 return Some(e.way);
             }
         }
@@ -121,20 +110,6 @@ impl Wdu {
             }
         }
     }
-
-    /// Valid hits (reduced accesses enabled).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Hit rate over lookups (the WDU's coverage).
-    pub fn coverage(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,9 +124,6 @@ mod tests {
         assert_eq!(w.lookup(line), None);
         w.record(line, WayId(1));
         assert_eq!(w.lookup(line), Some(WayId(1)));
-        assert_eq!(w.lookups, 2);
-        assert_eq!(w.hits(), 1);
-        assert!((w.coverage() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -183,24 +155,24 @@ mod tests {
     fn bigger_wdu_covers_more() {
         // A working set of 24 lines cycled repeatedly: a 32-entry WDU holds
         // it all; an 8-entry WDU thrashes.
+        // Coverage is the share of lookups that hit.
         let lines: Vec<LineAddr> = (0..24).map(LineAddr::new).collect();
-        let mut small = Wdu::new(8);
-        let mut big = Wdu::new(32);
-        for _ in 0..50 {
-            for &l in &lines {
-                for w in [&mut small, &mut big] {
-                    if w.lookup(l).is_none() {
+        let coverage = |entries: usize| {
+            let mut w = Wdu::new(entries);
+            let mut hits = 0u32;
+            for _ in 0..50 {
+                for &l in &lines {
+                    if w.lookup(l).is_some() {
+                        hits += 1;
+                    } else {
                         w.record(l, WayId(0));
                     }
                 }
             }
-        }
-        assert!(
-            big.coverage() > small.coverage() + 0.3,
-            "big={} small={}",
-            big.coverage(),
-            small.coverage()
-        );
+            f64::from(hits) / (50.0 * lines.len() as f64)
+        };
+        let (small, big) = (coverage(8), coverage(32));
+        assert!(big > small + 0.3, "big={big} small={small}");
     }
 
     proptest! {

@@ -73,7 +73,7 @@ use crate::sync::lock;
 use malec_core::digest::{read_summary, summary_to_bytes};
 use malec_core::RunSummary;
 use malec_trace::Scenario;
-use malec_types::stable::{StableHasher, StableKey};
+use malec_types::stable::{fnv1a64, StableHasher, StableKey};
 use malec_types::SimConfig;
 
 use crate::fault::{FaultAction, Faults};
@@ -84,21 +84,16 @@ const VERSION: u8 = 3;
 /// Bytes of the log header (magic + version).
 const HEADER_LEN: u64 = 5;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// The per-record checksum: FNV-1a-64 over `key ‖ ver ‖ len ‖ body`.
 fn record_sum(key: u128, ver: u8, body: &[u8]) -> u64 {
-    let h = fnv64(FNV_OFFSET, &key.to_le_bytes());
-    let h = fnv64(h, &[ver]);
-    let h = fnv64(h, &(body.len() as u32).to_le_bytes());
-    fnv64(h, body)
+    let len = (body.len() as u32).to_le_bytes();
+    fnv1a64(
+        key.to_le_bytes()
+            .into_iter()
+            .chain([ver])
+            .chain(len)
+            .chain(body.iter().copied()),
+    )
 }
 
 /// When the cache log reaches the platters, not just the page cache.

@@ -1,6 +1,9 @@
 //! The client side of the v1 API: one round trip per call, JSON parsed
-//! into small typed views. `malec-cli submit` / `status` are thin wrappers
-//! over this module, and the integration tests drive servers through it.
+//! into small typed views. Every call a process makes to a server goes
+//! through [`Client`] — `malec-cli`'s remote commands, a sharded peer's
+//! forward, wait and owner fetch, a peer's cache warm-up and the
+//! integration tests — and every [`Client`] method goes through one
+//! private retry loop over one [`http::request`](crate::http::request).
 //!
 //! Every v1 request is **idempotent** — job submission is content-addressed
 //! (an identical resubmission dedups against the cache and any in-flight
@@ -11,15 +14,15 @@
 //! the policy's own backoff ceiling — a misbehaving peer advertising
 //! `Retry-After: 86400` must not park a client for a day.
 
-use std::io::Read;
 use std::time::{Duration, Instant};
 
-use crate::cache::{decode_single_record, CacheStats};
-use crate::http::{request_meta, request_stream};
+use crate::cache::{decode_single_record, CacheStats, CompactOutcome};
+use crate::http::{request, Response};
 use crate::json::{parse, Value};
 use crate::report::esc;
 
 use malec_core::RunSummary;
+use malec_types::stable::fnv1a64;
 
 /// Total per-request budget (connect + write + read).
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
@@ -87,10 +90,7 @@ impl RetryPolicy {
             .max(Duration::from_millis(1));
         let half = ceiling / 2;
         // FNV-1a over (path, attempt): deterministic jitter in [0, half].
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in path.bytes().chain(attempt.to_le_bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        let h = fnv1a64(path.bytes().chain(attempt.to_le_bytes()));
         let jitter_ms = h % (half.as_millis().max(1) as u64 + 1);
         half + Duration::from_millis(jitter_ms)
     }
@@ -127,13 +127,51 @@ fn retryable_status(status: u16) -> bool {
     status == 408 || status == 429 || (500..600).contains(&status)
 }
 
-/// Why one record-fetch attempt failed.
-enum FetchFailure {
-    /// A deterministic answer: `404`, or a status the policy never retries.
-    Final(String),
-    /// Transport trouble, a damaged body or a retryable status, with the
-    /// server's `Retry-After` seconds when it sent them.
+/// Why a call's `accept` refused one response.
+enum CallError {
+    /// A damaged body or a retryable status, with the server's
+    /// `Retry-After` seconds when it sent them: worth another attempt.
     Retry(String, Option<u64>),
+    /// A deterministic answer (a `404`, another 4xx, a malformed body):
+    /// the call fails at once.
+    Final(String),
+}
+
+/// Sorts a response the caller cannot use by its status: a retry for
+/// 408/429/5xx, carrying the server's `Retry-After`, a final answer
+/// otherwise. Either carries the body's `error` message when it has one.
+fn status_error(resp: Response) -> CallError {
+    let (status, retry_after) = (resp.status, resp.retry_after);
+    let body = resp.text().unwrap_or_default();
+    let reason = match parse(&body)
+        .ok()
+        .as_ref()
+        .and_then(|v| v.get("error")?.as_str())
+    {
+        Some(detail) => format!("server returned {status}: {detail}"),
+        None => format!("server returned {status}"),
+    };
+    if retryable_status(status) {
+        CallError::Retry(reason, retry_after)
+    } else {
+        CallError::Final(reason)
+    }
+}
+
+/// The body of a 2xx response as text; any other status goes to
+/// [`status_error`].
+fn success_text(resp: Response) -> Result<String, CallError> {
+    if !(200..300).contains(&resp.status) {
+        return Err(status_error(resp));
+    }
+    resp.text()
+        .map_err(|e| CallError::Retry(e.to_string(), None))
+}
+
+/// The body of a 2xx response as JSON.
+fn success_json(resp: Response) -> Result<Value, CallError> {
+    let text = success_text(resp)?;
+    parse(&text).map_err(|e| CallError::Final(format!("malformed response: {e}")))
 }
 
 /// A client bound to one server address.
@@ -274,47 +312,37 @@ impl Client {
         self
     }
 
-    /// One call under the retry policy. Connection errors, timeouts, and
-    /// retryable statuses back off and retry; everything else returns on
-    /// the first attempt. A `Retry-After` header overrides the backoff.
-    fn call(&self, method: &str, path: &str, body: &[u8]) -> Result<(u16, String), String> {
+    /// The one call path: one round trip per attempt under the retry
+    /// policy. `accept` turns a response into the caller's value or sorts
+    /// it into a [`CallError`]. A transport failure or a `Retry` backs off
+    /// (a `Retry-After` overrides the computed backoff, capped at the
+    /// policy ceiling) and tries again until the retries run out; a
+    /// `Final` fails the call at once.
+    fn call<T>(
+        &self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        accept: impl Fn(Response) -> Result<T, CallError>,
+    ) -> Result<T, String> {
+        let context = |e: String| format!("{method} {path} at {}: {e}", self.addr);
         let mut attempt = 0u32;
         loop {
-            let outcome = request_meta(&self.addr, method, path, body, REQUEST_TIMEOUT);
-            let (fail, retry_after) = match &outcome {
-                Ok(resp) if !retryable_status(resp.status) => {
-                    return Ok((resp.status, resp.body.clone()))
-                }
-                Ok(resp) => (format!("server returned {}", resp.status), resp.retry_after),
+            let (fail, retry_after) = match request(&self.addr, method, path, body, REQUEST_TIMEOUT)
+            {
+                Ok(resp) => match accept(resp) {
+                    Ok(value) => return Ok(value),
+                    Err(CallError::Final(e)) => return Err(context(e)),
+                    Err(CallError::Retry(e, retry_after)) => (e, retry_after),
+                },
                 Err(e) => (e.to_string(), None),
             };
             attempt += 1;
             if attempt > self.retry.retries {
-                return match outcome {
-                    Ok(resp) => Ok((resp.status, resp.body)),
-                    Err(_) => Err(format!(
-                        "{method} {} at {}: {fail} ({attempt} attempt{})",
-                        path,
-                        self.addr,
-                        if attempt == 1 { "" } else { "s" }
-                    )),
-                };
+                let plural = if attempt == 1 { "" } else { "s" };
+                return Err(context(format!("{fail} ({attempt} attempt{plural})")));
             }
             std::thread::sleep(self.retry.retry_delay(attempt, path, retry_after));
-        }
-    }
-
-    fn call_json(&self, method: &str, path: &str, body: &[u8]) -> Result<Value, String> {
-        let (status, text) = self.call(method, path, body)?;
-        let v = parse(&text).map_err(|e| format!("{path}: malformed response: {e}"))?;
-        if (200..300).contains(&status) {
-            Ok(v)
-        } else {
-            let detail = v
-                .get("error")
-                .and_then(Value::as_str)
-                .map_or_else(|| text.clone(), str::to_owned);
-            Err(format!("{path}: server returned {status}: {detail}"))
         }
     }
 
@@ -325,7 +353,7 @@ impl Client {
     /// Returns a message for connection failures and server-side rejections
     /// (spec parse errors arrive as `400` with the parser's message).
     pub fn submit(&self, spec_toml: &str) -> Result<u64, String> {
-        let v = self.call_json("POST", "/v1/jobs", spec_toml.as_bytes())?;
+        let v = self.call("POST", "/v1/jobs", spec_toml.as_bytes(), success_json)?;
         field(&v, "job")
     }
 
@@ -338,18 +366,19 @@ impl Client {
     /// As [`submit`](Self::submit); a label not in the spec is a `400`.
     pub fn submit_configs(&self, spec_toml: &str, labels: &[String]) -> Result<u64, String> {
         let path = format!("/v1/jobs?configs={}", labels.join(","));
-        let v = self.call_json("POST", &path, spec_toml.as_bytes())?;
+        let v = self.call("POST", &path, spec_toml.as_bytes(), success_json)?;
         field(&v, "job")
     }
 
     /// Fetches one verified record from this peer's
     /// `GET /v1/cache/record/<key>` endpoint — the peer-miss path of
-    /// sharded serving. The response is a single log-format record; its
-    /// checksum and key are verified before the summary is returned.
-    /// Retries follow the policy of every other call: transport failures,
-    /// a damaged body and retryable statuses back off (a `Retry-After`
-    /// capped at the policy ceiling); a `404` (the peer has no such record)
-    /// and every other status are deterministic and return at once.
+    /// sharded serving. The response is a single log-format record of at
+    /// most 4 MiB; its checksum and key are verified before the summary is
+    /// returned. Retries follow the policy of every other call: transport
+    /// failures, a damaged or oversized body and retryable statuses back
+    /// off (a `Retry-After` capped at the policy ceiling); a `404` (the
+    /// peer has no such record) and every other status are deterministic
+    /// and return at once.
     ///
     /// # Errors
     ///
@@ -357,53 +386,22 @@ impl Client {
     /// non-retryable status, and a damaged or mismatched response body.
     pub fn fetch_record(&self, key: u128) -> Result<RunSummary, String> {
         let path = format!("/v1/cache/record/{key:032x}");
-        let mut attempt = 0u32;
-        loop {
-            let (fail, retry_after) = match self.try_fetch_record(&path, key) {
-                Ok(summary) => return Ok(summary),
-                Err(FetchFailure::Final(e)) => return Err(e),
-                Err(FetchFailure::Retry(e, retry_after)) => (e, retry_after),
-            };
-            attempt += 1;
-            if attempt > self.retry.retries {
-                return Err(format!(
-                    "GET {path} at {}: {fail} ({attempt} attempt{})",
-                    self.addr,
-                    if attempt == 1 { "" } else { "s" }
-                ));
+        self.call("GET", &path, b"", |resp| {
+            match resp.status {
+                200 => {}
+                404 => return Err(CallError::Final(format!("no record for key {key:032x}"))),
+                _ => return Err(status_error(resp)),
             }
-            std::thread::sleep(self.retry.retry_delay(attempt, &path, retry_after));
-        }
-    }
-
-    /// One record-fetch attempt.
-    fn try_fetch_record(&self, path: &str, key: u128) -> Result<RunSummary, FetchFailure> {
-        let retry = |e: String| FetchFailure::Retry(e, None);
-        let (status, retry_after, mut stream) =
-            request_stream(&self.addr, "GET", path, REQUEST_TIMEOUT)
-                .map_err(|e| retry(e.to_string()))?;
-        if status != 200 {
-            return Err(match status {
-                404 => FetchFailure::Final(format!("{}: no record for key {key:032x}", self.addr)),
-                s if retryable_status(s) => {
-                    FetchFailure::Retry(format!("server returned {s}"), retry_after)
-                }
-                s => {
-                    FetchFailure::Final(format!("GET {path} at {}: server returned {s}", self.addr))
-                }
-            });
-        }
-        let mut body = Vec::new();
-        stream
-            .read_to_end(&mut body)
-            .map_err(|e| retry(e.to_string()))?;
-        let (got, summary) = decode_single_record(&body).map_err(|e| retry(e.to_string()))?;
-        if got != key {
-            return Err(retry(format!(
-                "record key mismatch (asked {key:032x}, got {got:032x})"
-            )));
-        }
-        Ok(summary)
+            let retry = |e: String| CallError::Retry(e, None);
+            let body = resp.bytes().map_err(|e| retry(e.to_string()))?;
+            let (got, summary) = decode_single_record(&body).map_err(|e| retry(e.to_string()))?;
+            if got != key {
+                return Err(retry(format!(
+                    "record key mismatch (asked {key:032x}, got {got:032x})"
+                )));
+            }
+            Ok(summary)
+        })
     }
 
     /// Fetches one job's status.
@@ -413,7 +411,7 @@ impl Client {
     /// Returns a message for connection failures, unknown jobs, and
     /// malformed responses.
     pub fn status(&self, job: u64) -> Result<JobView, String> {
-        let v = self.call_json("GET", &format!("/v1/jobs/{job}"), b"")?;
+        let v = self.call("GET", &format!("/v1/jobs/{job}"), b"", success_json)?;
         parse_view(&v)
     }
 
@@ -425,10 +423,10 @@ impl Client {
     /// doubling toward `poll_max`. A shed poll (the saturation gate's
     /// `503`) or transient server error does **not** abort the wait — the
     /// job keeps running server-side regardless — it just delays the next
-    /// poll, by the server's `Retry-After` when one is sent. Transport
-    /// errors are bounded by the policy's `retries` (consecutive);
-    /// deterministic client errors (`404` for an expired job) are fatal
-    /// immediately.
+    /// poll, by the server's `Retry-After` (capped at the policy ceiling)
+    /// when one is sent. Each poll retries transport errors up to the
+    /// policy's `retries`; deterministic client errors (`404` for an
+    /// expired job) are fatal immediately.
     ///
     /// # Errors
     ///
@@ -439,67 +437,41 @@ impl Client {
         let deadline = Instant::now() + timeout;
         let path = format!("/v1/jobs/{job}");
         let mut polls = 0u32;
-        let mut transport_failures = 0u32;
         loop {
-            match request_meta(&self.addr, "GET", &path, b"", REQUEST_TIMEOUT) {
-                Ok(resp) if (200..300).contains(&resp.status) => {
-                    transport_failures = 0;
-                    let v = parse(&resp.body)
-                        .map_err(|e| format!("{path}: malformed response: {e}"))?;
-                    let view = parse_view(&v)?;
-                    if view.is_terminal() {
-                        return Ok(view);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "job {job} still {} after {timeout:?} ({} of {} cells pending)",
-                            view.state, view.pending, view.cells
-                        ));
-                    }
-                    std::thread::sleep(self.retry.poll_cadence(polls));
-                    polls += 1;
+            // A shed or failed poll says nothing about the job, so it comes
+            // back as a value that paces the next poll, never as a retry
+            // that spends the budget.
+            let poll = self.call("GET", &path, b"", |resp| {
+                if retryable_status(resp.status) {
+                    return Ok(Err((resp.status, resp.retry_after)));
                 }
-                Ok(resp) if retryable_status(resp.status) => {
-                    // The server answered, so it is alive — a shed or
-                    // failed poll never gives up on the job. Honor its
-                    // pacing hint when it sent one.
-                    transport_failures = 0;
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "job {job}: server still answering {} to status polls at the \
-                             {timeout:?} deadline",
-                            resp.status
-                        ));
-                    }
-                    // Clamped like the call path: the hint paces, the
-                    // policy bounds.
-                    let delay = resp.retry_after.map_or_else(
-                        || self.retry.poll_cadence(polls),
-                        |s| Duration::from_secs(s).min(self.retry.cap),
-                    );
-                    std::thread::sleep(delay);
-                    polls += 1;
+                parse_view(&success_json(resp)?)
+                    .map(Ok)
+                    .map_err(CallError::Final)
+            })?;
+            let delay = match poll {
+                Ok(view) if view.is_terminal() => return Ok(view),
+                Ok(view) if Instant::now() >= deadline => {
+                    return Err(format!(
+                        "job {job} still {} after {timeout:?} ({} of {} cells pending)",
+                        view.state, view.pending, view.cells
+                    ));
                 }
-                Ok(resp) => {
-                    // Deterministic client error (404: unknown/expired job).
-                    let detail = parse(&resp.body)
-                        .ok()
-                        .and_then(|v| v.get("error").and_then(Value::as_str).map(str::to_owned))
-                        .unwrap_or(resp.body);
-                    return Err(format!("{path}: server returned {}: {detail}", resp.status));
+                Ok(_) => self.retry.poll_cadence(polls),
+                Err((status, _)) if Instant::now() >= deadline => {
+                    return Err(format!(
+                        "job {job}: server still answering {status} to status polls at the \
+                         {timeout:?} deadline"
+                    ));
                 }
-                Err(e) => {
-                    transport_failures += 1;
-                    if transport_failures > self.retry.retries {
-                        return Err(format!(
-                            "GET {path} at {}: {e} ({transport_failures} consecutive failure{})",
-                            self.addr,
-                            if transport_failures == 1 { "" } else { "s" }
-                        ));
-                    }
-                    std::thread::sleep(self.retry.backoff(transport_failures, &path));
-                }
-            }
+                // Clamped like a retry: the hint paces, the policy bounds.
+                Err((_, retry_after)) => retry_after.map_or_else(
+                    || self.retry.poll_cadence(polls),
+                    |s| Duration::from_secs(s).min(self.retry.cap),
+                ),
+            };
+            std::thread::sleep(delay);
+            polls += 1;
         }
     }
 
@@ -548,12 +520,7 @@ impl Client {
     ///
     /// Returns a message for unknown jobs and jobs still running (`409`).
     pub fn report(&self, job: u64) -> Result<String, String> {
-        let (status, text) = self.call("GET", &format!("/v1/jobs/{job}/report"), b"")?;
-        if status == 200 {
-            Ok(text)
-        } else {
-            Err(format!("report for job {job}: server returned {status}"))
-        }
+        self.call("GET", &format!("/v1/jobs/{job}/report"), b"", success_text)
     }
 
     /// Fetches a finished job's paired-comparison report JSON (the
@@ -565,23 +532,7 @@ impl Client {
     /// Returns a message for unknown jobs, jobs still running (`409`), and
     /// jobs with no comparable pair (`400`, with the server's reason).
     pub fn compare(&self, job: u64) -> Result<String, String> {
-        let (status, text) = self.call("GET", &format!("/v1/jobs/{job}/compare"), b"")?;
-        if status == 200 {
-            Ok(text)
-        } else {
-            let detail = parse(&text)
-                .ok()
-                .and_then(|v| v.get("error").and_then(Value::as_str).map(str::to_owned))
-                .unwrap_or_default();
-            Err(format!(
-                "compare for job {job}: server returned {status}{}",
-                if detail.is_empty() {
-                    String::new()
-                } else {
-                    format!(": {detail}")
-                }
-            ))
-        }
+        self.call("GET", &format!("/v1/jobs/{job}/compare"), b"", success_text)
     }
 
     /// Fetches the cache counters.
@@ -590,7 +541,7 @@ impl Client {
     ///
     /// Returns a message for connection failures and malformed responses.
     pub fn cache_stats(&self) -> Result<CacheStats, String> {
-        let v = self.call_json("GET", "/v1/cache/stats", b"")?;
+        let v = self.call("GET", "/v1/cache/stats", b"", success_json)?;
         // The lifecycle counters are absent on pre-lifecycle servers;
         // default rather than fail.
         let opt = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
@@ -609,13 +560,43 @@ impl Client {
         })
     }
 
+    /// Asks the server to rewrite its cache log keeping only live records.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for connection failures, a server without a
+    /// persisted cache (`400`) and a failed rewrite.
+    pub fn compact(&self) -> Result<CompactOutcome, String> {
+        let v = self.call("POST", "/v1/cache/compact", b"", success_json)?;
+        Ok(CompactOutcome {
+            bytes_before: field(&v, "bytes_before")?,
+            bytes_after: field(&v, "bytes_after")?,
+            records: field(&v, "live_records")?,
+        })
+    }
+
+    /// Opens the server's `/v1/cache/sync` stream: its live record set in
+    /// cache-log format, for `ResultCache::ingest` to verify record by
+    /// record as it arrives. Only the response head has been read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for connection failures and a non-`200` answer.
+    pub fn sync_stream(&self) -> Result<Response, String> {
+        self.call("GET", "/v1/cache/sync", b"", |resp| match resp.status {
+            200 => Ok(resp),
+            _ => Err(status_error(resp)),
+        })
+    }
+
     /// Asks the server to drain and stop.
     ///
     /// # Errors
     ///
     /// Returns a message for connection failures.
     pub fn shutdown(&self) -> Result<(), String> {
-        self.call_json("POST", "/v1/shutdown", b"").map(|_| ())
+        self.call("POST", "/v1/shutdown", b"", success_json)
+            .map(|_| ())
     }
 
     /// The peer set a sharded server is configured with (self included),
@@ -625,7 +606,7 @@ impl Client {
     ///
     /// Returns a message for connection failures and malformed responses.
     pub fn peers(&self) -> Result<Vec<String>, String> {
-        let v = self.call_json("GET", "/v1/healthz", b"")?;
+        let v = self.call("GET", "/v1/healthz", b"", success_json)?;
         Ok(v.get("peers")
             .and_then(Value::as_array)
             .map(|a| {
@@ -842,7 +823,7 @@ mod tests {
             for (conn, (status, headers, body)) in listener.incoming().take(n).zip(replies) {
                 let mut conn = conn.expect("accept");
                 let _ = crate::http::read_request_deadline(&conn, Duration::from_secs(5));
-                crate::http::write_response_with(
+                crate::http::write_response(
                     &mut conn,
                     status,
                     "application/json",
@@ -913,6 +894,40 @@ mod tests {
         let err = client.fetch_record(7).expect_err("the 404 answers next");
         assert!(err.contains("no record for key"), "{err}");
         server.join().expect("server thread");
+    }
+
+    #[test]
+    fn fetch_record_stops_reading_a_body_past_the_cap() {
+        // A faulty owner answers a record fetch with `200` and writes, in
+        // chunks, a body eight times the 4 MiB cap. The fetch must fail
+        // once the cap is passed and hang up, so the peer never gets to
+        // write the whole body.
+        use std::io::Write;
+        const DECLARED: usize = 32 << 20;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let _ = crate::http::read_request_deadline(&conn, Duration::from_secs(5));
+            let octets = "application/octet-stream";
+            crate::http::write_response_head(&mut conn, 200, octets, &[], DECLARED)
+                .expect("write head");
+            let chunk = [0u8; 64 * 1024];
+            let mut written = 0;
+            while written < DECLARED && conn.write_all(&chunk).is_ok() {
+                written += chunk.len();
+            }
+            written
+        });
+        let err = Client::new(addr)
+            .fetch_record(7)
+            .expect_err("an oversized body fails the fetch");
+        let written = peer.join().expect("peer thread");
+        assert!(
+            written < DECLARED,
+            "the client read all {written} bytes the peer declared"
+        );
+        assert!(err.contains("too large"), "{err}");
     }
 
     #[test]

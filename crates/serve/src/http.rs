@@ -5,15 +5,19 @@
 //!
 //! Server side: [`read_request_deadline`] parses one request (request
 //! line, headers, `Content-Length` body) off a stream; [`write_response`]
-//! emits a complete `Connection: close` response. Client side: [`request`]
-//! performs one round trip. One request per connection keeps the framing
-//! trivial — connection reuse buys nothing for a localhost batch API.
+//! emits a complete `Connection: close` response. [`write_response_head`]
+//! formats every response head, and lets a binary endpoint
+//! (`/v1/cache/sync`) stream its body in pieces after it — a cache
+//! snapshot can exceed the 4 MiB body cap.
 //!
-//! Binary endpoints (`/v1/cache/sync`) stream instead of buffering:
-//! [`write_response_head`] emits the head and lets the handler write the
-//! body in pieces, and [`request_stream`] hands the caller a bounded
-//! [`ByteStream`] reader over the response body — a cache snapshot can
-//! exceed the 4 MiB JSON body cap without either side holding it whole.
+//! Client side: [`request`] performs one round trip and returns once the
+//! response head is parsed. Its [`Response`] leaves the body on the wire:
+//! [`Response::bytes`] and [`Response::text`] read it whole, capped at
+//! 4 MiB, and [`Read`] streams it (a cache snapshot, verified record by
+//! record as it arrives). [`Client`](crate::client::Client) is its one
+//! caller, through its one retry loop. One request per
+//! connection keeps the framing trivial — connection reuse buys nothing
+//! for a localhost batch API.
 //!
 //! Limits are deliberate: 8 KiB per header line, 64 headers, 4 MiB bodies.
 //! A malformed or oversized request produces a clean error (the server
@@ -231,7 +235,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Connection: close` response.
+/// Writes a complete `Connection: close` response, with `extra_headers`
+/// (e.g. `Retry-After` on a `503`) after the standard ones.
 ///
 /// # Errors
 ///
@@ -240,46 +245,19 @@ pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body)
-}
-
-/// [`write_response`] with extra headers (e.g. `Retry-After` on a `503`).
-/// Header names and values must be token-clean; the caller controls them.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len(),
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    write_response_head(stream, status, content_type, extra_headers, body.len())?;
     stream.write_all(body)?;
     stream.flush()
 }
 
 /// Writes only the response head (status line, `Content-Type`,
-/// `Content-Length`, `Connection: close`, blank line) for a body the
-/// caller streams itself — exactly `content_length` bytes must follow.
+/// `Content-Length`, `Connection: close`, `extra_headers`, blank line) —
+/// the one place a response head is formatted. A caller streaming its own
+/// body must follow it with exactly `content_length` bytes. Header names
+/// and values must be token-clean; the caller controls them.
 ///
 /// # Errors
 ///
@@ -288,57 +266,95 @@ pub fn write_response_head(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
+    extra_headers: &[(&str, &str)],
     content_length: usize,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {content_length}\r\nConnection: close\r\n\r\n",
+    let mut head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {content_length}\r\nConnection: close\r\n",
         status,
         reason(status),
         content_type,
     );
+    for (name, value) in extra_headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
     stream.write_all(head.as_bytes())
 }
 
-/// One complete HTTP response as the client sees it.
-#[derive(Clone, Debug)]
+/// One HTTP response as the client sees it: the parsed head, with the body
+/// still on the wire. Read the body whole with [`bytes`](Self::bytes) or
+/// [`text`](Self::text), or stream it through [`Read`]; either way it ends
+/// at the response's `Content-Length`, or at connection close without one.
+#[derive(Debug)]
 pub struct Response {
     /// Status code.
     pub status: u16,
-    /// UTF-8 body.
-    pub body: String,
     /// A parsed `Retry-After: <seconds>` header, if the server sent one
     /// (the saturation gate does, on `503`).
     pub retry_after: Option<u64>,
+    body: io::Take<BufReader<TcpStream>>,
+    /// Whether the head declared the body's length, so that the stream
+    /// ending short of it is an error rather than the body's end.
+    sized: bool,
 }
 
-/// Default per-call network timeout for [`request`].
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(60);
+impl Response {
+    /// The whole body, at most 4 MiB: a peer cannot make the client
+    /// buffer more, whatever length it declares.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` for a body past the cap and propagates socket
+    /// errors.
+    pub fn bytes(self) -> io::Result<Vec<u8>> {
+        let mut body = Vec::new();
+        self.take(MAX_BODY as u64 + 1).read_to_end(&mut body)?;
+        if body.len() > MAX_BODY {
+            return Err(bad("response body too large"));
+        }
+        Ok(body)
+    }
 
-/// Performs one HTTP round trip against `addr` and returns
-/// `(status, body)`.
+    /// The whole body as UTF-8, under the [`bytes`](Self::bytes) cap.
+    ///
+    /// # Errors
+    ///
+    /// As [`bytes`](Self::bytes); `InvalidData` if the body is not UTF-8.
+    pub fn text(self) -> io::Result<String> {
+        String::from_utf8(self.bytes()?).map_err(|_| bad("response body is not UTF-8"))
+    }
+}
+
+/// Streams the body — how a cache snapshot, which may exceed the cap of
+/// [`Response::bytes`], reaches `ResultCache::ingest`.
+impl Read for Response {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.body.read(buf)?;
+        if n == 0 && !buf.is_empty() && self.sized && self.body.limit() > 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "response body ended before its Content-Length",
+            ));
+        }
+        Ok(n)
+    }
+}
+
+/// Performs one HTTP round trip against `addr`: sends the request and
+/// returns once the response head is parsed, leaving the body for the
+/// caller to read. `timeout` applies to the connect and to each socket
+/// read and write separately — a batch API must never hang a client
+/// forever on a wedged peer.
 ///
 /// # Errors
 ///
 /// Propagates connection and socket errors; returns `InvalidData` for a
-/// malformed response.
+/// malformed response head.
 pub fn request(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> io::Result<(u16, String)> {
-    request_meta(addr, method, path, body, CLIENT_TIMEOUT).map(|r| (r.status, r.body))
-}
-
-/// [`request`] with an explicit timeout (applied to connect, reads, and
-/// writes separately) and response metadata — the retry layer needs the
-/// `Retry-After` header, not just the status.
-///
-/// # Errors
-///
-/// Propagates connection and socket errors; returns `InvalidData` for a
-/// malformed response.
-pub fn request_meta(
     addr: impl ToSocketAddrs,
     method: &str,
     path: &str,
@@ -346,7 +362,6 @@ pub fn request_meta(
     timeout: Duration,
 ) -> io::Result<Response> {
     let mut stream = connect_timeout(addr, timeout)?;
-    // A batch API must never hang a client forever on a wedged peer.
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let head = format!(
@@ -356,39 +371,13 @@ pub fn request_meta(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let (status, content_length, retry_after) = read_response_head(&mut reader)?;
-    if content_length.is_some_and(|len| len > MAX_BODY) {
-        return Err(bad("response too large"));
-    }
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            buf
-        }
-        // Connection: close responses without a length end at EOF.
-        None => {
-            let mut buf = Vec::new();
-            reader.take(MAX_BODY as u64).read_to_end(&mut buf)?;
-            buf
-        }
-    };
-    let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
-    Ok(Response {
-        status,
-        body,
-        retry_after,
-    })
+    read_response_head(BufReader::new(stream))
 }
 
-/// Parses a response's status line and headers off `reader`, returning
-/// `(status, content_length, retry_after)` and leaving the reader at the
-/// first body byte. Shared by the buffering and streaming clients; body
-/// size limits are the caller's policy.
-fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usize>, Option<u64>)> {
-    let status_line = read_line(reader)?;
+/// Parses a response's status line and headers off `reader` into a
+/// [`Response`] whose body starts at the first byte after the head.
+fn read_response_head(mut reader: BufReader<TcpStream>) -> io::Result<Response> {
+    let status_line = read_line(&mut reader)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -396,12 +385,16 @@ fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usiz
         .ok_or_else(|| bad(format!("bad status line `{status_line}`")))?;
     let mut content_length: Option<usize> = None;
     let mut retry_after: Option<u64> = None;
-    let mut headers_ended = false;
     for _ in 0..=MAX_HEADERS {
-        let line = read_line(reader)?;
+        let line = read_line(&mut reader)?;
         if line.is_empty() {
-            headers_ended = true;
-            break;
+            let limit = content_length.map_or(u64::MAX, |len| len as u64);
+            return Ok(Response {
+                status,
+                retry_after,
+                body: reader.take(limit),
+                sized: content_length.is_some(),
+            });
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -413,61 +406,9 @@ fn read_response_head(reader: &mut impl BufRead) -> io::Result<(u16, Option<usiz
             }
         }
     }
-    if !headers_ended {
-        // Falling out of the loop would misparse leftover header bytes as
-        // the body; refuse like the server side does.
-        return Err(bad("too many headers in response"));
-    }
-    Ok((status, content_length, retry_after))
-}
-
-/// A streaming response body: bounded by the response's `Content-Length`
-/// when present, by connection close otherwise. What
-/// [`request_stream`] hands back.
-pub struct ByteStream {
-    reader: std::io::Take<BufReader<TcpStream>>,
-}
-
-impl Read for ByteStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.reader.read(buf)
-    }
-}
-
-/// Performs one bodyless round trip against `addr` and returns the status,
-/// the `Retry-After` seconds if the server sent them, and a [`ByteStream`]
-/// over the response body — the client side of binary endpoints, where the
-/// body may exceed the JSON body cap and should be consumed incrementally
-/// (the cache's `ingest` verifies it record by record as it arrives).
-///
-/// # Errors
-///
-/// Propagates connection and socket errors; returns `InvalidData` for a
-/// malformed response head.
-pub fn request_stream(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    timeout: Duration,
-) -> io::Result<(u16, Option<u64>, ByteStream)> {
-    let mut stream = connect_timeout(addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: malec-serve\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let (status, content_length, retry_after) = read_response_head(&mut reader)?;
-    let limit = content_length.map_or(u64::MAX, |l| l as u64);
-    Ok((
-        status,
-        retry_after,
-        ByteStream {
-            reader: reader.take(limit),
-        },
-    ))
+    // Falling out of the loop would misparse leftover header bytes as the
+    // body; refuse like the server side does.
+    Err(bad("too many headers in response"))
 }
 
 /// `TcpStream::connect` with a timeout (std only offers it per
@@ -491,6 +432,8 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    const TIMEOUT: Duration = Duration::from_secs(5);
+
     /// One-shot echo server: accepts a single connection, parses the
     /// request, responds with its own view of it.
     fn spawn_echo() -> std::net::SocketAddr {
@@ -506,10 +449,17 @@ mod tests {
                         req.path,
                         String::from_utf8_lossy(&req.body)
                     );
-                    write_response(&mut stream, 200, "text/plain", body.as_bytes()).ok();
+                    write_response(&mut stream, 200, "text/plain", &[], body.as_bytes()).ok();
                 }
                 Err(e) => {
-                    write_response(&mut stream, 400, "text/plain", e.to_string().as_bytes()).ok();
+                    write_response(
+                        &mut stream,
+                        400,
+                        "text/plain",
+                        &[],
+                        e.to_string().as_bytes(),
+                    )
+                    .ok();
                 }
             }
         });
@@ -519,9 +469,9 @@ mod tests {
     #[test]
     fn round_trip_with_body() {
         let addr = spawn_echo();
-        let (status, body) = request(addr, "POST", "/v1/jobs", b"[scenario]").expect("request");
-        assert_eq!(status, 200);
-        assert_eq!(body, "POST /v1/jobs [scenario]");
+        let resp = request(addr, "POST", "/v1/jobs", b"[scenario]", TIMEOUT).expect("request");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.text().expect("body"), "POST /v1/jobs [scenario]");
     }
 
     /// The hardened single-byte reader (destructured, no indexing) keeps
@@ -542,15 +492,16 @@ mod tests {
     #[test]
     fn round_trip_without_body() {
         let addr = spawn_echo();
-        let (status, body) = request(addr, "GET", "/v1/healthz", b"").expect("request");
-        assert_eq!(status, 200);
-        assert_eq!(body, "GET /v1/healthz ");
+        let resp = request(addr, "GET", "/v1/healthz", b"", TIMEOUT).expect("request");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.text().expect("body"), "GET /v1/healthz ");
     }
 
     #[test]
     fn query_strings_are_stripped() {
         let addr = spawn_echo();
-        let (_, body) = request(addr, "GET", "/v1/jobs/3?verbose=1", b"").expect("request");
+        let resp = request(addr, "GET", "/v1/jobs/3?verbose=1", b"", TIMEOUT).expect("request");
+        let body = resp.text().expect("body");
         assert!(body.starts_with("GET /v1/jobs/3 "), "{body}");
     }
 
@@ -604,7 +555,7 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             read_request_deadline(&stream, Duration::from_secs(5)).ok();
-            write_response_with(
+            write_response(
                 &mut stream,
                 503,
                 "application/json",
@@ -613,10 +564,10 @@ mod tests {
             )
             .ok();
         });
-        let resp = request_meta(addr, "GET", "/", b"", Duration::from_secs(5)).expect("round trip");
+        let resp = request(addr, "GET", "/", b"", TIMEOUT).expect("round trip");
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(7));
-        assert!(resp.body.contains("saturated"));
+        assert!(resp.text().expect("body").contains("saturated"));
     }
 
     #[test]
@@ -665,7 +616,7 @@ mod tests {
                 )
                 .ok();
         });
-        let err = request(addr, "GET", "/", b"").expect_err("must refuse");
+        let err = request(addr, "GET", "/", b"", TIMEOUT).expect_err("must refuse");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string().contains("conflicting Content-Length"),
@@ -676,8 +627,8 @@ mod tests {
     #[test]
     fn streamed_response_bodies_arrive_whole_and_bounded() {
         // The server writes the head, then the body in two chunks with a
-        // pause between (the /v1/cache/sync shape); the client's
-        // ByteStream reassembles exactly Content-Length bytes — trailing
+        // pause between (the /v1/cache/sync shape); reading the client's
+        // Response reassembles exactly Content-Length bytes — trailing
         // garbage past the declared length is never surfaced.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -686,8 +637,14 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             read_request_deadline(&stream, Duration::from_secs(5)).ok();
-            write_response_head(&mut stream, 200, "application/octet-stream", payload.len())
-                .expect("head");
+            write_response_head(
+                &mut stream,
+                200,
+                "application/octet-stream",
+                &[],
+                payload.len(),
+            )
+            .expect("head");
             let (a, b) = payload.split_at(payload.len() / 2);
             stream.write_all(a).expect("first half");
             stream.flush().ok();
@@ -695,12 +652,27 @@ mod tests {
             stream.write_all(b).expect("second half");
             stream.write_all(b"TRAILING-GARBAGE").ok();
         });
-        let (status, retry_after, mut body) =
-            request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(5)).expect("stream");
-        assert_eq!((status, retry_after), (200, None));
+        let mut body = request(addr, "GET", "/v1/cache/sync", b"", TIMEOUT).expect("stream");
+        assert_eq!((body.status, body.retry_after), (200, None));
         let mut got = Vec::new();
         body.read_to_end(&mut got).expect("read body");
         assert_eq!(got, expected, "chunked writes reassemble bit-identically");
+    }
+
+    #[test]
+    fn a_body_cut_short_of_its_content_length_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            read_request_deadline(&stream, Duration::from_secs(5)).ok();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}\n")
+                .ok();
+        });
+        let resp = request(addr, "GET", "/", b"", TIMEOUT).expect("head arrives");
+        let err = resp.text().expect_err("3 of 10 declared bytes");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]
@@ -710,8 +682,8 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             match read_request_deadline(&stream, Duration::from_secs(5)) {
-                Ok(_) => write_response(&mut stream, 200, "text/plain", b"ok").ok(),
-                Err(_) => write_response(&mut stream, 400, "text/plain", b"bad").ok(),
+                Ok(_) => write_response(&mut stream, 200, "text/plain", &[], b"ok").ok(),
+                Err(_) => write_response(&mut stream, 400, "text/plain", &[], b"bad").ok(),
             };
         });
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -892,20 +892,15 @@ impl Engine {
     /// Warms this engine's cache from a peer's `/v1/cache/sync` stream,
     /// verifying every record's checksum and persisting each one not
     /// already resident. Meant to run before serving traffic (`malec-cli
-    /// serve --warm-from`): the cache lock is held for the whole ingest.
+    /// serve --warm-from`): the cache lock is held for the whole ingest,
+    /// and only for it.
     ///
     /// # Errors
     ///
     /// Propagates connection errors, a non-200 peer answer, a stream that
     /// is not a cache log, and local append failures.
     pub fn warm_from(&self, addr: &str) -> io::Result<SyncReport> {
-        let (status, _, mut stream) =
-            crate::http::request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(60))?;
-        if status != 200 {
-            return Err(io::Error::other(format!(
-                "peer {addr} answered {status} to GET /v1/cache/sync"
-            )));
-        }
+        let mut stream = Client::new(addr).sync_stream().map_err(io::Error::other)?;
         lock(&self.inner.cache).ingest(&mut stream)
     }
 

@@ -42,9 +42,7 @@ use std::time::Duration;
 
 use crate::cache::{CacheStats, FsyncPolicy};
 use crate::fault::{FaultAction, Faults};
-use crate::http::{
-    read_request_deadline, write_response, write_response_head, write_response_with, Request,
-};
+use crate::http::{read_request_deadline, write_response, write_response_head, Request};
 use crate::report::esc;
 use crate::scheduler::{CompareError, Engine};
 use crate::spec::parse_spec;
@@ -456,7 +454,7 @@ fn handle_saturated(
 
 /// The shed response: a retryable `503` with `Retry-After: 1`.
 fn shed(stream: &mut TcpStream) {
-    write_response_with(
+    write_response(
         stream,
         503,
         "application/json",
@@ -600,7 +598,13 @@ fn handle_cache_sync(stream: &mut TcpStream, engine: &Engine) {
 /// record-by-record verification keeps the delivered prefix either way.
 fn stream_cache_sync(stream: &mut TcpStream, engine: &Engine) -> io::Result<()> {
     let (records, body_len) = engine.sync_records();
-    write_response_head(stream, 200, "application/octet-stream", body_len as usize)?;
+    write_response_head(
+        stream,
+        200,
+        "application/octet-stream",
+        &[],
+        body_len as usize,
+    )?;
     stream.write_all(&crate::cache::log_header())?;
     stream.flush()?;
     let mut buf = Vec::new();
@@ -631,7 +635,7 @@ fn handle_cache_record(stream: &mut TcpStream, engine: &Engine, path: &str) {
     };
     match engine.cache_record(key) {
         Some(body) => {
-            write_response(stream, 200, "application/octet-stream", &body).ok();
+            write_response(stream, 200, "application/octet-stream", &[], &body).ok();
         }
         None => respond_error(stream, 404, &format!("no record for key {key:032x}")),
     }
@@ -704,7 +708,7 @@ fn cache_stats_json(stats: &CacheStats, engine: &Engine) -> String {
 }
 
 fn respond_json(stream: &mut TcpStream, status: u16, body: &str) {
-    write_response(stream, status, "application/json", body.as_bytes()).ok();
+    write_response(stream, status, "application/json", &[], body.as_bytes()).ok();
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
@@ -716,7 +720,6 @@ fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
 mod tests {
     use super::*;
     use crate::client::JobView;
-    use crate::http::request;
     use crate::json::{parse, Value};
     use std::time::{Duration, Instant};
 
@@ -730,8 +733,19 @@ mod tests {
             .expect("spawn")
     }
 
+    /// One raw round trip: the status and the whole body as text.
+    fn round_trip(
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> io::Result<(u16, String)> {
+        let resp = crate::http::request(addr, method, path, body, Duration::from_secs(60))?;
+        Ok((resp.status, resp.text()?))
+    }
+
     fn get_json(addr: SocketAddr, path: &str) -> (u16, Value) {
-        let (status, body) = request(addr, "GET", path, b"").expect("request");
+        let (status, body) = round_trip(addr, "GET", path, b"").expect("request");
         (
             status,
             parse(&body).unwrap_or_else(|e| panic!("{path}: {e}\n{body}")),
@@ -743,7 +757,7 @@ mod tests {
         let server = start();
         let addr = server.addr();
 
-        let (status, body) = request(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        let (status, body) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
         assert_eq!(status, 202, "{body}");
         let v = parse(&body).expect("submit response parses");
         let job = v.get("job").and_then(Value::as_u64).expect("job id");
@@ -755,7 +769,8 @@ mod tests {
             assert_eq!(status, 200);
             if v.get("state").and_then(Value::as_str) == Some("done") {
                 let (status, body) =
-                    request(addr, "GET", &format!("/v1/jobs/{job}/report"), b"").expect("report");
+                    round_trip(addr, "GET", &format!("/v1/jobs/{job}/report"), b"")
+                        .expect("report");
                 assert_eq!(status, 200);
                 break body;
             }
@@ -788,7 +803,7 @@ mod tests {
         let (status, _) = get_json(addr, "/v1/jobs/999/compare");
         assert_eq!(status, 404);
 
-        let (status, _) = request(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        let (status, _) = round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
         assert_eq!(status, 200);
         server.join().expect("clean exit");
     }
@@ -827,17 +842,17 @@ mod tests {
         let server = start();
         let addr = server.addr();
 
-        let (status, body) = request(addr, "POST", "/v1/jobs", b"not = toml [").expect("submit");
+        let (status, body) = round_trip(addr, "POST", "/v1/jobs", b"not = toml [").expect("submit");
         assert_eq!(status, 400, "{body}");
         assert!(parse(&body).expect("error is JSON").get("error").is_some());
 
         let (status, _) = get_json(addr, "/v1/jobs/12345");
         assert_eq!(status, 404);
 
-        let (status, _) = request(addr, "GET", "/v1/jobs/abc", b"").expect("bad id");
+        let (status, _) = round_trip(addr, "GET", "/v1/jobs/abc", b"").expect("bad id");
         assert_eq!(status, 400);
 
-        let (status, _) = request(addr, "DELETE", "/v1/jobs", b"").expect("bad method");
+        let (status, _) = round_trip(addr, "DELETE", "/v1/jobs", b"").expect("bad method");
         assert_eq!(status, 404);
 
         let (status, v) = get_json(addr, "/v1/healthz");
@@ -845,7 +860,7 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("respawns").and_then(Value::as_u64), Some(0));
 
-        request(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
         server.join().expect("clean exit");
     }
 
@@ -854,7 +869,7 @@ mod tests {
         let server = start();
         let addr = server.addr();
         let (status, v) = {
-            let (s, b) = request(addr, "POST", "/v1/shutdown?mode=nope", b"").expect("bad mode");
+            let (s, b) = round_trip(addr, "POST", "/v1/shutdown?mode=nope", b"").expect("bad mode");
             (s, parse(&b).expect("JSON"))
         };
         assert_eq!(status, 400);
@@ -867,7 +882,7 @@ mod tests {
         assert_eq!(status, 200);
 
         let (status, body) =
-            request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("abort shutdown");
+            round_trip(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("abort shutdown");
         assert_eq!(status, 200);
         let v = parse(&body).expect("JSON");
         assert_eq!(v.get("mode").and_then(Value::as_str), Some("abort"));
@@ -876,7 +891,6 @@ mod tests {
 
     #[test]
     fn saturated_server_sheds_data_routes_but_answers_healthz_and_shutdown() {
-        use crate::http::request_meta;
         use std::io::Write;
 
         let server = Server::bind_with(
@@ -900,7 +914,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
 
         // A data route is shed with a retryable 503...
-        let resp = request_meta(
+        let resp = crate::http::request(
             addr,
             "POST",
             "/v1/jobs",
@@ -908,9 +922,11 @@ mod tests {
             Duration::from_secs(5),
         )
         .expect("shed response");
-        assert_eq!(resp.status, 503, "{}", resp.body);
-        assert_eq!(resp.retry_after, Some(1), "503 carries Retry-After");
-        assert!(resp.body.contains("saturated"), "{}", resp.body);
+        let (status, retry_after) = (resp.status, resp.retry_after);
+        let body = resp.text().expect("shed body");
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(retry_after, Some(1), "503 carries Retry-After");
+        assert!(body.contains("saturated"), "{body}");
 
         // ...but a health check still answers through the control lane —
         // saturation must not make the server look dead.
@@ -921,7 +937,7 @@ mod tests {
         // ...and so does the stop switch: a shutdown is never locked out by
         // the very load it is supposed to relieve.
         let (status, body) =
-            request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+            round_trip(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
         assert_eq!(status, 200, "shutdown accepted while saturated: {body}");
         drop(hog);
         server.join().expect("clean exit");
@@ -929,7 +945,6 @@ mod tests {
 
     #[test]
     fn cache_compact_and_sync_endpoints_work_end_to_end() {
-        use crate::http::request_stream;
         use std::io::Read;
 
         let dir = std::env::temp_dir().join(format!("malec_srv_lifecycle_{}", std::process::id()));
@@ -950,7 +965,7 @@ mod tests {
         .expect("spawn");
         let addr = server.addr();
 
-        let (status, _) = request(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
         assert_eq!(status, 202);
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
@@ -977,7 +992,7 @@ mod tests {
 
         // Compaction over a duplicate-free log is a no-op in size but a
         // real rewrite (the counter moves).
-        let (status, body) = request(addr, "POST", "/v1/cache/compact", b"").expect("compact");
+        let (status, body) = round_trip(addr, "POST", "/v1/cache/compact", b"").expect("compact");
         assert_eq!(status, 200, "{body}");
         let v = parse(&body).expect("compact response parses");
         assert_eq!(v.get("compacted").and_then(Value::as_bool), Some(true));
@@ -989,10 +1004,10 @@ mod tests {
         assert_eq!(stats.get("compactions").and_then(Value::as_u64), Some(1));
 
         // The sync stream is a valid cache log: header + the live records.
-        let (status, _, mut body) =
-            request_stream(addr, "GET", "/v1/cache/sync", Duration::from_secs(10))
+        let mut body =
+            crate::http::request(addr, "GET", "/v1/cache/sync", b"", Duration::from_secs(10))
                 .expect("sync stream");
-        assert_eq!(status, 200);
+        assert_eq!(body.status, 200);
         let mut snapshot = Vec::new();
         body.read_to_end(&mut snapshot).expect("read stream");
         assert_eq!(&snapshot[..4], b"MSRC", "stream is a cache log");
@@ -1002,7 +1017,7 @@ mod tests {
             "exactly the live set"
         );
 
-        request(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
         server.join().expect("clean exit");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1011,10 +1026,10 @@ mod tests {
     fn compacting_an_in_memory_cache_is_a_clean_400() {
         let server = start();
         let addr = server.addr();
-        let (status, body) = request(addr, "POST", "/v1/cache/compact", b"").expect("compact");
+        let (status, body) = round_trip(addr, "POST", "/v1/cache/compact", b"").expect("compact");
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("in-memory"), "{body}");
-        request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
+        round_trip(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("shutdown");
         server.join().expect("clean exit");
     }
 
@@ -1043,11 +1058,11 @@ mod tests {
         .expect("spawn");
         let addr = server.addr();
 
-        let (status, _) = request(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
         assert_eq!(status, 202);
         // Immediately request a graceful shutdown: the job's single cell is
         // still queued or sleeping in its slow-down failpoint.
-        let (status, body) = request(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        let (status, body) = round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
         assert_eq!(status, 200);
         assert!(body.contains("\"mode\": \"drain\""), "{body}");
         server.join().expect("clean exit");

@@ -16,6 +16,7 @@
 //! and that movement bound.
 
 use malec_types::peer::PeerId;
+use malec_types::stable::fnv1a64;
 
 /// The deterministic key→owner map shared by every peer of a cluster.
 #[derive(Clone, Debug)]
@@ -86,11 +87,7 @@ impl ShardMap {
 /// FNV-1a over the key's little-endian bytes, then the peer's address
 /// bytes — deterministic across processes, platforms, and restarts.
 fn score(key: u128, peer: &PeerId) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in key.to_le_bytes().into_iter().chain(peer.as_str().bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a64(key.to_le_bytes().into_iter().chain(peer.as_str().bytes()))
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! (memory instructions ≈ 45 % / 40 % / 37 % for INT / FP / MB2; load:store
 //! ≈ 2:1; 70 % of loads directly followed by a same-page load).
 
+use malec_types::stable::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 /// Benchmark suite, for grouping and geometric means.
@@ -90,11 +91,7 @@ impl BenchmarkProfile {
     /// Virtual-address region base for this benchmark (keeps benchmarks in
     /// disjoint parts of the 32-bit space, like separate processes).
     pub fn vaddr_base(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a64(self.name.bytes());
         // Keep within a 32-bit space, 256 MiB-aligned regions.
         (h % 14) << 28
     }

@@ -40,6 +40,29 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
+/// FNV-1a 64-bit offset basis.
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a-64 over `bytes` — the workspace's one stable 64-bit byte hash,
+/// for values that must not change across processes or hosts (a cache-log
+/// checksum, a rendezvous score, an address region).
+///
+/// # Example
+///
+/// ```
+/// use malec_types::stable::fnv1a64;
+///
+/// assert_eq!(fnv1a64(*b""), 0xcbf2_9ce4_8422_2325, "the offset basis");
+/// assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(FNV64_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
+    })
+}
+
 /// An incremental FNV-1a hasher over a 128-bit state with typed,
 /// length-prefixed writes. See the module docs for the stability contract.
 #[derive(Clone, Debug)]

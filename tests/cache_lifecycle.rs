@@ -37,6 +37,9 @@ use proptest::prelude::*;
 const SMALL_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
      [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 1500\nseed = 7\n";
 
+/// The network timeout of a raw `http::request` round trip.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("malec_lifecycle_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -204,7 +207,8 @@ fn kill_mid_compaction_leaves_the_old_log_intact_and_a_retry_succeeds() {
     let pristine = std::fs::read(&cache_path).expect("read log");
 
     // First compaction hits the failpoint mid-rewrite.
-    let (status, body) = request(addr, "POST", "/v1/cache/compact", b"").expect("request");
+    let resp = request(addr, "POST", "/v1/cache/compact", b"", TIMEOUT).expect("request");
+    let (status, body) = (resp.status, resp.text().expect("body"));
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("torn"), "{body}");
     assert_eq!(
@@ -215,7 +219,8 @@ fn kill_mid_compaction_leaves_the_old_log_intact_and_a_retry_succeeds() {
 
     // The retry compacts for real; the log was already fully live, so the
     // record count is unchanged.
-    let (status, body) = request(addr, "POST", "/v1/cache/compact", b"").expect("request");
+    let resp = request(addr, "POST", "/v1/cache/compact", b"", TIMEOUT).expect("request");
+    let (status, body) = (resp.status, resp.text().expect("body"));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"live_records\": 2"), "{body}");
     client.shutdown().expect("shutdown");

@@ -41,6 +41,9 @@ const REPLICATION_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"store_
 const SMALL_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
      [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 1500\nseed = 7\n";
 
+/// The network timeout of a raw `http::request` round trip.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("malec_faults_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -321,7 +324,8 @@ fn abort_shutdown_skips_the_drain() {
     std::thread::sleep(Duration::from_millis(50)); // let the worker pick cell 1
 
     let begin = Instant::now();
-    let (status, body) = request(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("abort");
+    let resp = request(addr, "POST", "/v1/shutdown?mode=abort", b"", TIMEOUT).expect("abort");
+    let (status, body) = (resp.status, resp.text().expect("body"));
     assert_eq!(status, 200, "{body}");
     server.join().expect("exit");
     assert!(
@@ -449,7 +453,9 @@ fn read_stall_delays_exactly_one_request_without_dropping_it() {
     let addr = server.addr().to_string();
 
     let t0 = Instant::now();
-    let (status, _) = request(&addr, "GET", "/v1/healthz", b"").expect("stalled request completes");
+    let status = request(&addr, "GET", "/v1/healthz", b"", TIMEOUT)
+        .expect("stalled request completes")
+        .status;
     assert_eq!(status, 200);
     assert!(
         t0.elapsed() >= Duration::from_millis(250),
@@ -457,7 +463,9 @@ fn read_stall_delays_exactly_one_request_without_dropping_it() {
         t0.elapsed()
     );
 
-    let (status, _) = request(&addr, "GET", "/v1/healthz", b"").expect("unstalled request");
+    let status = request(&addr, "GET", "/v1/healthz", b"", TIMEOUT)
+        .expect("unstalled request")
+        .status;
     assert_eq!(status, 200);
     assert_eq!(faults.fired("http.read.stall"), 1, "one-shot trigger");
     assert!(

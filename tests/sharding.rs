@@ -222,8 +222,14 @@ fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
     // window is safe: whether the forward, the wait, or a record fetch
     // dies, each cell the owner cannot serve simulates locally.
     std::thread::sleep(Duration::from_millis(25));
-    malec_serve::http::request(owner.as_str(), "POST", "/v1/shutdown?mode=abort", b"")
-        .expect("abort the owner");
+    malec_serve::http::request(
+        owner.as_str(),
+        "POST",
+        "/v1/shutdown?mode=abort",
+        b"",
+        Duration::from_secs(60),
+    )
+    .expect("abort the owner");
     owner_handle.join().expect("owner exits");
 
     let view = client.wait(job, Duration::from_secs(120)).expect("wait");
