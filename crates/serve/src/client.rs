@@ -142,12 +142,8 @@ enum CallError {
 /// otherwise. Either carries the body's `error` message when it has one.
 fn status_error(resp: Response) -> CallError {
     let (status, retry_after) = (resp.status, resp.retry_after);
-    let body = resp.text().unwrap_or_default();
-    let reason = match parse(&body)
-        .ok()
-        .as_ref()
-        .and_then(|v| v.get("error")?.as_str())
-    {
+    let json = parse(&resp.text().unwrap_or_default()).ok();
+    let reason = match json.as_ref().and_then(|v| v.get("error")?.as_str()) {
         Some(detail) => format!("server returned {status}: {detail}"),
         None => format!("server returned {status}"),
     };
