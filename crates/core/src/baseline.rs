@@ -16,10 +16,9 @@ use malec_types::addr::{LineAddr, PAddr};
 use malec_types::config::{InterfaceKind, SimConfig};
 use malec_types::op::{MemOp, OpId};
 
+use crate::memory_side::MemorySide;
 use crate::metrics::InterfaceStats;
 use crate::mmu::Mmu;
-use crate::pending::{CompletionQueue, FillTable};
-use crate::sbmb::{MergeBuffer, StoreBuffer};
 
 #[derive(Clone, Copy, Debug)]
 struct PendingLoad {
@@ -47,18 +46,9 @@ struct PendingWrite {
 /// ```
 #[derive(Debug)]
 pub struct BaselineInterface {
-    config: SimConfig,
-    mmu: Mmu,
-    hierarchy: MemoryHierarchy,
-    sb: StoreBuffer,
-    mb: MergeBuffer,
-    counters: EnergyCounters,
-    stats: InterfaceStats,
+    pub(crate) mem: MemorySide,
     pending: VecDeque<PendingLoad>,
     pending_writes: VecDeque<PendingWrite>,
-    completions: CompletionQueue,
-    pending_fills: FillTable,
-    cycle: u64,
     read_capacity: u32,
     write_capacity: u32,
     total_capacity: u32,
@@ -78,25 +68,9 @@ impl BaselineInterface {
             InterfaceKind::Malec => panic!("use MalecInterface for the MALEC configuration"),
         };
         Self {
-            config: config.clone(),
-            mmu: Mmu::new(
-                usize::from(config.utlb_entries),
-                usize::from(config.tlb_entries),
-                seed,
-            ),
-            hierarchy: MemoryHierarchy::for_config(config),
-            sb: StoreBuffer::new(usize::from(config.sb_entries)),
-            mb: MergeBuffer::new(
-                usize::from(config.mb_entries),
-                config.page.line_offset_bits(),
-            ),
-            counters: EnergyCounters::default(),
-            stats: InterfaceStats::default(),
+            mem: MemorySide::new(config, seed),
             pending: VecDeque::with_capacity(64),
             pending_writes: VecDeque::with_capacity(8),
-            completions: CompletionQueue::with_capacity(usize::from(config.lq_entries)),
-            pending_fills: FillTable::with_capacity(128),
-            cycle: 0,
             read_capacity,
             write_capacity,
             total_capacity,
@@ -105,44 +79,30 @@ impl BaselineInterface {
 
     /// Accumulated energy event counters.
     pub fn counters(&self) -> &EnergyCounters {
-        &self.counters
+        &self.mem.counters
     }
 
     /// Interface statistics.
     pub fn stats(&self) -> &InterfaceStats {
-        &self.stats
+        &self.mem.stats
     }
 
     /// The memory hierarchy (for miss-rate reporting).
     pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
+        &self.mem.hierarchy
     }
 
     /// The MMU (for TLB statistics).
     pub fn mmu(&self) -> &Mmu {
-        &self.mmu
+        &self.mem.mmu
     }
 
     /// Translates with energy accounting; returns (paddr, extra latency).
     fn translate_counted(&mut self, op: &MemOp) -> (PAddr, u32) {
-        let vpage = self.config.page.vpage_of(op.vaddr);
-        self.counters.utlb_lookups += 1;
-        self.stats.translations += 1;
-        let t = self.mmu.translate(vpage);
-        match t.path {
-            crate::mmu::TranslationPath::MicroHit => {}
-            crate::mmu::TranslationPath::TlbHit { .. } => {
-                self.counters.tlb_lookups += 1;
-                self.counters.utlb_fills += 1;
-            }
-            crate::mmu::TranslationPath::Walk { .. } => {
-                self.counters.tlb_lookups += 1;
-                self.counters.tlb_fills += 1;
-                self.counters.utlb_fills += 1;
-            }
-        }
-        let offset = op.vaddr.raw() & (self.config.page.page_bytes() - 1);
-        let paddr = PAddr::new((t.ppage.raw() << self.config.page.page_offset_bits()) | offset);
+        let page = self.mem.config.page;
+        let t = self.mem.translate(page.vpage_of(op.vaddr));
+        let offset = op.vaddr.raw() & (page.page_bytes() - 1);
+        let paddr = PAddr::new((t.ppage.raw() << page.page_offset_bits()) | offset);
         (paddr, t.path.extra_latency())
     }
 
@@ -150,61 +110,48 @@ impl BaselineInterface {
     /// crosses a 128-bit sub-block boundary.
     fn sub_blocks_of(&self, op: &MemOp, paddr: PAddr) -> u32 {
         // A power of two: it divides the power-of-two line.
-        let sb_shift = self.config.l1.sub_block_bytes().trailing_zeros();
+        let sb_shift = self.mem.config.l1.sub_block_bytes().trailing_zeros();
         let first = paddr.raw() >> sb_shift;
         let last = (paddr.raw() + u64::from(op.size.max(1)) - 1) >> sb_shift;
         (last - first + 1) as u32
     }
 
     fn service_load(&mut self, p: PendingLoad) {
-        let line = self.config.page.line_of(p.paddr.raw());
         let sub_blocks = self.sub_blocks_of(&p.op, p.paddr);
+        let m = &mut self.mem;
+        let l1 = m.config.l1;
+        let line = m.config.page.line_of(p.paddr.raw());
         // Conventional parallel lookup: all ways' tags + data.
-        self.counters
-            .l1_conventional_read(self.config.l1.ways(), sub_blocks);
-        self.stats.conventional_accesses += 1;
+        m.counters.l1_conventional_read(l1.ways(), sub_blocks);
+        m.stats.conventional_accesses += 1;
         // Full-width SB and MB lookups for forwarding/consistency.
-        self.counters.sb_lookups_full += 1;
-        self.counters.mb_lookups_full += 1;
+        m.counters.sb_lookups_full += 1;
+        m.counters.mb_lookups_full += 1;
 
-        let outcome = self.hierarchy.resolve_line(line, None);
+        let outcome = m.hierarchy.resolve_line(line, None);
         if !outcome.l1_hit {
-            self.counters
-                .l1_line_fill(self.config.l1.sub_blocks_per_line());
+            m.counters.l1_line_fill(l1.sub_blocks_per_line());
             // The access replays once the fill completes (gem5-style):
             // another conventional parallel lookup returns the data.
-            self.counters
-                .l1_conventional_read(self.config.l1.ways(), sub_blocks);
-            self.stats.conventional_accesses += 1;
+            m.counters.l1_conventional_read(l1.ways(), sub_blocks);
+            m.stats.conventional_accesses += 1;
         }
-        let mut done =
-            self.cycle + u64::from(self.config.l1_latency()) + u64::from(outcome.extra_latency);
-        // MSHR semantics: an access to a line with an outstanding fill
-        // completes no earlier than that fill.
-        if outcome.l1_hit {
-            if let Some(ready) = self.pending_fills.ready_after(line.raw(), self.cycle) {
-                done = done.max(ready);
-            }
-        } else {
-            self.pending_fills.note_fill(line.raw(), done);
-        }
-        self.completions.push(done, p.op.id);
-        self.stats.loads_serviced += 1;
+        let done = m.access_done(line, outcome.l1_hit, u64::from(outcome.extra_latency));
+        m.complete_load(done, p.op.id);
     }
 
     fn service_write(&mut self, w: PendingWrite) {
+        let m = &mut self.mem;
         // Tag check + data write into the hit way.
-        self.counters.l1_write(w.sub_blocks);
-        let outcome = self.hierarchy.resolve_line(w.line, None);
-        if !outcome.l1_hit {
-            self.counters
-                .l1_line_fill(self.config.l1.sub_blocks_per_line());
+        m.counters.l1_write(w.sub_blocks);
+        if !m.hierarchy.resolve_line(w.line, None).l1_hit {
+            m.counters.l1_line_fill(m.config.l1.sub_blocks_per_line());
         }
-        self.stats.mbe_writes += 1;
+        m.stats.mbe_writes += 1;
     }
 
     fn drain_store_buffer(&mut self) {
-        let Some(op) = self.sb.pop_committed() else {
+        let Some(op) = self.mem.sb.pop_committed() else {
             return;
         };
         // The MB address region is physical; the SB holds physical
@@ -212,9 +159,9 @@ impl BaselineInterface {
         // carries the virtual address, so recompute the line from the MMU's
         // current mapping deterministically via the page table (same page
         // mapping as at acceptance — the simulator has no remaps).
-        if let Some(evicted) = self.mb.insert(op) {
+        if let Some(evicted) = self.mem.mb.insert(op) {
             let line =
-                LineAddr::new(evicted.rep.vaddr.raw() >> self.config.page.line_offset_bits());
+                LineAddr::new(evicted.rep.vaddr.raw() >> self.mem.config.page.line_offset_bits());
             self.pending_writes.push_back(PendingWrite {
                 line: self.physical_line(line),
                 sub_blocks: 2,
@@ -225,7 +172,7 @@ impl BaselineInterface {
     /// Translates a virtual line to a physical line via the page table
     /// (no TLB energy: the SB entry already carries the physical tag).
     fn physical_line(&self, vline: LineAddr) -> LineAddr {
-        let page = self.config.page;
+        let page = self.mem.config.page;
         let vpage = malec_types::addr::VPageId::new(page.page_of_line(vline));
         let ppage = malec_mem::tlb::PageTable::default().translate(vpage);
         page.rebase_line(vline, ppage.raw())
@@ -234,11 +181,8 @@ impl BaselineInterface {
 
 impl L1DataInterface for BaselineInterface {
     fn tick(&mut self, cycle: u64, completed: &mut Vec<OpId>) {
-        self.cycle = cycle;
-
-        // 1. Deliver due completions (min-heap pop instead of a full scan).
-        self.completions.drain_due(cycle, completed);
-        self.pending_fills.prune(cycle);
+        // 1. Deliver due completions.
+        self.mem.begin_tick(cycle, completed);
 
         // 2. Service cache accesses within the port budget. Writes (merge
         //    buffer evictions) are not time critical; loads go first.
@@ -270,28 +214,25 @@ impl L1DataInterface for BaselineInterface {
         self.pending.push_back(PendingLoad {
             op,
             paddr,
-            ready: self.cycle + 1 + u64::from(extra),
+            ready: self.mem.cycle + 1 + u64::from(extra),
         });
         AcceptKind::Accepted
     }
 
     fn offer_store(&mut self, op: MemOp) -> AcceptKind {
-        if !self.sb.has_room() {
+        if !self.mem.sb.has_room() {
             return AcceptKind::Rejected;
         }
-        let (_paddr, _extra) = self.translate_counted(&op);
-        let pushed = self.sb.push(op);
-        debug_assert!(pushed);
-        self.stats.stores_accepted += 1;
-        AcceptKind::Accepted
+        self.mem.translate(self.mem.config.page.vpage_of(op.vaddr));
+        self.mem.push_store(op)
     }
 
     fn commit_store(&mut self, id: OpId) {
-        self.sb.mark_committed(id);
+        self.mem.sb.mark_committed(id);
     }
 
     fn pending_loads(&self) -> usize {
-        self.pending.len() + self.completions.len()
+        self.pending.len() + self.mem.completions.len()
     }
 }
 

@@ -30,31 +30,18 @@
 //! replicate counts at any worker count (the `malec-serve` scheduler grows
 //! the two cell groups jointly through it).
 
+use malec_types::stable::fnv1a64;
+
 use crate::metrics::RunSummary;
 use crate::stats::{
-    higher_is_better, reported_extractors, t95, Replication, StatError, Welford, REPORTED_METRICS,
+    higher_is_better, reported_extractors, t_quantile, Replication, StatError, Welford,
+    REPORTED_METRICS,
 };
-
-/// Two-sided Student-t 95 % quantiles (`t_{0.95, df}`) for 1–30 degrees of
-/// freedom — the `alpha = 0.10` verdict level.
-const T90: [f64; 30] = [
-    6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812, 1.796, 1.782, 1.771,
-    1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725, 1.721, 1.717, 1.714, 1.711, 1.708, 1.706,
-    1.703, 1.701, 1.699, 1.697,
-];
-
-/// Two-sided Student-t 99.5 % quantiles (`t_{0.995, df}`) for 1–30 degrees
-/// of freedom — the `alpha = 0.01` verdict level.
-const T99: [f64; 30] = [
-    63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169, 3.106, 3.055, 3.012,
-    2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845, 2.831, 2.819, 2.807, 2.797, 2.787, 2.779,
-    2.771, 2.763, 2.756, 2.750,
-];
 
 /// The significance level a comparison verdict is issued at. Only the
 /// three standard table levels are supported — the t-quantiles are exact
-/// table values (through df = 30, then the same conservative step-downs as
-/// [`t95`]), not an approximation that would wobble across platforms.
+/// table values (through df = 30, then conservative step-downs), not an
+/// approximation that would wobble across platforms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Alpha {
     /// 90 % confidence (`alpha = 0.10`).
@@ -87,30 +74,17 @@ impl Alpha {
     }
 
     /// The two-sided `t_{1-alpha/2, df}` quantile: exact table values
-    /// through df = 30, then the same conservative bracket step-downs as
-    /// [`t95`] (each bracket carries its smallest-df quantile, so the
+    /// through df = 30, then the conservative bracket step-downs every
+    /// level shares (each bracket carries its smallest-df quantile, so the
     /// interval never understates uncertainty).
     #[must_use]
     pub fn t(self, df: u64) -> f64 {
-        match self {
-            Alpha::Five => t95(df),
-            Alpha::Ten => match df {
-                0 => f64::INFINITY,
-                1..=30 => T90[(df - 1) as usize],
-                31..=40 => 1.697,
-                41..=60 => 1.684,
-                61..=120 => 1.671,
-                _ => 1.658,
-            },
-            Alpha::One => match df {
-                0 => f64::INFINITY,
-                1..=30 => T99[(df - 1) as usize],
-                31..=40 => 2.750,
-                41..=60 => 2.704,
-                61..=120 => 2.660,
-                _ => 2.617,
-            },
-        }
+        let level = match self {
+            Alpha::Ten => 0,
+            Alpha::Five => 1,
+            Alpha::One => 2,
+        };
+        t_quantile(level, df)
     }
 }
 
@@ -386,25 +360,17 @@ impl CompareStats {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
+/// Appends `s` as a length prefix and one word per byte.
+fn push_str(words: &mut Vec<u64>, s: &str) {
+    words.push(s.len() as u64);
+    words.extend(s.bytes().map(u64::from));
 }
 
-fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    h = fold(h, bytes.len() as u64);
-    for &b in bytes {
-        h = fold(h, u64::from(b));
-    }
-    h
-}
-
-fn fold_opt(h: u64, v: Option<f64>) -> u64 {
+/// Appends a presence tag and, when present, the value's bit pattern.
+fn push_opt(words: &mut Vec<u64>, v: Option<f64>) {
     match v {
-        None => fold(h, 0),
-        Some(v) => fold(fold(h, 1), v.to_bits()),
+        None => words.push(0),
+        Some(v) => words.extend([1, v.to_bits()]),
     }
 }
 
@@ -416,23 +382,20 @@ fn fold_opt(h: u64, v: Option<f64>) -> u64 {
 /// golden table and the serve-vs-local acceptance tests check.
 #[must_use]
 pub fn compare_digest(stats: &CompareStats) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fold_bytes(h, stats.baseline.as_bytes());
-    h = fold_bytes(h, stats.candidate.as_bytes());
-    h = fold(h, stats.alpha.value().to_bits());
-    h = fold(h, u64::from(stats.n));
+    let mut words = Vec::new();
+    push_str(&mut words, &stats.baseline);
+    push_str(&mut words, &stats.candidate);
+    words.extend([stats.alpha.value().to_bits(), u64::from(stats.n)]);
     for (name, d) in &stats.metrics {
-        h = fold_bytes(h, name.as_bytes());
-        h = fold(h, d.baseline_mean.to_bits());
-        h = fold(h, d.candidate_mean.to_bits());
-        h = fold(h, d.delta_mean.to_bits());
-        h = fold_opt(h, d.ci);
-        h = fold_opt(h, d.independent_ci);
-        h = fold_opt(h, d.relative);
-        h = fold(h, u64::from(d.higher_is_better));
-        h = fold_bytes(h, d.verdict.name().as_bytes());
+        push_str(&mut words, name);
+        words.extend([d.baseline_mean, d.candidate_mean, d.delta_mean].map(f64::to_bits));
+        push_opt(&mut words, d.ci);
+        push_opt(&mut words, d.independent_ci);
+        push_opt(&mut words, d.relative);
+        words.push(u64::from(d.higher_is_better));
+        push_str(&mut words, d.verdict.name());
     }
-    h
+    fnv1a64(words)
 }
 
 /// The paired stopping rule: given the finished `(baseline, candidate)`

@@ -20,110 +20,86 @@ use std::io::{self, Read, Write};
 use malec_cpu::CoreStats;
 use malec_energy::{intern_structure_name, EnergyBreakdown, EnergyCounters, StructureEnergy};
 use malec_trace::Suite;
+use malec_types::stable::fnv1a64;
 
 use crate::metrics::{InterfaceStats, RunSummary};
 use crate::source::{REPLAY_SUITE, SCENARIO_SUITE};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-#[inline]
-fn fold(h: u64, v: u64) -> u64 {
-    let mut h = h ^ v;
-    h = h.wrapping_mul(FNV_PRIME);
-    h
-}
-
-/// The `u64` fields of `c`, in digest/codec order.
-fn core_fields(c: &CoreStats) -> [u64; 7] {
+/// Every `u64` field of a summary's core statistics, interface statistics
+/// and energy counters, in digest/codec order: the one list [`digest`], the
+/// codec writer and [`read_summary`] walk.
+fn u64_fields<'a>(
+    c: &'a mut CoreStats,
+    i: &'a mut InterfaceStats,
+    k: &'a mut EnergyCounters,
+) -> [&'a mut u64; 44] {
     [
-        c.cycles,
-        c.committed,
-        c.loads,
-        c.stores,
-        c.branches,
-        c.agu_stall_cycles,
-        c.issued_ops,
+        &mut c.cycles,
+        &mut c.committed,
+        &mut c.loads,
+        &mut c.stores,
+        &mut c.branches,
+        &mut c.agu_stall_cycles,
+        &mut c.issued_ops,
+        &mut i.loads_serviced,
+        &mut i.merged_loads,
+        &mut i.stores_accepted,
+        &mut i.mbe_writes,
+        &mut i.groups,
+        &mut i.group_loads,
+        &mut i.reduced_accesses,
+        &mut i.conventional_accesses,
+        &mut i.held_load_cycles,
+        &mut i.translations,
+        &mut i.store_translations_shared,
+        &mut k.l1_tag_bank_reads,
+        &mut k.l1_data_subblock_reads,
+        &mut k.l1_data_subblock_writes,
+        &mut k.l1_tag_bank_writes,
+        &mut k.utlb_lookups,
+        &mut k.utlb_fills,
+        &mut k.utlb_reverse_lookups,
+        &mut k.tlb_lookups,
+        &mut k.tlb_fills,
+        &mut k.tlb_reverse_lookups,
+        &mut k.uwt_reads,
+        &mut k.uwt_writes,
+        &mut k.uwt_bit_updates,
+        &mut k.wt_reads,
+        &mut k.wt_writes,
+        &mut k.wt_bit_updates,
+        &mut k.wdu_lookups,
+        &mut k.wdu_writes,
+        &mut k.sb_lookups_full,
+        &mut k.sb_lookups_page_segment,
+        &mut k.sb_lookups_narrow,
+        &mut k.mb_lookups_full,
+        &mut k.mb_lookups_page_segment,
+        &mut k.mb_lookups_narrow,
+        &mut k.input_buffer_compares,
+        &mut k.arbitration_compares,
     ]
 }
 
-/// The `u64` fields of `i`, in digest/codec order.
-fn interface_fields(i: &InterfaceStats) -> [u64; 11] {
-    [
-        i.loads_serviced,
-        i.merged_loads,
-        i.stores_accepted,
-        i.mbe_writes,
-        i.groups,
-        i.group_loads,
-        i.reduced_accesses,
-        i.conventional_accesses,
-        i.held_load_cycles,
-        i.translations,
-        i.store_translations_shared,
-    ]
+/// The values of [`u64_fields`] for `s`.
+fn u64_values(s: &RunSummary) -> [u64; 44] {
+    let (mut c, mut i, mut k) = (s.core, s.interface, s.counters);
+    u64_fields(&mut c, &mut i, &mut k).map(|v| *v)
 }
 
-/// The `u64` fields of `k`, in digest/codec order.
-fn counter_fields(k: &EnergyCounters) -> [u64; 26] {
-    [
-        k.l1_tag_bank_reads,
-        k.l1_data_subblock_reads,
-        k.l1_data_subblock_writes,
-        k.l1_tag_bank_writes,
-        k.utlb_lookups,
-        k.utlb_fills,
-        k.utlb_reverse_lookups,
-        k.tlb_lookups,
-        k.tlb_fills,
-        k.tlb_reverse_lookups,
-        k.uwt_reads,
-        k.uwt_writes,
-        k.uwt_bit_updates,
-        k.wt_reads,
-        k.wt_writes,
-        k.wt_bit_updates,
-        k.wdu_lookups,
-        k.wdu_writes,
-        k.sb_lookups_full,
-        k.sb_lookups_page_segment,
-        k.sb_lookups_narrow,
-        k.mb_lookups_full,
-        k.mb_lookups_page_segment,
-        k.mb_lookups_narrow,
-        k.input_buffer_compares,
-        k.arbitration_compares,
-    ]
-}
-
-/// FNV-1a digest over every behavioral field of `s`.
+/// FNV-1a digest over every behavioral field of `s`: each name byte, each
+/// `u64` field and each priced `f64`'s bit pattern folds in as one word.
 pub fn digest(s: &RunSummary) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.config.bytes() {
-        h = fold(h, u64::from(b));
-    }
-    for b in s.benchmark.bytes() {
-        h = fold(h, u64::from(b));
-    }
-    for v in core_fields(&s.core) {
-        h = fold(h, v);
-    }
-    for v in interface_fields(&s.interface) {
-        h = fold(h, v);
-    }
-    for v in counter_fields(&s.counters) {
-        h = fold(h, v);
-    }
-    for v in [
-        s.energy.dynamic.to_bits(),
-        s.energy.leakage.to_bits(),
-        s.l1_miss_rate.to_bits(),
-        s.l2_miss_rate.to_bits(),
-        s.utlb_miss_rate.to_bits(),
-    ] {
-        h = fold(h, v);
-    }
-    h
+    let names = s.config.bytes().chain(s.benchmark.bytes()).map(u64::from);
+    let bits = [
+        s.energy.dynamic,
+        s.energy.leakage,
+        s.l1_miss_rate,
+        s.l2_miss_rate,
+        s.utlb_miss_rate,
+    ]
+    .map(f64::to_bits);
+    fnv1a64(names.chain(u64_values(s)).chain(bits))
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -202,13 +178,7 @@ fn write_summary(w: &mut impl Write, s: &RunSummary) -> io::Result<()> {
     write_str(w, &s.config)?;
     write_str(w, &s.benchmark)?;
     write_str(w, s.suite)?;
-    for v in core_fields(&s.core) {
-        write_u64(w, v)?;
-    }
-    for v in interface_fields(&s.interface) {
-        write_u64(w, v)?;
-    }
-    for v in counter_fields(&s.counters) {
+    for v in u64_values(s) {
         write_u64(w, v)?;
     }
     write_f64(w, s.energy.dynamic)?;
@@ -239,65 +209,8 @@ pub fn read_summary(r: &mut impl Read) -> io::Result<RunSummary> {
     let suite =
         intern_suite(&suite_name).ok_or_else(|| bad(format!("unknown suite `{suite_name}`")))?;
 
-    let mut core = CoreStats::default();
-    for slot in [
-        &mut core.cycles,
-        &mut core.committed,
-        &mut core.loads,
-        &mut core.stores,
-        &mut core.branches,
-        &mut core.agu_stall_cycles,
-        &mut core.issued_ops,
-    ] {
-        *slot = read_u64(r)?;
-    }
-
-    let mut i = InterfaceStats::default();
-    for slot in [
-        &mut i.loads_serviced,
-        &mut i.merged_loads,
-        &mut i.stores_accepted,
-        &mut i.mbe_writes,
-        &mut i.groups,
-        &mut i.group_loads,
-        &mut i.reduced_accesses,
-        &mut i.conventional_accesses,
-        &mut i.held_load_cycles,
-        &mut i.translations,
-        &mut i.store_translations_shared,
-    ] {
-        *slot = read_u64(r)?;
-    }
-
-    let mut k = EnergyCounters::default();
-    for slot in [
-        &mut k.l1_tag_bank_reads,
-        &mut k.l1_data_subblock_reads,
-        &mut k.l1_data_subblock_writes,
-        &mut k.l1_tag_bank_writes,
-        &mut k.utlb_lookups,
-        &mut k.utlb_fills,
-        &mut k.utlb_reverse_lookups,
-        &mut k.tlb_lookups,
-        &mut k.tlb_fills,
-        &mut k.tlb_reverse_lookups,
-        &mut k.uwt_reads,
-        &mut k.uwt_writes,
-        &mut k.uwt_bit_updates,
-        &mut k.wt_reads,
-        &mut k.wt_writes,
-        &mut k.wt_bit_updates,
-        &mut k.wdu_lookups,
-        &mut k.wdu_writes,
-        &mut k.sb_lookups_full,
-        &mut k.sb_lookups_page_segment,
-        &mut k.sb_lookups_narrow,
-        &mut k.mb_lookups_full,
-        &mut k.mb_lookups_page_segment,
-        &mut k.mb_lookups_narrow,
-        &mut k.input_buffer_compares,
-        &mut k.arbitration_compares,
-    ] {
+    let (mut core, mut interface, mut counters) = Default::default();
+    for slot in u64_fields(&mut core, &mut interface, &mut counters) {
         *slot = read_u64(r)?;
     }
 
@@ -325,8 +238,8 @@ pub fn read_summary(r: &mut impl Read) -> io::Result<RunSummary> {
         benchmark,
         suite,
         core,
-        interface: i,
-        counters: k,
+        interface,
+        counters,
         energy: EnergyBreakdown {
             dynamic,
             leakage,

@@ -42,6 +42,7 @@ pub mod compare;
 pub mod digest;
 pub mod input_buffer;
 pub mod malec;
+mod memory_side;
 pub mod metrics;
 pub mod mmu;
 pub mod parallel;

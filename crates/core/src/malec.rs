@@ -34,10 +34,9 @@ use malec_types::op::{MemOp, OpId};
 use malec_types::params::MERGE_COMPARE_WINDOW;
 
 use crate::input_buffer::{IbEntry, InputBuffer};
+use crate::memory_side::MemorySide;
 use crate::metrics::InterfaceStats;
 use crate::mmu::{Mmu, Translation, TranslationPath};
-use crate::pending::{CompletionQueue, FillTable};
-use crate::sbmb::{MergeBuffer, StoreBuffer};
 use crate::waytable::WayTable;
 use crate::wdu::Wdu;
 
@@ -58,23 +57,14 @@ type LoadInfo = (MemOp, LineAddr, usize, u64);
 /// ```
 #[derive(Debug)]
 pub struct MalecInterface {
-    config: SimConfig,
-    mmu: Mmu,
-    hierarchy: MemoryHierarchy,
-    sb: StoreBuffer,
-    mb: MergeBuffer,
+    pub(crate) mem: MemorySide,
     ib: InputBuffer,
     uwt: Option<WayTable>,
     wt: Option<WayTable>,
     wdu: Option<Wdu>,
     feedback: bool,
-    counters: EnergyCounters,
-    stats: InterfaceStats,
-    completions: CompletionQueue,
     pending_mbe: std::collections::VecDeque<MemOp>,
-    pending_fills: FillTable,
     last_translation: Option<(VPageId, PPageId)>,
-    cycle: u64,
     // Reusable per-tick scratch: owned by the interface so the steady-state
     // tick performs no heap allocation (capacities are bounded by the Input
     // Buffer size / bank count and reached within the first few cycles).
@@ -121,30 +111,14 @@ impl MalecInterface {
             WayDetermination::None => (None, None, None, false),
         };
         Self {
-            config: config.clone(),
-            mmu: Mmu::new(
-                usize::from(config.utlb_entries),
-                usize::from(config.tlb_entries),
-                seed,
-            ),
-            hierarchy: MemoryHierarchy::for_config(config),
-            sb: StoreBuffer::new(usize::from(config.sb_entries)),
-            mb: MergeBuffer::new(
-                usize::from(config.mb_entries),
-                config.page.line_offset_bits(),
-            ),
+            mem: MemorySide::new(config, seed),
             ib: InputBuffer::new(usize::from(config.input_buffer_held) + 4),
             uwt,
             wt,
             wdu,
             feedback,
-            counters: EnergyCounters::default(),
-            stats: InterfaceStats::default(),
-            completions: CompletionQueue::with_capacity(usize::from(config.lq_entries)),
             pending_mbe: std::collections::VecDeque::with_capacity(4),
-            pending_fills: FillTable::with_capacity(128),
             last_translation: None,
-            cycle: 0,
             scratch_group: Vec::with_capacity(usize::from(config.input_buffer_held) + 4),
             scratch_infos: Vec::with_capacity(usize::from(config.input_buffer_held) + 4),
             scratch_selected: Vec::with_capacity(usize::from(config.result_buses).max(4)),
@@ -155,60 +129,45 @@ impl MalecInterface {
 
     /// Accumulated energy event counters.
     pub fn counters(&self) -> &EnergyCounters {
-        &self.counters
+        &self.mem.counters
     }
 
     /// Interface statistics (groups, merges, coverage).
     pub fn stats(&self) -> &InterfaceStats {
-        &self.stats
+        &self.mem.stats
     }
 
     /// The memory hierarchy (for miss-rate reporting).
     pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
+        &self.mem.hierarchy
     }
 
     /// The MMU (for TLB statistics).
     pub fn mmu(&self) -> &Mmu {
-        &self.mmu
+        &self.mem.mmu
     }
 
     fn vpage_of(&self, op: &MemOp) -> VPageId {
-        self.config.page.vpage_of(op.vaddr)
+        self.mem.config.page.vpage_of(op.vaddr)
     }
 
     /// Physical line for an op given its page translation.
     fn line_of(&self, op: &MemOp, ppage: PPageId) -> LineAddr {
-        let page = self.config.page;
+        let page = self.mem.config.page;
         let offset = op.vaddr.raw() & (page.page_bytes() - 1);
         page.line_of((ppage.raw() << page.page_offset_bits()) | offset)
     }
 
     /// Translates with energy accounting and way-table synchronization.
     fn translate_counted(&mut self, vpage: VPageId) -> Translation {
-        self.counters.utlb_lookups += 1;
-        self.stats.translations += 1;
-        let t = self.mmu.translate(vpage);
-        match t.path {
-            TranslationPath::MicroHit => {}
-            TranslationPath::TlbHit { .. } => {
-                self.counters.tlb_lookups += 1;
-                self.counters.utlb_fills += 1;
-            }
-            TranslationPath::Walk { .. } => {
-                self.counters.tlb_lookups += 1;
-                self.counters.tlb_fills += 1;
-                self.counters.utlb_fills += 1;
-            }
-        }
-
+        let t = self.mem.translate(vpage);
         if let (Some(uwt), Some(wt)) = (self.uwt.as_mut(), self.wt.as_mut()) {
             // uWT eviction: write the full entry back to the WT, if the
             // evicted page still has a TLB (and therefore WT) slot.
             if let Some((uslot, evicted)) = t.utlb_evicted {
-                if let Some(tslot) = self.mmu.tlb_slot_of_ppage(evicted.ppage) {
+                if let Some(tslot) = self.mem.mmu.tlb_slot_of_ppage(evicted.ppage) {
                     wt.entry_mut(tslot).copy_from(uwt.entry(uslot));
-                    self.counters.wt_writes += 1;
+                    self.mem.counters.wt_writes += 1;
                 }
             }
             match t.path {
@@ -218,8 +177,8 @@ impl MalecInterface {
                     // the page's uWT entry.
                     let entry = wt.entry(tlb_slot).clone();
                     uwt.entry_mut(t.utlb_slot).copy_from(&entry);
-                    self.counters.wt_reads += 1;
-                    self.counters.uwt_writes += 1;
+                    self.mem.counters.wt_reads += 1;
+                    self.mem.counters.uwt_writes += 1;
                 }
                 TranslationPath::Walk { tlb_slot } => {
                     // Fresh page: all way information invalidated (Sec. V —
@@ -228,9 +187,9 @@ impl MalecInterface {
                     // a flash-clear, priced as a slot update rather than a
                     // full-entry write.
                     wt.entry_mut(tlb_slot).clear_all();
-                    self.counters.wt_bit_updates += 1;
+                    self.mem.counters.wt_bit_updates += 1;
                     uwt.entry_mut(t.utlb_slot).clear_all();
-                    self.counters.uwt_bit_updates += 1;
+                    self.mem.counters.uwt_bit_updates += 1;
                 }
             }
         }
@@ -243,18 +202,18 @@ impl MalecInterface {
     /// (validity bits set on fills, cleared on evictions; physical-tag
     /// reverse lookups find the owning uWT/WT entry).
     fn on_fill_event(&mut self, ev: L1FillEvent) {
-        self.counters
-            .l1_line_fill(self.config.l1.sub_blocks_per_line());
-        match self.config.way_determination {
+        let m = &mut self.mem;
+        m.counters.l1_line_fill(m.config.l1.sub_blocks_per_line());
+        match self.mem.config.way_determination {
             WayDetermination::None => {}
             WayDetermination::Wdu(_) => {
                 let wdu = self.wdu.as_mut().expect("WDU configured");
                 if let Some(evicted) = ev.evicted {
                     wdu.invalidate(evicted);
-                    self.counters.wdu_writes += 1;
+                    self.mem.counters.wdu_writes += 1;
                 }
                 wdu.record(ev.filled, ev.way);
-                self.counters.wdu_writes += 1;
+                self.mem.counters.wdu_writes += 1;
             }
             WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => {
                 if let Some(evicted) = ev.evicted {
@@ -270,12 +229,12 @@ impl MalecInterface {
     /// includes all uWT entries, it is only updated if no corresponding uWT
     /// entry was found").
     fn update_way_slot(&mut self, line: LineAddr, way: Option<WayId>) {
-        let page = self.config.page;
+        let page = self.mem.config.page;
         let ppage = PPageId::new(page.page_of_line(line));
         let line_in_page = page.index_in_page(line);
 
-        self.counters.utlb_reverse_lookups += 1;
-        if let Some(uslot) = self.mmu.utlb_slot_of_ppage(ppage) {
+        self.mem.counters.utlb_reverse_lookups += 1;
+        if let Some(uslot) = self.mem.mmu.utlb_slot_of_ppage(ppage) {
             let entry = self.uwt.as_mut().expect("uWT configured").entry_mut(uslot);
             match way {
                 Some(w) => {
@@ -283,11 +242,11 @@ impl MalecInterface {
                 }
                 None => entry.clear(line_in_page),
             }
-            self.counters.uwt_bit_updates += 1;
+            self.mem.counters.uwt_bit_updates += 1;
             return;
         }
-        self.counters.tlb_reverse_lookups += 1;
-        if let Some(tslot) = self.mmu.tlb_slot_of_ppage(ppage) {
+        self.mem.counters.tlb_reverse_lookups += 1;
+        if let Some(tslot) = self.mem.mmu.tlb_slot_of_ppage(ppage) {
             let entry = self.wt.as_mut().expect("WT configured").entry_mut(tslot);
             match way {
                 Some(w) => {
@@ -295,17 +254,17 @@ impl MalecInterface {
                 }
                 None => entry.clear(line_in_page),
             }
-            self.counters.wt_bit_updates += 1;
+            self.mem.counters.wt_bit_updates += 1;
         }
     }
 
     /// Way prediction for a line about to be accessed. Returns `Some(way)`
     /// when the access may bypass the tag arrays.
     fn predict_way(&mut self, utlb_slot: usize, line: LineAddr) -> Option<WayId> {
-        match self.config.way_determination {
+        match self.mem.config.way_determination {
             WayDetermination::None => None,
             WayDetermination::Wdu(_) => {
-                self.counters.wdu_lookups += 1;
+                self.mem.counters.wdu_lookups += 1;
                 self.wdu.as_mut().expect("WDU configured").lookup(line)
             }
             WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => self
@@ -313,7 +272,7 @@ impl MalecInterface {
                 .as_ref()
                 .expect("uWT configured")
                 .entry(utlb_slot)
-                .get(self.config.page.index_in_page(line)),
+                .get(self.mem.config.page.index_in_page(line)),
         }
     }
 
@@ -321,19 +280,19 @@ impl MalecInterface {
     /// unknown. The last-entry register lets the uWT update without another
     /// uTLB lookup.
     fn feedback_update(&mut self, utlb_slot: usize, line: LineAddr, way: WayId) {
-        match self.config.way_determination {
+        match self.mem.config.way_determination {
             WayDetermination::Wdu(_) => {
                 self.wdu.as_mut().expect("WDU configured").record(line, way);
-                self.counters.wdu_writes += 1;
+                self.mem.counters.wdu_writes += 1;
             }
             WayDetermination::WayTables if self.feedback => {
-                let line_in_page = self.config.page.index_in_page(line);
+                let line_in_page = self.mem.config.page.index_in_page(line);
                 self.uwt
                     .as_mut()
                     .expect("uWT configured")
                     .entry_mut(utlb_slot)
                     .set(line_in_page, way);
-                self.counters.uwt_bit_updates += 1;
+                self.mem.counters.uwt_bit_updates += 1;
             }
             _ => {}
         }
@@ -342,16 +301,16 @@ impl MalecInterface {
     /// The fill-steering restriction: when enabled, fills avoid the way the
     /// line's WT slot cannot encode.
     fn fill_exclusion(&self, line: LineAddr) -> Option<WayId> {
-        if !self.config.restrict_fill_ways
+        if !self.mem.config.restrict_fill_ways
             || !matches!(
-                self.config.way_determination,
+                self.mem.config.way_determination,
                 WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback
             )
         {
             return None;
         }
-        let line_in_page = u32::from(self.config.page.index_in_page(line));
-        let l1 = self.config.l1;
+        let line_in_page = u32::from(self.mem.config.page.index_in_page(line));
+        let l1 = self.mem.config.l1;
         // Both are powers of two: `/ banks % ways` as a shift and a mask.
         Some(WayId(
             ((line_in_page >> l1.banks().trailing_zeros()) & (l1.ways() - 1)) as u8,
@@ -374,7 +333,7 @@ impl MalecInterface {
             self.scratch_group = group_loads;
             return 0;
         };
-        self.counters.input_buffer_compares += u64::from(group.compares);
+        self.mem.counters.input_buffer_compares += u64::from(group.compares);
 
         // One translation per cycle, shared by the whole group. Slow paths
         // (TLB hit after uTLB miss, page-table walk) add latency to every
@@ -386,20 +345,20 @@ impl MalecInterface {
         // uWT way information arrives with the translation: one entry
         // evaluation regardless of group size (Sec. V scalability).
         if self.uwt.is_some() {
-            self.counters.uwt_reads += 1;
+            self.mem.counters.uwt_reads += 1;
         }
 
         // --- Arbitration: per-bank leaders, same-line merging, result-bus cap.
         // Two sub-blocks, a power of two (`CacheGeometry::new` makes the
         // sub-block divide the power-of-two line): `/ window` as a shift.
-        let window_shift = (2 * self.config.l1.sub_block_bytes()).trailing_zeros();
+        let window_shift = (2 * self.mem.config.l1.sub_block_bytes()).trailing_zeros();
         let mut infos = std::mem::take(&mut self.scratch_infos);
         infos.clear();
         for entry in &group_loads {
             let op = entry.op;
             let line = self.line_of(&op, t.ppage);
-            let bank = self.config.l1.bank_of_line(line).0 as usize;
-            let window = (op.vaddr.raw() & (self.config.page.line_bytes() - 1)) >> window_shift;
+            let bank = self.mem.config.l1.bank_of_line(line).0 as usize;
+            let window = (op.vaddr.raw() & (self.mem.config.page.line_bytes() - 1)) >> window_shift;
             infos.push((op, line, bank, window));
         }
 
@@ -408,7 +367,7 @@ impl MalecInterface {
         let mut selected = std::mem::take(&mut self.scratch_selected);
         selected.clear();
         for (i, info) in infos.iter().enumerate() {
-            if selected.len() >= usize::from(self.config.result_buses) {
+            if selected.len() >= usize::from(self.mem.config.result_buses) {
                 break;
             }
             match self.bank_leader[info.2] {
@@ -417,8 +376,8 @@ impl MalecInterface {
                     selected.push((i, i));
                 }
                 Some(li) => {
-                    if self.config.load_merging && i - li <= usize::from(MERGE_COMPARE_WINDOW) {
-                        self.counters.arbitration_compares += 1;
+                    if self.mem.config.load_merging && i - li <= usize::from(MERGE_COMPARE_WINDOW) {
+                        self.mem.counters.arbitration_compares += 1;
                         let leader = &infos[li];
                         if leader.1 == info.1 && leader.3 == info.3 {
                             selected.push((i, li));
@@ -440,41 +399,40 @@ impl MalecInterface {
                 self.leader_done[bank] = done;
                 done
             } else {
-                self.stats.merged_loads += 1;
+                self.mem.stats.merged_loads += 1;
                 // The WDU (unlike the way tables) looks up every parallel
                 // reference individually — that is why it needs four ports.
                 if self.wdu.is_some() {
-                    self.counters.wdu_lookups += 1;
+                    self.mem.counters.wdu_lookups += 1;
                 }
                 self.leader_done[bank]
             };
             // Narrow SB/MB comparators per access; the page segment is
             // shared below.
-            self.counters.sb_lookups_narrow += 1;
-            self.counters.mb_lookups_narrow += 1;
-            self.completions.push(done, op.id);
+            self.mem.counters.sb_lookups_narrow += 1;
+            self.mem.counters.mb_lookups_narrow += 1;
+            self.mem.complete_load(done, op.id);
             self.ib.remove_load(op.id);
-            self.stats.loads_serviced += 1;
-            self.stats.group_loads += 1;
+            self.mem.stats.group_loads += 1;
             serviced += 1;
         }
         if serviced > 0 {
-            self.stats.groups += 1;
-            self.counters.sb_lookups_page_segment += 1;
-            self.counters.mb_lookups_page_segment += 1;
+            self.mem.stats.groups += 1;
+            self.mem.counters.sb_lookups_page_segment += 1;
+            self.mem.counters.mb_lookups_page_segment += 1;
         }
 
         // --- The MBE (lowest priority) writes its bank if no load claimed it.
         if group.include_mbe {
             if let Some(mbe) = self.ib.take_mbe() {
                 let line = self.line_of(&mbe, t.ppage);
-                let bank = self.config.l1.bank_of_line(line).0 as usize;
+                let bank = self.mem.config.l1.bank_of_line(line).0 as usize;
                 if self.bank_leader[bank].is_none() {
                     self.execute_mbe_write(t.utlb_slot, line);
                 } else {
                     // Bank busy: put it back for a later cycle.
                     let vp = self.vpage_of(&mbe);
-                    self.ib.set_mbe(mbe, vp, self.cycle);
+                    self.ib.set_mbe(mbe, vp, self.mem.cycle);
                 }
             }
         }
@@ -491,20 +449,20 @@ impl MalecInterface {
         // MALEC's sub-blocked data arrays return two adjacent sub-blocks on
         // every read (Sec. IV), doubling merge opportunities.
         let sub_blocks = 2u32;
+        let ways = self.mem.config.l1.ways();
         let predicted = self.predict_way(utlb_slot, line);
         let exclusion = self.fill_exclusion(line);
-        let outcome = self.hierarchy.resolve_line(line, exclusion);
+        let outcome = self.mem.hierarchy.resolve_line(line, exclusion);
 
         match (outcome.l1_hit, predicted) {
             (true, Some(way)) => {
                 debug_assert_eq!(way, outcome.way, "way tables must track true residency");
-                self.counters.l1_reduced_read(sub_blocks);
-                self.stats.reduced_accesses += 1;
+                self.mem.counters.l1_reduced_read(sub_blocks);
+                self.mem.stats.reduced_accesses += 1;
             }
             (true, None) => {
-                self.counters
-                    .l1_conventional_read(self.config.l1.ways(), sub_blocks);
-                self.stats.conventional_accesses += 1;
+                self.mem.counters.l1_conventional_read(ways, sub_blocks);
+                self.mem.stats.conventional_accesses += 1;
                 self.feedback_update(utlb_slot, line, outcome.way);
             }
             (false, _) => {
@@ -513,63 +471,52 @@ impl MalecInterface {
                 // replay that returns the data after the fill is a
                 // *reduced* access — way prediction removes the redundant
                 // tag lookup even on the miss path.
-                self.counters
-                    .l1_conventional_read(self.config.l1.ways(), sub_blocks);
-                self.stats.conventional_accesses += 1;
+                self.mem.counters.l1_conventional_read(ways, sub_blocks);
+                self.mem.stats.conventional_accesses += 1;
                 if let Some(fill) = outcome.fill {
                     self.on_fill_event(fill);
                 }
                 if self.uwt.is_some() || self.wdu.is_some() {
-                    self.counters.l1_reduced_read(sub_blocks);
-                    self.stats.reduced_accesses += 1;
+                    self.mem.counters.l1_reduced_read(sub_blocks);
+                    self.mem.stats.reduced_accesses += 1;
                 } else {
-                    self.counters
-                        .l1_conventional_read(self.config.l1.ways(), sub_blocks);
-                    self.stats.conventional_accesses += 1;
+                    self.mem.counters.l1_conventional_read(ways, sub_blocks);
+                    self.mem.stats.conventional_accesses += 1;
                 }
             }
         }
-        let mut done = self.cycle
-            + u64::from(self.config.l1_latency())
-            + group_extra
-            + u64::from(outcome.extra_latency);
-        // MSHR semantics: an access to a line with an outstanding fill
-        // completes no earlier than that fill.
-        if outcome.l1_hit {
-            if let Some(ready) = self.pending_fills.ready_after(line.raw(), self.cycle) {
-                done = done.max(ready);
-            }
-        } else {
-            self.pending_fills.note_fill(line.raw(), done);
-        }
-        done
+        self.mem.access_done(
+            line,
+            outcome.l1_hit,
+            group_extra + u64::from(outcome.extra_latency),
+        )
     }
 
     /// Writes a merge-buffer eviction to the L1.
     fn execute_mbe_write(&mut self, utlb_slot: usize, line: LineAddr) {
         let predicted = self.predict_way(utlb_slot, line);
         let exclusion = self.fill_exclusion(line);
-        let outcome = self.hierarchy.resolve_line(line, exclusion);
+        let outcome = self.mem.hierarchy.resolve_line(line, exclusion);
         match (outcome.l1_hit, predicted) {
             (true, Some(way)) => {
                 debug_assert_eq!(way, outcome.way);
-                self.counters.l1_reduced_write(2);
-                self.stats.reduced_accesses += 1;
+                self.mem.counters.l1_reduced_write(2);
+                self.mem.stats.reduced_accesses += 1;
             }
             (true, None) => {
-                self.counters.l1_write(2);
-                self.stats.conventional_accesses += 1;
+                self.mem.counters.l1_write(2);
+                self.mem.stats.conventional_accesses += 1;
                 self.feedback_update(utlb_slot, line, outcome.way);
             }
             (false, _) => {
-                self.counters.l1_write(2);
-                self.stats.conventional_accesses += 1;
+                self.mem.counters.l1_write(2);
+                self.mem.stats.conventional_accesses += 1;
                 if let Some(fill) = outcome.fill {
                     self.on_fill_event(fill);
                 }
             }
         }
-        self.stats.mbe_writes += 1;
+        self.mem.stats.mbe_writes += 1;
     }
 
     /// Moves committed stores toward the merge buffer and stages MB
@@ -579,15 +526,15 @@ impl MalecInterface {
         if !self.ib.has_mbe() {
             if let Some(mbe) = self.pending_mbe.pop_front() {
                 let vp = self.vpage_of(&mbe);
-                self.ib.set_mbe(mbe, vp, self.cycle);
+                self.ib.set_mbe(mbe, vp, self.mem.cycle);
             }
         }
         // Keep the staging queue bounded: stall the drain if it backs up.
         if self.pending_mbe.len() >= 2 {
             return;
         }
-        if let Some(op) = self.sb.pop_committed() {
-            if let Some(evicted) = self.mb.insert(op) {
+        if let Some(op) = self.mem.sb.pop_committed() {
+            if let Some(evicted) = self.mem.mb.insert(op) {
                 self.pending_mbe.push_back(MemOp::merge_evict(
                     evicted.rep.id,
                     evicted.rep.vaddr,
@@ -600,11 +547,8 @@ impl MalecInterface {
 
 impl L1DataInterface for MalecInterface {
     fn tick(&mut self, cycle: u64, completed: &mut Vec<OpId>) {
-        self.cycle = cycle;
-
-        // 1. Deliver due completions (min-heap pop instead of a full scan).
-        self.completions.drain_due(cycle, completed);
-        self.pending_fills.prune(cycle);
+        // 1. Deliver due completions.
+        self.mem.begin_tick(cycle, completed);
 
         // 2. Service this cycle's page group.
         self.service_group();
@@ -613,7 +557,7 @@ impl L1DataInterface for MalecInterface {
         self.drain_stores();
 
         // 4. Latency-variability accounting.
-        self.stats.held_load_cycles += self.ib.len() as u64;
+        self.mem.stats.held_load_cycles += self.ib.len() as u64;
     }
 
     fn offer_load(&mut self, op: MemOp) -> AcceptKind {
@@ -621,13 +565,13 @@ impl L1DataInterface for MalecInterface {
             return AcceptKind::Rejected;
         }
         let vp = self.vpage_of(&op);
-        let pushed = self.ib.push_load(op, vp, self.cycle);
+        let pushed = self.ib.push_load(op, vp, self.mem.cycle);
         debug_assert!(pushed);
         AcceptKind::Accepted
     }
 
     fn offer_store(&mut self, op: MemOp) -> AcceptKind {
-        if !self.sb.has_room() {
+        if !self.mem.sb.has_room() {
             return AcceptKind::Rejected;
         }
         let vp = self.vpage_of(&op);
@@ -636,24 +580,21 @@ impl L1DataInterface for MalecInterface {
         // between loads and stores).
         match self.last_translation {
             Some((last_vp, _)) if last_vp == vp => {
-                self.stats.store_translations_shared += 1;
+                self.mem.stats.store_translations_shared += 1;
             }
             _ => {
                 self.translate_counted(vp);
             }
         }
-        let pushed = self.sb.push(op);
-        debug_assert!(pushed);
-        self.stats.stores_accepted += 1;
-        AcceptKind::Accepted
+        self.mem.push_store(op)
     }
 
     fn commit_store(&mut self, id: OpId) {
-        self.sb.mark_committed(id);
+        self.mem.sb.mark_committed(id);
     }
 
     fn pending_loads(&self) -> usize {
-        self.ib.len() + self.completions.len()
+        self.ib.len() + self.mem.completions.len()
     }
 }
 

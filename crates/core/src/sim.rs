@@ -15,6 +15,7 @@ use malec_types::op::{MemOp, OpId};
 
 use crate::baseline::BaselineInterface;
 use crate::malec::MalecInterface;
+use crate::memory_side::MemorySide;
 use crate::metrics::RunSummary;
 
 /// Either interface implementation, dispatched by configuration.
@@ -37,6 +38,14 @@ impl AnyInterface {
                 AnyInterface::Malec(Box::new(MalecInterface::new(config, seed)))
             }
             _ => AnyInterface::Baseline(Box::new(BaselineInterface::new(config, seed))),
+        }
+    }
+
+    /// The memory side behind either interface.
+    fn mem(&self) -> &MemorySide {
+        match self {
+            AnyInterface::Baseline(b) => &b.mem,
+            AnyInterface::Malec(m) => &m.mem,
         }
     }
 }
@@ -138,39 +147,25 @@ impl Simulator {
         let mut core = OoOCore::new(&self.config, interface);
         let core_stats = core.run(trace);
         let interface = core.into_interface();
-
-        let (iface_stats, counters, l1_miss, l2_miss, utlb) = match &interface {
-            AnyInterface::Baseline(b) => (
-                *b.stats(),
-                *b.counters(),
-                b.hierarchy().l1().miss_rate(),
-                b.hierarchy().backing().l2_miss_rate(),
-                b.mmu().utlb_stats(),
-            ),
-            AnyInterface::Malec(m) => (
-                *m.stats(),
-                *m.counters(),
-                m.hierarchy().l1().miss_rate(),
-                m.hierarchy().backing().l2_miss_rate(),
-                m.mmu().utlb_stats(),
-            ),
-        };
-        let energy = EnergyModel::for_config(&self.config).evaluate(&counters, core_stats.cycles);
-        let utlb_total = utlb.0 + utlb.1;
+        let mem = interface.mem();
+        let energy =
+            EnergyModel::for_config(&self.config).evaluate(&mem.counters, core_stats.cycles);
+        let (utlb_hits, utlb_misses) = mem.mmu.utlb_stats();
+        let utlb_total = utlb_hits + utlb_misses;
         RunSummary {
             config: self.config.label(),
             benchmark: name.into(),
             suite,
             core: core_stats,
-            interface: iface_stats,
-            counters,
+            interface: mem.stats,
+            counters: mem.counters,
             energy,
-            l1_miss_rate: l1_miss,
-            l2_miss_rate: l2_miss,
+            l1_miss_rate: mem.hierarchy.l1().miss_rate(),
+            l2_miss_rate: mem.hierarchy.backing().l2_miss_rate(),
             utlb_miss_rate: if utlb_total == 0 {
                 0.0
             } else {
-                utlb.1 as f64 / utlb_total as f64
+                utlb_misses as f64 / utlb_total as f64
             },
         }
     }

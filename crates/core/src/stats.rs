@@ -23,30 +23,48 @@
 use crate::metrics::RunSummary;
 pub use malec_trace::seed::{replicate_seed, splitmix64};
 
-/// Two-sided Student-t 97.5 % quantiles for 1–30 degrees of freedom
-/// (`t_{0.975, df}`), the standard table values.
-const T95: [f64; 30] = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-    2.052, 2.048, 2.045, 2.042,
+/// Two-sided Student-t quantiles `t_{1-α/2, df}`, the standard table
+/// values: one row per level (α = 0.10, 0.05, 0.01), one column per df
+/// from 1 to 30, then df 40, 60 and 120.
+const T_TABLE: [[f64; 33]; 3] = [
+    [
+        6.314, 2.920, 2.353, 2.132, 2.015, 1.943, 1.895, 1.860, 1.833, 1.812, 1.796, 1.782, 1.771,
+        1.761, 1.753, 1.746, 1.740, 1.734, 1.729, 1.725, 1.721, 1.717, 1.714, 1.711, 1.708, 1.706,
+        1.703, 1.701, 1.699, 1.697, 1.684, 1.671, 1.658,
+    ],
+    [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042, 2.021, 2.000, 1.980,
+    ],
+    [
+        63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169, 3.106, 3.055, 3.012,
+        2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845, 2.831, 2.819, 2.807, 2.797, 2.787, 2.779,
+        2.771, 2.763, 2.756, 2.750, 2.704, 2.660, 2.617,
+    ],
 ];
 
-/// `t_{0.975, df}` — exact table values through 30 degrees of freedom,
-/// then conservative steps: each bracket returns the quantile at its
-/// **smallest** df (2.042 is `t_{0.975,30}`, 2.021 is df 40, 2.000 is df
-/// 60, 1.980 is df 120), and the true quantile decreases in df, so the
-/// returned value is never *smaller* than the true one — intervals never
-/// understate uncertainty.
-#[must_use]
-pub fn t95(df: u64) -> f64 {
-    match df {
-        0 => f64::INFINITY,
-        1..=30 => T95[(df - 1) as usize],
-        31..=40 => 2.042,
-        41..=60 => 2.021,
-        61..=120 => 2.000,
-        _ => 1.980,
-    }
+/// `t_{1-α/2, df}` from row `level` of the t table — exact values through
+/// 30 degrees of freedom, then conservative steps: each bracket returns the
+/// quantile at its **smallest** df (df 31–40 take df 30's value, 41–60 take
+/// df 40's, 61–120 take df 60's, beyond take df 120's), and the true
+/// quantile decreases in df, so the returned value is never *smaller* than
+/// the true one — intervals never understate uncertainty.
+pub(crate) fn t_quantile(level: usize, df: u64) -> f64 {
+    let column = match df {
+        0 => return f64::INFINITY,
+        1..=30 => df - 1,
+        31..=40 => 29,
+        41..=60 => 30,
+        61..=120 => 31,
+        _ => 32,
+    };
+    T_TABLE[level][column as usize]
+}
+
+/// `t_{0.975, df}`, the 95 % confidence quantile (see [`t_quantile`]).
+fn t95(df: u64) -> f64 {
+    t_quantile(1, df)
 }
 
 /// Why a statistic cannot be produced from the samples seen so far.

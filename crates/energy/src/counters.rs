@@ -7,8 +7,6 @@
 //! zero tag accesses and `1 × sub_blocks` activations. The energy model then
 //! prices each activation.
 
-use std::ops::{Add, AddAssign};
-
 use serde::{Deserialize, Serialize};
 
 /// Counts of energy-relevant events accumulated during a simulation run.
@@ -126,46 +124,6 @@ impl EnergyCounters {
     }
 }
 
-impl Add for EnergyCounters {
-    type Output = EnergyCounters;
-
-    fn add(mut self, rhs: EnergyCounters) -> EnergyCounters {
-        self += rhs;
-        self
-    }
-}
-
-impl AddAssign for EnergyCounters {
-    fn add_assign(&mut self, rhs: EnergyCounters) {
-        self.l1_tag_bank_reads += rhs.l1_tag_bank_reads;
-        self.l1_data_subblock_reads += rhs.l1_data_subblock_reads;
-        self.l1_data_subblock_writes += rhs.l1_data_subblock_writes;
-        self.l1_tag_bank_writes += rhs.l1_tag_bank_writes;
-        self.utlb_lookups += rhs.utlb_lookups;
-        self.utlb_fills += rhs.utlb_fills;
-        self.utlb_reverse_lookups += rhs.utlb_reverse_lookups;
-        self.tlb_lookups += rhs.tlb_lookups;
-        self.tlb_fills += rhs.tlb_fills;
-        self.tlb_reverse_lookups += rhs.tlb_reverse_lookups;
-        self.uwt_reads += rhs.uwt_reads;
-        self.uwt_writes += rhs.uwt_writes;
-        self.uwt_bit_updates += rhs.uwt_bit_updates;
-        self.wt_reads += rhs.wt_reads;
-        self.wt_writes += rhs.wt_writes;
-        self.wt_bit_updates += rhs.wt_bit_updates;
-        self.wdu_lookups += rhs.wdu_lookups;
-        self.wdu_writes += rhs.wdu_writes;
-        self.sb_lookups_full += rhs.sb_lookups_full;
-        self.sb_lookups_page_segment += rhs.sb_lookups_page_segment;
-        self.sb_lookups_narrow += rhs.sb_lookups_narrow;
-        self.mb_lookups_full += rhs.mb_lookups_full;
-        self.mb_lookups_page_segment += rhs.mb_lookups_page_segment;
-        self.mb_lookups_narrow += rhs.mb_lookups_narrow;
-        self.input_buffer_compares += rhs.input_buffer_compares;
-        self.arbitration_compares += rhs.arbitration_compares;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,19 +151,5 @@ mod tests {
         c.l1_line_fill(4);
         assert_eq!(c.l1_tag_bank_writes, 1);
         assert_eq!(c.l1_data_subblock_writes, 6);
-    }
-
-    #[test]
-    fn add_merges_all_fields() {
-        let mut a = EnergyCounters::new();
-        a.utlb_lookups = 5;
-        a.wt_reads = 2;
-        let mut b = EnergyCounters::new();
-        b.utlb_lookups = 3;
-        b.wdu_lookups = 7;
-        let c = a + b;
-        assert_eq!(c.utlb_lookups, 8);
-        assert_eq!(c.wt_reads, 2);
-        assert_eq!(c.wdu_lookups, 7);
     }
 }

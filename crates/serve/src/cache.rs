@@ -392,29 +392,7 @@ impl ResultCache {
         } else {
             {
                 let mut reader = BufReader::new(&mut file);
-                let mut header = [0u8; HEADER_LEN as usize];
-                reader.read_exact(&mut header).map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: not a cache log (short header)", path.display()),
-                    )
-                })?;
-                let [magic @ .., version] = header;
-                if &magic != MAGIC {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: bad cache-log magic", path.display()),
-                    ));
-                }
-                if version != VERSION {
-                    return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: cache-log version {version} unsupported (want {VERSION}); delete it to rebuild",
-                        path.display(),
-                    ),
-                ));
-                }
+                check_header(&mut reader).map_err(|e| in_context(path.display(), e))?;
                 loop {
                     match read_record(&mut reader) {
                         Ok(RawRecord::Live(key, summary, len)) => {
@@ -736,7 +714,7 @@ impl ResultCache {
     /// Returns `InvalidData` for a stream that is not a cache log of the
     /// supported version; propagates local append errors.
     pub fn ingest(&mut self, r: &mut impl Read) -> io::Result<SyncReport> {
-        check_stream_header(r)?;
+        check_header(r).map_err(|e| in_context("sync stream", e))?;
         let mut report = SyncReport {
             bytes: HEADER_LEN,
             ..SyncReport::default()
@@ -810,30 +788,30 @@ pub fn encode_record(key: u128, summary: &RunSummary) -> Vec<u8> {
     encode_record_raw(key, KEY_VERSION, &summary_to_bytes(summary))
 }
 
-/// Verifies a stream's 5-byte cache-log header (magic + version).
-fn check_stream_header(r: &mut impl Read) -> io::Result<()> {
+/// Reads and verifies a 5-byte cache-log header (magic + version). The
+/// refusal names no source: each caller prefixes what it was reading.
+fn check_header(r: &mut impl Read) -> io::Result<()> {
     let mut header = [0u8; HEADER_LEN as usize];
-    r.read_exact(&mut header)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "sync stream: short header"))?;
-    let [magic @ .., version] = header;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "sync stream: bad cache-log magic",
-        ));
-    }
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("sync stream: cache-log version {version} unsupported (want {VERSION})"),
-        ));
-    }
-    Ok(())
+    let refusal = match r.read_exact(&mut header).map(|()| header) {
+        Err(_) => "not a cache log (short header)".to_owned(),
+        Ok([magic @ .., _]) if &magic != MAGIC => "bad cache-log magic".to_owned(),
+        Ok([.., version]) if version != VERSION => {
+            format!("cache-log version {version} unsupported (want {VERSION})")
+        }
+        Ok(_) => return Ok(()),
+    };
+    Err(io::Error::new(io::ErrorKind::InvalidData, refusal))
+}
+
+/// `e` with `context`, what was being read, in front of its message.
+fn in_context(context: impl std::fmt::Display, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{context}: {e}"))
 }
 
 /// Decodes a single-record stream — a cache-log header followed by exactly
 /// one record, the `GET /v1/cache/record/<key>` response body — verifying
-/// the magic, version, and the record's checksum.
+/// the magic, version, and the record's checksum. Errors name no source:
+/// the caller knows which record it fetched.
 ///
 /// # Errors
 ///
@@ -841,7 +819,7 @@ fn check_stream_header(r: &mut impl Read) -> io::Result<()> {
 /// record, a record under a superseded `KEY_VERSION`, or an empty stream.
 pub fn decode_single_record(bytes: &[u8]) -> io::Result<(u128, RunSummary)> {
     let mut r = bytes;
-    check_stream_header(&mut r)?;
+    check_header(&mut r)?;
     match read_record(&mut r)? {
         RawRecord::Live(key, summary, _) => Ok((key, *summary)),
         RawRecord::Stale(_) => Err(io::Error::new(
@@ -1094,6 +1072,27 @@ mod tests {
         std::fs::write(&path, b"definitely not a cache log").expect("write");
         let err = ResultCache::open(&path).expect_err("must refuse");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn other_version_log_is_refused_naming_the_path() {
+        let path = tmp("version");
+        let mut log = log_header();
+        log[4] = VERSION + 1;
+        std::fs::write(&path, log).expect("write");
+        let err = ResultCache::open(&path).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("version"), "{msg}");
+        assert_eq!(std::fs::read(&path).expect("read"), log, "left as it was");
+        // The same bytes as a sync stream are labelled as one.
+        let err = ResultCache::in_memory()
+            .ingest(&mut log.as_slice())
+            .expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("sync stream: "), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

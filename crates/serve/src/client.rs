@@ -390,7 +390,8 @@ impl Client {
             }
             let retry = |e: String| CallError::Retry(e, None);
             let body = resp.bytes().map_err(|e| retry(e.to_string()))?;
-            let (got, summary) = decode_single_record(&body).map_err(|e| retry(e.to_string()))?;
+            let (got, summary) = decode_single_record(&body)
+                .map_err(|e| retry(format!("record {key:032x}: {e}")))?;
             if got != key {
                 return Err(retry(format!(
                     "record key mismatch (asked {key:032x}, got {got:032x})"

@@ -45,9 +45,11 @@ const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a-64 over `bytes` — the workspace's one stable 64-bit byte hash,
-/// for values that must not change across processes or hosts (a cache-log
-/// checksum, a rendezvous score, an address region).
+/// FNV-1a-64 over `words` — the workspace's one stable 64-bit hash, for
+/// values that must not change across processes or hosts (a cache-log
+/// checksum, a rendezvous score, an address region, a behavioral digest).
+/// Each word folds in whole: over bytes this is byte-wise FNV-1a, over
+/// `u64`s the word-wise fold the summary and comparison digests use.
 ///
 /// # Example
 ///
@@ -56,10 +58,11 @@ const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 ///
 /// assert_eq!(fnv1a64(*b""), 0xcbf2_9ce4_8422_2325, "the offset basis");
 /// assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a64([u64::from(b'a')]), fnv1a64(*b"a"), "a byte is a small word");
 /// ```
-pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(FNV64_OFFSET, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
+pub fn fnv1a64<W: Into<u64>>(words: impl IntoIterator<Item = W>) -> u64 {
+    words.into_iter().fold(FNV64_OFFSET, |h, w| {
+        (h ^ w.into()).wrapping_mul(FNV64_PRIME)
     })
 }
 

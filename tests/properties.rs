@@ -120,8 +120,13 @@ proptest! {
             l1_tag_bank_reads: b_tags,
             ..Default::default()
         };
+        let sum = EnergyCounters {
+            l1_data_subblock_reads: a_reads + b_reads,
+            l1_tag_bank_reads: a_tags + b_tags,
+            ..Default::default()
+        };
         let separate = model.evaluate(&ca, cycles_a).total() + model.evaluate(&cb, cycles_b).total();
-        let combined = model.evaluate(&(ca + cb), cycles_a + cycles_b).total();
+        let combined = model.evaluate(&sum, cycles_a + cycles_b).total();
         prop_assert!((separate - combined).abs() < 1e-6 * combined.max(1.0));
     }
 }
