@@ -9,9 +9,9 @@
 //! [`COMPARE_GOLDEN_DIGESTS`] (5 paired comparisons). The benchmark table
 //! was recorded from the simulator as bootstrapped (before the
 //! allocation-free hot-path rewrite). The harness test `tests/goldens.rs`
-//! recomputes all 39 digests on every `cargo test`, the scenario and
-//! compare cells on an in-process serve `Engine`, so any change to
-//! simulated behavior, however slight, fails tier-1.
+//! recomputes all 39 digests on every `cargo test`, as jobs on one
+//! in-process serve `Engine`, so any change to simulated behavior, however
+//! slight, fails tier-1.
 //!
 //! To re-record after an *intentional* behavior change:
 //!
@@ -114,7 +114,7 @@ pub const COMPARE_GOLDEN_DIGESTS: &[(&str, u64)] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_one, DEFAULT_SEED};
+    use crate::DEFAULT_SEED;
     use malec_core::compare::{compare_digest, Alpha, CompareStats};
     use malec_core::stats::replicate_seed;
     use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
@@ -126,13 +126,12 @@ mod tests {
             .into_iter()
             .find(|b| b.name == "gzip")
             .expect("gzip exists");
-        let a = run_one(&SimConfig::malec(), &profile, 3_000);
-        let b = run_one(&SimConfig::malec(), &profile, 3_000);
+        let run = || Simulator::new(SimConfig::malec()).run(&profile, 3_000, DEFAULT_SEED);
+        let (a, b) = (run(), run());
         assert_eq!(digest(&a), digest(&b), "same run, same digest");
         let mut c = a.clone();
         c.counters.utlb_lookups += 1;
         assert_ne!(digest(&a), digest(&c), "one counter flips the digest");
-        let _ = DEFAULT_SEED; // the digest contract is tied to the fixed seed
     }
 
     #[test]

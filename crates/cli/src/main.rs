@@ -44,7 +44,7 @@ use malec_trace::scenario::presets;
 use malec_types::SimConfig;
 
 fn usage() -> String {
-    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), and a compared pair is owned\nas one. A submission to any peer forwards each config or pair another\npeer owns to that owner, waits for it, then fetches the records from the\nowner, simulating locally only what the owner cannot serve, so the\nreport is bit-identical to a standalone run;\n--faults arms the deterministic failpoint schedule (`name@hit[:param];...`,\nalso read from MALEC_FAULTS) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
+    "usage:\n  malec-cli run <spec.toml> [--jobs N]\n  malec-cli compare <spec.toml> [--jobs N] [--addr HOST:PORT] [-o report.json] [--retries N]\n  malec-cli record <spec.toml> [-o out.mtr]\n  malec-cli replay <trace.mtr> [--config LABEL] [--insts N] [--seed N] [--name NAME]\n  malec-cli presets\n  malec-cli serve [--addr HOST:PORT] [--cache FILE] [--jobs N] [--fsync always|on-close]\n                  [--max-conns N] [--drain-timeout SECS] [--job-ttl SECS]\n                  [--cache-max-bytes N] [--compact-threshold RATIO]\n                  [--warm-from HOST:PORT] [--peers HOST:PORT,...] [--faults SCHED]\n  malec-cli submit <spec.toml> [--addr HOST:PORT] [-o report.json] [--no-wait] [--retries N]\n  malec-cli status [JOB] [--addr HOST:PORT] [--retries N]\n  malec-cli cache compact [--addr HOST:PORT]\n  malec-cli cache sync --from HOST:PORT -o FILE\n\nThe replay digest folds the workload name; pass --name <scenario name>\n(the [scenario] name the trace was recorded under) to make it comparable\nwith the digests in a `run` report.\n\n`compare` pairs the spec's [compare] interfaces per shared replicate seed\nand reports deltas (mean ± paired CI, relative %, win/loss/tie at the\nspec's alpha); with --addr the spec is submitted to a server and the\ndeltas are assembled from its result cache instead of simulating locally.\n\n`serve` hosts the batch service (default address 127.0.0.1:4173); `submit`\nand `status` talk to it. --cache persists the result cache across\nrestarts; --jobs caps worker fan-out everywhere it appears. --fsync sets\nthe cache-log durability policy; --max-conns sheds load above N concurrent\nconnections (503 + Retry-After); --job-ttl expires finished job records;\n--cache-max-bytes bounds resident results (LRU eviction; disk space is\nreclaimed at the next compaction); --compact-threshold RATIO rewrites the\nlog automatically once that fraction of its payload is dead;\n--warm-from pulls a running peer's live records before serving;\n--peers ADDR,ADDR,... (self included) serves as one peer of a sharded\ncluster: every peer derives the same deterministic owner for every cell\nkey (rendezvous hashing — no coordination), and a compared pair is owned\nas one. A submission to any peer forwards each config or pair another\npeer owns to that owner, waits for it, then fetches the records from the\nowner, simulating locally only what the owner cannot serve, so the\nreport is bit-identical to a standalone run;\n--faults arms the deterministic failpoint schedule\n(`name@hit[:param];...`) — testing only.\n\n`cache compact` asks a server to rewrite its log keeping only live\nrecords; `cache sync` downloads a server's live record set\n(checksum-verified) into a local log file usable as `serve --cache` for a\nfresh peer.\n\n--retries N retries transport failures and retryable statuses (408/429/5xx)\nwith capped exponential backoff, and resubmits a job whose cells failed\n(completed cells are cached, so only failed work is re-simulated)."
         .to_owned()
 }
 
@@ -390,11 +390,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    // --faults overrides the MALEC_FAULTS environment variable; both parse
-    // the same `name@hit[:param];...` schedule.
     let faults = match fault_schedule {
         Some(s) => Faults::parse(&s).map_err(|e| e.to_string())?,
-        None => Faults::from_env().map_err(|e| e.to_string())?,
+        None => Faults::disarmed(),
     };
     let armed = !faults.exhausted();
     let defaults = ServeOptions::default();

@@ -213,15 +213,22 @@ mod tests {
     fn end_to_end_replay_is_bit_identical() {
         let dir = std::env::temp_dir().join("malec_cli_run_test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let spec = demo_spec(&dir, "cli_e2e");
-        let outcome = run_parsed_spec(spec, "inline", &dir, None).expect("run succeeds");
-        assert_eq!(outcome.cells.len(), 2);
-        assert!(outcome.all_replays_match(), "replay must be bit-identical");
-        assert!(outcome.workers >= 1);
-        assert!(outcome.mtr_path.exists());
-        let json = std::fs::read_to_string(&outcome.out_path).expect("report written");
-        assert!(json.contains("\"replay_matches_generator\": true"));
-        assert!(json.contains("malec_scenario_sweep"));
+        let bare = parse_spec(
+            "[scenario]\nmode = \"benchmark\"\nbenchmark = \"mcf\"\n\
+             [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 3000\nseed = 11\n\
+             [report]\nout = \"cli_e2e_bare.json\"\nmtr = \"cli_e2e_bare.mtr\"\n",
+        )
+        .expect("bare-benchmark spec parses");
+        for spec in [demo_spec(&dir, "cli_e2e"), bare] {
+            let outcome = run_parsed_spec(spec, "inline", &dir, None).expect("run succeeds");
+            assert_eq!(outcome.cells.len(), 2);
+            assert!(outcome.all_replays_match(), "replay must be bit-identical");
+            assert!(outcome.workers >= 1);
+            assert!(outcome.mtr_path.exists());
+            let json = std::fs::read_to_string(&outcome.out_path).expect("report written");
+            assert!(json.contains("\"replay_matches_generator\": true"));
+            assert!(json.contains("malec_scenario_sweep"));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

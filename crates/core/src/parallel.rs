@@ -1,16 +1,17 @@
 //! Deterministic fork-join parallelism for independent simulation cells.
 //!
-//! Every `(benchmark, configuration)` cell of a sweep is a self-contained,
-//! seeded `Simulator::run` — no shared state, bit-reproducible output — so
-//! a sweep is embarrassingly parallel. The build environment has no access
-//! to crates.io (so no `rayon`); this module provides the one primitive the
-//! sweeps need on top of `std::thread::scope`: an order-preserving parallel
-//! map with atomic work-stealing over the item list.
+//! Every `(workload, configuration)` cell of a sweep is a self-contained,
+//! seeded simulation — no shared state, bit-reproducible output — so a
+//! sweep is embarrassingly parallel. The build environment has no access
+//! to crates.io (so no `rayon`); this module sizes the fan-out (the serve
+//! engine's pool uses [`worker_count`]) and provides one primitive on top
+//! of `std::thread::scope`: an order-preserving parallel map with atomic
+//! work-stealing over the item list.
 //!
 //! Results are stored in the output slot matching the input index, so the
-//! output of [`parallel_map`] is **identical** to the serial
+//! output of [`parallel_map_with`] is **identical** to the serial
 //! `items.map(f).collect()` no matter how the items were interleaved across
-//! threads — determinism of the sweep matrix does not depend on scheduling.
+//! threads — determinism of the results does not depend on scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -19,7 +20,7 @@ use std::sync::Mutex;
 /// core count — limits simulator throughput).
 const MAX_THREADS: usize = 32;
 
-/// The number of worker threads a parallel sweep will use.
+/// The number of worker threads a parallel sweep uses by default.
 pub fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -27,9 +28,9 @@ pub fn worker_count() -> usize {
         .min(MAX_THREADS)
 }
 
-/// The number of workers [`parallel_map`] actually runs for `items` items —
-/// [`worker_count`] capped by the item count (a 24-cell sweep never spawns
-/// 32 threads). This is the figure reports should quote.
+/// The number of workers `items` items can use — [`worker_count`] capped
+/// by the item count (a 24-cell sweep never spawns 32 threads). This is the
+/// figure reports should quote.
 fn workers_used(items: usize) -> usize {
     worker_count().min(items).max(1)
 }
@@ -41,30 +42,19 @@ pub fn workers_for(items: usize, cap: Option<usize>) -> usize {
     workers_used(items).min(cap.unwrap_or(usize::MAX)).max(1)
 }
 
-/// Maps `f` over `items` in parallel, preserving input order in the output.
+/// Maps `f` over `items` on `workers` scoped threads, preserving input
+/// order in the output.
 ///
-/// Spawns up to [`worker_count`] scoped threads which claim items through a
-/// shared atomic cursor (dynamic load balancing: simulation cells differ in
-/// cost by an order of magnitude between benchmarks). Falls back to a plain
-/// serial map for a single worker or a single item.
+/// The workers claim items through a shared atomic cursor (dynamic load
+/// balancing: simulation cells differ in cost by an order of magnitude
+/// between workloads). `0` and `1` workers, or a single item, run a plain
+/// serial map.
 ///
 /// # Panics
 ///
 /// Panics if any worker panicked (the scope joins all threads first and
 /// re-raises as "a scoped thread panicked"; the original message appears
 /// in the worker's own backtrace).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = worker_count();
-    parallel_map_with(items, f, workers)
-}
-
-/// [`parallel_map`] with an explicit worker count (tests force multiple
-/// workers even on single-core machines; `0` and `1` both mean serial).
 pub fn parallel_map_with<T, R, F>(items: Vec<T>, f: F, workers: usize) -> Vec<R>
 where
     T: Sync,
@@ -134,8 +124,11 @@ mod tests {
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(parallel_map(Vec::<u64>::new(), |&x| x), Vec::<u64>::new());
-        assert_eq!(parallel_map(vec![7u64], |&x| x + 1), vec![8]);
+        assert_eq!(
+            parallel_map_with(Vec::<u64>::new(), |&x| x, 4),
+            Vec::<u64>::new()
+        );
+        assert_eq!(parallel_map_with(vec![7u64], |&x| x + 1, 4), vec![8]);
     }
 
     #[test]

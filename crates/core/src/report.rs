@@ -38,7 +38,7 @@ pub fn normalized_percent(value: f64, base: f64) -> f64 {
 /// ```
 /// use malec_core::report::TextTable;
 ///
-/// let mut t = TextTable::new(vec!["bench".into(), "MALEC".into()]);
+/// let mut t = TextTable::new(["bench", "MALEC"]);
 /// t.row(vec!["gzip".into(), "86.0".into()]);
 /// let s = t.render();
 /// assert!(s.contains("gzip"));
@@ -52,9 +52,9 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new(headers: Vec<String>) -> Self {
+    pub fn new(headers: impl IntoIterator<Item = impl Into<String>>) -> Self {
         Self {
-            headers,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = TextTable::new(vec!["name".into(), "value".into()]);
+        let mut t = TextTable::new(["name", "value"]);
         t.row(vec!["a-long-benchmark".into(), "1.5".into()]);
         t.separator();
         t.row(vec!["b".into(), "100.25".into()]);

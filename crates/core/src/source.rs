@@ -7,7 +7,8 @@
 //! * [`ScenarioSource::Profile`] — one calibrated benchmark (the original
 //!   path, still monomorphized and allocation-free);
 //! * [`ScenarioSource::Scenario`] — a composed multi-phase / mixed /
-//!   adversarial [`Scenario`];
+//!   adversarial [`Scenario`], or one bare benchmark as a scenario (which
+//!   reports the profile's suite, like the `Profile` source);
 //! * [`ScenarioSource::Replay`] — a recorded `.mtr` trace, streamed from
 //!   disk record by record (the file is never materialized in memory).
 //!
@@ -20,12 +21,13 @@ use std::io::{self, BufReader};
 use std::path::PathBuf;
 
 use malec_trace::profile::BenchmarkProfile;
-use malec_trace::{Scenario, TraceReader, WorkloadGenerator};
+use malec_trace::{Composition, Scenario, TraceReader, WorkloadGenerator};
 
 use crate::metrics::RunSummary;
 use crate::sim::Simulator;
 
-/// Suite display name reported for composed scenarios.
+/// Suite display name reported for composed scenarios (a bare-benchmark
+/// scenario reports its profile's suite instead).
 pub const SCENARIO_SUITE: &str = "Scenario";
 /// Suite display name reported for replayed traces.
 pub const REPLAY_SUITE: &str = "Replay";
@@ -61,21 +63,12 @@ impl ScenarioSource {
     pub fn suite(&self) -> &'static str {
         match self {
             ScenarioSource::Profile(p) => p.suite.name(),
-            ScenarioSource::Scenario(_) => SCENARIO_SUITE,
+            ScenarioSource::Scenario(s) => match &s.composition {
+                Composition::Benchmark(p) => p.suite.name(),
+                _ => SCENARIO_SUITE,
+            },
             ScenarioSource::Replay { .. } => REPLAY_SUITE,
         }
-    }
-}
-
-impl From<BenchmarkProfile> for ScenarioSource {
-    fn from(p: BenchmarkProfile) -> Self {
-        ScenarioSource::Profile(p)
-    }
-}
-
-impl From<Scenario> for ScenarioSource {
-    fn from(s: Scenario) -> Self {
-        ScenarioSource::Scenario(s)
     }
 }
 

@@ -948,6 +948,43 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_never_move() {
+        // Recorded before bare-benchmark scenarios existed: a persisted log
+        // stays valid only while these keys hold.
+        for (preset, config, want) in [
+            (
+                "store_burst",
+                SimConfig::malec(),
+                0x8f8d0f824e2c4febdd23bb2cbd52cf01u128,
+            ),
+            (
+                "phased_compress_decode",
+                SimConfig::base1ldst(),
+                0x932860a66dcc42c8e3cfd25586a2a604,
+            ),
+            (
+                "mixed_int_media_thrash",
+                SimConfig::base2ld1st(),
+                0x4274203df2e281bfdbc55d98c80f06ae,
+            ),
+        ] {
+            let s = preset_named(preset).expect("preset");
+            assert_eq!(cache_key(&config, &s, 20_000, 2013, 0), want, "{preset}");
+        }
+
+        // A bare profile keys apart from a one-phase scenario of the same
+        // profile and name: the two draw different streams.
+        let gzip = malec_trace::benchmark_named("gzip").expect("gzip exists");
+        let bare = Scenario::benchmark(gzip.clone());
+        let phased = Scenario::single("gzip", malec_trace::SegmentKind::Benchmark(gzip));
+        assert_eq!(bare.name, phased.name);
+        assert_ne!(
+            cache_key(&SimConfig::malec(), &bare, 20_000, 2013, 0),
+            cache_key(&SimConfig::malec(), &phased, 20_000, 2013, 0)
+        );
+    }
+
+    #[test]
     fn replicate_cells_never_collide_with_legacy_or_each_other() {
         use malec_trace::seed::replicate_seed;
         let s = preset_named("store_burst").expect("preset");

@@ -6,8 +6,8 @@
 //! code at the exact sites that can fail in production); each point counts
 //! how many times execution reaches it, and an armed schedule fires an
 //! action at exact hit counts. Disarmed (the default, and the only state a
-//! production binary ever sees unless the operator sets `MALEC_FAULTS`),
-//! a failpoint is one mutex-free atomic check.
+//! production binary ever sees unless the operator passes `serve
+//! --faults`), a failpoint is one mutex-free atomic check.
 //!
 //! The failpoints, and what firing them does:
 //!
@@ -25,7 +25,7 @@
 //! Schedules are written `name@hit[:param]`, separated by `;`:
 //!
 //! ```text
-//! MALEC_FAULTS="worker.panic@2;cache.append.torn@3:7;http.respond.500@1"
+//! worker.panic@2;cache.append.torn@3:7;http.respond.500@1
 //! ```
 //!
 //! fires a panic at the **second** cell simulation, tears the **third**
@@ -40,9 +40,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::sync::lock;
-
-/// The environment variable [`Faults::from_env`] reads.
-const FAULTS_ENV: &str = "MALEC_FAULTS";
 
 /// What a fired failpoint does at its site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,20 +180,6 @@ impl Faults {
             faults.arm_action(name, at, action);
         }
         Ok(Arc::new(faults))
-    }
-
-    /// Builds a registry from the `MALEC_FAULTS` environment variable
-    /// (disarmed when unset or empty).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`parse`](Self::parse) errors for a set-but-malformed
-    /// schedule.
-    pub fn from_env() -> Result<Arc<Self>, FaultParseError> {
-        match std::env::var(FAULTS_ENV) {
-            Ok(s) if !s.trim().is_empty() => Self::parse(&s),
-            _ => Ok(Self::disarmed()),
-        }
     }
 
     /// Arms `name` to fire its default action at the `at`-th hit

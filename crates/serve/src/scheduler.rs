@@ -1748,6 +1748,25 @@ mod tests {
     }
 
     #[test]
+    fn a_bare_benchmark_cell_is_simulator_run_byte_for_byte() {
+        use malec_core::summary_to_bytes;
+        let spec = parse_spec(
+            "[scenario]\nmode = \"benchmark\"\nbenchmark = \"mcf\"\n\
+             [sweep]\nconfigs = [\"MALEC\"]\ninsts = 3000\nseed = 7\n",
+        )
+        .expect("spec");
+        let served = &results_at(1, &spec).groups[0][0];
+        let mcf = malec_trace::benchmark_named("mcf").expect("mcf exists");
+        let direct = Simulator::new(SimConfig::malec()).run(&mcf, 3000, 7);
+        assert_eq!(served.suite, mcf.suite.name(), "the profile's suite");
+        assert_eq!(
+            summary_to_bytes(served),
+            summary_to_bytes(&direct),
+            "a bare-benchmark cell is the plain profile run, suite included"
+        );
+    }
+
+    #[test]
     fn ci_target_stops_at_the_same_count_at_any_worker_count() {
         // A tight target grows the group past min_seeds one replicate at a
         // time; the stop must land on the same prefix however many workers

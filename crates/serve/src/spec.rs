@@ -1,9 +1,9 @@
 //! The scenario + sweep spec: what a `malec-cli` TOML file means.
 //!
-//! A spec names one [`Scenario`] (phased, mixed, single-segment, or a
-//! preset), the configurations to sweep it over, the instruction budget and
-//! seed, and where the report and recorded `.mtr` trace go. See
-//! `examples/scenarios/` for complete files.
+//! A spec names one [`Scenario`] (phased, mixed, single-segment, a preset,
+//! or a bare benchmark profile), the configurations to sweep it over, the
+//! instruction budget and seed, and where the report and recorded `.mtr`
+//! trace go. See `examples/scenarios/` for complete files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -326,11 +326,17 @@ fn parse_scenario(root: &Table) -> Result<Scenario, SpecError> {
         .and_then(Value::as_table)
         .ok_or_else(|| bad("spec needs a [scenario] table"))?;
     let mode = t.get("mode").and_then(Value::as_str).unwrap_or("phased");
-    if mode == "preset" {
-        reject_unknown_keys(t, &["mode", "preset"], "[scenario]")?;
-        let name = get_str(t, "preset", "[scenario]")?;
-        return preset_named(name)
-            .ok_or_else(|| bad(format!("[scenario]: unknown preset `{name}`")));
+    if mode == "preset" || mode == "benchmark" {
+        // A named workload: `preset = "<name>"` or `benchmark = "<name>"`
+        // is the whole scenario.
+        reject_unknown_keys(t, &["mode", mode], "[scenario]")?;
+        let name = get_str(t, mode, "[scenario]")?;
+        let found = if mode == "preset" {
+            preset_named(name)
+        } else {
+            benchmark_named(name).map(Scenario::benchmark)
+        };
+        return found.ok_or_else(|| bad(format!("[scenario]: unknown {mode} `{name}`")));
     }
     let name = get_str(t, "name", "[scenario]")?.to_owned();
     match mode {
@@ -395,7 +401,7 @@ fn parse_scenario(root: &Table) -> Result<Scenario, SpecError> {
             Ok(Scenario::mixed(name, parts, block))
         }
         other => Err(bad(format!(
-            "[scenario]: unknown mode `{other}` (expected phased | mixed | preset)"
+            "[scenario]: unknown mode `{other}` (expected phased | mixed | preset | benchmark)"
         ))),
     }
 }
@@ -877,6 +883,14 @@ mtr = "demo.mtr"
         let spec = parse_spec("[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n")
             .expect("parses");
         assert_eq!(spec.scenario.name, "store_burst");
+
+        // A bare benchmark is named like a preset.
+        let spec =
+            parse_spec("[scenario]\nmode = \"benchmark\"\nbenchmark = \"gzip\"\n").expect("parses");
+        let gzip = benchmark_named("gzip").expect("gzip exists");
+        assert_eq!(spec.scenario, Scenario::benchmark(gzip));
+        assert_eq!(spec.scenario.name, "gzip");
+        assert_eq!(spec.out, "gzip_report.json");
     }
 
     #[test]
@@ -900,6 +914,30 @@ mtr = "demo.mtr"
             (
                 "[scenario]\nmode = \"preset\"\npreset = \"nope\"\n",
                 "unknown preset",
+            ),
+            (
+                "[scenario]\nmode = \"benchmark\"\nbenchmark = \"nope\"\n",
+                "unknown benchmark `nope`",
+            ),
+            // A bare benchmark is named by its profile alone: no name of
+            // its own, no phases, no parts.
+            (
+                "[scenario]\nmode = \"benchmark\"\nbenchmark = \"gzip\"\nname = \"g\"\n",
+                "unknown key `name`",
+            ),
+            (
+                "[scenario]\nmode = \"benchmark\"\nbenchmark = \"gzip\"\n\
+                 [[scenario.phase]]\nkind = \"tlb_thrash\"\ninsts = 5\n",
+                "unknown key `phase`",
+            ),
+            (
+                "[scenario]\nmode = \"benchmark\"\nbenchmark = \"gzip\"\n\
+                 [[scenario.part]]\nkind = \"tlb_thrash\"\n",
+                "unknown key `part`",
+            ),
+            (
+                "[scenario]\nname = \"a\"\nmode = \"what\"\n",
+                "unknown mode `what` (expected phased | mixed | preset | benchmark)",
             ),
             (
                 "[scenario]\nname = \"a\"\n[[scenario.phase]]\nkind = \"tlb_thrash\"\ninsts = 5\n[sweep]\nconfigs = [\"Qux\"]\n",

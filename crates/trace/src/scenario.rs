@@ -24,7 +24,9 @@
 //! the active segment at exact instruction boundaries (cycling after the
 //! last phase, so any instruction budget can be drawn), and
 //! [`Composition::Mixed`] interleaves weighted blocks of several segments
-//! round-robin, modelling concurrent activity.
+//! round-robin, modelling concurrent activity. [`Composition::Benchmark`]
+//! composes nothing: it is one bare profile under its own name, so the
+//! paper's workloads run wherever a scenario does.
 //!
 //! Everything is **seed-deterministic**: one scenario plus one seed defines
 //! one infinite instruction stream, bit-for-bit, forever — the same
@@ -249,6 +251,10 @@ pub enum Composition {
         /// Consecutive instructions per block (the interleaving grain).
         block: u32,
     },
+    /// One bare benchmark profile: the [`WorkloadGenerator`] stream under
+    /// the seed as given (no sub-seed), exactly as `Simulator::run` draws
+    /// it.
+    Benchmark(BenchmarkProfile),
 }
 
 /// A named, composable workload.
@@ -299,11 +305,20 @@ impl Scenario {
         Self::phased(name, vec![Phase::new(kind, u64::MAX)])
     }
 
+    /// The bare benchmark `profile`, named after it.
+    pub fn benchmark(profile: BenchmarkProfile) -> Self {
+        Self {
+            name: profile.name.to_owned(),
+            composition: Composition::Benchmark(profile),
+        }
+    }
+
     /// The segment labels, in composition order.
     pub fn segment_labels(&self) -> Vec<&str> {
         match &self.composition {
             Composition::Phased(phases) => phases.iter().map(|p| p.kind.label()).collect(),
             Composition::Mixed { parts, .. } => parts.iter().map(|p| p.kind.label()).collect(),
+            Composition::Benchmark(p) => vec![p.name],
         }
     }
 
@@ -355,6 +370,14 @@ impl Scenario {
                     },
                 }
             }
+            Composition::Benchmark(p) => ScenarioGenerator {
+                segments: vec![SegmentKind::Benchmark(p.clone()).generator(seed)],
+                schedule: Schedule::Phased {
+                    lengths: vec![u64::MAX],
+                    current: 0,
+                    left: u64::MAX,
+                },
+            },
         }
     }
 }
@@ -824,6 +847,10 @@ mod stable_impls {
                     }
                     h.write_u64(u64::from(*block));
                 }
+                Composition::Benchmark(p) => {
+                    h.write_u8(2);
+                    p.fold(h);
+                }
             }
         }
     }
@@ -848,6 +875,16 @@ mod tests {
                 s.name
             );
         }
+    }
+
+    #[test]
+    fn a_bare_benchmark_is_the_profile_stream_under_the_given_seed() {
+        let gzip = benchmark_named("gzip").unwrap();
+        let bare = Scenario::benchmark(gzip.clone());
+        assert_eq!(bare.name, "gzip");
+        assert_eq!(bare.segment_labels(), ["gzip"]);
+        let direct: Vec<TraceInst> = WorkloadGenerator::new(&gzip, 11).take(4_000).collect();
+        assert_eq!(take(&bare, 11, 4_000), direct, "no sub-seed");
     }
 
     #[test]

@@ -159,7 +159,7 @@ proptest! {
             assert_memory_matches_disk(&mut c, &path);
         }
         drop(c);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

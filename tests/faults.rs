@@ -235,7 +235,7 @@ proptest! {
             &log.bytes[..good_end],
             "the file is truncated to the pristine prefix — no corrupt byte survives"
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -1,13 +1,12 @@
 //! Every golden digest of `malec_bench::goldens`, recomputed: 24 benchmark
 //! cells, 10 scenario cells and 5 paired comparisons.
 //!
-//! The benchmark cells run `Simulator::run` on bare profiles, which no
-//! spec can express (a one-segment scenario draws a sub-seed and reports
-//! suite `Scenario`). Each preset scenario goes to one in-process serve
-//! `Engine` as two jobs: a sweep over `scenario_configs()` and a
-//! `[compare]` pair over `COMPARE_SEEDS` shared seeds. So the scenario and
-//! compare digests also check the executor behind `malec-cli run`,
-//! `malec-cli compare` and the server.
+//! All 39 run as spec jobs on one in-process serve `Engine`: each golden
+//! benchmark is a bare-benchmark sweep over the Table I configs, and each
+//! preset scenario goes as two jobs, a sweep over `scenario_configs()` and
+//! a `[compare]` pair over `COMPARE_SEEDS` shared seeds. So every digest
+//! also checks the executor behind `malec-cli run`, `malec-cli compare`
+//! and the server.
 //!
 //! To re-record after an *intentional* behaviour change:
 //!
@@ -22,11 +21,10 @@ use malec_bench::goldens::{
     scenario_configs, BENCH_BENCHMARKS, COMPARE_GOLDEN_DIGESTS, COMPARE_INSTS, COMPARE_SEEDS,
     GOLDEN_DIGESTS, SCENARIO_GOLDEN_DIGESTS, SCENARIO_INSTS,
 };
-use malec_bench::{run_one, DEFAULT_INSTS, DEFAULT_SEED};
+use malec_bench::{DEFAULT_INSTS, DEFAULT_SEED};
 use malec_core::compare::compare_digest;
 use malec_core::digest;
-use malec_core::parallel::parallel_map;
-use malec_harness::{benchmark_named, SimConfig};
+use malec_harness::SimConfig;
 use malec_serve::{parse_spec, Engine, JobId, JobResults, SweepSpec};
 use malec_trace::scenario::presets;
 
@@ -40,60 +38,55 @@ fn row2(name: &str, digest: u64) -> String {
     format!("(\"{name}\", {digest:#018x}),")
 }
 
-/// The benchmark workload: `BENCH_BENCHMARKS` × the Table I configs,
-/// row-major, at `DEFAULT_INSTS` and `DEFAULT_SEED`.
-fn benchmark_rows() -> Vec<String> {
-    let cells: Vec<(&str, SimConfig)> = BENCH_BENCHMARKS
-        .iter()
-        .flat_map(|&name| {
-            [
-                SimConfig::base1ldst(),
-                SimConfig::base2ld1st(),
-                SimConfig::malec(),
-            ]
-            .map(|config| (name, config))
-        })
-        .collect();
-    parallel_map(cells, |(name, config)| {
-        let profile = benchmark_named(name).expect("fixed-workload benchmark exists");
-        let s = run_one(config, &profile, DEFAULT_INSTS);
-        row3(&s.benchmark, &s.config, digest(&s))
-    })
-}
-
-/// A spec over the preset scenario `preset`, with `sections` appended.
-fn preset_spec(preset: &str, sections: &str) -> SweepSpec {
+/// A spec over the `mode` scenario `name`, with `sections` appended.
+fn spec(mode: &str, name: &str, sections: &str) -> SweepSpec {
     parse_spec(&format!(
-        "[scenario]\nmode = \"preset\"\npreset = \"{preset}\"\n{sections}"
+        "[scenario]\nmode = \"{mode}\"\n{mode} = \"{name}\"\n{sections}"
     ))
     .expect("golden spec parses")
 }
 
-/// The scenario and compare workloads, run as two jobs per preset on one
-/// in-process engine.
-fn engine_rows() -> (Vec<String>, Vec<String>) {
+/// A `[sweep]` section over `configs` at `insts` and `DEFAULT_SEED`.
+fn sweep(configs: &[SimConfig], insts: u64) -> String {
+    let configs = configs
+        .iter()
+        .map(|c| format!("\"{}\"", c.label()))
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!("[sweep]\nconfigs = [{configs}]\ninsts = {insts}\nseed = {DEFAULT_SEED}\n")
+}
+
+/// The three workloads, run as jobs on one in-process engine: one
+/// bare-benchmark sweep per `BENCH_BENCHMARKS` entry over the Table I
+/// configs, then a sweep and a compare job per preset scenario.
+fn engine_rows() -> [Vec<String>; 3] {
     let labels: Vec<String> = scenario_configs().iter().map(SimConfig::label).collect();
     let [baseline, candidate] = labels.as_slice() else {
         panic!("the scenario goldens pair exactly two configs: {labels:?}");
     };
-    let configs = labels
-        .iter()
-        .map(|l| format!("\"{l}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let sweep = format!(
-        "[sweep]\nconfigs = [{configs}]\ninsts = {SCENARIO_INSTS}\nseed = {DEFAULT_SEED}\n"
+    let table_i = sweep(
+        &[
+            SimConfig::base1ldst(),
+            SimConfig::base2ld1st(),
+            SimConfig::malec(),
+        ],
+        DEFAULT_INSTS,
     );
+    let scenario_sweep = sweep(&scenario_configs(), SCENARIO_INSTS);
     let compare = format!(
         "[compare]\nbaseline = \"{baseline}\"\ncandidate = \"{candidate}\"\n\
          [sweep]\ninsts = {COMPARE_INSTS}\nseed = {DEFAULT_SEED}\nseeds = {COMPARE_SEEDS}\n"
     );
     let engine = Engine::new(None, None).expect("in-memory engine");
-    let jobs: Vec<(String, JobId, JobId)> = presets()
+    let benchmarks: Vec<JobId> = BENCH_BENCHMARKS
+        .iter()
+        .map(|name| engine.submit(spec("benchmark", name, &table_i)))
+        .collect();
+    let scenarios: Vec<(String, JobId, JobId)> = presets()
         .into_iter()
         .map(|p| {
-            let sweep = engine.submit(preset_spec(&p.name, &sweep));
-            let compare = engine.submit(preset_spec(&p.name, &compare));
+            let sweep = engine.submit(spec("preset", &p.name, &scenario_sweep));
+            let compare = engine.submit(spec("preset", &p.name, &compare));
             (p.name, sweep, compare)
         })
         .collect();
@@ -104,23 +97,28 @@ fn engine_rows() -> (Vec<String>, Vec<String>) {
             .expect("known job")
             .unwrap_or_else(|status| panic!("golden job did not finish: {status:?}"))
     };
+    let sweep_rows = |job: JobId| -> Vec<String> {
+        results(job)
+            .groups
+            .iter()
+            .map(|reps| row3(&reps[0].benchmark, &reps[0].config, digest(&reps[0])))
+            .collect()
+    };
+    let bench = benchmarks.into_iter().flat_map(sweep_rows).collect();
     let mut scenario = Vec::new();
     let mut paired = Vec::new();
-    for (name, sweep, compare) in jobs {
-        for reps in results(sweep).groups {
-            let s = &reps[0];
-            scenario.push(row3(&s.benchmark, &s.config, digest(s)));
-        }
+    for (name, sweep, compare) in scenarios {
+        scenario.extend(sweep_rows(sweep));
         let stats = results(compare).compare().expect("comparable pair");
         paired.push(row2(&name, compare_digest(&stats)));
     }
     engine.shutdown();
-    (scenario, paired)
+    [bench, scenario, paired]
 }
 
 /// Each table's declaration line, its committed rows and its fresh rows.
 fn tables() -> [(&'static str, Vec<String>, Vec<String>); 3] {
-    let (scenario, compare) = engine_rows();
+    let [bench, scenario, compare] = engine_rows();
     [
         (
             "pub const GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[",
@@ -128,7 +126,7 @@ fn tables() -> [(&'static str, Vec<String>, Vec<String>); 3] {
                 .iter()
                 .map(|&(b, c, d)| row3(b, c, d))
                 .collect(),
-            benchmark_rows(),
+            bench,
         ),
         (
             "pub const SCENARIO_GOLDEN_DIGESTS: &[(&str, &str, u64)] = &[",
