@@ -1,12 +1,12 @@
 //! Lock-order pass: the serve layer's deadlock-freedom argument,
 //! machine-checked.
 //!
-//! `crates/serve` holds several mutexes (`cache`, `in_flight`, `jobs`,
-//! `queue`, `handles`, the fault registry's `points`, the appender's
-//! `inner`) and avoids deadlock purely by convention: the only permitted
-//! nesting is `cache` before `in_flight`, and every acquisition must
-//! route through the poison-recovering `serve::sync::lock` funnel so a
-//! panicking worker can never wedge its peers.
+//! `crates/serve` holds several mutexes (`cells`, `jobs`, `queue`,
+//! `handles`, `shard`, the fault registry's `points`, the appender's
+//! `inner`) and avoids deadlock purely by convention: no lock is taken
+//! while another is held, and every acquisition must route through the
+//! poison-recovering `serve::sync::lock` funnel so a panicking worker can
+//! never wedge its peers.
 //!
 //! The pass walks each function in `crates/serve/src`, models guard
 //! lifetimes (a `let`-bound guard lives to the end of its block or an
@@ -122,7 +122,7 @@ fn scan_file(u: &Unit, findings: &mut Vec<Finding>, edges: &mut Vec<Edge>) {
 }
 
 /// Resolves the lock being acquired by `lock(…)`: the last identifier
-/// inside the parens (`lock(&self.in_flight)` → `in_flight`,
+/// inside the parens (`lock(&self.cells)` → `cells`,
 /// `lock(&log.inner)` → `inner`). Returns the name and the index just
 /// past the closing paren.
 fn lock_target(toks: &[Token], open: usize) -> Option<(String, usize)> {

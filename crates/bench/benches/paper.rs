@@ -17,9 +17,8 @@ use malec_serve::{parse_spec, Engine, JobId, JobResults};
 use malec_trace::stats::{page_locality_ratios, run_length_buckets};
 use malec_trace::{all_benchmarks, BenchmarkProfile, Suite, WorkloadGenerator};
 use malec_types::addr::VPageId;
-use malec_types::config::WayDetermination;
 use malec_types::geometry::{CacheGeometry, PageGeometry};
-use malec_types::{params, InterfaceKind, PortConfig, SimConfig};
+use malec_types::{params, InterfaceKind, PortConfig, SimConfig, WayDetermination};
 
 /// The way-determination schemes of Sec. VI-C; the first is MALEC's own.
 const WAY_SCHEMES: [WayDetermination; 5] = [

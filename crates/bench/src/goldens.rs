@@ -116,9 +116,8 @@ mod tests {
     use super::*;
     use crate::DEFAULT_SEED;
     use malec_core::compare::{compare_digest, Alpha, CompareStats};
-    use malec_core::stats::replicate_seed;
     use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
-    use malec_trace::all_benchmarks;
+    use malec_trace::{all_benchmarks, replicate_seed};
 
     #[test]
     fn digest_is_stable_and_sensitive() {

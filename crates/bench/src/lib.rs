@@ -7,7 +7,7 @@
 //! [`timing`].
 
 use malec_core::report::geo_mean;
-use malec_trace::profile::Suite;
+use malec_trace::Suite;
 
 pub mod goldens;
 pub mod timing;
@@ -44,7 +44,7 @@ pub fn suite_geo_means(values: &[(Suite, f64)]) -> [(String, f64); 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malec_trace::profile::Suite;
+    use malec_trace::Suite;
 
     #[test]
     fn suite_means_cover_all_groups() {

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use malec_core::compare::CompareStats;
 use malec_core::RunSummary;
 
-use malec_serve::spec::{parse_spec, SweepSpec};
+use malec_serve::{parse_spec, SweepSpec};
 
 use crate::run::{execute, write_report};
 
@@ -134,7 +134,8 @@ mod tests {
 
     #[test]
     fn compare_runs_end_to_end_and_pairs_share_seeds() {
-        let dir = std::env::temp_dir().join("malec_cli_compare_test");
+        let dir =
+            std::env::temp_dir().join(format!("malec_cli_compare_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let outcome =
             compare_parsed_spec(demo_spec(4, ""), "inline", &dir, None).expect("compare runs");
@@ -162,7 +163,8 @@ mod tests {
 
     #[test]
     fn compare_is_bit_identical_at_any_jobs_cap() {
-        let dir = std::env::temp_dir().join("malec_cli_compare_jobs");
+        let dir =
+            std::env::temp_dir().join(format!("malec_cli_compare_jobs_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let serial =
             compare_parsed_spec(demo_spec(4, ""), "inline", &dir, Some(1)).expect("serial");

@@ -34,12 +34,11 @@ use std::time::Duration;
 
 use malec_cli::compare::{compare_parsed_spec, delta_line};
 use malec_cli::run::{record_trace, run_spec_file};
-use malec_core::digest::digest;
-use malec_core::{ScenarioSource, Simulator};
+use malec_core::{digest, ScenarioSource, Simulator};
 use malec_serve::client::{Client, RetryPolicy};
+use malec_serve::fault::Faults;
 use malec_serve::server::{ServeOptions, Server, DEFAULT_ADDR};
-use malec_serve::spec::parse_spec;
-use malec_serve::{Faults, FsyncPolicy, ResultCache, ShardMap};
+use malec_serve::{parse_spec, FsyncPolicy, ResultCache, ShardMap};
 use malec_trace::scenario::presets;
 use malec_types::SimConfig;
 
@@ -419,7 +418,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 &addr,
             )
             .map_err(|e| format!("--peers: {e}"))?;
-            let set = map.peers().iter().map(|p| p.as_str().to_owned()).collect();
+            let set = map.peers().to_vec();
             server.engine().set_shard(map);
             set
         }

@@ -26,11 +26,10 @@ use std::time::Instant;
 
 use malec_core::parallel::{parallel_map_with, workers_for};
 use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
-use malec_trace::TraceWriter;
+use malec_trace::record::TraceWriter;
 
 use malec_serve::report::CellResult;
-use malec_serve::spec::{parse_spec, SweepSpec};
-use malec_serve::{Engine, JobResults};
+use malec_serve::{parse_spec, Engine, JobResults, SweepSpec};
 
 /// Everything a finished spec run produced.
 #[derive(Debug)]
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn end_to_end_replay_is_bit_identical() {
-        let dir = std::env::temp_dir().join("malec_cli_run_test");
+        let dir = std::env::temp_dir().join(format!("malec_cli_run_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let bare = parse_spec(
             "[scenario]\nmode = \"benchmark\"\nbenchmark = \"mcf\"\n\
@@ -234,7 +233,8 @@ mod tests {
 
     #[test]
     fn record_trace_counts_records() {
-        let dir = std::env::temp_dir().join("malec_cli_record_test");
+        let dir =
+            std::env::temp_dir().join(format!("malec_cli_record_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let spec = demo_spec(&dir, "cli_record");
         let path = dir.join("t.mtr");
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn jobs_cap_does_not_change_results() {
-        let dir = std::env::temp_dir().join("malec_cli_jobs_test");
+        let dir = std::env::temp_dir().join(format!("malec_cli_jobs_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let free = run_parsed_spec(demo_spec(&dir, "cli_jobs_a"), "inline", &dir, None)
             .expect("uncapped run");

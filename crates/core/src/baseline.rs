@@ -9,12 +9,12 @@
 
 use std::collections::VecDeque;
 
-use malec_cpu::interface::{AcceptKind, L1DataInterface};
+use malec_cpu::{AcceptKind, L1DataInterface};
 use malec_energy::EnergyCounters;
 use malec_mem::hierarchy::MemoryHierarchy;
 use malec_types::addr::{LineAddr, PAddr};
-use malec_types::config::{InterfaceKind, SimConfig};
 use malec_types::op::{MemOp, OpId};
+use malec_types::{InterfaceKind, SimConfig};
 
 use crate::memory_side::MemorySide;
 use crate::metrics::InterfaceStats;

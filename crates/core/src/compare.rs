@@ -439,8 +439,9 @@ pub fn paired_converged<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{replicate_seed, CiMetric};
+    use crate::stats::CiMetric;
     use crate::Simulator;
+    use malec_trace::replicate_seed;
     use malec_types::SimConfig;
 
     #[test]

@@ -55,11 +55,7 @@ pub mod stats;
 pub mod waytable;
 pub mod wdu;
 
-pub use baseline::BaselineInterface;
-pub use compare::{Alpha, CompareStats, DeltaSummary, PairedSample, Verdict};
-pub use digest::{digest, read_summary, summary_to_bytes};
-pub use malec::MalecInterface;
+pub use digest::digest;
 pub use metrics::{InterfaceStats, RunSummary};
 pub use sim::Simulator;
 pub use source::ScenarioSource;
-pub use stats::{CiMetric, MetricSummary, ReplicateStats, Replication, Welford};

@@ -24,14 +24,14 @@
 //! a conventional access hits a line the tables called unknown (this is the
 //! mechanism that lifts coverage from ~75 % to ~94 %, Sec. VI-C).
 
-use malec_cpu::interface::{AcceptKind, L1DataInterface};
+use malec_cpu::{AcceptKind, L1DataInterface};
 use malec_energy::EnergyCounters;
 use malec_mem::hierarchy::MemoryHierarchy;
 use malec_mem::l1::L1FillEvent;
 use malec_types::addr::{LineAddr, PPageId, VPageId, WayId};
-use malec_types::config::{InterfaceKind, SimConfig, WayDetermination};
 use malec_types::op::{MemOp, OpId};
 use malec_types::params::MERGE_COMPARE_WINDOW;
+use malec_types::{InterfaceKind, SimConfig, WayDetermination};
 
 use crate::input_buffer::{IbEntry, InputBuffer};
 use crate::memory_side::MemorySide;

@@ -7,12 +7,12 @@
 //! buffers, the energy ledger, the interface statistics, the completions
 //! in flight and the MSHR fill table, with one method per rule they share.
 
-use malec_cpu::interface::AcceptKind;
+use malec_cpu::AcceptKind;
 use malec_energy::EnergyCounters;
 use malec_mem::hierarchy::MemoryHierarchy;
 use malec_types::addr::{LineAddr, VPageId};
-use malec_types::config::SimConfig;
 use malec_types::op::{MemOp, OpId};
+use malec_types::SimConfig;
 
 use crate::metrics::InterfaceStats;
 use crate::mmu::{Mmu, Translation, TranslationPath};

@@ -5,13 +5,11 @@
 //! crate) and the energy model (`malec-energy`), and returns everything the
 //! paper's figures need.
 
-use malec_cpu::interface::{AcceptKind, L1DataInterface};
-use malec_cpu::OoOCore;
+use malec_cpu::{AcceptKind, L1DataInterface, OoOCore};
 use malec_energy::EnergyModel;
-use malec_trace::profile::BenchmarkProfile;
-use malec_trace::{TraceInst, WorkloadGenerator};
-use malec_types::config::{InterfaceKind, SimConfig};
+use malec_trace::{BenchmarkProfile, TraceInst, WorkloadGenerator};
 use malec_types::op::{MemOp, OpId};
+use malec_types::{InterfaceKind, SimConfig};
 
 use crate::baseline::BaselineInterface;
 use crate::malec::MalecInterface;

@@ -20,8 +20,9 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::PathBuf;
 
-use malec_trace::profile::BenchmarkProfile;
-use malec_trace::{Composition, Scenario, TraceReader, WorkloadGenerator};
+use malec_trace::record::TraceReader;
+use malec_trace::scenario::{Composition, Scenario};
+use malec_trace::{BenchmarkProfile, WorkloadGenerator};
 
 use crate::metrics::RunSummary;
 use crate::sim::Simulator;
@@ -117,8 +118,9 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malec_trace::benchmark_named;
+    use malec_trace::record::write_trace;
     use malec_trace::scenario::preset_named;
-    use malec_trace::{benchmark_named, write_trace};
     use malec_types::SimConfig;
 
     #[test]
@@ -157,8 +159,10 @@ mod tests {
         let seed = 31;
         let insts = 5_000u64;
         let trace: Vec<_> = scenario.generator(seed).take(insts as usize).collect();
-        let dir = std::env::temp_dir();
-        let path = dir.join("malec_source_test_store_burst.mtr");
+        let path = std::env::temp_dir().join(format!(
+            "malec_source_test_store_burst_{}.mtr",
+            std::process::id()
+        ));
         let mut buf = Vec::new();
         write_trace(&mut buf, trace.iter().copied()).expect("encode");
         std::fs::write(&path, &buf).expect("write trace file");
@@ -208,7 +212,10 @@ mod tests {
     fn short_replay_ends_early_instead_of_hanging() {
         let gzip = benchmark_named("gzip").expect("gzip exists");
         let trace: Vec<_> = WorkloadGenerator::new(&gzip, 1).take(500).collect();
-        let path = std::env::temp_dir().join("malec_source_test_short.mtr");
+        let path = std::env::temp_dir().join(format!(
+            "malec_source_test_short_{}.mtr",
+            std::process::id()
+        ));
         let mut buf = Vec::new();
         write_trace(&mut buf, trace.iter().copied()).expect("encode");
         std::fs::write(&path, &buf).expect("write");

@@ -21,7 +21,6 @@
 //! same replicate count.
 
 use crate::metrics::RunSummary;
-pub use malec_trace::seed::{replicate_seed, splitmix64};
 
 /// Two-sided Student-t quantiles `t_{1-α/2, df}`, the standard table
 /// values: one row per level (α = 0.10, 0.05, 0.01), one column per df
@@ -427,6 +426,7 @@ impl ReplicateStats {
 mod tests {
     use super::*;
     use crate::Simulator;
+    use malec_trace::replicate_seed;
     use malec_types::SimConfig;
     use proptest::prelude::*;
 

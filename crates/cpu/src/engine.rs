@@ -29,9 +29,9 @@ use std::collections::VecDeque;
 
 use serde::Serialize;
 
-use malec_trace::inst::TraceInst;
-use malec_types::config::SimConfig;
+use malec_trace::TraceInst;
 use malec_types::op::{MemOp, OpId};
+use malec_types::SimConfig;
 
 use crate::interface::L1DataInterface;
 

@@ -54,4 +54,3 @@ pub mod sram;
 
 pub use counters::EnergyCounters;
 pub use model::{intern_structure_name, EnergyBreakdown, EnergyModel, StructureEnergy};
-pub use sram::{CamArray, SramArray, SramParams};

@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 
-use malec_types::config::{PortConfig, SimConfig, WayDetermination};
+use malec_types::{PortConfig, SimConfig, WayDetermination};
 
 use crate::counters::EnergyCounters;
 use crate::sram::{CamArray, SramArray, SramParams};
@@ -414,7 +414,7 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malec_types::config::LatencyVariant;
+    use malec_types::LatencyVariant;
 
     fn one_access_counters() -> EnergyCounters {
         let mut c = EnergyCounters::default();

@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use malec_types::config::PortConfig;
+use malec_types::PortConfig;
 
 /// Technology/calibration constants of the analytical model.
 ///
@@ -86,7 +86,7 @@ fn log2_ceil(v: u64) -> f64 {
 ///
 /// ```
 /// use malec_energy::sram::{SramArray, SramParams};
-/// use malec_types::config::PortConfig;
+/// use malec_types::PortConfig;
 ///
 /// // One L1 data way: 32 rows of 512-bit lines, single-ported.
 /// let way = SramArray::new("l1-data-way", 32, 512, PortConfig::SINGLE, SramParams::default());

@@ -7,7 +7,7 @@
 //! as events for way-table validity maintenance.
 
 use malec_types::addr::{LineAddr, WayId};
-use malec_types::config::SimConfig;
+use malec_types::SimConfig;
 
 use crate::backing::{BackingMemory, BackingOutcome};
 use crate::l1::{BankedL1, L1FillEvent};

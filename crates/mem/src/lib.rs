@@ -27,10 +27,3 @@ pub mod hierarchy;
 pub mod l1;
 pub mod replacement;
 pub mod tlb;
-
-pub use backing::{BackingMemory, BackingOutcome};
-pub use bank::{CacheBank, FillOutcome};
-pub use hierarchy::{AccessOutcome, MemoryHierarchy};
-pub use l1::{BankedL1, L1FillEvent};
-pub use replacement::{Lru, SecondChance, SeededRandom};
-pub use tlb::{MicroTlb, PageTable, Tlb, TlbEntry, TlbEvent};

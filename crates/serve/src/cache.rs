@@ -72,7 +72,7 @@ use crate::sync::lock;
 
 use malec_core::digest::{read_summary, summary_to_bytes};
 use malec_core::RunSummary;
-use malec_trace::Scenario;
+use malec_trace::scenario::Scenario;
 use malec_types::stable::{fnv1a64, StableHasher, StableKey};
 use malec_types::SimConfig;
 
@@ -914,8 +914,7 @@ fn read_record(r: &mut impl Read) -> io::Result<RawRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malec_core::digest::digest;
-    use malec_core::{ScenarioSource, Simulator};
+    use malec_core::{digest, ScenarioSource, Simulator};
     use malec_trace::scenario::preset_named;
 
     fn tmp(name: &str) -> PathBuf {
@@ -976,7 +975,7 @@ mod tests {
         // profile and name: the two draw different streams.
         let gzip = malec_trace::benchmark_named("gzip").expect("gzip exists");
         let bare = Scenario::benchmark(gzip.clone());
-        let phased = Scenario::single("gzip", malec_trace::SegmentKind::Benchmark(gzip));
+        let phased = Scenario::single("gzip", malec_trace::scenario::SegmentKind::Benchmark(gzip));
         assert_eq!(bare.name, phased.name);
         assert_ne!(
             cache_key(&SimConfig::malec(), &bare, 20_000, 2013, 0),
@@ -986,7 +985,7 @@ mod tests {
 
     #[test]
     fn replicate_cells_never_collide_with_legacy_or_each_other() {
-        use malec_trace::seed::replicate_seed;
+        use malec_trace::replicate_seed;
         let s = preset_named("store_burst").expect("preset");
         let cfg = SimConfig::malec();
         // Adversarial base seed: another submission's derived replicate

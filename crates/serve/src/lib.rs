@@ -78,10 +78,7 @@ pub mod spec;
 pub mod sync;
 pub mod toml;
 
-pub use cache::{cache_key, CacheStats, CompactOutcome, FsyncPolicy, ResultCache, SyncReport};
-pub use client::{Client, JobView, RetryPolicy};
-pub use fault::{FaultAction, Faults};
-pub use scheduler::{Engine, JobId, JobResults, Provenance};
-pub use server::{Server, ServerHandle, DEFAULT_ADDR};
+pub use cache::{cache_key, FsyncPolicy, ResultCache};
+pub use scheduler::{Engine, JobId, JobResults};
 pub use shard::ShardMap;
 pub use spec::{parse_spec, SweepSpec};

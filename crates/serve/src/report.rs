@@ -3,9 +3,8 @@
 //! per-cell rows and the generator-vs-replay digest verdict.
 
 use malec_core::compare::{compare_digest, CompareStats};
-use malec_core::digest::digest;
 use malec_core::stats::ReplicateStats;
-use malec_core::RunSummary;
+use malec_core::{digest, RunSummary};
 
 /// One config's pair of runs: generated stream and `.mtr` replay. Under
 /// multi-seed replication the single-seed fields describe replicate 0 (the
@@ -314,7 +313,8 @@ mod tests {
 
     #[test]
     fn replicate_stats_render_as_parseable_metric_rows() {
-        use malec_core::stats::{replicate_seed, ReplicateStats};
+        use malec_core::stats::ReplicateStats;
+        use malec_trace::replicate_seed;
         let gzip = benchmark_named("gzip").unwrap();
         let sim = Simulator::new(SimConfig::malec());
         let reps: Vec<_> = (0..4)
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn compare_report_is_valid_json_with_delta_blocks() {
         use malec_core::compare::{Alpha, CompareStats};
-        use malec_core::stats::replicate_seed;
+        use malec_trace::replicate_seed;
         let gzip = benchmark_named("gzip").unwrap();
         let run =
             |cfg: SimConfig, r: u32| Simulator::new(cfg).run(&gzip, 2_000, replicate_seed(3, r));

@@ -51,9 +51,10 @@ use std::time::{Duration, Instant};
 
 use malec_core::compare::{paired_converged, Alpha, CompareStats};
 use malec_core::parallel::worker_count;
-use malec_core::stats::{replicate_seed, ReplicateStats};
+use malec_core::stats::ReplicateStats;
 use malec_core::{RunSummary, ScenarioSource, Simulator};
-use malec_trace::Scenario;
+use malec_trace::replicate_seed;
+use malec_trace::scenario::Scenario;
 use malec_types::error::{Failure, FailureKind};
 use malec_types::SimConfig;
 
@@ -519,10 +520,17 @@ pub enum CompareError {
 /// Waiters parked on an in-flight simulation.
 type Waiters = Vec<(JobId, CellId)>;
 
-struct EngineInner {
-    cache: Mutex<ResultCache>,
+/// The result cache and the claims on cells being simulated. One lock
+/// guards both, because the claim step reads both and a landing cell
+/// writes both.
+struct Cells {
+    cache: ResultCache,
     /// Cells currently simulating, with the units parked on each.
-    in_flight: Mutex<HashMap<u128, Waiters>>,
+    in_flight: HashMap<u128, Waiters>,
+}
+
+struct EngineInner {
+    cells: Mutex<Cells>,
     jobs: Mutex<HashMap<JobId, Job>>,
     /// Signalled (under the `jobs` lock) whenever a job settles.
     settled: Condvar,
@@ -581,8 +589,10 @@ impl Engine {
         .with_max_bytes(opts.cache_max_bytes);
         let workers = opts.workers.unwrap_or_else(worker_count).max(1);
         let inner = Arc::new(EngineInner {
-            cache: Mutex::new(cache),
-            in_flight: Mutex::new(HashMap::new()),
+            cells: Mutex::new(Cells {
+                cache,
+                in_flight: HashMap::new(),
+            }),
             jobs: Mutex::new(HashMap::new()),
             settled: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
@@ -657,7 +667,7 @@ impl Engine {
                 .filter(|k| !shard.is_owner(k.route))
                 .map(|k| {
                     let labels = k.configs.iter().map(|&c| job.spec.configs[c].label());
-                    let owner = shard.owner(k.route).as_str().to_owned();
+                    let owner = shard.owner(k.route).to_owned();
                     (owner, labels.collect(), k.route)
                 })
                 .collect(),
@@ -824,12 +834,12 @@ impl Engine {
 
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        lock(&self.inner.cache).stats()
+        lock(&self.inner.cells).cache.stats()
     }
 
     /// The cache-log path, if the cache is persisted.
     pub fn cache_path(&self) -> Option<std::path::PathBuf> {
-        lock(&self.inner.cache).path().map(Path::to_owned)
+        lock(&self.inner.cells).cache.path().map(Path::to_owned)
     }
 
     /// Forces the cache log to stable storage (the graceful-shutdown
@@ -839,7 +849,7 @@ impl Engine {
     ///
     /// Propagates the `fsync` failure.
     pub fn sync_cache(&self) -> io::Result<()> {
-        lock(&self.inner.cache).sync()
+        lock(&self.inner.cells).cache.sync()
     }
 
     /// Compacts the persisted cache log down to its live record set (see
@@ -851,7 +861,7 @@ impl Engine {
     /// `InvalidInput` for an in-memory cache; otherwise propagates the
     /// rewrite's I/O errors (the live log is untouched on failure).
     pub fn compact_cache(&self) -> io::Result<CompactOutcome> {
-        lock(&self.inner.cache).compact()
+        lock(&self.inner.cells).cache.compact()
     }
 
     /// The live record set as shared summaries plus the exact cache-log
@@ -859,7 +869,7 @@ impl Engine {
     /// from — the chunked sync handler streams from this without
     /// materializing the whole log.
     pub fn sync_records(&self) -> (Vec<(u128, Arc<RunSummary>)>, u64) {
-        lock(&self.inner.cache).live_records()
+        lock(&self.inner.cells).cache.live_records()
     }
 
     /// Installs the sharded-serving map: from now on this engine forwards
@@ -874,7 +884,7 @@ impl Engine {
     pub fn shard_peers(&self) -> Vec<String> {
         lock(&self.inner.shard)
             .as_ref()
-            .map(|s| s.peers().iter().map(|p| p.as_str().to_owned()).collect())
+            .map(|s| s.peers().to_vec())
             .unwrap_or_default()
     }
 
@@ -883,7 +893,7 @@ impl Engine {
     /// response body. Counts as a cache hit: a peer fetching this record
     /// is serving it to a job, same as a local lookup would.
     pub fn cache_record(&self, key: u128) -> Option<Vec<u8>> {
-        let summary = lock(&self.inner.cache).lookup(key)?;
+        let summary = lock(&self.inner.cells).cache.lookup(key)?;
         let mut body = crate::cache::log_header().to_vec();
         body.extend_from_slice(&crate::cache::encode_record(key, &summary));
         Some(body)
@@ -892,7 +902,7 @@ impl Engine {
     /// Warms this engine's cache from a peer's `/v1/cache/sync` stream,
     /// verifying every record's checksum and persisting each one not
     /// already resident. Meant to run before serving traffic (`malec-cli
-    /// serve --warm-from`): the cache lock is held for the whole ingest,
+    /// serve --warm-from`): the cells lock is held for the whole ingest,
     /// and only for it.
     ///
     /// # Errors
@@ -901,7 +911,7 @@ impl Engine {
     /// is not a cache log, and local append failures.
     pub fn warm_from(&self, addr: &str) -> io::Result<SyncReport> {
         let mut stream = Client::new(addr).sync_stream().map_err(io::Error::other)?;
-        lock(&self.inner.cache).ingest(&mut stream)
+        lock(&self.inner.cells).cache.ingest(&mut stream)
     }
 
     /// Waits until every job settles (no cell pending — done or failed) or
@@ -1003,10 +1013,8 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
         replicate,
     );
     let claim = {
-        // Lock order: cache before in_flight, here and in the completion
-        // path below.
-        let mut cache = lock(&inner.cache);
-        let mut in_flight = lock(&inner.in_flight);
+        let mut cells = lock(&inner.cells);
+        let Cells { cache, in_flight } = &mut *cells;
         match cache.lookup(key) {
             Some(summary) => Claim::Hit(summary),
             None => match in_flight.get_mut(&key) {
@@ -1033,10 +1041,10 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
             // local simulation below.
             let shard = lock(&inner.shard).clone();
             if let Some(shard) = shard.filter(|s| !s.is_owner(unit.route)) {
-                let owner = shard.owner(unit.route).as_str();
+                let owner = shard.owner(unit.route);
                 match fetch_from_owner(owner, key) {
                     Ok(summary) => {
-                        lock(&inner.cache).count_fetched();
+                        lock(&inner.cells).cache.count_fetched();
                         complete_run(inner, &unit, key, &Arc::new(summary), Provenance::Fetched);
                         return;
                     }
@@ -1050,7 +1058,7 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
             // cluster-wide sum of per-peer misses equals cells simulated
             // exactly once (peer-fetched cells count as fetches, not
             // misses).
-            lock(&inner.cache).count_miss();
+            lock(&inner.cells).cache.count_miss();
             inner.faults.check_delay("engine.cell.slow");
             // The per-cell panic guard: a panicking simulation (real bug
             // or the worker.panic failpoint) fails this cell — and every
@@ -1074,7 +1082,10 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
                     // Release the claim first: a resubmitted cell must be
                     // able to start a fresh simulation, not park behind a
                     // claim nobody will ever finish.
-                    let waiters = lock(&inner.in_flight).remove(&key).unwrap_or_default();
+                    let waiters = lock(&inner.cells)
+                        .in_flight
+                        .remove(&key)
+                        .unwrap_or_default();
                     let failure = Failure::panic(panic_detail(payload.as_ref()));
                     eprintln!(
                         "malec-serve: cell simulation panicked ({}); job {} `{}` replicate {} failed",
@@ -1097,9 +1108,8 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
 
 /// Lands a completed cell, however it completed (own simulation or a fetch
 /// from the owning peer): publishes the summary and releases the in-flight
-/// claim (cache before in_flight — the one permitted nesting), persists
-/// outside the locks, then finishes the owning cell with `provenance` and
-/// every parked waiter as [`Provenance::Coalesced`].
+/// claim under one lock, persists outside it, then finishes the owning cell
+/// with `provenance` and every parked waiter as [`Provenance::Coalesced`].
 fn complete_run(
     inner: &EngineInner,
     unit: &WorkUnit,
@@ -1108,20 +1118,22 @@ fn complete_run(
     provenance: Provenance,
 ) {
     let (waiters, appender) = {
-        let mut cache = lock(&inner.cache);
-        let mut in_flight = lock(&inner.in_flight);
-        cache.insert(key, Arc::clone(summary));
-        (in_flight.remove(&key).unwrap_or_default(), cache.appender())
+        let mut cells = lock(&inner.cells);
+        cells.cache.insert(key, Arc::clone(summary));
+        (
+            cells.in_flight.remove(&key).unwrap_or_default(),
+            cells.cache.appender(),
+        )
     };
-    // Persist outside the map/in-flight locks: a disk flush must
-    // not block concurrent claim steps. The key is already resident
-    // in memory, so no other worker can race this append.
+    // Persist outside the cells lock: a disk flush must not block
+    // concurrent claim steps. The key is already resident in memory, so
+    // no other worker can race this append.
     if let Some(appender) = appender {
         match appender.append(key, summary) {
             Ok(bytes) => {
-                let mut cache = lock(&inner.cache);
-                cache.note_appended(bytes);
-                maybe_compact(inner, &mut cache);
+                let mut cells = lock(&inner.cells);
+                cells.cache.note_appended(bytes);
+                maybe_compact(inner, &mut cells.cache);
             }
             // The in-memory entry took effect; losing persistence
             // costs warm restarts, not correctness. (A torn append
@@ -1207,7 +1219,7 @@ fn enqueue(inner: &EngineInner, units: Vec<WorkUnit>) {
 const MIN_AUTO_COMPACT_BYTES: u64 = 4096;
 
 /// The `--compact-threshold` trigger, run after every successful append
-/// (under the cache lock the caller already holds): once dead bytes reach
+/// (under the cells lock the caller already holds): once dead bytes reach
 /// the configured fraction of the log's payload, rewrite in place. A
 /// failed compaction is logged and retried naturally at the next append.
 fn maybe_compact(inner: &EngineInner, cache: &mut ResultCache) {
@@ -1436,8 +1448,8 @@ mod tests {
 
         // The served digest equals a locally assembled pairing over the
         // same seeds — the endpoint is pure aggregation, no simulation.
-        use malec_core::stats::replicate_seed;
         use malec_core::{ScenarioSource, Simulator};
+        use malec_trace::replicate_seed;
         let source = ScenarioSource::Scenario(spec.scenario.clone());
         let runs = |cfg: &malec_types::SimConfig| -> Vec<malec_core::RunSummary> {
             (0..4)
@@ -1749,7 +1761,7 @@ mod tests {
 
     #[test]
     fn a_bare_benchmark_cell_is_simulator_run_byte_for_byte() {
-        use malec_core::summary_to_bytes;
+        use malec_core::digest::summary_to_bytes;
         let spec = parse_spec(
             "[scenario]\nmode = \"benchmark\"\nbenchmark = \"mcf\"\n\
              [sweep]\nconfigs = [\"MALEC\"]\ninsts = 3000\nseed = 7\n",

@@ -14,17 +14,35 @@
 //! peer wins (or was winning) — everyone else's argmax is untouched.
 //! The proptests in `tests/sharding.rs` pin down determinism, balance,
 //! and that movement bound.
+//!
+//! A peer is named by the `host:port` address it serves on, the same
+//! string every peer of a cluster lists in `--peers`. Addresses order
+//! byte-wise, identically on every platform, which is the order the
+//! owner tie-break relies on.
 
-use malec_types::peer::PeerId;
 use malec_types::stable::fnv1a64;
 
 /// The deterministic key→owner map shared by every peer of a cluster.
+///
+/// # Example
+///
+/// ```
+/// use malec_serve::ShardMap;
+///
+/// let peers = ["127.0.0.1:4174", "127.0.0.1:4173"];
+/// let a = ShardMap::new(peers, "127.0.0.1:4173").unwrap();
+/// let b = ShardMap::new(peers, "127.0.0.1:4174").unwrap();
+/// assert_eq!(a.peers(), ["127.0.0.1:4173", "127.0.0.1:4174"]);
+/// // Both vantage points agree on every owner, and exactly one owns it.
+/// assert_eq!(a.owner(42), b.owner(42));
+/// assert!(a.is_owner(42) != b.is_owner(42));
+/// ```
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     /// The full peer set, self included — sorted and deduplicated so
     /// every peer agrees on iteration order and tie-breaks regardless
     /// of the order addresses were listed in `--peers`.
-    peers: Vec<PeerId>,
+    peers: Vec<String>,
     /// Index of this process's own address in `peers`.
     self_index: usize,
 }
@@ -39,31 +57,28 @@ impl ShardMap {
     ///
     /// The peer list is empty, or `self_addr` is not in it.
     pub fn new(
-        peers: impl IntoIterator<Item = impl Into<PeerId>>,
+        peers: impl IntoIterator<Item = impl Into<String>>,
         self_addr: &str,
     ) -> Result<Self, String> {
-        let mut peers: Vec<PeerId> = peers.into_iter().map(Into::into).collect();
+        let mut peers: Vec<String> = peers.into_iter().map(Into::into).collect();
         peers.sort();
         peers.dedup();
         if peers.is_empty() {
             return Err("peer set is empty".to_owned());
         }
-        let self_index = peers
-            .iter()
-            .position(|p| p.as_str() == self_addr)
-            .ok_or_else(|| {
-                format!("own address {self_addr} is not in the peer set (list it in --peers too)")
-            })?;
+        let self_index = peers.iter().position(|p| p == self_addr).ok_or_else(|| {
+            format!("own address {self_addr} is not in the peer set (list it in --peers too)")
+        })?;
         Ok(Self { peers, self_index })
     }
 
     /// Every peer of the cluster, sorted, self included.
-    pub fn peers(&self) -> &[PeerId] {
+    pub fn peers(&self) -> &[String] {
         &self.peers
     }
 
     /// This process's own serving address.
-    pub fn self_addr(&self) -> &PeerId {
+    pub fn self_addr(&self) -> &str {
         &self.peers[self.self_index]
     }
 
@@ -71,7 +86,7 @@ impl ShardMap {
     /// `key ‖ peer address`. Ties (astronomically unlikely, but cheap
     /// to close) break toward the lexicographically larger address —
     /// an order the constructor's sort fixed identically on every peer.
-    pub fn owner(&self, key: u128) -> &PeerId {
+    pub fn owner(&self, key: u128) -> &str {
         self.peers
             .iter()
             .max_by(|a, b| score(key, a).cmp(&score(key, b)).then_with(|| a.cmp(b)))
@@ -80,14 +95,14 @@ impl ShardMap {
 
     /// Whether this peer owns `key`.
     pub fn is_owner(&self, key: u128) -> bool {
-        self.owner(key).as_str() == self.self_addr().as_str()
+        self.owner(key) == self.self_addr()
     }
 }
 
 /// FNV-1a over the key's little-endian bytes, then the peer's address
 /// bytes — deterministic across processes, platforms, and restarts.
-fn score(key: u128, peer: &PeerId) -> u64 {
-    fnv1a64(key.to_le_bytes().into_iter().chain(peer.as_str().bytes()))
+fn score(key: u128, peer: &str) -> u64 {
+    fnv1a64(key.to_le_bytes().into_iter().chain(peer.bytes()))
 }
 
 #[cfg(test)]
@@ -108,11 +123,23 @@ mod tests {
             "10.0.0.2:4173",
         )
         .expect("valid map");
+        assert_eq!(map.peers(), PEERS);
+        assert_eq!(map.self_addr(), "10.0.0.2:4173");
+    }
+
+    #[test]
+    fn peers_order_bytewise_not_numerically() {
+        let map = ShardMap::new(
+            ["10.0.0.2:4173", "10.0.0.10:4173", "10.0.0.1:4173"],
+            "10.0.0.1:4173",
+        )
+        .expect("valid map");
+        // Byte-wise, not numeric: "10.0.0.10:" < "10.0.0.1:" (the digit
+        // '0' sorts before ':'), and both sort before "10.0.0.2:".
         assert_eq!(
-            map.peers().iter().map(PeerId::as_str).collect::<Vec<_>>(),
-            PEERS.to_vec(),
+            map.peers(),
+            ["10.0.0.10:4173", "10.0.0.1:4173", "10.0.0.2:4173"]
         );
-        assert_eq!(map.self_addr().as_str(), "10.0.0.2:4173");
     }
 
     #[test]

@@ -12,12 +12,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use malec_types::addr::VAddr;
+use malec_types::params::{LINE_BYTES, PAGE_BYTES};
 
 use crate::inst::TraceInst;
 use crate::profile::BenchmarkProfile;
 
 const HOT_SET: usize = 48;
-const PAGE_BYTES: u64 = 4096;
 
 #[derive(Clone, Debug)]
 struct StreamState {
@@ -122,7 +122,7 @@ impl WorkloadGenerator {
         } else {
             self.base_page + self.rng.gen_range(0..ws)
         };
-        let offset = self.rng.gen_range(0..PAGE_BYTES / 64) * 64;
+        let offset = self.rng.gen_range(0..PAGE_BYTES / LINE_BYTES) * LINE_BYTES;
         let run = self.sample_run();
         if self.hot_pages.len() == HOT_SET {
             self.hot_pages.remove(0);

@@ -42,6 +42,10 @@
 //! let insts: Vec<_> = WorkloadGenerator::new(&gzip, 1).take(1000).collect();
 //! assert_eq!(insts.len(), 1000);
 //! ```
+//!
+//! [`Scenario`]: scenario::Scenario
+//! [`TraceWriter`]: record::TraceWriter
+//! [`TraceReader`]: record::TraceReader
 
 pub mod generate;
 pub mod inst;
@@ -52,9 +56,6 @@ pub mod seed;
 pub mod stats;
 
 pub use generate::WorkloadGenerator;
-pub use inst::{DepDistance, TraceInst};
+pub use inst::TraceInst;
 pub use profile::{all_benchmarks, benchmark_named, benchmarks_of, BenchmarkProfile, Suite};
-pub use record::{read_trace, write_trace, TraceReader, TraceWriter};
-pub use scenario::{Composition, MixPart, Phase, Scenario, ScenarioGenerator, SegmentKind};
 pub use seed::{replicate_seed, splitmix64};
-pub use stats::{page_locality_ratios, run_length_buckets, RunLengthBuckets};

@@ -54,13 +54,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use malec_types::addr::VAddr;
+use malec_types::params::{LINE_BYTES, PAGE_BYTES};
 
 use crate::generate::WorkloadGenerator;
 use crate::inst::TraceInst;
 use crate::profile::{benchmark_named, BenchmarkProfile};
-
-const PAGE_BYTES: u64 = 4096;
-const LINE_BYTES: u64 = 64;
 
 /// Parameters of the TLB-thrashing adversarial pattern.
 ///

@@ -31,7 +31,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use malec_trace::seed::replicate_seed;
+/// use malec_trace::replicate_seed;
 ///
 /// assert_eq!(replicate_seed(2013, 0), 2013, "replicate 0 is the base seed");
 /// assert_ne!(replicate_seed(2013, 1), replicate_seed(2013, 2));

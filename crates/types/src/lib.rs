@@ -13,7 +13,7 @@
 //! * [`config`] — the analyzed configurations from Table I of the paper
 //!   ([`InterfaceKind`], [`SimConfig`]) plus the latency variants of Fig. 4;
 //! * [`params`] — the Table II simulation parameters as named constants;
-//! * [`peer`] — peer identity for distributed serving ([`PeerId`]).
+//! * [`stable`] — process-independent hashing for cache keys and digests.
 //!
 //! # Example
 //!
@@ -33,7 +33,6 @@
 //! [`MemOpKind`]: op::MemOpKind
 //! [`InterfaceKind`]: config::InterfaceKind
 //! [`SimConfig`]: config::SimConfig
-//! [`PeerId`]: peer::PeerId
 
 pub mod addr;
 pub mod config;
@@ -41,13 +40,6 @@ pub mod error;
 pub mod geometry;
 pub mod op;
 pub mod params;
-pub mod peer;
 pub mod stable;
 
-pub use addr::{BankId, LineAddr, PAddr, PPageId, SetIndex, VAddr, VPageId, WayId};
 pub use config::{InterfaceKind, LatencyVariant, PortConfig, SimConfig, WayDetermination};
-pub use error::ConfigError;
-pub use geometry::{CacheGeometry, PageGeometry};
-pub use op::{MemOp, MemOpKind, OpId};
-pub use peer::PeerId;
-pub use stable::{stable_key, StableHasher, StableKey};

@@ -5,7 +5,9 @@
 //! cargo run -p malec-harness --example energy_breakdown --release
 //! ```
 
-use malec_harness::{all_benchmarks, SimConfig, Simulator};
+use malec_core::Simulator;
+use malec_trace::all_benchmarks;
+use malec_types::SimConfig;
 
 fn main() {
     let profile = all_benchmarks()

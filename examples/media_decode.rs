@@ -7,7 +7,9 @@
 //! cargo run -p malec-harness --example media_decode --release
 //! ```
 
-use malec_harness::{benchmarks_of, LatencyVariant, SimConfig, Simulator, Suite};
+use malec_core::Simulator;
+use malec_trace::{benchmarks_of, Suite};
+use malec_types::{LatencyVariant, SimConfig};
 
 fn main() {
     let insts = 50_000;

@@ -7,7 +7,9 @@
 //! cargo run -p malec-harness --example pointer_chase --release
 //! ```
 
-use malec_harness::{all_benchmarks, SimConfig, Simulator};
+use malec_core::Simulator;
+use malec_trace::all_benchmarks;
+use malec_types::SimConfig;
 
 fn main() {
     let insts = 60_000;

@@ -17,17 +17,16 @@
 //!   bytes; crossing `compact_threshold` compacts in place without any
 //!   operator action.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use malec_core::digest::digest;
-use malec_core::{RunSummary, ScenarioSource, Simulator};
+use malec_core::{digest, RunSummary, ScenarioSource, Simulator};
+use malec_harness::{report_cells, serve, tmp_dir};
 use malec_serve::client::Client;
 use malec_serve::fault::Faults;
 use malec_serve::http::request;
-use malec_serve::json::parse;
-use malec_serve::server::{ServeOptions, Server, ServerHandle};
+use malec_serve::server::{ServeOptions, Server};
 use malec_serve::{cache, ResultCache};
 use malec_trace::scenario::preset_named;
 use malec_types::SimConfig;
@@ -39,25 +38,6 @@ const SMALL_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"
 
 /// The network timeout of a raw `http::request` round trip.
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("malec_lifecycle_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-fn serve(opts: ServeOptions) -> ServerHandle {
-    Server::bind_with("127.0.0.1:0", opts)
-        .expect("bind")
-        .spawn()
-        .expect("spawn")
-}
-
-/// The per-cell content of a server report — everything except timing.
-fn report_cells(report: &str) -> String {
-    let v = parse(report).expect("report is valid JSON");
-    format!("{:?}", v.get("cells").expect("cells array"))
-}
 
 // ---------------------------------------------------------------------------
 // Serving consistency under insert/evict/compact/reopen (proptest)
@@ -128,7 +108,7 @@ proptest! {
             .map(|s| cache::encode_record(0, s).len() as u64)
             .sum();
 
-        let dir = tmp_dir("prop");
+        let dir = tmp_dir("lifecycle_prop");
         let path = dir.join(format!("interleave_{:x}.cache", fingerprint(&ops)));
         std::fs::remove_file(&path).ok();
         let mut c = ResultCache::open(&path)
@@ -184,7 +164,7 @@ fn fingerprint(ops: &[(u8, usize)]) -> u64 {
 /// server serves everything warm.
 #[test]
 fn kill_mid_compaction_leaves_the_old_log_intact_and_a_retry_succeeds() {
-    let dir = tmp_dir("torn_compact");
+    let dir = tmp_dir("lifecycle_torn_compact");
     let cache_path = dir.join("results.cache");
 
     let faults = Faults::disarmed();
@@ -254,7 +234,7 @@ fn kill_mid_compaction_leaves_the_old_log_intact_and_a_retry_succeeds() {
 /// donor's.
 #[test]
 fn warmed_peer_serves_the_resubmission_without_simulating() {
-    let dir = tmp_dir("warm");
+    let dir = tmp_dir("lifecycle_warm");
     let donor = serve(ServeOptions {
         workers: Some(2),
         cache_path: Some(dir.join("donor.cache")),
@@ -316,7 +296,7 @@ fn warmed_peer_serves_the_resubmission_without_simulating() {
 /// crossed it compacts in place — no operator in the loop.
 #[test]
 fn eviction_generated_dead_bytes_trigger_auto_compaction() {
-    let dir = tmp_dir("auto_compact");
+    let dir = tmp_dir("lifecycle_auto_compact");
     let server = serve(ServeOptions {
         workers: Some(1),
         cache_path: Some(dir.join("results.cache")),

@@ -12,21 +12,16 @@
 //!   bit-identical compare reports, including under CI-driven early
 //!   stopping (the paired stopping rule is a pure prefix function).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use malec_cli::compare::compare_parsed_spec;
 use malec_cli::run::run_parsed_spec;
 use malec_core::compare::{compare_digest, Alpha, CompareStats, PairedSample, Verdict};
 use malec_core::stats::{CiMetric, Replication, StatError};
+use malec_harness::tmp_dir;
 use malec_serve::json::{parse, Value};
-use malec_serve::spec::parse_spec;
+use malec_serve::parse_spec;
 use proptest::prelude::*;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("malec_compare_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
 
 /// A two-config paired spec over a load-rich mixed scenario.
 fn spec_toml(name: &str, seeds: u32, extra_sweep: &str) -> String {
@@ -114,7 +109,7 @@ fn small_pair_counts_error_instead_of_nan() {
 /// to the marginal report the `run` pipeline produces.
 #[test]
 fn paired_ipc_ci_is_strictly_narrower_than_independent_marginals() {
-    let dir = tmp_dir("narrow");
+    let dir = tmp_dir("compare_narrow");
     let toml = spec_toml("cmp_narrow", 8, "");
 
     // The marginal view: `run` on the same spec (same seeds, same cells).
@@ -168,7 +163,7 @@ fn paired_ipc_ci_is_strictly_narrower_than_independent_marginals() {
 
 #[test]
 fn serial_and_parallel_compare_reports_are_bit_identical() {
-    let dir = tmp_dir("repro");
+    let dir = tmp_dir("compare_repro");
     let toml = spec_toml("cmp_repro", 6, "");
     let serial = compare_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, Some(1))
         .expect("serial");
@@ -194,7 +189,7 @@ fn serial_and_parallel_compare_reports_are_bit_identical() {
 
 #[test]
 fn paired_early_stopping_is_fanout_independent_and_saves_seeds() {
-    let dir = tmp_dir("earlystop");
+    let dir = tmp_dir("compare_earlystop");
     // A generous paired target on a steady workload converges well before
     // the 16-seed cap; the stopping decision is a pure function of the
     // ordered pair prefix, so every fan-out stops at the same count.
@@ -220,7 +215,7 @@ fn paired_early_stopping_is_fanout_independent_and_saves_seeds() {
 fn compare_defaults_resolve_on_plain_replicated_specs() {
     // No [compare] section at all: the Table I default configs carry the
     // default pairing (Base1ldst vs MALEC at alpha 0.05).
-    let dir = tmp_dir("defaults");
+    let dir = tmp_dir("compare_defaults");
     let toml = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
                 [sweep]\ninsts = 2000\nseed = 5\nseeds = 3\n\
                 [report]\nout = \"d.json\"\nmtr = \"d.mtr\"\ncompare = \"d_compare.json\"\n";
@@ -250,7 +245,7 @@ fn verdicts_respect_alpha_ordering() {
     let source = malec_core::ScenarioSource::Scenario(scenario);
     let run = |cfg: malec_types::SimConfig, r: u32| {
         malec_core::Simulator::new(cfg)
-            .run_source(&source, 3_000, malec_core::stats::replicate_seed(7, r))
+            .run_source(&source, 3_000, malec_trace::replicate_seed(7, r))
             .expect("generator sources cannot fail")
     };
     let base: Vec<_> = (0..5)
@@ -291,7 +286,7 @@ fn paired_stopping_matches_the_marginal_contract_shape() {
     let source = malec_core::ScenarioSource::Scenario(scenario);
     let run = |cfg: malec_types::SimConfig, r: u32| {
         malec_core::Simulator::new(cfg)
-            .run_source(&source, 2_000, malec_core::stats::replicate_seed(7, r))
+            .run_source(&source, 2_000, malec_trace::replicate_seed(7, r))
             .expect("generator sources cannot fail")
     };
     let base: Vec<_> = (0..4)
@@ -315,7 +310,7 @@ fn paired_stopping_matches_the_marginal_contract_shape() {
 /// pipeline (`compare_spec_file`) exactly like the inline path.
 #[test]
 fn compare_spec_file_roundtrip() {
-    let dir = tmp_dir("file");
+    let dir = tmp_dir("compare_file");
     let name = "cmp_file";
     // Absolute [report] paths: compare_spec_file resolves relative ones
     // against the cwd, and the report belongs in the tmp dir.

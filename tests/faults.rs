@@ -19,15 +19,14 @@
 //!   log (a torn final record) is dropped on reopen and every intact
 //!   record still serves.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use malec_harness::{report_cells, serve, tmp_dir};
 use malec_serve::client::{Client, RetryPolicy};
 use malec_serve::fault::Faults;
 use malec_serve::http::request;
-use malec_serve::json::parse;
-use malec_serve::server::{ServeOptions, Server, ServerHandle};
+use malec_serve::server::{ServeOptions, Server};
 use malec_serve::ResultCache;
 use proptest::prelude::*;
 
@@ -43,25 +42,6 @@ const SMALL_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"
 
 /// The network timeout of a raw `http::request` round trip.
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("malec_faults_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
-
-fn serve(opts: ServeOptions) -> ServerHandle {
-    Server::bind_with("127.0.0.1:0", opts)
-        .expect("bind")
-        .spawn()
-        .expect("spawn")
-}
-
-/// The per-cell content of a server report — everything except timing.
-fn report_cells(report: &str) -> String {
-    let v = parse(report).expect("report is valid JSON");
-    format!("{:?}", v.get("cells").expect("cells array"))
-}
 
 // ---------------------------------------------------------------------------
 // Chaos convergence
@@ -90,7 +70,7 @@ fn chaos_schedule_converges_to_the_fault_free_report() {
     clean.join().expect("clean exit");
 
     // The same sweep under fire.
-    let dir = tmp_dir("chaos");
+    let dir = tmp_dir("faults_chaos");
     let faults = Faults::disarmed();
     faults.arm("worker.panic", 2, None); // the 2nd simulated cell panics
     faults.arm("cache.append.torn", 1, Some(9)); // the 1st append tears mid-record
@@ -142,7 +122,7 @@ struct PristineLog {
 fn pristine_log() -> &'static PristineLog {
     static LOG: OnceLock<PristineLog> = OnceLock::new();
     LOG.get_or_init(|| {
-        let dir = tmp_dir("pristine");
+        let dir = tmp_dir("faults_pristine");
         let path = dir.join("pristine.cache");
         std::fs::remove_file(&path).ok();
         let server = serve(ServeOptions {
@@ -218,7 +198,7 @@ proptest! {
         }
         let expect = log.starts.iter().filter(|&&s| record_end_at(log, s) <= first_damage).count();
 
-        let dir = tmp_dir("prop");
+        let dir = tmp_dir("faults_prop");
         let path = dir.join("damaged.cache");
         std::fs::write(&path, &damaged).expect("write damaged log");
         let cache = ResultCache::open(&path).expect("recovery must not refuse the log");
@@ -258,7 +238,7 @@ fn record_end_at(log: &PristineLog, s: usize) -> usize {
 /// and a restarted server serves the resubmission without simulating.
 #[test]
 fn graceful_drain_completes_inflight_jobs_and_flushes_the_log() {
-    let dir = tmp_dir("drain");
+    let dir = tmp_dir("faults_drain");
     let cache_path = dir.join("results.cache");
 
     let faults = Faults::disarmed();
@@ -372,7 +352,7 @@ fn terminal_jobs_expire_and_answer_404() {
 /// the tear and a restarted server still serves every intact record.
 #[test]
 fn crash_mid_append_recovers_warm_on_restart() {
-    let dir = tmp_dir("crash");
+    let dir = tmp_dir("faults_crash");
     let cache_path = dir.join("results.cache");
 
     let server = serve(ServeOptions {
@@ -484,7 +464,7 @@ fn read_stall_delays_exactly_one_request_without_dropping_it() {
 /// verification tolerates a slow donor without dropping data.
 #[test]
 fn sync_stall_slows_the_stream_but_the_peer_warms_completely() {
-    let dir = tmp_dir("sync_stall");
+    let dir = tmp_dir("faults_sync_stall");
     let faults = Faults::disarmed();
     faults.arm("cache.sync.stall", 1, Some(250)); // 1st sync stalls mid-stream
     let donor = serve(ServeOptions {

@@ -15,9 +15,11 @@
 //!
 //! and replace the `golden_cells()` body with the printed literals.
 
+use malec_core::{InterfaceStats, RunSummary, Simulator};
 use malec_cpu::CoreStats;
 use malec_energy::EnergyCounters;
-use malec_harness::{all_benchmarks, InterfaceStats, RunSummary, SimConfig, Simulator};
+use malec_trace::all_benchmarks;
+use malec_types::SimConfig;
 
 /// The figure seed (`malec_bench::DEFAULT_SEED`).
 const SEED: u64 = 2013;

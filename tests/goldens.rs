@@ -24,9 +24,9 @@ use malec_bench::goldens::{
 use malec_bench::{DEFAULT_INSTS, DEFAULT_SEED};
 use malec_core::compare::compare_digest;
 use malec_core::digest;
-use malec_harness::SimConfig;
 use malec_serve::{parse_spec, Engine, JobId, JobResults, SweepSpec};
 use malec_trace::scenario::presets;
+use malec_types::SimConfig;
 
 /// One row of a three-column table, as written in `goldens.rs`.
 fn row3(name: &str, config: &str, digest: u64) -> String {

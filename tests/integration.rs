@@ -2,11 +2,11 @@
 //! generator, the out-of-order core, all three interfaces, the memory
 //! hierarchy and the energy model.
 
-use malec_harness::{
-    all_benchmarks, InterfaceKind, LatencyVariant, SimConfig, Simulator, WayDetermination,
-};
+use malec_core::Simulator;
+use malec_trace::{all_benchmarks, BenchmarkProfile};
+use malec_types::{InterfaceKind, LatencyVariant, SimConfig, WayDetermination};
 
-fn profile(name: &str) -> malec_harness::BenchmarkProfile {
+fn profile(name: &str) -> BenchmarkProfile {
     all_benchmarks()
         .into_iter()
         .find(|b| b.name == name)

@@ -5,15 +5,15 @@
 //! benches use the complete suite.
 
 use malec_core::report::geo_mean;
-use malec_harness::{
-    all_benchmarks, benchmark_named, RunSummary, SimConfig, Simulator, WayDetermination,
-};
-use malec_types::CacheGeometry;
+use malec_core::{RunSummary, Simulator};
+use malec_trace::{all_benchmarks, benchmark_named, BenchmarkProfile};
+use malec_types::geometry::CacheGeometry;
+use malec_types::{SimConfig, WayDetermination};
 
 const INSTS: u64 = 30_000;
 const SEED: u64 = 2013;
 
-fn subset() -> Vec<malec_harness::BenchmarkProfile> {
+fn subset() -> Vec<BenchmarkProfile> {
     let names = [
         "gzip", "mcf", "gap", "twolf", "swim", "mgrid", "art", "equake", "djpeg", "h263dec",
         "mpeg4enc",
@@ -25,14 +25,14 @@ fn subset() -> Vec<malec_harness::BenchmarkProfile> {
 }
 
 struct Sweep {
-    base1: Vec<malec_harness::RunSummary>,
-    base2: Vec<malec_harness::RunSummary>,
-    malec: Vec<malec_harness::RunSummary>,
+    base1: Vec<RunSummary>,
+    base2: Vec<RunSummary>,
+    malec: Vec<RunSummary>,
 }
 
 fn sweep() -> Sweep {
     let benches = subset();
-    let run_all = |cfg: SimConfig| -> Vec<malec_harness::RunSummary> {
+    let run_all = |cfg: SimConfig| -> Vec<RunSummary> {
         benches
             .iter()
             .map(|p| Simulator::new(cfg.clone()).run(p, INSTS, SEED))
@@ -45,11 +45,7 @@ fn sweep() -> Sweep {
     }
 }
 
-fn norm(
-    series: &[malec_harness::RunSummary],
-    base: &[malec_harness::RunSummary],
-    f: impl Fn(&malec_harness::RunSummary) -> f64,
-) -> f64 {
+fn norm(series: &[RunSummary], base: &[RunSummary], f: impl Fn(&RunSummary) -> f64) -> f64 {
     let ratios: Vec<f64> = series.iter().zip(base).map(|(s, b)| f(s) / f(b)).collect();
     geo_mean(&ratios)
 }

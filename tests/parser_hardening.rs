@@ -4,9 +4,7 @@
 //! `Ok`/`Err` on **arbitrary byte-string inputs** — never panic, never
 //! overflow the stack, never allocate unboundedly.
 
-use malec_serve::json;
-use malec_serve::spec::parse_spec;
-use malec_serve::toml;
+use malec_serve::{json, parse_spec, toml};
 use proptest::prelude::*;
 
 /// Expands draws of `u64` words into raw bytes (the vendored proptest has

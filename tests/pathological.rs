@@ -4,12 +4,12 @@
 //! buffer deadlocks and lost completions would hide.
 
 use malec_core::sim::AnyInterface;
-use malec_core::ScenarioSource;
+use malec_core::{ScenarioSource, Simulator};
 use malec_cpu::OoOCore;
-use malec_harness::{benchmark_named, SimConfig, Simulator};
 use malec_trace::scenario::preset_named;
-use malec_trace::TraceInst;
+use malec_trace::{benchmark_named, TraceInst};
 use malec_types::addr::VAddr;
+use malec_types::SimConfig;
 
 fn run(cfg: &SimConfig, trace: Vec<TraceInst>) -> malec_cpu::CoreStats {
     let iface = AnyInterface::for_config(cfg, 99);

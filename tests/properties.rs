@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 
-use malec_harness::{all_benchmarks, SimConfig, Simulator};
+use malec_core::Simulator;
+use malec_trace::all_benchmarks;
 use malec_types::addr::{LineAddr, VPageId, WayId};
+use malec_types::SimConfig;
 
 use malec_core::waytable::WaySlots;
 use malec_mem::hierarchy::MemoryHierarchy;

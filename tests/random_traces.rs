@@ -32,10 +32,10 @@
 //! cargo test --release -p malec-harness --test random_traces -- --ignored --nocapture
 //! ```
 
-use malec_core::digest;
-use malec_harness::{SimConfig, Simulator};
+use malec_core::{digest, Simulator};
 use malec_trace::{splitmix64, TraceInst};
 use malec_types::addr::VAddr;
+use malec_types::SimConfig;
 
 /// Instructions per trace.
 const INSTS: usize = 6_000;

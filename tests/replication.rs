@@ -11,21 +11,15 @@
 //! * CI-driven early stopping measurably reduces the replicate count on a
 //!   low-variance scenario and reports the savings.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use malec_cli::run::run_parsed_spec;
-use malec_core::digest::digest;
+use malec_core::digest;
+use malec_harness::tmp_dir;
 use malec_serve::client::Client;
 use malec_serve::json::{parse, Value};
+use malec_serve::parse_spec;
 use malec_serve::server::Server;
-use malec_serve::spec::parse_spec;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("malec_replication_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
-}
 
 /// A two-config spec with `seeds` replicates per cell.
 fn spec_toml(name: &str, seeds: u32) -> String {
@@ -40,7 +34,7 @@ fn spec_toml(name: &str, seeds: u32) -> String {
 
 #[test]
 fn seeds8_sweep_reports_ci_and_is_bit_reproducible_serial_vs_parallel() {
-    let dir = tmp_dir("repro");
+    let dir = tmp_dir("replication_repro");
     let toml = spec_toml("rep8", 8);
 
     let serial = run_parsed_spec(parse_spec(&toml).expect("spec"), "inline", &dir, Some(1))
@@ -108,7 +102,7 @@ fn seeds8_sweep_reports_ci_and_is_bit_reproducible_serial_vs_parallel() {
 
 #[test]
 fn replicate_zero_matches_the_single_seed_run() {
-    let dir = tmp_dir("compat");
+    let dir = tmp_dir("replication_compat");
     let single = run_parsed_spec(
         parse_spec(&spec_toml("one", 1)).expect("spec"),
         "inline",
@@ -183,7 +177,7 @@ fn resubmission_with_more_seeds_dedupes_per_replicate_through_the_cache() {
 
 #[test]
 fn early_stopping_saves_replicates_on_a_low_variance_scenario() {
-    let dir = tmp_dir("earlystop");
+    let dir = tmp_dir("replication_earlystop");
     // A steady-state benchmark phase is the low-variance case: its IPC
     // barely moves across seeds, so a 10% relative CI target converges at
     // (or very near) the 3-replicate minimum of a 16-seed budget.

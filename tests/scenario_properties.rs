@@ -4,13 +4,12 @@
 
 use proptest::prelude::*;
 
-use malec_harness::{all_benchmarks, WorkloadGenerator};
 use malec_trace::record::{read_trace, write_trace, TraceReader};
 use malec_trace::scenario::{
     presets, BankConflictParams, MixPart, Phase, Scenario, SegmentKind, StoreBurstParams,
     TlbThrashParams,
 };
-use malec_trace::TraceInst;
+use malec_trace::{all_benchmarks, TraceInst, WorkloadGenerator};
 
 /// Builds one of a family of scenarios from three small integers — the
 /// proptest-friendly way to cover phased/mixed compositions of every

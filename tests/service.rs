@@ -13,15 +13,15 @@
 //!   bit-identical to a local `malec-cli compare` run — including across a
 //!   server restart, with **zero** cells re-simulated.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use malec_cli::compare::compare_parsed_spec;
 use malec_cli::run::run_parsed_spec;
+use malec_harness::tmp_dir;
 use malec_serve::client::Client;
 use malec_serve::json::{parse, Value};
+use malec_serve::parse_spec;
 use malec_serve::server::Server;
-use malec_serve::spec::parse_spec;
 
 /// The spec both sides run. Three Table I configurations = three cells.
 fn spec_toml(name: &str) -> String {
@@ -32,12 +32,6 @@ fn spec_toml(name: &str) -> String {
          [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\ninsts = 4000\nseed = 17\n\
          [report]\nout = \"{name}.json\"\nmtr = \"{name}.mtr\"\n"
     )
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("malec_service_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    dir
 }
 
 /// The `config -> digest` pairs of a server report, in cell order.
@@ -64,7 +58,7 @@ fn report_digests(report: &str) -> Vec<(String, String)> {
 
 #[test]
 fn submitted_jobs_match_local_runs_and_resubmission_is_fully_cached() {
-    let dir = tmp_dir("roundtrip");
+    let dir = tmp_dir("service_roundtrip");
     let cache_path = dir.join("results.cache");
     let toml = spec_toml("svc_roundtrip");
 
@@ -145,7 +139,7 @@ fn submitted_jobs_match_local_runs_and_resubmission_is_fully_cached() {
 
 #[test]
 fn paired_compare_survives_restart_and_matches_local_with_zero_resimulation() {
-    let dir = tmp_dir("compare");
+    let dir = tmp_dir("service_compare");
     let cache_path = dir.join("results.cache");
     let toml = "[scenario]\nname = \"svc_cmp\"\nmode = \"mixed\"\nblock = 24\n\
                 [[scenario.part]]\nkind = \"benchmark\"\nbenchmark = \"gzip\"\nweight = 2\n\
@@ -228,7 +222,7 @@ fn paired_compare_survives_restart_and_matches_local_with_zero_resimulation() {
 /// replicate count, savings and metric block.
 #[test]
 fn paired_ci_target_stops_at_the_same_count_locally_and_submitted() {
-    let dir = tmp_dir("paired_stop");
+    let dir = tmp_dir("service_paired_stop");
     let toml = "[scenario]\nmode = \"preset\"\npreset = \"phased_compress_decode\"\n\
                 [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n\
                 [sweep]\ninsts = 20000\nseed = 2013\nseeds = 16\nmin_seeds = 3\nci_target = 0.02\n\
@@ -276,7 +270,7 @@ fn paired_ci_target_stops_at_the_same_count_locally_and_submitted() {
 
 #[test]
 fn concurrent_overlapping_submissions_are_deduped_and_bit_identical() {
-    let dir = tmp_dir("concurrent");
+    let dir = tmp_dir("service_concurrent");
     let toml = spec_toml("svc_concurrent");
 
     // Serial local ground truth (jobs = 1: strictly serial execution).

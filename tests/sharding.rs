@@ -22,10 +22,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use malec_harness::{report_cells, serve};
 use malec_serve::client::Client;
+use malec_serve::fault::Faults;
 use malec_serve::json::{parse, Value};
 use malec_serve::server::{ServeOptions, Server, ServerHandle};
-use malec_serve::{cache_key, parse_spec, Faults, ShardMap};
+use malec_serve::{cache_key, parse_spec, ShardMap};
 use proptest::prelude::*;
 
 /// Three config groups, four shared replicate seeds, an explicit compared
@@ -34,19 +36,6 @@ use proptest::prelude::*;
 const SHARD_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
      [sweep]\nconfigs = [\"Base1ldst\", \"Base2ld1st\", \"MALEC\"]\ninsts = 2000\nseed = 5\nseeds = 4\n\
      [compare]\nbaseline = \"Base1ldst\"\ncandidate = \"MALEC\"\n";
-
-fn serve(opts: ServeOptions) -> ServerHandle {
-    Server::bind_with("127.0.0.1:0", opts)
-        .expect("bind")
-        .spawn()
-        .expect("spawn")
-}
-
-/// The per-cell content of a report — everything except timing.
-fn report_cells(report: &str) -> String {
-    let v = parse(report).expect("report is valid JSON");
-    format!("{:?}", v.get("cells").expect("cells array"))
-}
 
 /// The content digest of a compare report (excludes paths and timing).
 fn compare_digest_of(report: &str) -> String {
@@ -209,7 +198,7 @@ fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
         0,
     );
     let map = ShardMap::new([addr_a.clone(), addr_b.clone()], &addr_a).expect("map");
-    let owner = map.owner(route).as_str().to_owned();
+    let owner = map.owner(route).to_owned();
     let (door, owner_handle, door_handle) = if owner == addr_a {
         (addr_b.clone(), ha, hb)
     } else {
@@ -258,7 +247,7 @@ fn owner_of(map: &ShardMap, spec: &malec_serve::SweepSpec, config: usize) -> Str
         spec.seed,
         0,
     );
-    map.owner(key).as_str().to_owned()
+    map.owner(key).to_owned()
 }
 
 /// A peer that does not own every cluster of `spec` (the `[compare]` pair
@@ -400,7 +389,6 @@ proptest! {
                     ShardMap::new(peers.clone(), p)
                         .expect("valid set")
                         .owner(key)
-                        .as_str()
                         .to_owned()
                 })
                 .collect();
@@ -422,7 +410,7 @@ proptest! {
         let mut counts: HashMap<String, usize> = HashMap::new();
         for i in 0..512 {
             *counts
-                .entry(map.owner(synthetic_key(seed, i)).as_str().to_owned())
+                .entry(map.owner(synthetic_key(seed, i)).to_owned())
                 .or_insert(0) += 1;
         }
         for p in &peers {
@@ -445,11 +433,11 @@ proptest! {
         let removed = &peers[n - 1];
         for i in 0..256 {
             let key = synthetic_key(seed, i);
-            let before = full.owner(key).as_str();
+            let before = full.owner(key);
             if before != removed {
                 prop_assert_eq!(
                     before,
-                    shrunk.owner(key).as_str(),
+                    shrunk.owner(key),
                     "key {:032x} moved although its owner survived", key
                 );
             }
