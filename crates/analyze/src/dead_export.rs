@@ -21,8 +21,16 @@
 //! A finding resolves one of three ways: delete the item, move it into
 //! its file's `#[cfg(test)]` module, or narrow its visibility — after
 //! which rustc's own `dead_code` lint covers it.
+//!
+//! The re-exports themselves are weighed too. A name that a crate root
+//! (`crates/<dir>/src/lib.rs`, crate `malec_<dir>`) re-exports with a
+//! `pub use` is flagged when no other scanned file reaches it through
+//! that root: as `malec_<dir>::Name`, or as the first segment of an item
+//! in a `malec_<dir>::{…}` group. A path through one of the root's
+//! modules (`malec_<dir>::module::…`) is not a use of the root's name.
+//! Such a re-export is a second path nobody takes; drop it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Kind, Token};
 use crate::{Finding, Unit};
@@ -54,7 +62,7 @@ pub fn run(units: &[Unit]) -> Vec<Finding> {
         }
     }
 
-    let mut findings = Vec::new();
+    let mut findings = unreached_reexports(units);
     for (fi, u) in units.iter().enumerate() {
         if !u.path.starts_with("crates/") || u.path.split('/').nth(2) != Some("src") {
             continue;
@@ -139,4 +147,160 @@ fn pub_use_mask(toks: &[Token]) -> Vec<bool> {
         i += 1;
     }
     mask
+}
+
+/// The crate a crate root defines: `crates/<dir>/src/lib.rs` is `malec_<dir>`.
+fn root_crate(path: &str) -> Option<String> {
+    match path.split('/').collect::<Vec<_>>().as_slice() {
+        ["crates", dir, "src", "lib.rs"] => Some(format!("malec_{dir}")),
+        _ => None,
+    }
+}
+
+/// Findings for root re-exports no other file reaches through the root.
+fn unreached_reexports(units: &[Unit]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (ri, root) in units.iter().enumerate() {
+        let Some(krate) = root_crate(&root.path) else {
+            continue;
+        };
+        let toks = &root.lexed.tokens;
+        let modules: BTreeSet<&str> = (1..toks.len())
+            .filter(|&i| !toks[i].in_test && is_ident(&toks[i - 1], "mod"))
+            .filter(|&i| toks[i].kind == Kind::Ident)
+            .map(|i| toks[i].text.as_str())
+            .collect();
+        let exported = reexported_names(toks);
+        if exported.is_empty() {
+            continue;
+        }
+        let mut reached = BTreeSet::new();
+        for (ui, u) in units.iter().enumerate() {
+            if ui != ri {
+                reached_through(&u.lexed.tokens, &krate, &modules, &mut reached);
+            }
+        }
+        for (name, line) in exported {
+            if !reached.contains(name) {
+                findings.push(Finding {
+                    path: root.path.clone(),
+                    line,
+                    lint: "dead-export".to_owned(),
+                    message: format!(
+                        "`{krate}::{name}` is re-exported but no other file reaches it \
+                         through the crate root — drop the re-export"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+fn is_ident(t: &Token, text: &str) -> bool {
+    t.kind == Kind::Ident && t.text == text
+}
+
+/// The names each non-test `pub use …;` makes public, with their lines:
+/// the last segment of each leaf path, or its `as` rename (a `self` leaf
+/// names its group's prefix; globs name nothing).
+fn reexported_names(toks: &[Token]) -> Vec<(&str, u32)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        if toks[i].in_test || !is_ident(&toks[i], "pub") || !is_ident(&toks[i + 1], "use") {
+            i += 1;
+            continue;
+        }
+        i += 2;
+        // The last identifier of the leaf being read (a path segment or
+        // its rename), and of each enclosing group's prefix.
+        let mut leaf: Option<&Token> = None;
+        let mut prefixes: Vec<Option<&Token>> = Vec::new();
+        while i < toks.len() {
+            let t = &toks[i];
+            i += 1;
+            match t.kind {
+                Kind::Ident if t.text == "as" => {}
+                Kind::Ident => leaf = Some(t),
+                Kind::Punct('{') => prefixes.push(leaf.take()),
+                Kind::Punct('*') => leaf = None,
+                Kind::Punct(c @ (',' | '}' | ';')) => {
+                    let named = match leaf.take() {
+                        Some(l) if l.text == "self" => prefixes.last().copied().flatten(),
+                        other => other,
+                    };
+                    if let Some(n) = named {
+                        out.push((n.text.as_str(), n.line));
+                    }
+                    if c == '}' {
+                        prefixes.pop();
+                    }
+                    if c == ';' {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Adds to `reached` every name `toks` reaches directly through crate
+/// `krate`'s root: `krate::Name`, or an item's first segment inside a
+/// `krate::{…}` group. A segment naming one of the root's `modules` and
+/// followed by `::` is a module path, not a use of the root's name.
+fn reached_through<'a>(
+    toks: &'a [Token],
+    krate: &str,
+    modules: &BTreeSet<&str>,
+    reached: &mut BTreeSet<&'a str>,
+) {
+    let path_sep = |j: usize| {
+        matches!(
+            (
+                toks.get(j).map(|t| &t.kind),
+                toks.get(j + 1).map(|t| &t.kind)
+            ),
+            (Some(Kind::Punct(':')), Some(Kind::Punct(':')))
+        )
+    };
+    let mut note = |j: usize| {
+        let t = &toks[j];
+        if t.kind == Kind::Ident && !(modules.contains(t.text.as_str()) && path_sep(j + 1)) {
+            reached.insert(t.text.as_str());
+        }
+    };
+    for i in 0..toks.len() {
+        if !is_ident(&toks[i], krate) || !path_sep(i + 1) {
+            continue;
+        }
+        let Some(next) = toks.get(i + 3) else {
+            continue;
+        };
+        if next.kind != Kind::Punct('{') {
+            note(i + 3);
+            continue;
+        }
+        let mut depth = 0usize;
+        for j in i + 3..toks.len() {
+            match toks[j].kind {
+                Kind::Punct('{') => depth += 1,
+                Kind::Punct('}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                Kind::Ident
+                    if depth == 1
+                        && matches!(toks[j - 1].kind, Kind::Punct('{') | Kind::Punct(',')) =>
+                {
+                    note(j);
+                }
+                _ => {}
+            }
+        }
+    }
 }

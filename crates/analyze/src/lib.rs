@@ -22,7 +22,9 @@
 //!   at exactly one site, documented in the fault-table, and referenced
 //!   by at least one test;
 //! * [`dead_export`] — every plain-`pub` item in `crates/*/src` is named
-//!   in some other scanned file, so unused public API cannot pile up.
+//!   in some other scanned file, and every crate-root re-export is reached
+//!   through its root by some other file, so unused public API and unused
+//!   second paths cannot pile up.
 //!
 //! Exceptions are explicit, in-source, and carry a mandatory reason:
 //!

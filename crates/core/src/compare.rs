@@ -420,16 +420,10 @@ pub fn paired_converged<'a>(
     for (b, c) in pairs {
         ps.push(rep.metric.extract(c), rep.metric.extract(b));
     }
-    if ps.count() >= u64::from(rep.seeds) {
-        return true;
+    if let Some(done) = rep.decided_by_count(ps.count()) {
+        return done;
     }
-    let Some(target) = rep.ci_target else {
-        return false;
-    };
-    if ps.count() < u64::from(rep.min_seeds) {
-        return false;
-    }
-    let Ok(hw) = ps.paired_ci(alpha) else {
+    let (Some(target), Ok(hw)) = (rep.ci_target, ps.paired_ci(alpha)) else {
         return false;
     };
     let scale = ps.baseline_mean().abs();

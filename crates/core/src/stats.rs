@@ -292,16 +292,25 @@ impl Replication {
         for s in replicates {
             w.push(self.metric.extract(s));
         }
-        if w.count() >= u64::from(self.seeds) {
-            return true;
+        self.decided_by_count(w.count()).unwrap_or_else(|| {
+            self.ci_target
+                .is_some_and(|target| w.relative_ci95().is_some_and(|rel| rel <= target))
+        })
+    }
+
+    /// The stopping decision `n` finished replicates settle without their
+    /// values: stop at the seed cap; go on below `min_seeds` or without a
+    /// CI target; `None` when the CI target decides. A driver that holds
+    /// replicates encoded decodes them only on `None`.
+    #[must_use]
+    pub fn decided_by_count(&self, n: u64) -> Option<bool> {
+        if n >= u64::from(self.seeds) {
+            Some(true)
+        } else if self.ci_target.is_none() || n < u64::from(self.min_seeds) {
+            Some(false)
+        } else {
+            None
         }
-        let Some(target) = self.ci_target else {
-            return false;
-        };
-        if w.count() < u64::from(self.min_seeds) {
-            return false;
-        }
-        w.relative_ci95().is_some_and(|rel| rel <= target)
     }
 }
 

@@ -53,4 +53,4 @@ pub mod model;
 pub mod sram;
 
 pub use counters::EnergyCounters;
-pub use model::{intern_structure_name, EnergyBreakdown, EnergyModel, StructureEnergy};
+pub use model::{EnergyBreakdown, EnergyModel, StructureEnergy, STRUCTURE_NAMES};

@@ -54,10 +54,12 @@ impl EnergyBreakdown {
 }
 
 /// The canonical set of structure names [`EnergyModel::evaluate`] can
-/// attribute energy to. Deserializers intern decoded names through this
-/// list, so [`StructureEnergy::name`] stays `&'static str` even for
-/// breakdowns loaded back from a persisted result cache.
-const STRUCTURE_NAMES: &[&str] = &[
+/// attribute energy to. The summary codec (`malec_core::digest`) writes
+/// each structure as its index here and decodes the index back to the
+/// `&'static str`, so [`StructureEnergy::name`] stays static even for
+/// breakdowns loaded from a persisted result cache. Append only: reordering
+/// changes the meaning of every persisted cache body.
+pub const STRUCTURE_NAMES: &[&str] = &[
     "L1 tag arrays",
     "L1 data arrays",
     "uTLB",
@@ -66,13 +68,6 @@ const STRUCTURE_NAMES: &[&str] = &[
     "WT",
     "WDU",
 ];
-
-/// Maps a decoded structure name back to its canonical `&'static str`, or
-/// `None` for a name this build does not know (a cache written by a newer,
-/// incompatible version).
-pub fn intern_structure_name(name: &str) -> Option<&'static str> {
-    STRUCTURE_NAMES.iter().find(|&&n| n == name).copied()
-}
 
 /// Energy model for one [`SimConfig`]: instantiates every accounted array
 /// with the configuration's geometry and port counts, then prices an

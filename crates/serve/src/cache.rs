@@ -9,17 +9,32 @@
 //! and persists every insertion to a compact append-only log, so a
 //! restarted server comes back warm.
 //!
+//! Each cell is held as one [`StoredSummary`]: the summary's encoded body,
+//! shared by the in-memory map, the scheduler's finished cells and every
+//! writer. The log append, compaction, the sync stream and the single-record
+//! fetch frame those stored bytes; nothing re-encodes a cached cell, and a
+//! summary is decoded only where one is read (a job's report or compare,
+//! a CI-target stopping check).
+//!
 //! Log format (`MSRC` magic, little-endian):
 //!
 //! ```text
-//! magic "MSRC"  version u8
+//! magic "MSRC"  version u8  — 4
 //! record*:
 //!   key   u128
 //!   ver   u8            — the KEY_VERSION the record was written under
-//!   len   u32           — byte length of the summary encoding
+//!   len   u32           — byte length of the body
 //!   sum   u64           — FNV-1a-64 over key ‖ ver ‖ len ‖ body
-//!   body  [u8; len]     — malec_core::digest::summary_to_bytes encoding
+//!   body  [u8; len]     — the v4 summary body (malec_core::digest):
+//!                         LEB128 varint counters, one-byte suite and
+//!                         structure indices, raw f64 bits; about
+//!                         200–300 bytes, so a record runs about 230–330
 //! ```
+//!
+//! Version 4 changed only the body codec (v3 wrote fixed-width words,
+//! about 600 bytes a body); cache keys and `KEY_VERSION` did not move. A
+//! v3 log is refused at open like any other version: delete it and the
+//! server re-simulates on demand.
 //!
 //! On open, the log is replayed into memory. Recovery salvages the
 //! **longest valid prefix**: replay stops at the first record that is
@@ -70,7 +85,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::sync::lock;
 
-use malec_core::digest::{read_summary, summary_to_bytes};
+use malec_core::digest::{summary_from_bytes, summary_to_bytes};
 use malec_core::RunSummary;
 use malec_trace::scenario::Scenario;
 use malec_types::stable::{fnv1a64, StableHasher, StableKey};
@@ -79,7 +94,7 @@ use malec_types::SimConfig;
 use crate::fault::{FaultAction, Faults};
 
 const MAGIC: &[u8; 4] = b"MSRC";
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 
 /// Bytes of the log header (magic + version).
 const HEADER_LEN: u64 = 5;
@@ -201,7 +216,7 @@ struct AppendFile {
 }
 
 /// A shareable append handle to the cache log, locked independently of the
-/// in-memory map: the scheduler serializes a fresh summary and appends it
+/// in-memory map: the scheduler appends a fresh cell's stored body
 /// **outside** the map mutex, so a disk flush never blocks concurrent
 /// claim-step lookups (or the stats endpoint).
 #[derive(Clone, Debug)]
@@ -221,8 +236,9 @@ impl LogAppender {
     /// short write, or the `cache.append.torn` failpoint — is rolled back
     /// to the last good record boundary before the error returns, so the
     /// live log never carries mid-file damage into later appends.
-    pub fn append(&self, key: u128, summary: &RunSummary) -> io::Result<u64> {
-        let rec = encode_record(key, summary);
+    pub fn append(&self, key: u128, stored: &StoredSummary) -> io::Result<u64> {
+        let mut rec = Vec::with_capacity(stored.record_len() as usize);
+        write_record(&mut rec, key, stored);
 
         let mut log = lock(&self.inner);
         let written = match self.faults.check("cache.append.torn") {
@@ -270,13 +286,43 @@ impl LogAppender {
     }
 }
 
-/// One resident entry: the summary plus its on-disk record size and its
-/// LRU stamp (the key into the recency index).
+/// One cached cell as it is held: the summary's v4 body (see
+/// [`malec_core::digest`](mod@malec_core::digest)), shared and immutable.
+/// Cloning shares the bytes. Every body is either encoded here or proven
+/// sound by one full decode when it arrives as bytes (a log replay, a sync
+/// stream, a peer's record), so [`decode`](Self::decode) cannot fail.
+#[derive(Clone, Debug)]
+pub struct StoredSummary(Arc<[u8]>);
+
+impl StoredSummary {
+    /// Encodes `summary`.
+    pub fn encode(summary: &RunSummary) -> Self {
+        Self(summary_to_bytes(summary).into())
+    }
+
+    /// Wraps a body read from outside after decoding it once.
+    fn validated(body: Vec<u8>) -> io::Result<Self> {
+        summary_from_bytes(&body)?;
+        Ok(Self(body.into()))
+    }
+
+    /// The summary this body encodes.
+    pub fn decode(&self) -> RunSummary {
+        // analyze: allow(panic-surface) every body is encoded by `encode` or decoded once by `validated`
+        summary_from_bytes(&self.0).expect("a stored body decodes")
+    }
+
+    /// The size of its log record: header plus body.
+    fn record_len(&self) -> u64 {
+        (RECORD_HEADER + self.0.len()) as u64
+    }
+}
+
+/// One resident entry: the stored cell and its LRU stamp (the key into the
+/// recency index).
 #[derive(Debug)]
 struct Entry {
-    summary: Arc<RunSummary>,
-    /// Full record size on disk (header + body), for live-byte accounting.
-    bytes: u64,
+    stored: StoredSummary,
     /// LRU stamp; larger = more recently used.
     seq: u64,
 }
@@ -394,12 +440,12 @@ impl ResultCache {
                 let mut reader = BufReader::new(&mut file);
                 check_header(&mut reader).map_err(|e| in_context(path.display(), e))?;
                 loop {
-                    match read_record(&mut reader) {
-                        Ok(RawRecord::Live(key, summary, len)) => {
+                    match read_record(&mut reader, StoredSummary::validated) {
+                        Ok(RawRecord::Live(key, stored, len)) => {
                             // Last-record-wins: a newer record for a key
                             // already replayed supersedes it (the older
                             // copy becomes dead bytes).
-                            if cache.place(key, Arc::new(*summary), len) {
+                            if cache.place(key, stored) {
                                 duplicates += 1;
                             }
                             good_end += len;
@@ -470,13 +516,13 @@ impl ResultCache {
     }
 
     /// Looks `key` up, counting a hit and touching its recency (a served
-    /// entry is the last the size cap evicts). A `None` result is **not**
-    /// counted here: the scheduler distinguishes a true miss (a simulation
-    /// starts — [`count_miss`](Self::count_miss)) from attaching to an
-    /// identical in-flight simulation
-    /// ([`count_coalesced`](Self::count_coalesced)).
-    pub fn lookup(&mut self, key: u128) -> Option<Arc<RunSummary>> {
-        let hit = self.map.get(&key).map(|e| Arc::clone(&e.summary));
+    /// entry is the last the size cap evicts). A hit shares the stored
+    /// body; nothing is decoded. A `None` result is **not** counted here:
+    /// the scheduler distinguishes a true miss (a simulation starts —
+    /// [`count_miss`](Self::count_miss)) from attaching to an identical
+    /// in-flight simulation ([`count_coalesced`](Self::count_coalesced)).
+    pub fn lookup(&mut self, key: u128) -> Option<StoredSummary> {
+        let hit = self.map.get(&key).map(|e| e.stored.clone());
         if hit.is_some() {
             self.stats.hits += 1;
             self.touch(key);
@@ -494,17 +540,16 @@ impl ResultCache {
         self.stats.fetched += 1;
     }
 
-    /// Inserts a summary into the in-memory map (replacing any entry the
-    /// key already had) and enforces the size cap — the just-inserted
+    /// Inserts a stored cell into the in-memory map (replacing any entry
+    /// the key already had) and enforces the size cap — the just-inserted
     /// entry is never the one evicted, so the cap can be exceeded by at
     /// most one record. Persistence is separate: append through
     /// [`appender`](Self::appender) (outside the map lock) and record the
     /// outcome with [`note_appended`](Self::note_appended), or use
     /// [`insert_persist`](Self::insert_persist) where lock splitting does
     /// not matter.
-    pub fn insert(&mut self, key: u128, summary: Arc<RunSummary>) {
-        let bytes = (RECORD_HEADER + summary_to_bytes(&summary).len()) as u64;
-        if !self.place(key, summary, bytes) {
+    pub fn insert(&mut self, key: u128, stored: StoredSummary) {
+        if !self.place(key, stored) {
             self.stats.entries += 1;
         }
         self.enforce_cap();
@@ -514,19 +559,18 @@ impl ResultCache {
     /// keeping the live-byte sum exact. Returns whether the key was
     /// already resident. Shared by [`insert`](Self::insert) and the replay
     /// loop (which must dedupe without counting `entries` twice).
-    fn place(&mut self, key: u128, summary: Arc<RunSummary>, bytes: u64) -> bool {
+    fn place(&mut self, key: u128, stored: StoredSummary) -> bool {
         self.clock += 1;
+        self.lru.insert(self.clock, key);
+        self.stats.live_bytes += stored.record_len();
         let entry = Entry {
-            summary,
-            bytes,
+            stored,
             seq: self.clock,
         };
-        self.lru.insert(self.clock, key);
-        self.stats.live_bytes += bytes;
         match self.map.insert(key, entry) {
             Some(old) => {
                 self.lru.remove(&old.seq);
-                self.stats.live_bytes -= old.bytes;
+                self.stats.live_bytes -= old.stored.record_len();
                 true
             }
             None => false,
@@ -556,7 +600,7 @@ impl ResultCache {
             self.lru.remove(&seq);
             // analyze: allow(panic-surface) every lru entry is inserted alongside its map entry
             let old = self.map.remove(&key).expect("LRU entries are resident");
-            self.stats.live_bytes -= old.bytes;
+            self.stats.live_bytes -= old.stored.record_len();
             self.stats.entries -= 1;
             self.stats.evicted += 1;
         }
@@ -574,17 +618,23 @@ impl ResultCache {
         self.stats.log_bytes += bytes;
     }
 
-    /// [`insert`](Self::insert) plus a synchronous log append — the
-    /// convenience path for tests and single-threaded embedders.
+    /// Encodes `summary`, then [`insert`](Self::insert)s it with a
+    /// synchronous log append — the convenience path for tests and
+    /// single-threaded embedders.
     ///
     /// # Errors
     ///
     /// Propagates log-append I/O errors (the in-memory insert still took
     /// effect).
     pub fn insert_persist(&mut self, key: u128, summary: Arc<RunSummary>) -> io::Result<()> {
-        self.insert(key, Arc::clone(&summary));
+        self.store(key, StoredSummary::encode(&summary))
+    }
+
+    /// [`insert`](Self::insert) plus a synchronous log append.
+    fn store(&mut self, key: u128, stored: StoredSummary) -> io::Result<()> {
+        self.insert(key, stored.clone());
         if let Some(log) = self.appender() {
-            let bytes = log.append(key, &summary)?;
+            let bytes = log.append(key, &stored)?;
             self.note_appended(bytes);
         }
         Ok(())
@@ -654,9 +704,11 @@ impl ResultCache {
         let mut out = File::create(&tmp)?;
         out.write_all(&log_header())?;
         let mut written = 0u64;
+        let mut rec = Vec::new();
         for &key in self.lru.values() {
+            rec.clear();
             // analyze: allow(panic-surface) lru values are exactly the resident map keys
-            let rec = encode_record(key, &self.map[&key].summary);
+            write_record(&mut rec, key, &self.map[&key].stored);
             if tear_after == Some(written) {
                 // analyze: allow(panic-surface) rec.len()/2 is always in bounds
                 out.write_all(&rec[..rec.len() / 2])?;
@@ -684,21 +736,21 @@ impl ResultCache {
         })
     }
 
-    /// A snapshot of the live set for chunked streaming: `(key, summary)`
-    /// handles in LRU order (`Arc` clones, not encoded bytes), plus the
-    /// exact byte length of the corresponding log stream ([`log_header`] +
-    /// one [`encode_record`] per entry). The `/v1/cache/sync` handler
-    /// encodes and writes chunk by chunk from this instead of materializing
-    /// the whole byte body under the cache lock — summaries are immutable
-    /// once inserted, so the handles stay a consistent snapshot after the
-    /// lock is released. A receiver feeds the stream to
+    /// A snapshot of the live set for chunked streaming: `(key, stored)`
+    /// handles in LRU order (shared bodies, not copies), plus the exact
+    /// byte length of the corresponding log stream ([`log_header`] + one
+    /// [`write_record`] per entry). The `/v1/cache/sync` handler frames and
+    /// writes chunk by chunk from this instead of materializing the whole
+    /// byte body under the cache lock — bodies are immutable once
+    /// inserted, so the handles stay a consistent snapshot after the lock
+    /// is released. A receiver feeds the stream to
     /// [`ingest`](Self::ingest), which verifies every record's checksum
     /// before accepting it.
-    pub fn live_records(&self) -> (Vec<(u128, Arc<RunSummary>)>, u64) {
+    pub fn live_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
         let mut records = Vec::with_capacity(self.map.len());
         for &key in self.lru.values() {
             // analyze: allow(panic-surface) lru values are exactly the resident map keys
-            records.push((key, Arc::clone(&self.map[&key].summary)));
+            records.push((key, self.map[&key].stored.clone()));
         }
         (records, HEADER_LEN + self.stats.live_bytes)
     }
@@ -720,12 +772,12 @@ impl ResultCache {
             ..SyncReport::default()
         };
         loop {
-            match read_record(r) {
-                Ok(RawRecord::Live(key, summary, len)) => {
+            match read_record(r, StoredSummary::validated) {
+                Ok(RawRecord::Live(key, stored, len)) => {
                     report.records += 1;
                     report.bytes += len;
                     if !self.map.contains_key(&key) {
-                        self.insert_persist(key, Arc::new(*summary))?;
+                        self.store(key, stored)?;
                         report.inserted += 1;
                     }
                 }
@@ -785,7 +837,16 @@ pub fn log_header() -> [u8; 5] {
 
 /// Encodes one record in the current log format (current `KEY_VERSION`).
 pub fn encode_record(key: u128, summary: &RunSummary) -> Vec<u8> {
-    encode_record_raw(key, KEY_VERSION, &summary_to_bytes(summary))
+    let body = summary_to_bytes(summary);
+    let mut rec = Vec::with_capacity(RECORD_HEADER + body.len());
+    frame(&mut rec, key, KEY_VERSION, &body);
+    rec
+}
+
+/// Appends the log record of a stored cell (current `KEY_VERSION`) to
+/// `out`: the stored bytes behind a freshly computed header.
+pub fn write_record(out: &mut Vec<u8>, key: u128, stored: &StoredSummary) {
+    frame(out, key, KEY_VERSION, &stored.0);
 }
 
 /// Reads and verifies a 5-byte cache-log header (magic + version). The
@@ -816,12 +877,30 @@ fn in_context(context: impl std::fmt::Display, e: io::Error) -> io::Error {
 /// # Errors
 ///
 /// `InvalidData` for a wrong header, a short/damaged/checksum-failing
-/// record, a record under a superseded `KEY_VERSION`, or an empty stream.
+/// record, an undecodable body, a record under a superseded `KEY_VERSION`,
+/// or an empty stream.
 pub fn decode_single_record(bytes: &[u8]) -> io::Result<(u128, RunSummary)> {
+    single_record(bytes, |body| summary_from_bytes(&body))
+}
+
+/// [`decode_single_record`], keeping the body as a [`StoredSummary`] (the
+/// owner fetch lands it in the cache as it came, once it decodes).
+///
+/// # Errors
+///
+/// As [`decode_single_record`].
+pub fn read_single_record(bytes: &[u8]) -> io::Result<(u128, StoredSummary)> {
+    single_record(bytes, StoredSummary::validated)
+}
+
+fn single_record<T>(
+    bytes: &[u8],
+    body: impl FnOnce(Vec<u8>) -> io::Result<T>,
+) -> io::Result<(u128, T)> {
     let mut r = bytes;
     check_header(&mut r)?;
-    match read_record(&mut r)? {
-        RawRecord::Live(key, summary, _) => Ok((key, *summary)),
+    match read_record(&mut r, body)? {
+        RawRecord::Live(key, value, _) => Ok((key, value)),
         RawRecord::Stale(_) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "record is under a superseded key version",
@@ -833,14 +912,14 @@ pub fn decode_single_record(bytes: &[u8]) -> io::Result<(u128, RunSummary)> {
     }
 }
 
-fn encode_record_raw(key: u128, ver: u8, body: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(RECORD_HEADER + body.len());
-    rec.extend_from_slice(&key.to_le_bytes());
-    rec.push(ver);
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&record_sum(key, ver, body).to_le_bytes());
-    rec.extend_from_slice(body);
-    rec
+/// Appends one framed record: header (key, `ver`, length, checksum), then
+/// `body`.
+fn frame(out: &mut Vec<u8>, key: u128, ver: u8, body: &[u8]) {
+    out.extend_from_slice(&key.to_le_bytes());
+    out.push(ver);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&record_sum(key, ver, body).to_le_bytes());
+    out.extend_from_slice(body);
 }
 
 /// Upper bound on one record's body. A summary encodes to well under a
@@ -854,10 +933,10 @@ const MAX_RECORD: usize = 1024 * 1024;
 const RECORD_HEADER: usize = 16 + 1 + 4 + 8;
 
 /// One frame off the log, as the replay loop sees it.
-enum RawRecord {
-    /// A checksum-verified record at the current `KEY_VERSION`, decoded.
-    /// The `u64` is its full on-disk size.
-    Live(u128, Box<RunSummary>, u64),
+enum RawRecord<T> {
+    /// A checksum-verified record at the current `KEY_VERSION`, its body
+    /// read by the caller's decoder. The `u64` is its full on-disk size.
+    Live(u128, T, u64),
     /// A checksum-verified record under a superseded `KEY_VERSION` — its
     /// key can never be looked up, and its body may not even decode under
     /// today's codec, so it is skipped without decoding. The `u64` is its
@@ -867,11 +946,14 @@ enum RawRecord {
     Eof,
 }
 
-/// Reads one log record, verifying its checksum. Every error return means
-/// "damage starts here" to the recovery loop — a short read, an absurd
-/// length, a checksum mismatch, and an undecodable body are all the same
-/// cut point.
-fn read_record(r: &mut impl Read) -> io::Result<RawRecord> {
+/// Reads one log record, verifying its checksum, and hands a current-version
+/// body to `decode`. Every error return means "damage starts here" to the
+/// recovery loop — a short read, an absurd length, a checksum mismatch,
+/// and an undecodable body are all the same cut point.
+fn read_record<T>(
+    r: &mut impl Read,
+    decode: impl FnOnce(Vec<u8>) -> io::Result<T>,
+) -> io::Result<RawRecord<T>> {
     let mut key = [0u8; 16];
     match r.read_exact(&mut key) {
         Ok(()) => {}
@@ -907,8 +989,7 @@ fn read_record(r: &mut impl Read) -> io::Result<RawRecord> {
     if ver != KEY_VERSION {
         return Ok(RawRecord::Stale(size));
     }
-    let summary = read_summary(&mut body.as_slice())?;
-    Ok(RawRecord::Live(key, Box::new(summary), size))
+    Ok(RawRecord::Live(key, decode(body)?, size))
 }
 
 #[cfg(test)]
@@ -931,6 +1012,13 @@ mod tests {
     /// The on-disk record size of one summary.
     fn record_size(s: &RunSummary) -> u64 {
         (RECORD_HEADER + summary_to_bytes(s).len()) as u64
+    }
+
+    /// One framed record under key version `ver`, whatever its body.
+    fn raw_record(key: u128, ver: u8, body: &[u8]) -> Vec<u8> {
+        let mut rec = Vec::new();
+        frame(&mut rec, key, ver, body);
+        rec
     }
 
     #[test]
@@ -1038,8 +1126,8 @@ mod tests {
         assert_eq!(cache.stats().loaded, 2);
         let got_a = cache.lookup(1).expect("a persisted");
         let got_b = cache.lookup(2).expect("b persisted");
-        assert_eq!(digest(&got_a), digest(&a), "lossless persistence");
-        assert_eq!(digest(&got_b), digest(&b));
+        assert_eq!(digest(&got_a.decode()), digest(&a), "lossless persistence");
+        assert_eq!(digest(&got_b.decode()), digest(&b));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1133,6 +1221,52 @@ mod tests {
     }
 
     #[test]
+    fn a_v3_log_is_refused_naming_the_path_and_both_versions() {
+        // A log written before the v4 body codec: a v3 header and one
+        // record. Open refuses it and leaves it as it was.
+        let path = tmp("v3");
+        let mut log = b"MSRC\x03".to_vec();
+        log.extend_from_slice(&raw_record(1, KEY_VERSION, &[0u8; 600]));
+        std::fs::write(&path, &log).expect("write");
+        let err = ResultCache::open(&path).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("version 3 unsupported (want 4)"), "{msg}");
+        assert_eq!(std::fs::read(&path).expect("read"), log, "left as it was");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_stored_cell_is_shared_and_framed_as_it_was_encoded() {
+        let s = sample(5);
+        let stored = StoredSummary::encode(&s);
+        assert_eq!(&stored.0[..], summary_to_bytes(&s), "the v4 body");
+        let mut cache = ResultCache::in_memory();
+        cache.insert(3, stored.clone());
+        let hit = cache.lookup(3).expect("resident");
+        assert!(Arc::ptr_eq(&hit.0, &stored.0), "a hit shares the body");
+        let mut rec = Vec::new();
+        write_record(&mut rec, 3, &hit);
+        assert_eq!(
+            rec,
+            encode_record(3, &s),
+            "the record frames the stored bytes"
+        );
+        assert_eq!(cache.stats().live_bytes, hit.record_len());
+        assert_eq!(digest(&hit.decode()), digest(&s));
+        // Bytes from outside are decoded once before they are held.
+        assert!(StoredSummary::validated(stored.0.to_vec()).is_ok());
+        let mut bad = stored.0.to_vec();
+        bad.push(0);
+        assert!(
+            StoredSummary::validated(bad).is_err(),
+            "a trailing byte is refused"
+        );
+        assert!(read_single_record(&[&log_header()[..], &rec].concat()).is_ok());
+    }
+
+    #[test]
     fn flipped_byte_mid_log_salvages_the_prefix() {
         let path = tmp("flip");
         std::fs::remove_file(&path).ok();
@@ -1160,7 +1294,11 @@ mod tests {
         let mut cache = ResultCache::open(&path).expect("recovery, not refusal");
         assert_eq!(cache.stats().loaded, 1, "records 2 and 3 dropped");
         let got = cache.lookup(1).expect("record 1 salvaged");
-        assert_eq!(digest(&got), digest(&a), "salvaged record is intact");
+        assert_eq!(
+            digest(&got.decode()),
+            digest(&a),
+            "salvaged record is intact"
+        );
         assert!(cache.lookup(2).is_none(), "damaged record never served");
         assert!(cache.lookup(3).is_none(), "records behind damage dropped");
         cache
@@ -1230,9 +1368,9 @@ mod tests {
         );
         assert_eq!(cache.dead_bytes(), record_size(&old));
         let got = cache.lookup(1).expect("key 1 resident");
-        assert_eq!(digest(&got), digest(&new), "the LAST record wins");
+        assert_eq!(digest(&got.decode()), digest(&new), "the LAST record wins");
         assert_eq!(
-            digest(&cache.lookup(2).expect("key 2 resident")),
+            digest(&cache.lookup(2).expect("key 2 resident").decode()),
             digest(&other)
         );
 
@@ -1249,7 +1387,7 @@ mod tests {
         let mut reopened = ResultCache::open(&path).expect("reopen");
         assert_eq!(reopened.stats().loaded, 2);
         assert_eq!(
-            digest(&reopened.lookup(1).expect("key 1")),
+            digest(&reopened.lookup(1).expect("key 1").decode()),
             digest(&new),
             "compacted log serves the same bytes"
         );
@@ -1267,7 +1405,7 @@ mod tests {
         let mut log = log_header().to_vec();
         // A stale-version record whose body is NOT a valid summary
         // encoding — exactly what a codec change leaves behind.
-        log.extend_from_slice(&encode_record_raw(9, KEY_VERSION - 1, b"old-codec-bytes"));
+        log.extend_from_slice(&raw_record(9, KEY_VERSION - 1, b"old-codec-bytes"));
         log.extend_from_slice(&encode_record(1, &live));
         std::fs::write(&path, &log).expect("write log");
 
@@ -1395,7 +1533,7 @@ mod tests {
         assert_eq!(reopened.stats().loaded, 5);
         for (i, s) in samples.iter().enumerate() {
             let got = reopened.lookup(i as u128).expect("key resident");
-            assert_eq!(digest(&got), digest(s), "key {i} bit-identical");
+            assert_eq!(digest(&got.decode()), digest(s), "key {i} bit-identical");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1449,12 +1587,12 @@ mod tests {
     }
 
     /// The `/v1/cache/sync` body the server streams for `cache`:
-    /// [`log_header`] plus one [`encode_record`] per live record.
+    /// [`log_header`] plus one [`write_record`] per live record.
     fn sync_stream(cache: &ResultCache) -> Vec<u8> {
         let (records, _) = cache.live_records();
         let mut stream = log_header().to_vec();
-        for (key, summary) in &records {
-            stream.extend_from_slice(&encode_record(*key, summary));
+        for (key, stored) in &records {
+            write_record(&mut stream, *key, stored);
         }
         stream
     }
@@ -1489,7 +1627,11 @@ mod tests {
         assert!(report.damaged.is_none());
         for (i, s) in samples.iter().enumerate() {
             let got = b.lookup(i as u128).expect("warmed");
-            assert_eq!(digest(&got), digest(s), "warmed key {i} bit-identical");
+            assert_eq!(
+                digest(&got.decode()),
+                digest(s),
+                "warmed key {i} bit-identical"
+            );
         }
         // The warm-up persisted: a cold reopen of B serves everything.
         drop(b);
@@ -1536,7 +1678,7 @@ mod tests {
         );
         assert!(decode_single_record(b"nope").is_err(), "bad header refused");
         let mut stale = log_header().to_vec();
-        stale.extend_from_slice(&encode_record_raw(7, KEY_VERSION - 1, b"old"));
+        stale.extend_from_slice(&raw_record(7, KEY_VERSION - 1, b"old"));
         assert!(
             decode_single_record(&stale).is_err(),
             "stale version refused"

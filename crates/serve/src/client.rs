@@ -14,9 +14,12 @@
 //! the policy's own backoff ceiling — a misbehaving peer advertising
 //! `Retry-After: 86400` must not park a client for a day.
 
+use std::io;
 use std::time::{Duration, Instant};
 
-use crate::cache::{decode_single_record, CacheStats, CompactOutcome};
+use crate::cache::{
+    decode_single_record, read_single_record, CacheStats, CompactOutcome, StoredSummary,
+};
 use crate::http::{request, Response};
 use crate::json::{parse, Value};
 use crate::report::esc;
@@ -381,6 +384,27 @@ impl Client {
     /// Returns a message for connection failures, a missing record, a
     /// non-retryable status, and a damaged or mismatched response body.
     pub fn fetch_record(&self, key: u128) -> Result<RunSummary, String> {
+        self.fetch(key, decode_single_record)
+    }
+
+    /// [`fetch_record`](Self::fetch_record), keeping the body as stored
+    /// once it decodes: the owner fetch lands it in the local cache as it
+    /// came.
+    ///
+    /// # Errors
+    ///
+    /// As [`fetch_record`](Self::fetch_record).
+    pub fn fetch_stored(&self, key: u128) -> Result<StoredSummary, String> {
+        self.fetch(key, read_single_record)
+    }
+
+    /// The one record-fetch round trip; `read` verifies the single-record
+    /// body and yields its key and value.
+    fn fetch<T>(
+        &self,
+        key: u128,
+        read: impl Fn(&[u8]) -> io::Result<(u128, T)>,
+    ) -> Result<T, String> {
         let path = format!("/v1/cache/record/{key:032x}");
         self.call("GET", &path, b"", |resp| {
             match resp.status {
@@ -390,14 +414,13 @@ impl Client {
             }
             let retry = |e: String| CallError::Retry(e, None);
             let body = resp.bytes().map_err(|e| retry(e.to_string()))?;
-            let (got, summary) = decode_single_record(&body)
-                .map_err(|e| retry(format!("record {key:032x}: {e}")))?;
+            let (got, value) = read(&body).map_err(|e| retry(format!("record {key:032x}: {e}")))?;
             if got != key {
                 return Err(retry(format!(
                     "record key mismatch (asked {key:032x}, got {got:032x})"
                 )));
             }
-            Ok(summary)
+            Ok(value)
         })
     }
 

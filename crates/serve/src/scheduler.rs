@@ -9,14 +9,18 @@
 //! of scoped per call — drains the queue. For each unit a worker:
 //!
 //! 1. looks the cell's [`cache_key`] up: a **hit** finishes the cell with
-//!    the stored summary, zero simulation;
+//!    the stored body, zero simulation and zero decoding;
 //! 2. otherwise checks the **in-flight** table: if an identical cell is
 //!    already simulating (a concurrent overlapping job), the unit parks as
 //!    a waiter and is finished by whoever simulates it — the cache answers
 //!    `N` concurrent identical submissions with **one** simulation;
-//! 3. otherwise claims the key, simulates, inserts the summary into the
-//!    cache (persisting it), and finishes the cell plus every parked
-//!    waiter.
+//! 3. otherwise claims the key, simulates, encodes the summary once into
+//!    a [`StoredSummary`], inserts it into the cache (persisting it), and
+//!    finishes the cell plus every parked waiter with that one body.
+//!
+//! Finished cells hold the cache's shared bodies; a summary is decoded
+//! only where one is read: [`Engine::job_results`] (reports and compares)
+//! and a CI-target stopping check once a cluster's replicates are all in.
 //!
 //! Everything a worker produces is deterministic, so a cell served from
 //! cache, from a waiter hand-off, or from a fresh simulation is
@@ -58,7 +62,9 @@ use malec_trace::scenario::Scenario;
 use malec_types::error::{Failure, FailureKind};
 use malec_types::SimConfig;
 
-use crate::cache::{cache_key, CacheStats, CompactOutcome, ResultCache, SyncReport};
+use crate::cache::{
+    cache_key, write_record, CacheStats, CompactOutcome, ResultCache, StoredSummary, SyncReport,
+};
 use crate::client::{Client, JobView, RetryPolicy};
 use crate::fault::{FaultAction, Faults};
 use crate::report::{render, render_compare, CellResult, CompareReportMeta, ReportMeta};
@@ -118,8 +124,8 @@ struct Cluster {
 enum CellState {
     /// Queued or simulating.
     Pending,
-    /// Finished with a summary, by the recorded path.
-    Done(Arc<RunSummary>, Provenance),
+    /// Finished with its stored body, by the recorded path.
+    Done(StoredSummary, Provenance),
     /// The simulation failed (a worker panic). The job reports `failed`
     /// with this payload; a resubmission re-runs only the failed cells —
     /// their siblings are already cached.
@@ -130,7 +136,6 @@ enum CellState {
 struct Job {
     id: JobId,
     spec: SweepSpec,
-    scenario: Arc<Scenario>,
     clusters: Vec<Cluster>,
     /// `cells[config][replicate]`: a growing cluster appends one replicate
     /// to each of its configs.
@@ -147,7 +152,6 @@ impl Job {
     /// concern, not a scheduling one), every other config as its own, and
     /// the replication policy's initial replicates pending for each.
     fn new(id: JobId, spec: SweepSpec) -> Self {
-        let scenario = Arc::new(spec.scenario.clone());
         let pair = spec
             .compare
             .as_ref()
@@ -166,7 +170,7 @@ impl Job {
             .map(|(configs, alpha)| Cluster {
                 route: cache_key(
                     &spec.configs[configs[0]],
-                    &scenario,
+                    &spec.scenario,
                     spec.insts,
                     spec.seed,
                     0,
@@ -185,7 +189,6 @@ impl Job {
                 .map(|_| (0..initial).map(|_| CellState::Pending).collect())
                 .collect(),
             clusters,
-            scenario,
             spec,
             started: Instant::now(),
             wall_seconds: None,
@@ -242,14 +245,14 @@ impl Job {
             .count() as u64
     }
 
-    /// One config's finished replicate summaries, in replicate order;
+    /// One config's finished replicates, in replicate order, as stored;
     /// `None` while any planned replicate is still pending (or failed — a
     /// failed replicate never aggregates and never grows its cluster).
-    fn replicates(&self, config: usize) -> Option<Vec<Arc<RunSummary>>> {
+    fn replicates(&self, config: usize) -> Option<Vec<StoredSummary>> {
         self.cells[config]
             .iter()
             .map(|c| match c {
-                CellState::Done(s, _) => Some(Arc::clone(s)),
+                CellState::Done(s, _) => Some(s.clone()),
                 CellState::Pending | CellState::Failed(_) => None,
             })
             .collect()
@@ -273,7 +276,7 @@ impl Job {
             job: self.id,
             cell: (config, replicate),
             config: self.spec.configs[config].clone(),
-            scenario: Arc::clone(&self.scenario),
+            scenario: Arc::clone(&self.spec.scenario),
             insts: self.spec.insts,
             seed: self.spec.seed,
             route: self.clusters[k].route,
@@ -306,7 +309,9 @@ impl Job {
     /// [`Replication::converged`](malec_core::stats::Replication::converged);
     /// both stop at the seed cap. Growing one replicate at a time makes
     /// the final count the smallest prefix satisfying the policy — the
-    /// same count at any worker count, on any peer.
+    /// same count at any worker count, on any peer. The replicates are
+    /// decoded only when the CI target decides
+    /// ([`Replication::decided_by_count`](malec_core::stats::Replication::decided_by_count)).
     fn grow(&mut self, k: usize) -> Vec<WorkUnit> {
         let rep = self.spec.replication;
         let cluster = &self.clusters[k];
@@ -321,20 +326,21 @@ impl Job {
         else {
             return Vec::new(); // a member still has pending replicates
         };
-        let converged = match (cluster.alpha, reps.as_slice()) {
-            (Some(alpha), [base, cand]) => paired_converged(
-                &rep,
-                alpha,
-                base.iter().zip(cand).map(|(b, c)| (b.as_ref(), c.as_ref())),
-            ),
-            _ => reps
+        // Every member holds the same count: the cluster grows jointly.
+        let n = reps.first().map_or(0, Vec::len) as u32;
+        let converged = rep.decided_by_count(u64::from(n)).unwrap_or_else(|| {
+            let reps: Vec<Vec<RunSummary>> = reps
                 .iter()
-                .all(|r| rep.converged(r.iter().map(Arc::as_ref))),
-        };
+                .map(|r| r.iter().map(StoredSummary::decode).collect())
+                .collect();
+            match (cluster.alpha, reps.as_slice()) {
+                (Some(alpha), [base, cand]) => paired_converged(&rep, alpha, base.iter().zip(cand)),
+                _ => reps.iter().all(|r| rep.converged(r)),
+            }
+        });
         let configs = cluster.configs.clone();
         if converged {
             self.clusters[k].converged = true;
-            let n = reps.first().map_or(0, Vec::len) as u32;
             if n < rep.seeds {
                 let labels: Vec<String> = configs
                     .iter()
@@ -763,7 +769,8 @@ impl Engine {
 
     /// The done job's per-config replicate summaries, or `None` for an
     /// unknown id, or `Some(Err(status))` while the job is running or after
-    /// it failed.
+    /// it failed. The stored bodies are decoded here, outside the jobs
+    /// lock.
     pub fn job_results(&self, job: JobId) -> Option<Result<JobResults, JobView>> {
         let (spec, groups, wall_seconds) = {
             let jobs = lock(&self.inner.jobs);
@@ -771,7 +778,7 @@ impl Engine {
             if !j.done() {
                 return Some(Err(j.status()));
             }
-            let groups: Vec<Vec<Arc<RunSummary>>> = (0..j.spec.configs.len())
+            let groups: Vec<Vec<StoredSummary>> = (0..j.spec.configs.len())
                 .map(|c| {
                     j.replicates(c)
                         .expect("job is done, every replicate finished")
@@ -781,7 +788,7 @@ impl Engine {
         };
         let groups = groups
             .iter()
-            .map(|reps| reps.iter().map(|s| (**s).clone()).collect())
+            .map(|reps| reps.iter().map(StoredSummary::decode).collect())
             .collect();
         Some(Ok(JobResults {
             spec,
@@ -864,11 +871,11 @@ impl Engine {
         lock(&self.inner.cells).cache.compact()
     }
 
-    /// The live record set as shared summaries plus the exact cache-log
-    /// byte length of the `GET /v1/cache/sync` body a fresh peer warms up
-    /// from — the chunked sync handler streams from this without
+    /// The live record set as shared stored bodies plus the exact
+    /// cache-log byte length of the `GET /v1/cache/sync` body a fresh peer
+    /// warms up from — the chunked sync handler streams from this without
     /// materializing the whole log.
-    pub fn sync_records(&self) -> (Vec<(u128, Arc<RunSummary>)>, u64) {
+    pub fn sync_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
         lock(&self.inner.cells).cache.live_records()
     }
 
@@ -889,13 +896,14 @@ impl Engine {
     }
 
     /// One cached record in single-record cache-log format (header + one
-    /// record), or `None` on a miss — the `GET /v1/cache/record/<key>`
-    /// response body. Counts as a cache hit: a peer fetching this record
-    /// is serving it to a job, same as a local lookup would.
+    /// record framing the stored body), or `None` on a miss — the
+    /// `GET /v1/cache/record/<key>` response body. Counts as a cache hit:
+    /// a peer fetching this record is serving it to a job, same as a local
+    /// lookup would.
     pub fn cache_record(&self, key: u128) -> Option<Vec<u8>> {
-        let summary = lock(&self.inner.cells).cache.lookup(key)?;
+        let stored = lock(&self.inner.cells).cache.lookup(key)?;
         let mut body = crate::cache::log_header().to_vec();
-        body.extend_from_slice(&crate::cache::encode_record(key, &summary));
+        write_record(&mut body, key, &stored);
         Some(body)
     }
 
@@ -998,7 +1006,7 @@ fn worker_loop(inner: &EngineInner) {
 
 /// What the claim step decided for one unit.
 enum Claim {
-    Hit(Arc<RunSummary>),
+    Hit(StoredSummary),
     Parked,
     Run,
 }
@@ -1016,7 +1024,7 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
         let mut cells = lock(&inner.cells);
         let Cells { cache, in_flight } = &mut *cells;
         match cache.lookup(key) {
-            Some(summary) => Claim::Hit(summary),
+            Some(stored) => Claim::Hit(stored),
             None => match in_flight.get_mut(&key) {
                 Some(waiters) => {
                     waiters.push((unit.job, unit.cell));
@@ -1031,7 +1039,7 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
         }
     };
     match claim {
-        Claim::Hit(summary) => finish_cell(inner, unit.job, unit.cell, summary, Provenance::Cached),
+        Claim::Hit(stored) => finish_cell(inner, unit.job, unit.cell, stored, Provenance::Cached),
         Claim::Parked => {}
         Claim::Run => {
             // Sharded serving: a cell of a cluster this peer does not own is
@@ -1043,9 +1051,9 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
             if let Some(shard) = shard.filter(|s| !s.is_owner(unit.route)) {
                 let owner = shard.owner(unit.route);
                 match fetch_from_owner(owner, key) {
-                    Ok(summary) => {
+                    Ok(stored) => {
                         lock(&inner.cells).cache.count_fetched();
-                        complete_run(inner, &unit, key, &Arc::new(summary), Provenance::Fetched);
+                        complete_run(inner, &unit, key, &stored, Provenance::Fetched);
                         return;
                     }
                     Err(failure) => eprintln!(
@@ -1063,21 +1071,23 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
             // The per-cell panic guard: a panicking simulation (real bug
             // or the worker.panic failpoint) fails this cell — and every
             // waiter parked on it — with the panic payload, instead of
-            // killing the worker thread.
+            // killing the worker thread. The summary is encoded once,
+            // here; every later holder shares that body.
             let simulated = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 if let Some(FaultAction::Panic) = inner.faults.check("worker.panic") {
                     panic!("injected worker panic (failpoint worker.panic)");
                 }
-                Simulator::new(unit.config.clone())
+                let summary = Simulator::new(unit.config.clone())
                     .run_source(
                         &ScenarioSource::Scenario((*unit.scenario).clone()),
                         unit.insts,
                         replicate_seed(unit.seed, replicate),
                     )
-                    .expect("generator sources cannot fail")
+                    .expect("generator sources cannot fail");
+                StoredSummary::encode(&summary)
             }));
-            let summary = match simulated {
-                Ok(summary) => Arc::new(summary),
+            let stored = match simulated {
+                Ok(stored) => stored,
                 Err(payload) => {
                     // Release the claim first: a resubmitted cell must be
                     // able to start a fresh simulation, not park behind a
@@ -1101,25 +1111,26 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
                     return;
                 }
             };
-            complete_run(inner, &unit, key, &summary, Provenance::Simulated);
+            complete_run(inner, &unit, key, &stored, Provenance::Simulated);
         }
     }
 }
 
 /// Lands a completed cell, however it completed (own simulation or a fetch
-/// from the owning peer): publishes the summary and releases the in-flight
-/// claim under one lock, persists outside it, then finishes the owning cell
-/// with `provenance` and every parked waiter as [`Provenance::Coalesced`].
+/// from the owning peer): publishes the stored body and releases the
+/// in-flight claim under one lock, persists outside it, then finishes the
+/// owning cell with `provenance` and every parked waiter as
+/// [`Provenance::Coalesced`], all sharing the one body.
 fn complete_run(
     inner: &EngineInner,
     unit: &WorkUnit,
     key: u128,
-    summary: &Arc<RunSummary>,
+    stored: &StoredSummary,
     provenance: Provenance,
 ) {
     let (waiters, appender) = {
         let mut cells = lock(&inner.cells);
-        cells.cache.insert(key, Arc::clone(summary));
+        cells.cache.insert(key, stored.clone());
         (
             cells.in_flight.remove(&key).unwrap_or_default(),
             cells.cache.appender(),
@@ -1129,7 +1140,7 @@ fn complete_run(
     // concurrent claim steps. The key is already resident in memory, so
     // no other worker can race this append.
     if let Some(appender) = appender {
-        match appender.append(key, summary) {
+        match appender.append(key, stored) {
             Ok(bytes) => {
                 let mut cells = lock(&inner.cells);
                 cells.cache.note_appended(bytes);
@@ -1141,9 +1152,9 @@ fn complete_run(
             Err(e) => eprintln!("malec-serve: cache append failed: {e}"),
         }
     }
-    finish_cell(inner, unit.job, unit.cell, Arc::clone(summary), provenance);
+    finish_cell(inner, unit.job, unit.cell, stored.clone(), provenance);
     for (job, cell) in waiters {
-        finish_cell(inner, job, cell, Arc::clone(summary), Provenance::Coalesced);
+        finish_cell(inner, job, cell, stored.clone(), Provenance::Coalesced);
     }
 }
 
@@ -1153,13 +1164,13 @@ const PEER_RETRIES: u32 = 2;
 /// How long a scatter thread waits for a forwarded sub-job to finish.
 const FORWARD_TIMEOUT: Duration = Duration::from_secs(600);
 
-/// Asks `owner` for the record of `key` over the retrying client. Every
-/// failure maps to [`FailureKind::Unavailable`]; the caller's recourse is
-/// local simulation, never failing the cell.
-fn fetch_from_owner(owner: &str, key: u128) -> Result<RunSummary, Failure> {
+/// Asks `owner` for the record of `key` over the retrying client, keeping
+/// its body as stored. Every failure maps to [`FailureKind::Unavailable`];
+/// the caller's recourse is local simulation, never failing the cell.
+fn fetch_from_owner(owner: &str, key: u128) -> Result<StoredSummary, Failure> {
     Client::new(owner)
         .with_retry(RetryPolicy::retries(PEER_RETRIES))
-        .fetch_record(key)
+        .fetch_stored(key)
         .map_err(|e| Failure::new(FailureKind::Unavailable, e))
 }
 
@@ -1270,7 +1281,7 @@ fn finish_cell(
     inner: &EngineInner,
     job: JobId,
     (config, replicate): CellId,
-    summary: Arc<RunSummary>,
+    stored: StoredSummary,
     provenance: Provenance,
 ) {
     let new_units = {
@@ -1280,7 +1291,7 @@ fn finish_cell(
         };
         let slot = &mut j.cells[config][replicate as usize];
         if matches!(slot, CellState::Pending) {
-            *slot = CellState::Done(summary, provenance);
+            *slot = CellState::Done(stored, provenance);
         }
         let cluster = j.clusters.iter().position(|k| k.configs.contains(&config));
         let new_units = cluster.map(|k| j.grow(k)).unwrap_or_default();
@@ -1450,7 +1461,7 @@ mod tests {
         // same seeds — the endpoint is pure aggregation, no simulation.
         use malec_core::{ScenarioSource, Simulator};
         use malec_trace::replicate_seed;
-        let source = ScenarioSource::Scenario(spec.scenario.clone());
+        let source = ScenarioSource::Scenario((*spec.scenario).clone());
         let runs = |cfg: &malec_types::SimConfig| -> Vec<malec_core::RunSummary> {
             (0..4)
                 .map(|r| {
@@ -1741,7 +1752,7 @@ mod tests {
         let results = results_at(2, &spec);
         let single = Simulator::new(SimConfig::malec())
             .run_source(
-                &ScenarioSource::Scenario(spec.scenario.clone()),
+                &ScenarioSource::Scenario((*spec.scenario).clone()),
                 spec.insts,
                 spec.seed,
             )

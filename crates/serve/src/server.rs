@@ -583,8 +583,8 @@ fn handle_submit(stream: &mut TcpStream, engine: &Engine, request: &Request) {
 /// large the live set is.
 const SYNC_CHUNK_RECORDS: usize = 64;
 
-/// Streams the live record set in cache-log format, encoding bounded
-/// chunks from a snapshot of shared summaries instead of materializing the
+/// Streams the live record set in cache-log format, framing bounded
+/// chunks of the stored bodies from a snapshot instead of materializing the
 /// whole log as one buffer. Stream errors are logged, not swallowed.
 fn handle_cache_sync(stream: &mut TcpStream, engine: &Engine) {
     if let Err(e) = stream_cache_sync(stream, engine) {
@@ -611,8 +611,8 @@ fn stream_cache_sync(stream: &mut TcpStream, engine: &Engine) -> io::Result<()> 
     for chunk in records.chunks(SYNC_CHUNK_RECORDS) {
         engine.faults().check_delay("cache.sync.stall");
         buf.clear();
-        for (key, summary) in chunk {
-            buf.extend_from_slice(&crate::cache::encode_record(*key, summary));
+        for (key, stored) in chunk {
+            crate::cache::write_record(&mut buf, *key, stored);
         }
         stream.write_all(&buf)?;
         stream.flush()?;

@@ -7,8 +7,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use malec_core::compare::Alpha;
+use malec_core::digest::MAX_STR;
 use malec_core::stats::{CiMetric, Replication};
 use malec_trace::benchmark_named;
 use malec_trace::scenario::{
@@ -35,8 +37,9 @@ const MAX_SEEDS: u32 = 1024;
 /// A fully resolved sweep spec.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
-    /// The composed scenario.
-    pub scenario: Scenario,
+    /// The composed scenario, shared by every job and work unit planned
+    /// from this spec.
+    pub scenario: Arc<Scenario>,
     /// Configurations to sweep over.
     pub configs: Vec<SimConfig>,
     /// Instructions per cell.
@@ -339,6 +342,14 @@ fn parse_scenario(root: &Table) -> Result<Scenario, SpecError> {
         return found.ok_or_else(|| bad(format!("[scenario]: unknown {mode} `{name}`")));
     }
     let name = get_str(t, "name", "[scenario]")?.to_owned();
+    // Every cell's summary carries the name, and the cache codec holds
+    // strings to MAX_STR bytes.
+    if name.len() > MAX_STR {
+        return Err(bad(format!(
+            "[scenario]: `name` is {} bytes, over the {MAX_STR}-byte limit",
+            name.len()
+        )));
+    }
     match mode {
         "phased" => {
             reject_unknown_keys(t, &["mode", "name", "phase"], "[scenario]")?;
@@ -552,7 +563,7 @@ pub fn parse_spec(input: &str) -> Result<SweepSpec, SpecError> {
         .map(str::to_owned)
         .unwrap_or_else(|| format!("{}_compare.json", scenario.name));
     let spec = SweepSpec {
-        scenario,
+        scenario: Arc::new(scenario),
         configs,
         insts,
         seed,
@@ -888,9 +899,32 @@ mtr = "demo.mtr"
         let spec =
             parse_spec("[scenario]\nmode = \"benchmark\"\nbenchmark = \"gzip\"\n").expect("parses");
         let gzip = benchmark_named("gzip").expect("gzip exists");
-        assert_eq!(spec.scenario, Scenario::benchmark(gzip));
+        assert_eq!(*spec.scenario, Scenario::benchmark(gzip));
         assert_eq!(spec.scenario.name, "gzip");
         assert_eq!(spec.out, "gzip_report.json");
+    }
+
+    #[test]
+    fn scenario_names_are_held_to_the_codec_string_limit() {
+        let doc = |name: &str| {
+            format!(
+                "[scenario]\nname = \"{name}\"\n[[scenario.phase]]\nkind = \"tlb_thrash\"\n\
+                 insts = 5\n"
+            )
+        };
+        let longest = "n".repeat(MAX_STR);
+        assert_eq!(
+            parse_spec(&doc(&longest))
+                .expect("at the limit")
+                .scenario
+                .name,
+            longest
+        );
+        let err = parse_spec(&doc(&format!("{longest}n"))).expect_err("past the limit");
+        assert!(
+            err.to_string().contains("over the 4096-byte limit"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -316,10 +316,13 @@ fn dead_export_flags_pub_items_only_a_reexport_names() {
     assert_eq!(
         places(&report),
         [
+            ("crates/demo/src/lib.rs", 2),
+            ("crates/demo/src/lib.rs", 2),
             ("crates/demo/src/util.rs", 1),
             ("crates/demo/src/util.rs", 2)
         ],
-        "the orphan and the re-exported-only fn, never pub(crate):\n{}",
+        "the orphan and the re-exported-only fn, never pub(crate), and both \
+         re-exports, which nothing reaches through the root:\n{}",
         report.render(false)
     );
     assert!(report.findings.iter().all(|f| f.lint == "dead-export"));
@@ -401,10 +404,12 @@ fn dead_export_type_exception_skips_own_tests_and_reexports() {
     assert_eq!(
         places(&report),
         [
+            ("crates/demo/src/lib.rs", 2),
             ("crates/demo/src/shape.rs", 1),
             ("crates/demo/src/shape.rs", 2)
         ],
-        "a type named only by its own tests or a re-export is dead:\n{}",
+        "a type named only by its own tests or a re-export is dead, and so \
+         is the root re-export itself:\n{}",
         report.render(false)
     );
 }
@@ -483,9 +488,11 @@ fn dead_export_skips_modules_reexports_fields_and_variants() {
          \x20   UnnamedVariant,\n\
          }\n",
     );
+    // The root re-export is reached through the root, so the root-path
+    // rule has nothing to say either.
     let it = src(
         "tests/it.rs",
-        "fn f(_: demo::shape::Point, _: demo::shape::Dir) {}\n",
+        "fn f(_: demo::shape::Point, _: demo::shape::Dir, _: malec_demo::Spot) {}\n",
     );
     let report = analyze(&[lib, shape, it], &["dead-export"]);
     assert!(report.findings.is_empty(), "{}", report.render(false));
@@ -557,6 +564,107 @@ fn dead_export_ignores_names_in_comments_and_string_literals() {
         places(&report),
         [("crates/demo/src/util.rs", 1)],
         "{}",
+        report.render(false)
+    );
+}
+
+#[test]
+fn dead_export_flags_root_reexports_no_file_reaches_through_the_root() {
+    let lib = src(
+        "crates/demo/src/lib.rs",
+        "pub mod util;\n\
+         pub use util::{Reached, ViaModule};\n\
+         pub use util::Quoted as Renamed;\n\
+         pub use util::{nested::{self, Deep}};\n\
+         // malec_demo::ViaModule, in the root's own comment\n\
+         fn own() -> util::Reached { malec_demo::Deep }\n",
+    );
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub struct Reached;\n\
+         pub struct ViaModule;\n\
+         pub struct Quoted;\n\
+         pub mod nested { pub struct Deep; }\n\
+         // A re-export outside a crate root is not weighed.\n\
+         pub use self::Quoted as Unweighed;\n",
+    );
+    let it = src(
+        "tests/it.rs",
+        "use malec_demo::Reached;\n\
+         fn f(_: Reached, _: malec_demo::util::ViaModule, _: malec_demo::util::nested::Deep) {}\n\
+         // malec_demo::Renamed\n\
+         const S: &str = \"malec_demo::nested\";\n\
+         fn g(_: demo::Quoted, _: malec_demo::{util::Quoted}) {}\n",
+    );
+    let report = analyze(&[lib, util, it], &["dead-export"]);
+    assert_eq!(
+        places(&report),
+        [
+            ("crates/demo/src/lib.rs", 2),
+            ("crates/demo/src/lib.rs", 3),
+            ("crates/demo/src/lib.rs", 4),
+            ("crates/demo/src/lib.rs", 4)
+        ],
+        "module paths, comments, strings, other crates' roots and the root's \
+         own file never reach a root name:\n{}",
+        report.render(false)
+    );
+    let named: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or_default())
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "malec_demo::ViaModule",
+            "malec_demo::Renamed",
+            "malec_demo::nested",
+            "malec_demo::Deep"
+        ]
+    );
+}
+
+#[test]
+fn dead_export_keeps_root_reexports_reached_through_the_root() {
+    let lib = src(
+        "crates/demo/src/lib.rs",
+        "pub mod digest;\n\
+         pub mod util;\n\
+         pub use digest::digest;\n\
+         pub use util::{Mode, Plain, Grouped, Renamed as Alias, nested::{self, Deep}};\n\
+         pub use util::*;\n",
+    );
+    let util = src(
+        "crates/demo/src/util.rs",
+        "pub enum Mode { On }\n\
+         pub struct Plain;\n\
+         pub struct Grouped;\n\
+         pub struct Renamed;\n\
+         pub mod nested { pub struct Deep; }\n",
+    );
+    // The item rule needs its own user of the renamed struct.
+    let digest = src(
+        "crates/demo/src/digest.rs",
+        "pub fn digest() {}\nfn own(_: crate::util::Renamed) {}\n",
+    );
+    let users = src(
+        "perfbench/src/main.rs",
+        "use malec_demo::{\n\
+         \x20   Grouped,\n\
+         \x20   Alias as Local,\n\
+         \x20   Mode::On,\n\
+         \x20   digest,\n\
+         \x20   nested::Deep as _,\n\
+         };\n\
+         fn f() -> malec_demo::Plain { let _ = (Grouped, Local, On); digest(); malec_demo::Plain }\n\
+         fn g(_: malec_demo::Deep) {}\n",
+    );
+    let report = analyze(&[lib, util, digest, users], &["dead-export"]);
+    assert!(
+        report.findings.is_empty(),
+        "a plain path, a group item, a rename, an enum path, a name shared \
+         with a module and a `self` leaf all count:\n{}",
         report.render(false)
     );
 }

@@ -80,8 +80,8 @@ fn assert_memory_matches_disk(capped: &mut ResultCache, path: &Path) {
                 "key {key:#x} serves from memory but is absent from the log"
             );
             prop_assert_eq!(
-                digest(&served),
-                digest(&on_disk.expect("checked")),
+                digest(&served.decode()),
+                digest(&on_disk.expect("checked").decode()),
                 "key {:#x}: memory and cold reopen disagree",
                 key
             );
@@ -306,8 +306,10 @@ fn eviction_generated_dead_bytes_trigger_auto_compaction() {
     });
     let client = Client::new(server.addr().to_string());
 
-    // Distinct seeds make distinct cells: fill well past the cap.
-    for seed in 0..12u64 {
+    // Distinct seeds make distinct cells: fill well past the cap, and
+    // past the 4,096-byte floor below which a log never auto-compacts
+    // (24 records of about 250 bytes append about 6 KB).
+    for seed in 0..24u64 {
         let spec = format!(
             "[scenario]\nmode = \"preset\"\npreset = \"store_burst\"\n\
              [sweep]\nconfigs = [\"MALEC\"]\ninsts = 1500\nseed = {seed}\n",
