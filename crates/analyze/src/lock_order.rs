@@ -1,12 +1,14 @@
 //! Lock-order pass: the serve layer's deadlock-freedom argument,
 //! machine-checked.
 //!
-//! `crates/serve` holds several mutexes (`cells`, `jobs`, `queue`,
-//! `handles`, `shard`, the fault registry's `points`, the appender's
-//! `inner`) and avoids deadlock purely by convention: no lock is taken
-//! while another is held, and every acquisition must route through the
-//! poison-recovering `serve::sync::lock` funnel so a panicking worker can
-//! never wedge its peers.
+//! `crates/serve` holds five mutexes (`cells`, `jobs`, `queue`, `handles`
+//! and the fault registry's `points`) and avoids deadlock purely by
+//! convention: no lock is taken while another is held, except the fault
+//! registry's leaf lock, which a failpoint check inside a cache write takes
+//! under `cells` when a schedule is armed and which never takes another.
+//! Every acquisition must route through the poison-recovering
+//! `serve::sync::lock` funnel so a panicking worker can never wedge its
+//! peers.
 //!
 //! The pass walks each function in `crates/serve/src`, models guard
 //! lifetimes (a `let`-bound guard lives to the end of its block or an

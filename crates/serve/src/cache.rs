@@ -47,10 +47,9 @@
 //! with the wrong magic or version is still refused rather than silently
 //! rebuilt — deleting a stale cache is an operator decision.
 //!
-//! Replay is **last-record-wins**: a duplicate-key append (a resubmission
-//! racing a failed-append rollback, or a compaction racing a pending
-//! append) is legal on disk, and reopening keeps only the newest record
-//! per key. Records written under a superseded `KEY_VERSION` are skipped
+//! Replay is **last-record-wins**: a duplicate-key append (a key inserted
+//! again after the size cap evicted it) is legal on disk, and reopening
+//! keeps only the newest record per key. Records written under a superseded `KEY_VERSION` are skipped
 //! without decoding — their keys can never be looked up again. Both kinds
 //! of superseded record are *dead bytes*: they stay on disk until
 //! [`compact`](ResultCache::compact) rewrites the log with only the live
@@ -72,18 +71,22 @@
 //! acknowledged record), and `fsync` runs either per append (`always`) or
 //! once at graceful shutdown (`on-close`, the default — an OS crash can
 //! lose the page-cache tail, which recovery then truncates). A *failed*
-//! append — disk error, or the [`cache.append.torn`](crate::fault)
+//! write — disk error, or the [`cache.append.torn`](crate::fault)
 //! failpoint — is rolled back in place (`set_len` to the last good byte)
-//! so a live server's log never accumulates mid-file damage.
+//! so a live server's log never accumulates mid-file damage. A record
+//! counts as on disk once its write lands, so a failed `fsync` (the
+//! `cache.append.fsync` failpoint) cannot move the rollback point behind it.
+//!
+//! A `ResultCache` owns its log and takes no lock: the engine holds it
+//! under its one `cells` mutex, so an [`insert`](ResultCache::insert)
+//! places, caps, appends and compacts under that one lock.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
-
-use crate::sync::lock;
+use std::sync::Arc;
 
 use malec_core::digest::{summary_from_bytes, summary_to_bytes};
 use malec_core::RunSummary;
@@ -207,85 +210,6 @@ pub struct CacheStats {
     pub compactions: u64,
 }
 
-/// The log file plus the high-water mark of its last known-good record
-/// boundary — the rollback point for failed appends.
-#[derive(Debug)]
-struct AppendFile {
-    file: File,
-    good_len: u64,
-}
-
-/// A shareable append handle to the cache log, locked independently of the
-/// in-memory map: the scheduler appends a fresh cell's stored body
-/// **outside** the map mutex, so a disk flush never blocks concurrent
-/// claim-step lookups (or the stats endpoint).
-#[derive(Clone, Debug)]
-pub struct LogAppender {
-    inner: Arc<Mutex<AppendFile>>,
-    fsync: FsyncPolicy,
-    faults: Arc<Faults>,
-}
-
-impl LogAppender {
-    /// Appends one record and flushes (a crash after `append` returns must
-    /// not lose the record). Returns the bytes written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the log file. A failed append — a real
-    /// short write, or the `cache.append.torn` failpoint — is rolled back
-    /// to the last good record boundary before the error returns, so the
-    /// live log never carries mid-file damage into later appends.
-    pub fn append(&self, key: u128, stored: &StoredSummary) -> io::Result<u64> {
-        let mut rec = Vec::with_capacity(stored.record_len() as usize);
-        write_record(&mut rec, key, stored);
-
-        let mut log = lock(&self.inner);
-        let written = match self.faults.check("cache.append.torn") {
-            Some(FaultAction::Torn { keep }) => {
-                let keep = (keep as usize).min(rec.len());
-                // analyze: allow(panic-surface) keep is clamped to rec.len() on the line above
-                log.file.write_all(&rec[..keep]).and_then(|()| {
-                    Err(io::Error::other(
-                        "injected torn append (failpoint cache.append.torn)",
-                    ))
-                })
-            }
-            _ => log.file.write_all(&rec),
-        };
-        match written {
-            Ok(()) => {
-                if self.fsync == FsyncPolicy::Always {
-                    log.file.sync_data()?;
-                }
-                log.good_len += rec.len() as u64;
-                Ok(rec.len() as u64)
-            }
-            Err(e) => {
-                // Roll the torn bytes back; best-effort — if even the
-                // truncate fails, reopen-time recovery still salvages the
-                // prefix before the damage.
-                let good = log.good_len;
-                let _ = log
-                    .file
-                    .set_len(good)
-                    .and_then(|()| log.file.seek(SeekFrom::Start(good)));
-                Err(e)
-            }
-        }
-    }
-
-    /// Forces the log to stable storage (`fsync`). Graceful shutdown calls
-    /// this regardless of policy; `FsyncPolicy::Always` makes it a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `fsync` failure.
-    pub fn sync(&self) -> io::Result<()> {
-        lock(&self.inner).file.sync_all()
-    }
-}
-
 /// One cached cell as it is held: the summary's v4 body (see
 /// [`malec_core::digest`](mod@malec_core::digest)), shared and immutable.
 /// Cloning shares the bytes. Every body is either encoded here or proven
@@ -353,6 +277,23 @@ pub struct SyncReport {
     pub damaged: Option<String>,
 }
 
+/// The persisted half of a [`ResultCache`]: the log file, the end of its
+/// last known-good record (the rollback point for a failed write), where
+/// it lives, when it is fsynced, and the failpoints its writes check.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    good_len: u64,
+    path: PathBuf,
+    fsync: FsyncPolicy,
+    faults: Arc<Faults>,
+}
+
+/// Auto-compaction floor: a log smaller than this never auto-compacts,
+/// whatever its dead ratio — rewriting a near-empty log over and over buys
+/// nothing.
+const AUTO_COMPACT_FLOOR: u64 = 4096;
+
 /// The in-memory map plus its append-only persistence.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -363,8 +304,9 @@ pub struct ResultCache {
     clock: u64,
     /// Live-byte cap; past it the LRU tail is evicted from memory.
     max_bytes: Option<u64>,
-    log: Option<LogAppender>,
-    path: Option<PathBuf>,
+    /// Dead-byte ratio past which an insert compacts the log.
+    compact_threshold: Option<f64>,
+    log: Option<Log>,
     stats: CacheStats,
 }
 
@@ -376,8 +318,8 @@ impl ResultCache {
             lru: BTreeMap::new(),
             clock: 0,
             max_bytes: None,
+            compact_threshold: None,
             log: None,
-            path: None,
             stats: CacheStats::default(),
         }
     }
@@ -493,15 +435,13 @@ impl ResultCache {
         cache.stats.entries = cache.map.len() as u64;
         cache.stats.loaded = cache.map.len() as u64;
         cache.stats.log_bytes = good_end;
-        cache.log = Some(LogAppender {
-            inner: Arc::new(Mutex::new(AppendFile {
-                file,
-                good_len: good_end,
-            })),
+        cache.log = Some(Log {
+            file,
+            good_len: good_end,
+            path: path.to_owned(),
             fsync,
             faults,
         });
-        cache.path = Some(path.to_owned());
         Ok(cache)
     }
 
@@ -512,6 +452,15 @@ impl ResultCache {
     pub fn with_max_bytes(mut self, max: Option<u64>) -> Self {
         self.max_bytes = max;
         self.enforce_cap();
+        self
+    }
+
+    /// Compacts the log from the first insert whose append leaves dead
+    /// records at `threshold` or more of its payload (and the log at 4 KiB
+    /// or more). `None`, the default, compacts only on request.
+    #[must_use]
+    pub fn with_compact_threshold(mut self, threshold: Option<f64>) -> Self {
+        self.compact_threshold = threshold;
         self
     }
 
@@ -540,19 +489,28 @@ impl ResultCache {
         self.stats.fetched += 1;
     }
 
-    /// Inserts a stored cell into the in-memory map (replacing any entry
-    /// the key already had) and enforces the size cap — the just-inserted
+    /// Inserts a stored cell: places it in the map (replacing any entry
+    /// the key already had), enforces the size cap — the just-inserted
     /// entry is never the one evicted, so the cap can be exceeded by at
-    /// most one record. Persistence is separate: append through
-    /// [`appender`](Self::appender) (outside the map lock) and record the
-    /// outcome with [`note_appended`](Self::note_appended), or use
-    /// [`insert_persist`](Self::insert_persist) where lock splitting does
-    /// not matter.
-    pub fn insert(&mut self, key: u128, stored: StoredSummary) {
-        if !self.place(key, stored) {
+    /// most one record — appends its record to the log, and compacts the
+    /// log once its dead bytes cross the
+    /// [threshold](Self::with_compact_threshold). An in-memory cache only
+    /// places and caps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the append's I/O error; the cell stays in memory. A
+    /// failed write is cut back to the last good record boundary; a failed
+    /// `fsync` leaves its record in the log. A failed auto-compaction is
+    /// only logged: the live log is untouched.
+    pub fn insert(&mut self, key: u128, stored: StoredSummary) -> io::Result<()> {
+        if !self.place(key, stored.clone()) {
             self.stats.entries += 1;
         }
         self.enforce_cap();
+        self.append(key, &stored)?;
+        self.auto_compact();
+        Ok(())
     }
 
     /// Places one entry, replacing any previous record for the key and
@@ -606,38 +564,70 @@ impl ResultCache {
         }
     }
 
-    /// The log's append handle, if this cache is persisted.
-    pub fn appender(&self) -> Option<LogAppender> {
-        self.log.clone()
-    }
-
-    /// Records bytes a [`LogAppender::append`] wrote (the appender runs
-    /// outside this struct's lock, so the stat arrives separately).
-    pub fn note_appended(&mut self, bytes: u64) {
-        self.stats.bytes_appended += bytes;
-        self.stats.log_bytes += bytes;
-    }
-
-    /// Encodes `summary`, then [`insert`](Self::insert)s it with a
-    /// synchronous log append — the convenience path for tests and
-    /// single-threaded embedders.
-    ///
-    /// # Errors
-    ///
-    /// Propagates log-append I/O errors (the in-memory insert still took
-    /// effect).
-    pub fn insert_persist(&mut self, key: u128, summary: Arc<RunSummary>) -> io::Result<()> {
-        self.store(key, StoredSummary::encode(&summary))
-    }
-
-    /// [`insert`](Self::insert) plus a synchronous log append.
-    fn store(&mut self, key: u128, stored: StoredSummary) -> io::Result<()> {
-        self.insert(key, stored.clone());
-        if let Some(log) = self.appender() {
-            let bytes = log.append(key, &stored)?;
-            self.note_appended(bytes);
+    /// Appends one record to the log, if persisted. The record counts as
+    /// on disk once its write lands, before the `fsync` under `always`.
+    fn append(&mut self, key: u128, stored: &StoredSummary) -> io::Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        let mut rec = Vec::with_capacity(stored.record_len() as usize);
+        write_record(&mut rec, key, stored);
+        let written = match log.faults.check("cache.append.torn") {
+            Some(FaultAction::Torn { keep }) => {
+                let keep = (keep as usize).min(rec.len());
+                // analyze: allow(panic-surface) keep is clamped to rec.len() on the line above
+                log.file.write_all(&rec[..keep]).and_then(|()| {
+                    Err(io::Error::other(
+                        "injected torn append (failpoint cache.append.torn)",
+                    ))
+                })
+            }
+            _ => log.file.write_all(&rec),
+        };
+        if let Err(e) = written {
+            // Roll the torn bytes back; best-effort — if even the
+            // truncate fails, reopen-time recovery still salvages the
+            // prefix before the damage.
+            let good = log.good_len;
+            let _ = log
+                .file
+                .set_len(good)
+                .and_then(|()| log.file.seek(SeekFrom::Start(good)));
+            return Err(e);
+        }
+        let len = rec.len() as u64;
+        log.good_len += len;
+        self.stats.bytes_appended += len;
+        self.stats.log_bytes += len;
+        if log.fsync == FsyncPolicy::Always {
+            if let Some(FaultAction::Error) = log.faults.check("cache.append.fsync") {
+                return Err(io::Error::other(
+                    "injected fsync failure (failpoint cache.append.fsync)",
+                ));
+            }
+            log.file.sync_data()?;
         }
         Ok(())
+    }
+
+    /// The compaction trigger, run after every successful append: once
+    /// dead bytes reach the configured fraction of the log's payload (and
+    /// the log has passed the 4 KiB floor), rewrite it in place. A failed
+    /// compaction is logged and retried naturally at the next insert.
+    fn auto_compact(&mut self) {
+        let Some(threshold) = self.compact_threshold else {
+            return;
+        };
+        if self.stats.log_bytes < AUTO_COMPACT_FLOOR || self.dead_ratio() < threshold {
+            return;
+        }
+        match self.compact() {
+            Ok(o) => eprintln!(
+                "malec-serve: auto-compacted cache log {} -> {} bytes ({} live records)",
+                o.bytes_before, o.bytes_after, o.records
+            ),
+            Err(e) => eprintln!("malec-serve: auto-compaction failed: {e}"),
+        }
     }
 
     /// Counts one coalesced cell (see [`CacheStats::coalesced`]).
@@ -656,9 +646,9 @@ impl ResultCache {
     }
 
     /// The dead fraction of the log's record payload (0.0 for an empty or
-    /// in-memory cache) — the compaction trigger compares this against the
-    /// `--compact-threshold` ratio.
-    pub fn dead_ratio(&self) -> f64 {
+    /// in-memory cache) — what the compaction trigger compares against the
+    /// threshold.
+    fn dead_ratio(&self) -> f64 {
         let payload = self.stats.log_bytes.saturating_sub(HEADER_LEN);
         if payload == 0 {
             return 0.0;
@@ -671,9 +661,8 @@ impl ResultCache {
     /// atomically: the new log is written to `<path>.compact`, fsynced,
     /// and renamed over the old one. A crash at any point leaves either
     /// the old log intact (rename never ran; the temp is deleted at next
-    /// open) or the new log complete — never neither. Appends block for
-    /// the duration (the appender lock is held), which is the point: the
-    /// swap must not race a write to the old file.
+    /// open) or the new log complete — never neither. The cache owns its
+    /// log, so no append can race the swap.
     ///
     /// # Errors
     ///
@@ -682,17 +671,14 @@ impl ResultCache {
     /// the temp file mid-record and returns before the rename — the live
     /// log is untouched).
     pub fn compact(&mut self) -> io::Result<CompactOutcome> {
-        let log = self.log.clone().ok_or_else(|| {
-            io::Error::new(
+        let Some(log) = &mut self.log else {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "cache is in-memory; nothing to compact",
-            )
-        })?;
-        // analyze: allow(panic-surface) self.log is Some (checked above), and log and path are set together
-        let path = self.path.clone().expect("a persisted cache has a path");
-        let tmp = compact_path(&path);
-        let mut af = lock(&log.inner);
-        let bytes_before = af.good_len;
+            ));
+        };
+        let tmp = compact_path(&log.path);
+        let bytes_before = log.good_len;
 
         // The failpoint decides up front how many complete records the
         // "crash" lets through; the torn write below is what kill -9
@@ -722,11 +708,11 @@ impl ResultCache {
         }
         out.sync_all()?;
         drop(out);
-        std::fs::rename(&tmp, &path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        std::fs::rename(&tmp, &log.path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(&log.path)?;
         let len = file.seek(SeekFrom::End(0))?;
-        af.file = file;
-        af.good_len = len;
+        log.file = file;
+        log.good_len = len;
         self.stats.log_bytes = len;
         self.stats.compactions += 1;
         Ok(CompactOutcome {
@@ -756,10 +742,11 @@ impl ResultCache {
     }
 
     /// Streams a log-format record set (a `/v1/cache/sync` body) into this
-    /// cache, verifying each record's checksum and persisting every record
-    /// not already resident. Damage mid-stream keeps the verified prefix
-    /// and reports it in [`SyncReport::damaged`] — the receive side of
-    /// longest-valid-prefix recovery.
+    /// cache, verifying each record's checksum and
+    /// [`insert`](Self::insert)ing every record not already resident.
+    /// Damage mid-stream keeps the verified prefix and reports it in
+    /// [`SyncReport::damaged`] — the receive side of longest-valid-prefix
+    /// recovery.
     ///
     /// # Errors
     ///
@@ -777,7 +764,7 @@ impl ResultCache {
                     report.records += 1;
                     report.bytes += len;
                     if !self.map.contains_key(&key) {
-                        self.store(key, stored)?;
+                        self.insert(key, stored)?;
                         report.inserted += 1;
                     }
                 }
@@ -795,15 +782,15 @@ impl ResultCache {
     }
 
     /// Forces the persisted log to stable storage (no-op for an in-memory
-    /// cache). Graceful shutdown calls this so `FsyncPolicy::OnClose` gets
-    /// its one `fsync`.
+    /// cache). Graceful shutdown calls this regardless of policy, so
+    /// `FsyncPolicy::OnClose` gets its one `fsync`.
     ///
     /// # Errors
     ///
     /// Propagates the `fsync` failure.
     pub fn sync(&self) -> io::Result<()> {
         match &self.log {
-            Some(log) => log.sync(),
+            Some(log) => log.file.sync_all(),
             None => Ok(()),
         }
     }
@@ -815,7 +802,7 @@ impl ResultCache {
 
     /// The log path, if persisted.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.as_ref().map(|log| log.path.as_path())
     }
 }
 
@@ -1100,7 +1087,7 @@ mod tests {
         assert!(cache.lookup(key).is_none());
         cache.count_miss(); // the scheduler counts the miss when it claims
         cache
-            .insert_persist(key, Arc::new(sample(1)))
+            .insert(key, StoredSummary::encode(&sample(1)))
             .expect("insert");
         assert!(cache.lookup(key).is_some());
         let stats = cache.stats();
@@ -1115,12 +1102,8 @@ mod tests {
         let b = sample(8);
         {
             let mut cache = ResultCache::open(&path).expect("open fresh");
-            cache
-                .insert_persist(1, Arc::new(a.clone()))
-                .expect("insert");
-            cache
-                .insert_persist(2, Arc::new(b.clone()))
-                .expect("insert");
+            cache.insert(1, StoredSummary::encode(&a)).expect("insert");
+            cache.insert(2, StoredSummary::encode(&b)).expect("insert");
         }
         let mut cache = ResultCache::open(&path).expect("reopen");
         assert_eq!(cache.stats().loaded, 2);
@@ -1141,8 +1124,8 @@ mod tests {
         let full = HEADER_LEN + record_size(&a) + record_size(&b);
         {
             let mut cache = ResultCache::open(&path).expect("open fresh");
-            cache.insert_persist(1, Arc::new(a)).expect("insert");
-            cache.insert_persist(2, Arc::new(b)).expect("insert");
+            cache.insert(1, StoredSummary::encode(&a)).expect("insert");
+            cache.insert(2, StoredSummary::encode(&b)).expect("insert");
             let s = cache.stats();
             assert_eq!(s.log_bytes, full);
             assert_eq!(s.bytes_appended, full - HEADER_LEN);
@@ -1164,11 +1147,9 @@ mod tests {
         let a = sample(9);
         {
             let mut cache = ResultCache::open(&path).expect("open");
+            cache.insert(1, StoredSummary::encode(&a)).expect("insert");
             cache
-                .insert_persist(1, Arc::new(a.clone()))
-                .expect("insert");
-            cache
-                .insert_persist(2, Arc::new(sample(10)))
+                .insert(2, StoredSummary::encode(&sample(10)))
                 .expect("insert");
         }
         // Simulate a crash mid-append: cut into the second record.
@@ -1182,7 +1163,7 @@ mod tests {
             assert!(cache.lookup(1).is_some());
             assert!(cache.lookup(2).is_none());
             cache
-                .insert_persist(3, Arc::new(sample(11)))
+                .insert(3, StoredSummary::encode(&sample(11)))
                 .expect("append works");
         }
         let cache = ResultCache::open(&path).expect("reopen again");
@@ -1243,7 +1224,7 @@ mod tests {
         let stored = StoredSummary::encode(&s);
         assert_eq!(&stored.0[..], summary_to_bytes(&s), "the v4 body");
         let mut cache = ResultCache::in_memory();
-        cache.insert(3, stored.clone());
+        cache.insert(3, stored.clone()).expect("in memory");
         let hit = cache.lookup(3).expect("resident");
         assert!(Arc::ptr_eq(&hit.0, &stored.0), "a hit shares the body");
         let mut rec = Vec::new();
@@ -1273,14 +1254,12 @@ mod tests {
         let a = sample(21);
         {
             let mut cache = ResultCache::open(&path).expect("open");
+            cache.insert(1, StoredSummary::encode(&a)).expect("insert");
             cache
-                .insert_persist(1, Arc::new(a.clone()))
+                .insert(2, StoredSummary::encode(&sample(22)))
                 .expect("insert");
             cache
-                .insert_persist(2, Arc::new(sample(22)))
-                .expect("insert");
-            cache
-                .insert_persist(3, Arc::new(sample(23)))
+                .insert(3, StoredSummary::encode(&sample(23)))
                 .expect("insert");
         }
         // Flip one byte inside the SECOND record's body. Records are
@@ -1302,7 +1281,7 @@ mod tests {
         assert!(cache.lookup(2).is_none(), "damaged record never served");
         assert!(cache.lookup(3).is_none(), "records behind damage dropped");
         cache
-            .insert_persist(4, Arc::new(sample(24)))
+            .insert(4, StoredSummary::encode(&sample(24)))
             .expect("truncated log stays appendable");
         drop(cache);
         let cache = ResultCache::open(&path).expect("reopen");
@@ -1320,10 +1299,10 @@ mod tests {
             let mut cache =
                 ResultCache::open_with(&path, FsyncPolicy::Always, faults.clone()).expect("open");
             cache
-                .insert_persist(1, Arc::new(sample(31)))
+                .insert(1, StoredSummary::encode(&sample(31)))
                 .expect("first append clean");
             let err = cache
-                .insert_persist(2, Arc::new(sample(32)))
+                .insert(2, StoredSummary::encode(&sample(32)))
                 .expect_err("second append torn");
             assert!(err.to_string().contains("injected torn append"), "{err}");
             // In-memory entry survives the failed persist; the log rolled
@@ -1331,7 +1310,7 @@ mod tests {
             // a clean boundary.
             assert!(cache.lookup(2).is_some());
             cache
-                .insert_persist(3, Arc::new(sample(33)))
+                .insert(3, StoredSummary::encode(&sample(33)))
                 .expect("append after rollback");
         }
         assert_eq!(faults.fired("cache.append.torn"), 1);
@@ -1344,10 +1323,57 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_fsync_keeps_its_record_behind_the_rollback_point() {
+        // Under `always`, record 1 is written but its fsync fails: the
+        // record is in the file, so the rollback point moves past it. The
+        // torn record 3 then cuts back to the end of record 2, not into
+        // it, and record 4 lands on a clean boundary.
+        let path = tmp("fsync_fail");
+        std::fs::remove_file(&path).ok();
+        let faults = Faults::disarmed();
+        faults.arm("cache.append.fsync", 1, None);
+        faults.arm("cache.append.torn", 3, Some(11));
+        let mut cache =
+            ResultCache::open_with(&path, FsyncPolicy::Always, faults.clone()).expect("open");
+        let err = cache
+            .insert(1, StoredSummary::encode(&sample(131)))
+            .expect_err("the fsync of record 1 fails");
+        assert!(err.to_string().contains("injected fsync failure"), "{err}");
+        cache
+            .insert(2, StoredSummary::encode(&sample(132)))
+            .expect("record 2 lands");
+        let err = cache
+            .insert(3, StoredSummary::encode(&sample(133)))
+            .expect_err("record 3 is torn");
+        assert!(err.to_string().contains("injected torn append"), "{err}");
+        cache
+            .insert(4, StoredSummary::encode(&sample(134)))
+            .expect("record 4 lands");
+        assert_eq!(faults.fired("cache.append.fsync"), 1);
+        assert_eq!(faults.fired("cache.append.torn"), 1);
+        assert_eq!(
+            cache.stats().log_bytes,
+            std::fs::metadata(&path).expect("meta").len(),
+            "log_bytes is the file's length"
+        );
+        drop(cache);
+        let mut reopened = ResultCache::open(&path).expect("reopen");
+        assert_eq!(reopened.stats().loaded, 3, "records 1, 2 and 4");
+        for key in [1, 2, 4] {
+            assert!(reopened.lookup(key).is_some(), "record {key} survives");
+        }
+        assert!(
+            reopened.lookup(3).is_none(),
+            "the torn record is not on disk"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn duplicate_key_records_replay_last_record_wins() {
         // A hand-built log with three records for two keys: key 1 appears
         // twice, and the LATER record must win the replay (this is what a
-        // resubmission racing a failed-append rollback leaves on disk).
+        // key inserted again after its eviction leaves on disk).
         let path = tmp("dup");
         std::fs::remove_file(&path).ok();
         let (old, new, other) = (sample(41), sample(42), sample(43));
@@ -1440,7 +1466,7 @@ mod tests {
             .with_max_bytes(Some(cap));
         for (i, s) in samples.iter().enumerate() {
             cache
-                .insert_persist(i as u128, Arc::new(s.clone()))
+                .insert(i as u128, StoredSummary::encode(s))
                 .expect("insert");
             assert!(
                 cache.stats().live_bytes <= cap,
@@ -1457,7 +1483,7 @@ mod tests {
         // insert evicts key 4 (now the least recently used) instead.
         assert!(cache.lookup(3).is_some());
         cache
-            .insert_persist(99, Arc::new(samples[0].clone()))
+            .insert(99, StoredSummary::encode(&samples[0]))
             .expect("insert");
         assert!(cache.lookup(3).is_some(), "recently served entry survives");
         assert!(cache.lookup(4).is_none(), "LRU entry went instead");
@@ -1480,7 +1506,7 @@ mod tests {
             let mut cache = ResultCache::open(&path).expect("open");
             for (i, s) in samples.iter().enumerate() {
                 cache
-                    .insert_persist(i as u128, Arc::new(s.clone()))
+                    .insert(i as u128, StoredSummary::encode(s))
                     .expect("insert");
             }
         }
@@ -1503,13 +1529,13 @@ mod tests {
         let mut cache = ResultCache::open(&path).expect("open");
         for (i, s) in samples.iter().enumerate() {
             cache
-                .insert_persist(i as u128, Arc::new(s.clone()))
+                .insert(i as u128, StoredSummary::encode(s))
                 .expect("insert");
         }
         // Manufacture dead bytes: re-persist two keys (duplicates on disk).
         for i in [0usize, 2] {
             cache
-                .insert_persist(i as u128, Arc::new(samples[i].clone()))
+                .insert(i as u128, StoredSummary::encode(&samples[i]))
                 .expect("re-insert");
         }
         let dead = cache.dead_bytes();
@@ -1526,7 +1552,7 @@ mod tests {
 
         // The compacted log is appendable and reopens bit-identically.
         cache
-            .insert_persist(99, Arc::new(sample(86)))
+            .insert(99, StoredSummary::encode(&sample(86)))
             .expect("append after compact");
         drop(cache);
         let mut reopened = ResultCache::open(&path).expect("reopen");
@@ -1549,10 +1575,12 @@ mod tests {
             ResultCache::open_with(&path, FsyncPolicy::default(), faults.clone()).expect("open");
         for i in 0..3u128 {
             cache
-                .insert_persist(i, Arc::new(sample(90 + i as u64)))
+                .insert(i, StoredSummary::encode(&sample(90 + i as u64)))
                 .expect("insert");
         }
-        cache.insert_persist(0, Arc::new(sample(90))).expect("dup");
+        cache
+            .insert(0, StoredSummary::encode(&sample(90)))
+            .expect("dup");
         let before = std::fs::read(&path).expect("read log");
 
         let err = cache.compact().expect_err("injected tear");
@@ -1571,7 +1599,7 @@ mod tests {
         // The cache keeps serving, and appends still work mid-"crash".
         assert!(cache.lookup(1).is_some());
         cache
-            .insert_persist(7, Arc::new(sample(97)))
+            .insert(7, StoredSummary::encode(&sample(97)))
             .expect("append after failed compaction");
         drop(cache);
 
@@ -1606,7 +1634,7 @@ mod tests {
         let samples: Vec<RunSummary> = (101..104).map(sample).collect();
         let mut a = ResultCache::open(&path_a).expect("open a");
         for (i, s) in samples.iter().enumerate() {
-            a.insert_persist(i as u128, Arc::new(s.clone()))
+            a.insert(i as u128, StoredSummary::encode(s))
                 .expect("insert");
         }
         let stream = sync_stream(&a);
@@ -1618,7 +1646,7 @@ mod tests {
 
         let mut b = ResultCache::open(&path_b).expect("open b");
         // Seed one key so the ingest has something to skip.
-        b.insert_persist(1, Arc::new(samples[1].clone()))
+        b.insert(1, StoredSummary::encode(&samples[1]))
             .expect("seed");
         let report = b.ingest(&mut stream.as_slice()).expect("ingest");
         assert_eq!(report.records, 3);
@@ -1690,7 +1718,7 @@ mod tests {
         let mut cache = ResultCache::in_memory();
         for i in 0..3u128 {
             cache
-                .insert_persist(i, Arc::new(sample(120 + i as u64)))
+                .insert(i, StoredSummary::encode(&sample(120 + i as u64)))
                 .expect("insert");
         }
         let (_, len) = cache.live_records();

@@ -276,16 +276,10 @@ fn parse_view(v: &Value) -> Result<JobView, String> {
         simulated: field(v, "simulated")?,
         cached: field(v, "cached")?,
         coalesced: field(v, "coalesced")?,
-        // Absent on pre-sharding servers; default rather than fail.
-        fetched: v.get("fetched").and_then(Value::as_u64).unwrap_or(0),
-        // Absent on pre-fault-tolerance servers; default rather than fail.
-        failed: v.get("failed").and_then(Value::as_u64).unwrap_or(0),
+        fetched: field(v, "fetched")?,
+        failed: field(v, "failed")?,
         pending: field(v, "pending")?,
-        // Absent on pre-replication servers; default rather than fail.
-        replicates_saved: v
-            .get("replicates_saved")
-            .and_then(Value::as_u64)
-            .unwrap_or(0),
+        replicates_saved: field(v, "replicates_saved")?,
         wall_seconds: v.get("wall_seconds").and_then(Value::as_f64),
         error: v
             .get("error")
@@ -562,21 +556,18 @@ impl Client {
     /// Returns a message for connection failures and malformed responses.
     pub fn cache_stats(&self) -> Result<CacheStats, String> {
         let v = self.call("GET", "/v1/cache/stats", b"", success_json)?;
-        // The lifecycle counters are absent on pre-lifecycle servers;
-        // default rather than fail.
-        let opt = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
         Ok(CacheStats {
             entries: field(&v, "entries")?,
             loaded: field(&v, "loaded_from_disk")?,
             hits: field(&v, "hits")?,
             misses: field(&v, "misses")?,
             coalesced: field(&v, "coalesced")?,
-            fetched: opt("fetched"),
+            fetched: field(&v, "fetched")?,
             bytes_appended: field(&v, "bytes_appended")?,
-            log_bytes: opt("log_bytes"),
-            live_bytes: opt("live_bytes"),
-            evicted: opt("evicted"),
-            compactions: opt("compactions"),
+            log_bytes: field(&v, "log_bytes")?,
+            live_bytes: field(&v, "live_bytes")?,
+            evicted: field(&v, "evicted")?,
+            compactions: field(&v, "compactions")?,
         })
     }
 
@@ -620,21 +611,21 @@ impl Client {
     }
 
     /// The peer set a sharded server is configured with (self included),
-    /// from `/v1/healthz`. Empty for a standalone or pre-sharding server.
+    /// from `/v1/healthz`. Empty for a standalone server.
     ///
     /// # Errors
     ///
     /// Returns a message for connection failures and malformed responses.
     pub fn peers(&self) -> Result<Vec<String>, String> {
         let v = self.call("GET", "/v1/healthz", b"", success_json)?;
-        Ok(v.get("peers")
+        let peers = v
+            .get("peers")
             .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|p| p.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default())
+            .ok_or_else(|| format!("response lacks `peers`: {v:?}"))?;
+        Ok(peers
+            .iter()
+            .filter_map(|p| p.as_str().map(str::to_owned))
+            .collect())
     }
 }
 
@@ -868,6 +859,32 @@ mod tests {
         }
     }
 
+    /// A `/v1/cache/stats` body with every counter a server sends.
+    const STATS_BODY: &str = "{\n  \"entries\": 0,\n  \"loaded_from_disk\": 0,\n  \"hits\": 0,\n  \
+         \"misses\": 0,\n  \"coalesced\": 0,\n  \"fetched\": 0,\n  \"bytes_appended\": 0,\n  \
+         \"log_bytes\": 5,\n  \"live_bytes\": 0,\n  \"evicted\": 0,\n  \"compactions\": 0\n}\n";
+
+    #[test]
+    fn cache_stats_refuses_a_body_missing_a_counter() {
+        let (addr, server) = scripted_server(vec![
+            (200, vec![], STATS_BODY),
+            (
+                200,
+                vec![],
+                "{\"entries\": 0, \"loaded_from_disk\": 0, \"hits\": 0, \"misses\": 0, \
+                 \"coalesced\": 0, \"fetched\": 0, \"bytes_appended\": 0, \"live_bytes\": 0, \
+                 \"evicted\": 0, \"compactions\": 0}\n",
+            ),
+        ]);
+        let client = Client::new(addr);
+        assert_eq!(client.cache_stats().expect("every counter").log_bytes, 5);
+        let err = client
+            .cache_stats()
+            .expect_err("a body without log_bytes is refused");
+        assert!(err.contains("lacks `log_bytes`"), "{err}");
+        server.join().expect("server thread");
+    }
+
     #[test]
     fn call_caps_a_hostile_retry_after_at_the_policy_ceiling() {
         // A JSON call, then a record fetch, each first answered by a 503
@@ -876,12 +893,7 @@ mod tests {
         // lands.
         let (addr, server) = scripted_server(vec![
             (503, vec![("Retry-After", "86400")], "{}\n"),
-            (
-                200,
-                vec![],
-                "{\n  \"entries\": 0,\n  \"loaded_from_disk\": 0,\n  \"hits\": 0,\n  \
-                 \"misses\": 0,\n  \"coalesced\": 0,\n  \"bytes_appended\": 0\n}\n",
-            ),
+            (200, vec![], STATS_BODY),
             (503, vec![("Retry-After", "86400")], "{}\n"),
             (404, vec![], "{}\n"),
         ]);
@@ -961,7 +973,7 @@ mod tests {
                 vec![],
                 "{\n  \"job\": 1,\n  \"scenario\": \"x\",\n  \"state\": \"done\",\n  \
                  \"cells\": 1,\n  \"simulated\": 1,\n  \"cached\": 0,\n  \"coalesced\": 0,\n  \
-                 \"failed\": 0,\n  \"pending\": 0\n}\n",
+                 \"fetched\": 0,\n  \"failed\": 0,\n  \"pending\": 0,\n  \"replicates_saved\": 0\n}\n",
             ),
         ]);
         let client = Client::new(addr).with_retry(tight_policy());

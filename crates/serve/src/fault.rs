@@ -16,6 +16,7 @@
 //! | `worker.panic`      | panic              | inside a worker's per-cell simulation  |
 //! | `worker.loop.panic` | panic              | worker loop, outside the per-cell guard|
 //! | `cache.append.torn` | torn write (`:N` keeps N bytes) | the cache-log append      |
+//! | `cache.append.fsync`| fail the `fsync`   | the cache-log append under `--fsync always` |
 //! | `cache.compact.torn`| torn rewrite (`:N` keeps N records) | the compaction temp file |
 //! | `cache.sync.stall`  | sleep (`:N` ms)    | mid-stream in `/v1/cache/sync`         |
 //! | `engine.cell.slow`  | sleep (`:N` ms)    | before a cell simulates                |
@@ -56,7 +57,8 @@ pub enum FaultAction {
         /// Stall length in milliseconds.
         ms: u64,
     },
-    /// Answer the request with a `500` instead of routing it.
+    /// Fail at the site: the server answers the request with a `500`
+    /// instead of routing it, and the cache-log append fails its `fsync`.
     Error,
 }
 
@@ -104,6 +106,7 @@ const KNOWN_POINTS: &[&str] = &[
     "worker.panic",
     "worker.loop.panic",
     "cache.append.torn",
+    "cache.append.fsync",
     "cache.compact.torn",
     "cache.sync.stall",
     "engine.cell.slow",
@@ -127,7 +130,7 @@ fn default_action(name: &str, param: Option<u64>) -> Option<FaultAction> {
         "engine.cell.slow" | "http.read.stall" | "cache.sync.stall" => Some(FaultAction::Delay {
             ms: param.unwrap_or(50),
         }),
-        "http.respond.500" => Some(FaultAction::Error),
+        "http.respond.500" | "cache.append.fsync" => Some(FaultAction::Error),
         _ => None,
     }
 }

@@ -47,7 +47,7 @@ use std::io;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::sync::lock;
 use std::thread::JoinHandle;
@@ -548,13 +548,11 @@ struct EngineInner {
     faults: Arc<Faults>,
     retain_done: usize,
     job_ttl: Option<Duration>,
-    compact_threshold: Option<f64>,
     /// Workers respawned after a panic escaped the per-cell guard.
     respawns: AtomicU64,
-    /// Sharded-serving map (`None`: standalone). Locked **alone**, always:
-    /// readers clone the `Arc` out and release immediately, so this mutex
-    /// never participates in any lock ordering.
-    shard: Mutex<Option<Arc<ShardMap>>>,
+    /// Sharded-serving map (unset: standalone). Installed once, before
+    /// any traffic, and read without a lock.
+    shard: OnceLock<ShardMap>,
 }
 
 /// The engine: owns the cache, the jobs, and the worker pool. Cheap to
@@ -592,7 +590,8 @@ impl Engine {
             Some(p) => ResultCache::open_with(p, opts.fsync, Arc::clone(&opts.faults))?,
             None => ResultCache::in_memory(),
         }
-        .with_max_bytes(opts.cache_max_bytes);
+        .with_max_bytes(opts.cache_max_bytes)
+        .with_compact_threshold(opts.compact_threshold);
         let workers = opts.workers.unwrap_or_else(worker_count).max(1);
         let inner = Arc::new(EngineInner {
             cells: Mutex::new(Cells {
@@ -609,9 +608,8 @@ impl Engine {
             faults: Arc::clone(&opts.faults),
             retain_done: opts.retain_done.max(1),
             job_ttl: opts.job_ttl,
-            compact_threshold: opts.compact_threshold,
             respawns: AtomicU64::new(0),
-            shard: Mutex::new(None),
+            shard: OnceLock::new(),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -663,10 +661,8 @@ impl Engine {
     pub fn submit_with_source(&self, spec: SweepSpec, source: Option<Arc<str>>) -> JobId {
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
         let job = Job::new(id, spec);
-        // The scatter decision happens before the job is visible. (The
-        // shard mutex is locked alone, as always.)
-        let shard = lock(&self.inner.shard).clone();
-        let forwards: Vec<(String, Vec<String>, u128)> = match (&shard, &source) {
+        // The scatter decision happens before the job is visible.
+        let forwards: Vec<(String, Vec<String>, u128)> = match (self.inner.shard.get(), &source) {
             (Some(shard), Some(_)) => job
                 .clusters
                 .iter()
@@ -860,8 +856,8 @@ impl Engine {
     }
 
     /// Compacts the persisted cache log down to its live record set (see
-    /// [`ResultCache::compact`]) — the `POST /v1/cache/compact` handler
-    /// and the `--compact-threshold` trigger share this path.
+    /// [`ResultCache::compact`]) — the `POST /v1/cache/compact` handler.
+    /// (The `--compact-threshold` trigger runs inside the cache's insert.)
     ///
     /// # Errors
     ///
@@ -882,15 +878,18 @@ impl Engine {
     /// Installs the sharded-serving map: from now on this engine forwards
     /// remotely-owned clusters at submit (when given the spec source) and
     /// asks owners before simulating cells of clusters it does not own.
+    /// The map is installed once, before any traffic; a later call leaves
+    /// the first map in place.
     pub fn set_shard(&self, shard: ShardMap) {
-        *lock(&self.inner.shard) = Some(Arc::new(shard));
+        let _ = self.inner.shard.set(shard);
     }
 
     /// The configured peer set (sorted, self included), or empty when
     /// standalone — the `peers` array of `/v1/healthz`.
     pub fn shard_peers(&self) -> Vec<String> {
-        lock(&self.inner.shard)
-            .as_ref()
+        self.inner
+            .shard
+            .get()
             .map(|s| s.peers().to_vec())
             .unwrap_or_default()
     }
@@ -1047,8 +1046,7 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
             // cluster once its owner has run it, and serves any other cell
             // the owner already holds. A dead or missing owner degrades to
             // local simulation below.
-            let shard = lock(&inner.shard).clone();
-            if let Some(shard) = shard.filter(|s| !s.is_owner(unit.route)) {
+            if let Some(shard) = inner.shard.get().filter(|s| !s.is_owner(unit.route)) {
                 let owner = shard.owner(unit.route);
                 match fetch_from_owner(owner, key) {
                     Ok(stored) => {
@@ -1117,9 +1115,9 @@ fn process(inner: &EngineInner, unit: WorkUnit) {
 }
 
 /// Lands a completed cell, however it completed (own simulation or a fetch
-/// from the owning peer): publishes the stored body and releases the
-/// in-flight claim under one lock, persists outside it, then finishes the
-/// owning cell with `provenance` and every parked waiter as
+/// from the owning peer): inserts the stored body into the cache (which
+/// persists it) and releases the in-flight claim under one lock, then
+/// finishes the owning cell with `provenance` and every parked waiter as
 /// [`Provenance::Coalesced`], all sharing the one body.
 fn complete_run(
     inner: &EngineInner,
@@ -1128,29 +1126,16 @@ fn complete_run(
     stored: &StoredSummary,
     provenance: Provenance,
 ) {
-    let (waiters, appender) = {
+    let (waiters, persisted) = {
         let mut cells = lock(&inner.cells);
-        cells.cache.insert(key, stored.clone());
-        (
-            cells.in_flight.remove(&key).unwrap_or_default(),
-            cells.cache.appender(),
-        )
+        let persisted = cells.cache.insert(key, stored.clone());
+        (cells.in_flight.remove(&key).unwrap_or_default(), persisted)
     };
-    // Persist outside the cells lock: a disk flush must not block
-    // concurrent claim steps. The key is already resident in memory, so
-    // no other worker can race this append.
-    if let Some(appender) = appender {
-        match appender.append(key, stored) {
-            Ok(bytes) => {
-                let mut cells = lock(&inner.cells);
-                cells.cache.note_appended(bytes);
-                maybe_compact(inner, &mut cells.cache);
-            }
-            // The in-memory entry took effect; losing persistence
-            // costs warm restarts, not correctness. (A torn append
-            // was already rolled back in place by the appender.)
-            Err(e) => eprintln!("malec-serve: cache append failed: {e}"),
-        }
+    // The in-memory entry took effect; losing persistence costs warm
+    // restarts, not correctness. (A torn write was already cut back in
+    // place.)
+    if let Err(e) = persisted {
+        eprintln!("malec-serve: cache append failed: {e}");
     }
     finish_cell(inner, unit.job, unit.cell, stored.clone(), provenance);
     for (job, cell) in waiters {
@@ -1221,32 +1206,6 @@ fn enqueue(inner: &EngineInner, units: Vec<WorkUnit>) {
     if !units.is_empty() {
         lock(&inner.queue).extend(units);
         inner.available.notify_all();
-    }
-}
-
-/// Auto-compaction floor: a log smaller than this never auto-compacts,
-/// whatever its dead ratio — rewriting a near-empty log over and over buys
-/// nothing.
-const MIN_AUTO_COMPACT_BYTES: u64 = 4096;
-
-/// The `--compact-threshold` trigger, run after every successful append
-/// (under the cells lock the caller already holds): once dead bytes reach
-/// the configured fraction of the log's payload, rewrite in place. A
-/// failed compaction is logged and retried naturally at the next append.
-fn maybe_compact(inner: &EngineInner, cache: &mut ResultCache) {
-    let Some(threshold) = inner.compact_threshold else {
-        return;
-    };
-    let stats = cache.stats();
-    if stats.log_bytes < MIN_AUTO_COMPACT_BYTES || cache.dead_ratio() < threshold {
-        return;
-    }
-    match cache.compact() {
-        Ok(o) => eprintln!(
-            "malec-serve: auto-compacted cache log {} -> {} bytes ({} live records)",
-            o.bytes_before, o.bytes_after, o.records
-        ),
-        Err(e) => eprintln!("malec-serve: auto-compaction failed: {e}"),
     }
 }
 

@@ -119,7 +119,7 @@ proptest! {
             match op {
                 // Weighted toward inserts: they drive eviction and dead bytes.
                 0..=4 => c
-                    .insert_persist(pool_key(i), Arc::clone(&samples[i]))
+                    .insert(pool_key(i), cache::StoredSummary::encode(&samples[i]))
                     .expect("insert"),
                 5 => drop(c.lookup(pool_key(i))),
                 6 => drop(c.compact().expect("compact")),

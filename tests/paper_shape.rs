@@ -4,6 +4,8 @@
 //! instruction budget), so the tolerances are generous; the full-figure
 //! benches use the complete suite.
 
+use std::sync::OnceLock;
+
 use malec_core::report::geo_mean;
 use malec_core::{RunSummary, Simulator};
 use malec_trace::{all_benchmarks, benchmark_named, BenchmarkProfile};
@@ -30,19 +32,24 @@ struct Sweep {
     malec: Vec<RunSummary>,
 }
 
-fn sweep() -> Sweep {
-    let benches = subset();
-    let run_all = |cfg: SimConfig| -> Vec<RunSummary> {
-        benches
-            .iter()
-            .map(|p| Simulator::new(cfg.clone()).run(p, INSTS, SEED))
-            .collect()
-    };
-    Sweep {
-        base1: run_all(SimConfig::base1ldst()),
-        base2: run_all(SimConfig::base2ld1st()),
-        malec: run_all(SimConfig::malec()),
-    }
+/// The subset under the three Table I configs, simulated once for every
+/// test that reads it.
+fn sweep() -> &'static Sweep {
+    static SWEEP: OnceLock<Sweep> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        let benches = subset();
+        let run_all = |cfg: SimConfig| -> Vec<RunSummary> {
+            benches
+                .iter()
+                .map(|p| Simulator::new(cfg.clone()).run(p, INSTS, SEED))
+                .collect()
+        };
+        Sweep {
+            base1: run_all(SimConfig::base1ldst()),
+            base2: run_all(SimConfig::base2ld1st()),
+            malec: run_all(SimConfig::malec()),
+        }
+    })
 }
 
 fn norm(series: &[RunSummary], base: &[RunSummary], f: impl Fn(&RunSummary) -> f64) -> f64 {
