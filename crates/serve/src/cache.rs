@@ -376,7 +376,11 @@ impl ResultCache {
         let mut superseded = 0u64;
         let file_len = file.metadata()?.len();
         if file_len == 0 {
+            // A new log is on disk before its first append: the header,
+            // and the directory entry that names the file.
             file.write_all(&log_header())?;
+            file.sync_all()?;
+            sync_parent_dir(path)?;
         } else {
             {
                 let mut reader = BufReader::new(&mut file);
@@ -659,17 +663,20 @@ impl ResultCache {
     /// Rewrites the log to exactly the live record set — one record per
     /// resident key, LRU order (so a reopen reconstructs today's recency) —
     /// atomically: the new log is written to `<path>.compact`, fsynced,
-    /// and renamed over the old one. A crash at any point leaves either
-    /// the old log intact (rename never ran; the temp is deleted at next
-    /// open) or the new log complete — never neither. The cache owns its
-    /// log, so no append can race the swap.
+    /// and renamed over the old one; the temp's own handle becomes the
+    /// log, and the directory is fsynced so the rename survives an OS
+    /// crash. A crash at any point leaves either the old log intact
+    /// (rename never ran; the temp is deleted at next open) or the new log
+    /// complete — never neither. The cache owns its log, so no append can
+    /// race the swap.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` for an in-memory cache; propagates I/O
     /// errors (including the `cache.compact.torn` failpoint, which tears
     /// the temp file mid-record and returns before the rename — the live
-    /// log is untouched).
+    /// log is untouched). A failed directory fsync is returned after the
+    /// swap: the new log serves, but its rename may not survive a crash.
     pub fn compact(&mut self) -> io::Result<CompactOutcome> {
         let Some(log) = &mut self.log else {
             return Err(io::Error::new(
@@ -687,8 +694,14 @@ impl ResultCache {
             Some(FaultAction::Torn { keep }) => Some(keep),
             _ => None,
         };
-        let mut out = File::create(&tmp)?;
+        let mut out = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
         out.write_all(&log_header())?;
+        let mut len = HEADER_LEN;
         let mut written = 0u64;
         let mut rec = Vec::new();
         for &key in self.lru.values() {
@@ -704,17 +717,18 @@ impl ResultCache {
                 ));
             }
             out.write_all(&rec)?;
+            len += rec.len() as u64;
             written += 1;
         }
         out.sync_all()?;
-        drop(out);
         std::fs::rename(&tmp, &log.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&log.path)?;
-        let len = file.seek(SeekFrom::End(0))?;
-        log.file = file;
+        // Keep the handle rather than reopen by path: a reopen that failed
+        // here would leave appends going to the old, now unlinked, inode.
+        log.file = out;
         log.good_len = len;
         self.stats.log_bytes = len;
         self.stats.compactions += 1;
+        sync_parent_dir(&log.path)?;
         Ok(CompactOutcome {
             bytes_before,
             bytes_after: len,
@@ -804,6 +818,13 @@ impl ResultCache {
     pub fn path(&self) -> Option<&Path> {
         self.log.as_ref().map(|log| log.path.as_path())
     }
+}
+
+/// Fsyncs the directory holding `path` (`.` for a bare file name), so a
+/// file created or renamed there is still named after an OS crash.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 /// The atomic-compaction temp path: `<path>.compact` (appended, never

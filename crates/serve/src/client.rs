@@ -23,6 +23,7 @@ use crate::cache::{
 use crate::http::{request, Response};
 use crate::json::{parse, Value};
 use crate::report::esc;
+use crate::server::MAX_POLL_HOLD;
 
 use malec_core::RunSummary;
 use malec_types::stable::fnv1a64;
@@ -434,7 +435,10 @@ impl Client {
     /// [`JobView::state`] and [`JobView::error`].
     ///
     /// The cadence is [`RetryPolicy::poll_cadence`]: `poll_interval`
-    /// doubling toward `poll_max`. A shed poll (the saturation gate's
+    /// doubling toward `poll_max`, so a job that settles just after a poll
+    /// is seen up to one interval late. Each poll answers at once; the
+    /// sharded forward's wait on its owner instead holds each poll on the
+    /// server until the job settles. A shed poll (the saturation gate's
     /// `503`) or transient server error does **not** abort the wait — the
     /// job keeps running server-side regardless — it just delays the next
     /// poll, by the server's `Retry-After` (capped at the policy ceiling)
@@ -448,10 +452,37 @@ impl Client {
     /// non-retryable error, or `retries + 1` consecutive transport
     /// failures occur.
     pub fn wait(&self, job: u64, timeout: Duration) -> Result<JobView, String> {
+        self.poll_until_settled(job, timeout, None)
+    }
+
+    /// [`wait`](Self::wait) in held polls, the sharded forward's wait on
+    /// its owner: each poll sends `?wait=<ms>` for the server's whole hold
+    /// ([`MAX_POLL_HOLD`]) or the time left, whichever is shorter, and a
+    /// non-final answer is polled again at once. Only a shed or failed
+    /// poll sleeps, as in `wait`.
+    pub(crate) fn wait_held(&self, job: u64, timeout: Duration) -> Result<JobView, String> {
+        self.poll_until_settled(job, timeout, Some(MAX_POLL_HOLD))
+    }
+
+    /// The one status-poll loop: `hold` is how long each poll asks the
+    /// server to hold it (`None`: unheld polls at the policy cadence).
+    fn poll_until_settled(
+        &self,
+        job: u64,
+        timeout: Duration,
+        hold: Option<Duration>,
+    ) -> Result<JobView, String> {
         let deadline = Instant::now() + timeout;
-        let path = format!("/v1/jobs/{job}");
+        let status = format!("/v1/jobs/{job}");
         let mut polls = 0u32;
         loop {
+            let path = match hold {
+                Some(hold) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    format!("{status}?wait={}", hold.min(left).as_millis())
+                }
+                None => status.clone(),
+            };
             // A shed or failed poll says nothing about the job, so it comes
             // back as a value that paces the next poll, never as a retry
             // that spends the budget.
@@ -471,6 +502,8 @@ impl Client {
                         view.state, view.pending, view.cells
                     ));
                 }
+                // The server already held this poll: ask again at once.
+                Ok(_) if hold.is_some() => continue,
                 Ok(_) => self.retry.poll_cadence(polls),
                 Err((status, _)) if Instant::now() >= deadline => {
                     return Err(format!(
@@ -825,15 +858,24 @@ mod tests {
     type Reply = (u16, Vec<(&'static str, &'static str)>, &'static str);
 
     /// A hand-rolled one-route server: answers `replies[i]` to request
-    /// `i` (reading each request first), then exits.
-    fn scripted_server(replies: Vec<Reply>) -> (String, std::thread::JoinHandle<()>) {
+    /// `i` (reading each request first), then exits, returning each
+    /// request's target (`path?query`).
+    fn scripted_server(replies: Vec<Reply>) -> (String, std::thread::JoinHandle<Vec<String>>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let n = replies.len();
         let handle = std::thread::spawn(move || {
+            let mut targets = Vec::new();
             for (conn, (status, headers, body)) in listener.incoming().take(n).zip(replies) {
                 let mut conn = conn.expect("accept");
-                let _ = crate::http::read_request_deadline(&conn, Duration::from_secs(5));
+                let request = crate::http::read_request_deadline(&conn, Duration::from_secs(5));
+                targets.push(request.map_or_else(
+                    |e| format!("unreadable request: {e}"),
+                    |r| match r.query.as_str() {
+                        "" => r.path,
+                        query => format!("{}?{query}", r.path),
+                    },
+                ));
                 crate::http::write_response(
                     &mut conn,
                     status,
@@ -843,6 +885,7 @@ mod tests {
                 )
                 .expect("write response");
             }
+            targets
         });
         (addr, handle)
     }
@@ -962,30 +1005,82 @@ mod tests {
         assert!(err.contains("too large"), "{err}");
     }
 
+    /// The status body of job 1, finished.
+    const DONE_VIEW: &str = "{\n  \"job\": 1,\n  \"scenario\": \"x\",\n  \"state\": \"done\",\n  \
+         \"cells\": 1,\n  \"simulated\": 1,\n  \"cached\": 0,\n  \"coalesced\": 0,\n  \
+         \"fetched\": 0,\n  \"failed\": 0,\n  \"pending\": 0,\n  \"replicates_saved\": 0\n}\n";
+
+    /// The status body of job 1, still running.
+    const RUNNING_VIEW: &str =
+        "{\n  \"job\": 1,\n  \"scenario\": \"x\",\n  \"state\": \"running\",\n  \
+         \"cells\": 1,\n  \"simulated\": 0,\n  \"cached\": 0,\n  \"coalesced\": 0,\n  \
+         \"fetched\": 0,\n  \"failed\": 0,\n  \"pending\": 1,\n  \"replicates_saved\": 0\n}\n";
+
     #[test]
     fn wait_caps_a_hostile_retry_after_at_the_policy_ceiling() {
         // First status poll: shed with a day-long Retry-After. Second:
-        // the finished job.
-        let (addr, server) = scripted_server(vec![
-            (503, vec![("Retry-After", "86400")], "{}\n"),
-            (
-                200,
-                vec![],
-                "{\n  \"job\": 1,\n  \"scenario\": \"x\",\n  \"state\": \"done\",\n  \
-                 \"cells\": 1,\n  \"simulated\": 1,\n  \"cached\": 0,\n  \"coalesced\": 0,\n  \
-                 \"fetched\": 0,\n  \"failed\": 0,\n  \"pending\": 0,\n  \"replicates_saved\": 0\n}\n",
-            ),
-        ]);
-        let client = Client::new(addr).with_retry(tight_policy());
+        // the finished job. The held wait sleeps after a shed as well.
+        type Wait = fn(&Client, u64, Duration) -> Result<JobView, String>;
+        let waits: [(&str, Wait); 2] = [("wait", Client::wait), ("wait_held", Client::wait_held)];
+        for (name, wait) in waits {
+            let (addr, server) = scripted_server(vec![
+                (503, vec![("Retry-After", "86400")], "{}\n"),
+                (200, vec![], DONE_VIEW),
+            ]);
+            let client = Client::new(addr).with_retry(tight_policy());
+            let start = Instant::now();
+            let view = wait(&client, 1, Duration::from_secs(30)).expect(name);
+            assert_eq!(view.state, "done", "{name}");
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "{name}: a day-long Retry-After must not stall the poll loop, waited {:?}",
+                start.elapsed()
+            );
+            server.join().expect("server thread");
+        }
+    }
+
+    #[test]
+    fn the_held_wait_asks_for_a_hold_on_every_poll_and_repolls_at_once() {
+        // Six non-final answers, then the finished job. At the 50 ms
+        // cadence the unheld `wait` keeps, the sleeps alone would take
+        // 1.75 s; the held wait polls again at once.
+        let mut replies: Vec<Reply> = vec![(200, vec![], RUNNING_VIEW); 6];
+        replies.push((200, vec![], DONE_VIEW));
+        let (addr, server) = scripted_server(replies);
+        let client = Client::new(addr);
         let start = Instant::now();
-        let view = client.wait(1, Duration::from_secs(30)).expect("wait");
+        let view = client
+            .wait_held(1, Duration::from_secs(30))
+            .expect("wait_held");
+        let waited = start.elapsed();
         assert_eq!(view.state, "done");
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a day-long Retry-After must not stall the poll loop, waited {:?}",
-            start.elapsed()
+        let targets = server.join().expect("server thread");
+        assert_eq!(
+            targets,
+            vec!["/v1/jobs/1?wait=20000"; 7],
+            "every poll asks for the server's whole hold"
         );
-        server.join().expect("server thread");
+        assert!(
+            waited < Duration::from_secs(1),
+            "slept between polls: {waited:?}"
+        );
+
+        // With less time left than the server's hold, a poll asks for the
+        // time left.
+        let (addr, server) = scripted_server(vec![(200, vec![], DONE_VIEW)]);
+        Client::new(addr)
+            .wait_held(1, Duration::from_secs(5))
+            .expect("wait_held");
+        let targets = server.join().expect("server thread");
+        let asked: Vec<u64> = targets
+            .iter()
+            .filter_map(|t| t.strip_prefix("/v1/jobs/1?wait=")?.parse().ok())
+            .collect();
+        assert!(
+            matches!(asked.as_slice(), [ms] if (4_000..=5_000).contains(ms)),
+            "{targets:?}"
+        );
     }
 
     #[test]

@@ -720,11 +720,16 @@ impl Engine {
         lock(&self.inner.jobs).get(&job).map(Job::status)
     }
 
-    /// Blocks until `job` settles (no cell pending) or `timeout` elapses
-    /// (`None`: no deadline), then returns its status — `None` for an
-    /// unknown id.
+    /// Blocks until `job` settles (no cell pending), the engine stops, or
+    /// `timeout` elapses (`None`: no deadline), then returns its status —
+    /// `None` for an unknown id, at once. The held status poll
+    /// (`GET /v1/jobs/<id>?wait=<ms>`) parks here; [`shutdown`](Self::shutdown)
+    /// wakes it, so an abort releases every held poll without waiting out
+    /// its hold.
     pub fn wait_settled(&self, job: JobId, timeout: Option<Duration>) -> Option<JobView> {
-        let (jobs, _) = self.wait_for(timeout, |jobs| jobs.get(&job).is_none_or(Job::settled));
+        let (jobs, _) = self.wait_for(timeout, |jobs| {
+            self.inner.stop.load(Ordering::SeqCst) || jobs.get(&job).is_none_or(Job::settled)
+        });
         jobs.get(&job).map(Job::status)
     }
 
@@ -933,10 +938,18 @@ impl Engine {
     /// Stops the pool after the current units finish and joins every
     /// worker. Queued-but-unstarted units are dropped; their jobs stay
     /// `running` forever, which only matters at process exit (drain first
-    /// for a graceful stop).
+    /// for a graceful stop). Every [`wait_settled`](Self::wait_settled)
+    /// caller is woken before the join.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.available.notify_all();
+        // Under the `jobs` lock, taken alone: a waiter that read `stop`
+        // before the store still holds the lock until it parks, so the
+        // notification cannot slip in between its check and its wait.
+        {
+            let _jobs = lock(&self.inner.jobs);
+            self.inner.settled.notify_all();
+        }
         let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             // Report rather than re-panic: shutdown also runs from Drop,
@@ -1160,7 +1173,8 @@ fn fetch_from_owner(owner: &str, key: u128) -> Result<StoredSummary, Failure> {
 }
 
 /// Scatter thread for the cluster routed by `route`: forwards its configs
-/// (`labels`) to `owner` as a `?configs=`-filtered sub-job, waits for it,
+/// (`labels`) to `owner` as a `?configs=`-filtered sub-job, waits for it
+/// in held status polls (each parks on the owner's settle notification),
 /// then enqueues the cluster's cells here, where [`process`] lands each
 /// one through the owner fetch. A failed forward only logs: the cells
 /// queue all the same, and each one the owner cannot serve simulates
@@ -1176,7 +1190,7 @@ fn scatter(
     let client = Client::new(owner).with_retry(RetryPolicy::retries(PEER_RETRIES));
     let forwarded = client
         .submit_configs(source, labels)
-        .and_then(|sub| client.wait(sub, FORWARD_TIMEOUT));
+        .and_then(|sub| client.wait_held(sub, FORWARD_TIMEOUT));
     let failure = match forwarded {
         Ok(view) if view.state == "done" => None,
         Ok(view) => Some(format!(

@@ -5,6 +5,7 @@
 //! |---------------------------|--------|-------------------------------------------|
 //! | `/v1/jobs`                | POST   | body = TOML sweep spec → `202` + job id   |
 //! | `/v1/jobs/<id>`           | GET    | job status (cells done / cached / running)|
+//! | `/v1/jobs/<id>?wait=<ms>` | GET    | the same status, held until the job settles (at most 20 s) |
 //! | `/v1/jobs/<id>/report`    | GET    | finished job's report (`run` JSON schema) |
 //! | `/v1/jobs/<id>/compare`   | GET    | paired delta report (`compare` schema)    |
 //! | `/v1/cache/stats`         | GET    | result-cache counters                     |
@@ -16,6 +17,10 @@
 //!
 //! Submissions are asynchronous: `POST /v1/jobs` returns as soon as the
 //! spec is sharded into the queue, and clients poll the status endpoint.
+//! A poll with `?wait=<ms>` is held for up to `ms` milliseconds (20 s at
+//! most) and answers as soon as the job settles or the engine stops, with
+//! the same status JSON: a `running` answer means the hold ran out or the
+//! server is stopping.
 //! Each connection carries one request (`Connection: close`); connections
 //! are handled on their own threads, so slow clients never block the
 //! accept loop or each other.
@@ -27,7 +32,9 @@
 //! it if it is a health check or a shutdown: saturation must never make
 //! the server unobservable or unstoppable), each request
 //! must arrive within [`ServeOptions::request_deadline`] **total** (the
-//! slow-loris bound), and writes time out after a fixed 60 s.
+//! slow-loris bound), and writes time out after a fixed 60 s. A held
+//! status poll occupies its handler slot for its hold; the control lane
+//! is unaffected.
 //! Shutdown defaults to graceful: stop accepting, let in-flight jobs run
 //! to completion (bounded by [`ServeOptions::drain_timeout`]), fsync the
 //! cache log, exit. `POST /v1/shutdown?mode=abort` skips the drain.
@@ -336,6 +343,10 @@ const CONTROL_SLOTS: usize = 4;
 /// Socket write timeout for every response.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// The longest a held status poll (`GET /v1/jobs/<id>?wait=<ms>`) waits
+/// for its job to settle; a longer `wait` is cut to this.
+pub(crate) const MAX_POLL_HOLD: Duration = Duration::from_secs(20);
+
 /// One claimed handler slot; dropping it frees the slot.
 struct SlotGuard(Arc<AtomicUsize>);
 
@@ -532,7 +543,7 @@ fn route(stream: &mut TcpStream, engine: &Engine, request: &Request) -> Option<S
             );
             return Some(mode);
         }
-        ("GET", _) if path.starts_with("/v1/jobs/") => handle_job_get(stream, engine, path),
+        ("GET", _) if path.starts_with("/v1/jobs/") => handle_job_get(stream, engine, request),
         _ => respond_error(
             stream,
             404,
@@ -648,8 +659,8 @@ enum JobQuery {
     Compare,
 }
 
-fn handle_job_get(stream: &mut TcpStream, engine: &Engine, path: &str) {
-    let rest = &path["/v1/jobs/".len()..];
+fn handle_job_get(stream: &mut TcpStream, engine: &Engine, request: &Request) {
+    let rest = &request.path["/v1/jobs/".len()..];
     let (id_text, query) = if let Some(id) = rest.strip_suffix("/report") {
         (id, JobQuery::Report)
     } else if let Some(id) = rest.strip_suffix("/compare") {
@@ -678,10 +689,23 @@ fn handle_job_get(stream: &mut TcpStream, engine: &Engine, path: &str) {
             Some(Err(CompareError::NotComparable(msg))) => respond_error(stream, 400, &msg),
             Some(Ok(report)) => respond_json(stream, 200, &report),
         },
-        JobQuery::Status => match engine.job_status(id) {
-            None => respond_error(stream, 404, &format!("unknown job {id}")),
-            Some(status) => respond_json(stream, 200, &status.to_json()),
-        },
+        JobQuery::Status => {
+            let status = match request.query_param("wait").map(str::parse::<u64>) {
+                None => engine.job_status(id),
+                Some(Ok(ms)) => {
+                    let hold = Duration::from_millis(ms).min(MAX_POLL_HOLD);
+                    engine.wait_settled(id, Some(hold))
+                }
+                Some(Err(_)) => {
+                    respond_error(stream, 400, "bad `wait` (want milliseconds)");
+                    return;
+                }
+            };
+            match status {
+                None => respond_error(stream, 404, &format!("unknown job {id}")),
+                Some(status) => respond_json(stream, 200, &status.to_json()),
+            }
+        }
     }
 }
 
@@ -752,6 +776,10 @@ mod tests {
         )
     }
 
+    fn state(v: &Value) -> Option<&str> {
+        v.get("state").and_then(Value::as_str)
+    }
+
     #[test]
     fn submit_poll_report_shutdown() {
         let server = start();
@@ -763,20 +791,11 @@ mod tests {
         let job = v.get("job").and_then(Value::as_u64).expect("job id");
         assert_eq!(v.get("cells").and_then(Value::as_u64), Some(1));
 
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let report = loop {
-            let (status, v) = get_json(addr, &format!("/v1/jobs/{job}"));
-            assert_eq!(status, 200);
-            if v.get("state").and_then(Value::as_str) == Some("done") {
-                let (status, body) =
-                    round_trip(addr, "GET", &format!("/v1/jobs/{job}/report"), b"")
-                        .expect("report");
-                assert_eq!(status, 200);
-                break body;
-            }
-            assert!(Instant::now() < deadline, "job never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let (status, v) = get_json(addr, &format!("/v1/jobs/{job}?wait=20000"));
+        assert_eq!((status, state(&v)), (200, Some("done")), "{v:?}");
+        let (status, report) =
+            round_trip(addr, "GET", &format!("/v1/jobs/{job}/report"), b"").expect("report");
+        assert_eq!(status, 200);
         let report = parse(&report).expect("report is valid JSON");
         assert_eq!(
             report.get("bench").and_then(Value::as_str),
@@ -805,6 +824,86 @@ mod tests {
 
         let (status, _) = round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
         assert_eq!(status, 200);
+        server.join().expect("clean exit");
+    }
+
+    /// A one-worker server whose first cell sleeps `ms` before it
+    /// simulates.
+    fn slowed(ms: u64) -> ServerHandle {
+        let faults = Faults::disarmed();
+        faults.arm("engine.cell.slow", 1, Some(ms));
+        Server::bind_with(
+            "127.0.0.1:0",
+            ServeOptions {
+                workers: Some(1),
+                faults,
+                ..ServeOptions::default()
+            },
+        )
+        .expect("bind")
+        .spawn()
+        .expect("spawn")
+    }
+
+    #[test]
+    fn a_held_poll_answers_as_soon_as_its_job_settles() {
+        let server = slowed(300);
+        let addr = server.addr();
+        let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        assert_eq!(status, 202);
+        let start = Instant::now();
+        let (status, v) = get_json(addr, "/v1/jobs/1?wait=20000");
+        let held = start.elapsed();
+        assert_eq!((status, state(&v)), (200, Some("done")), "{v:?}");
+        assert!(held < Duration::from_secs(10), "held for {held:?}");
+        round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn a_held_poll_on_a_running_job_answers_running_after_its_hold() {
+        let server = slowed(1500);
+        let addr = server.addr();
+        let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        assert_eq!(status, 202);
+        let start = Instant::now();
+        let (status, v) = get_json(addr, "/v1/jobs/1?wait=50");
+        let held = start.elapsed();
+        assert_eq!((status, state(&v)), (200, Some("running")), "{v:?}");
+        assert!(held >= Duration::from_millis(50), "held for only {held:?}");
+        round_trip(addr, "POST", "/v1/shutdown", b"").expect("shutdown");
+        server.join().expect("clean exit");
+    }
+
+    #[test]
+    fn an_abort_shutdown_releases_a_held_poll_at_once() {
+        use std::io::Read;
+
+        // The cell sleeps 3 s, so a poll that answers `running` well
+        // before then was released by the abort, not by the job settling.
+        let server = slowed(3000);
+        let addr = server.addr();
+        let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
+        assert_eq!(status, 202);
+        // Connected before the abort, so the accept loop admits the poll
+        // first; it parks on the job, or finds the engine already stopped.
+        let mut poll = TcpStream::connect(addr).expect("connect");
+        poll.write_all(b"GET /v1/jobs/1?wait=20000 HTTP/1.1\r\nHost: test\r\n\r\n")
+            .expect("send the held poll");
+        let start = Instant::now();
+        let (status, _) = round_trip(addr, "POST", "/v1/shutdown?mode=abort", b"").expect("abort");
+        assert_eq!(status, 200);
+        let mut answer = String::new();
+        poll.read_to_string(&mut answer).expect("held poll answer");
+        let released = start.elapsed();
+        let (head, body) = answer.split_once("\r\n\r\n").expect("a response");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let v = parse(body).expect("status JSON");
+        assert_eq!(state(&v), Some("running"), "{v:?}");
+        assert!(
+            released < Duration::from_secs(2),
+            "released after {released:?}"
+        );
         server.join().expect("clean exit");
     }
 
@@ -848,9 +947,21 @@ mod tests {
 
         let (status, _) = get_json(addr, "/v1/jobs/12345");
         assert_eq!(status, 404);
+        // A held poll on an unknown id is a 404 at once, not after its hold.
+        let start = Instant::now();
+        let (status, _) = get_json(addr, "/v1/jobs/12345?wait=20000");
+        assert_eq!(status, 404);
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "an unknown id was held"
+        );
 
         let (status, _) = round_trip(addr, "GET", "/v1/jobs/abc", b"").expect("bad id");
         assert_eq!(status, 400);
+        for bad in ["abc", "-1", "", "1.5"] {
+            let (status, v) = get_json(addr, &format!("/v1/jobs/12345?wait={bad}"));
+            assert_eq!(status, 400, "?wait={bad}: {v:?}");
+        }
 
         let (status, _) = round_trip(addr, "DELETE", "/v1/jobs", b"").expect("bad method");
         assert_eq!(status, 404);
@@ -967,15 +1078,8 @@ mod tests {
 
         let (status, _) = round_trip(addr, "POST", "/v1/jobs", SPEC.as_bytes()).expect("submit");
         assert_eq!(status, 202);
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let (_, v) = get_json(addr, "/v1/jobs/1");
-            if v.get("state").and_then(Value::as_str) == Some("done") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "job never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let (_, v) = get_json(addr, "/v1/jobs/1?wait=20000");
+        assert_eq!(state(&v), Some("done"), "{v:?}");
 
         // The stats endpoint reports the new lifecycle counters.
         let (_, stats) = get_json(addr, "/v1/cache/stats");

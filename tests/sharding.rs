@@ -183,7 +183,17 @@ fn two_peer_cluster_matches_standalone_and_simulates_each_cell_once() {
 #[test]
 fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
     let (want_cells, _) = standalone_reference();
-    let (ha, hb, addr_a, addr_b) = two_peer_cluster();
+    // The first cell on each of a peer's two workers sleeps 400 ms, so the
+    // owner is still running the forwarded sub-job, and the forward is
+    // held on it, when the abort lands. The abort drops the sub-job's
+    // queued cells, so it never settles: only the shutdown's wake
+    // releases the held forward.
+    let faults = [Faults::disarmed(), Faults::disarmed()];
+    for f in &faults {
+        f.arm("engine.cell.slow", 1, Some(400));
+        f.arm("engine.cell.slow", 2, Some(400));
+    }
+    let (ha, hb, addr_a, addr_b) = two_peer_cluster_with(faults);
 
     // Work out which peer owns the compared pair's cluster (it routes by
     // the baseline's replicate-0 key) and submit to the *other* one, so
@@ -233,6 +243,10 @@ fn killing_the_pair_owner_mid_job_falls_back_to_local_simulation() {
         want_cells,
         "degraded run is still bit-identical to standalone"
     );
+    // The owner's abort released the held forward at once; had it not,
+    // the forward would sit out its whole 20 s hold before falling back.
+    let wall = view.wall_seconds.expect("a settled job has a wall clock");
+    assert!(wall < 10.0, "the front door's job took {wall:.1} s");
 
     client.shutdown().expect("shutdown survivor");
     door_handle.join().expect("clean exit");
