@@ -7,6 +7,12 @@
 //! Arbitration Unit. Priority, high to low: loads held from previous cycles,
 //! loads that just arrived (program order), then the MBE (not time critical
 //! — its stores already committed).
+//!
+//! The loads are kept in that priority order, (arrival cycle, op id): each
+//! is inserted at its place, which is an append when the core offers loads
+//! oldest first, as it does. Selecting a group then takes the first load as
+//! leader and filters the rest, already in order, with no search and no
+//! sort.
 
 use malec_types::addr::VPageId;
 use malec_types::op::{MemOp, OpId};
@@ -78,16 +84,24 @@ impl InputBuffer {
         self.loads.len() < self.load_cap
     }
 
-    /// Inserts a load; returns false (and drops nothing) when full.
+    /// Inserts a load at its priority position; returns false (and drops
+    /// nothing) when full.
     pub fn push_load(&mut self, op: MemOp, vpage: VPageId, cycle: u64) -> bool {
         if !self.can_accept_load() {
             return false;
         }
-        self.loads.push(IbEntry {
+        let entry = IbEntry {
             op,
             vpage,
             arrived: cycle,
-        });
+        };
+        let key = |e: &IbEntry| (e.arrived, e.op.id);
+        if self.loads.last().is_none_or(|last| key(last) < key(&entry)) {
+            self.loads.push(entry);
+        } else {
+            let at = self.loads.partition_point(|e| key(e) < key(&entry));
+            self.loads.insert(at, entry);
+        }
         true
     }
 
@@ -129,16 +143,8 @@ impl InputBuffer {
     /// or `None` when the buffer holds nothing.
     pub fn select_into(&self, members: &mut Vec<IbEntry>) -> Option<GroupMeta> {
         members.clear();
-        let leader = self
-            .loads
-            .iter()
-            .min_by_key(|e| (e.arrived, e.op.id))
-            .or(self.mbe.as_ref())?;
-        let vpage = leader.vpage;
+        let vpage = self.loads.first().or(self.mbe.as_ref())?.vpage;
         members.extend(self.loads.iter().filter(|e| e.vpage == vpage).copied());
-        // (arrived, id) is unique per entry, so the unstable sort is
-        // deterministic.
-        members.sort_unstable_by_key(|e| (e.arrived, e.op.id));
         let include_mbe = self.mbe.as_ref().is_some_and(|m| m.vpage == vpage);
         // One comparator per other valid entry (the leader itself is free).
         let valid = self.loads.len() + usize::from(self.mbe.is_some());
@@ -149,9 +155,11 @@ impl InputBuffer {
         })
     }
 
-    /// Removes a serviced load.
+    /// Removes a serviced load, keeping the rest in priority order.
     pub fn remove_load(&mut self, id: OpId) {
-        self.loads.retain(|e| e.op.id != id);
+        if let Some(at) = self.loads.iter().position(|e| e.op.id == id) {
+            self.loads.remove(at);
+        }
     }
 
     /// Removes and returns the serviced MBE.
@@ -164,6 +172,7 @@ impl InputBuffer {
 mod tests {
     use super::*;
     use malec_types::addr::VAddr;
+    use proptest::prelude::*;
 
     fn ld(id: u64, addr: u64) -> (MemOp, VPageId) {
         let op = MemOp::load(OpId(id), VAddr::new(addr), 4);
@@ -278,5 +287,95 @@ mod tests {
         assert_eq!(ib.take_mbe().map(|m| m.id), Some(OpId(50)));
         assert!(ib.is_empty());
         assert!(select(&ib).is_none());
+    }
+    /// The Input Buffer as it was before it kept its loads in priority
+    /// order: appended as offered, the leader found by a minimum over
+    /// (arrival, id), the group filtered and then sorted.
+    struct ModelInputBuffer {
+        loads: Vec<IbEntry>,
+        mbe: Option<IbEntry>,
+        load_cap: usize,
+    }
+
+    impl ModelInputBuffer {
+        fn push_load(&mut self, op: MemOp, vpage: VPageId, cycle: u64) -> bool {
+            if self.loads.len() >= self.load_cap {
+                return false;
+            }
+            self.loads.push(IbEntry {
+                op,
+                vpage,
+                arrived: cycle,
+            });
+            true
+        }
+
+        fn select_into(&self, members: &mut Vec<IbEntry>) -> Option<GroupMeta> {
+            members.clear();
+            let leader = self
+                .loads
+                .iter()
+                .min_by_key(|e| (e.arrived, e.op.id))
+                .or(self.mbe.as_ref())?;
+            let vpage = leader.vpage;
+            members.extend(self.loads.iter().filter(|e| e.vpage == vpage).copied());
+            members.sort_unstable_by_key(|e| (e.arrived, e.op.id));
+            let valid = self.loads.len() + usize::from(self.mbe.is_some());
+            Some(GroupMeta {
+                vpage,
+                include_mbe: self.mbe.as_ref().is_some_and(|m| m.vpage == vpage),
+                compares: valid.saturating_sub(1) as u32,
+            })
+        }
+
+        fn remove_load(&mut self, id: OpId) {
+            self.loads.retain(|e| e.op.id != id);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Loads pushed in any (arrival, id) order, removals of present
+        /// and absent ids, and MBE arrivals and departures: after every
+        /// step the group, its metadata and the occupancy match the
+        /// min + filter + sort model. Four pages make shared groups common.
+        #[test]
+        fn prop_select_matches_min_filter_sort_model(
+            cap in 1usize..9,
+            ops in proptest::collection::vec((0u8..5, 0u64..6, 0u64..24, 0u64..4), 0..300),
+        ) {
+            let mut ib = InputBuffer::new(cap);
+            let mut model = ModelInputBuffer { loads: Vec::new(), mbe: None, load_cap: cap };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (kind, cycle, id, page) in ops {
+                let vpage = VPageId::new(page);
+                let op = MemOp::load(OpId(id), VAddr::new((page << 12) | (id * 8)), 4);
+                match kind {
+                    // The core offers a load once while it is buffered.
+                    0 | 1 if model.loads.iter().all(|e| e.op.id != op.id) => {
+                        prop_assert_eq!(
+                            ib.push_load(op, vpage, cycle),
+                            model.push_load(op, vpage, cycle)
+                        );
+                    }
+                    0 | 1 => {}
+                    2 => {
+                        ib.remove_load(op.id);
+                        model.remove_load(op.id);
+                    }
+                    3 => {
+                        let mbe = MemOp::merge_evict(OpId(100 + id), op.vaddr, 16);
+                        let set = ib.set_mbe(mbe, vpage, cycle);
+                        prop_assert_eq!(set, model.mbe.is_none());
+                        model.mbe.get_or_insert(IbEntry { op: mbe, vpage, arrived: cycle });
+                    }
+                    _ => prop_assert_eq!(ib.take_mbe(), model.mbe.take().map(|e| e.op)),
+                }
+                prop_assert_eq!(ib.select_into(&mut got), model.select_into(&mut want));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(ib.len(), model.loads.len());
+            }
+        }
     }
 }

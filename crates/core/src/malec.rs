@@ -40,10 +40,6 @@ use crate::mmu::{Mmu, Translation, TranslationPath};
 use crate::waytable::WayTable;
 use crate::wdu::Wdu;
 
-/// One arbitration candidate: the op, its physical line, its bank, and its
-/// 32-byte merge window within the line.
-type LoadInfo = (MemOp, LineAddr, usize, u64);
-
 /// The MALEC L1 data interface.
 ///
 /// # Example
@@ -69,7 +65,6 @@ pub struct MalecInterface {
     // tick performs no heap allocation (capacities are bounded by the Input
     // Buffer size / bank count and reached within the first few cycles).
     scratch_group: Vec<IbEntry>,
-    scratch_infos: Vec<LoadInfo>,
     scratch_selected: Vec<(usize, usize)>,
     bank_leader: Vec<Option<usize>>,
     leader_done: Vec<u64>,
@@ -81,7 +76,8 @@ impl MalecInterface {
     ///
     /// # Panics
     ///
-    /// Panics if called with a baseline interface kind.
+    /// Panics if called with a baseline interface kind, or with more L1
+    /// banks than lines per page.
     pub fn new(config: &SimConfig, seed: u64) -> Self {
         assert!(
             matches!(config.interface, InterfaceKind::Malec),
@@ -89,6 +85,9 @@ impl MalecInterface {
         );
         let lines = config.page.lines_per_page();
         let banks = config.l1.banks();
+        // Arbitration reads a load's bank from its virtual address, which
+        // holds when the bank bits lie inside the page offset.
+        assert!(banks <= lines, "more L1 banks than lines per page");
         let ways = config.l1.ways();
         let (uwt, wt, wdu, feedback) = match config.way_determination {
             WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => (
@@ -120,7 +119,6 @@ impl MalecInterface {
             pending_mbe: std::collections::VecDeque::with_capacity(4),
             last_translation: None,
             scratch_group: Vec::with_capacity(usize::from(config.input_buffer_held) + 4),
-            scratch_infos: Vec::with_capacity(usize::from(config.input_buffer_held) + 4),
             scratch_selected: Vec::with_capacity(usize::from(config.result_buses).max(4)),
             bank_leader: vec![None; banks as usize],
             leader_done: vec![0; banks as usize],
@@ -175,8 +173,7 @@ impl MalecInterface {
                 TranslationPath::TlbHit { tlb_slot } => {
                     // The WT entry travels with the TLB hit; install it as
                     // the page's uWT entry.
-                    let entry = wt.entry(tlb_slot).clone();
-                    uwt.entry_mut(t.utlb_slot).copy_from(&entry);
+                    uwt.entry_mut(t.utlb_slot).copy_from(wt.entry(tlb_slot));
                     self.mem.counters.wt_reads += 1;
                     self.mem.counters.uwt_writes += 1;
                 }
@@ -320,13 +317,12 @@ impl MalecInterface {
     /// Services this cycle's page group. Returns how many loads were
     /// serviced.
     ///
-    /// Steady-state allocation-free: the group members, arbitration
-    /// candidates, selection list, per-bank leader slots and per-bank
-    /// completion cycles all live in buffers owned by `self` and reused
-    /// every cycle. The member/candidate/selection buffers are moved out
-    /// with `mem::take` for the duration of the call (a pointer swap, not
-    /// an allocation) so `self` methods stay callable, and moved back in
-    /// before returning.
+    /// Steady-state allocation-free: the group members, selection list,
+    /// per-bank leader slots and per-bank completion cycles all live in
+    /// buffers owned by `self` and reused every cycle. The member and
+    /// selection buffers are moved out with `mem::take` for the duration of
+    /// the call (a pointer swap, not an allocation) so `self` methods stay
+    /// callable, and moved back in before returning.
     fn service_group(&mut self) -> usize {
         let mut group_loads = std::mem::take(&mut self.scratch_group);
         let Some(group) = self.ib.select_into(&mut group_loads) else {
@@ -349,37 +345,46 @@ impl MalecInterface {
         }
 
         // --- Arbitration: per-bank leaders, same-line merging, result-bus cap.
-        // Two sub-blocks, a power of two (`CacheGeometry::new` makes the
+        // Every member shares the page, so its line within the page, its
+        // bank (the bank bits lie inside the page offset, checked in `new`)
+        // and its 32-byte merge window all come from the virtual address:
+        // the physical line is formed only for a leader's access. Two
+        // sub-blocks, a power of two (`CacheGeometry::new` makes the
         // sub-block divide the power-of-two line): `/ window` as a shift.
+        let line_shift = self.mem.config.page.line_offset_bits();
+        let bank_mask = u64::from(self.mem.config.l1.banks() - 1);
+        let window_mask = self.mem.config.page.line_bytes() - 1;
         let window_shift = (2 * self.mem.config.l1.sub_block_bytes()).trailing_zeros();
-        let mut infos = std::mem::take(&mut self.scratch_infos);
-        infos.clear();
-        for entry in &group_loads {
-            let op = entry.op;
-            let line = self.line_of(&op, t.ppage);
-            let bank = self.mem.config.l1.bank_of_line(line).0 as usize;
-            let window = (op.vaddr.raw() & (self.mem.config.page.line_bytes() - 1)) >> window_shift;
-            infos.push((op, line, bank, window));
-        }
+        // (line, bank, window) of a member.
+        let place = |e: &IbEntry| {
+            let raw = e.op.vaddr.raw();
+            let line = raw >> line_shift;
+            (
+                line,
+                (line & bank_mask) as usize,
+                (raw & window_mask) >> window_shift,
+            )
+        };
 
         self.bank_leader.fill(None);
         // (member index, leader index) — leader merges with itself.
         let mut selected = std::mem::take(&mut self.scratch_selected);
         selected.clear();
-        for (i, info) in infos.iter().enumerate() {
+        for (i, entry) in group_loads.iter().enumerate() {
             if selected.len() >= usize::from(self.mem.config.result_buses) {
                 break;
             }
-            match self.bank_leader[info.2] {
+            let (line, bank, window) = place(entry);
+            match self.bank_leader[bank] {
                 None => {
-                    self.bank_leader[info.2] = Some(i);
+                    self.bank_leader[bank] = Some(i);
                     selected.push((i, i));
                 }
                 Some(li) => {
                     if self.mem.config.load_merging && i - li <= usize::from(MERGE_COMPARE_WINDOW) {
                         self.mem.counters.arbitration_compares += 1;
-                        let leader = &infos[li];
-                        if leader.1 == info.1 && leader.3 == info.3 {
+                        let (leader_line, _, leader_window) = place(&group_loads[li]);
+                        if leader_line == line && leader_window == window {
                             selected.push((i, li));
                         }
                     }
@@ -390,8 +395,10 @@ impl MalecInterface {
         // --- Execute one L1 access per bank leader.
         let mut serviced = 0usize;
         for &(i, li) in &selected {
-            let (op, line, bank, _window) = infos[i];
+            let op = group_loads[i].op;
+            let (_, bank, _) = place(&group_loads[i]);
             let done = if i == li {
+                let line = self.line_of(&op, t.ppage);
                 let done = self.execute_load_access(t.utlb_slot, line, group_extra);
                 // A merged member shares its leader's bank, so the leader's
                 // completion cycle is keyed by bank id — a fixed-size array
@@ -438,7 +445,6 @@ impl MalecInterface {
         }
 
         self.scratch_group = group_loads;
-        self.scratch_infos = infos;
         self.scratch_selected = selected;
         serviced
     }

@@ -15,7 +15,7 @@ use malec_types::op::{MemOp, OpId};
 use malec_types::SimConfig;
 
 use crate::metrics::InterfaceStats;
-use crate::mmu::{Mmu, Translation, TranslationPath};
+use crate::mmu::{Mmu, Translation, TranslationPath, WALK_LATENCY};
 use crate::pending::{CompletionQueue, FillTable};
 use crate::sbmb::{MergeBuffer, StoreBuffer};
 
@@ -33,6 +33,16 @@ pub(crate) struct MemorySide {
     pub(crate) pending_fills: FillTable,
     /// The cycle of the current tick.
     pub(crate) cycle: u64,
+}
+
+/// The most cycles from an L1 access to its load's completion: the L1
+/// latency, a page-table walk, an L2 miss and DRAM (88 for Table II). A hit
+/// under a pending fill completes with that fill, which began no later.
+fn longest_load_latency(config: &SimConfig) -> u64 {
+    u64::from(config.l1_latency())
+        + u64::from(WALK_LATENCY)
+        + u64::from(config.l2_latency)
+        + u64::from(config.dram_latency)
 }
 
 impl MemorySide {
@@ -53,7 +63,7 @@ impl MemorySide {
             ),
             counters: EnergyCounters::default(),
             stats: InterfaceStats::default(),
-            completions: CompletionQueue::with_capacity(usize::from(config.lq_entries)),
+            completions: CompletionQueue::new(longest_load_latency(config)),
             pending_fills: FillTable::with_capacity(128),
             cycle: 0,
         }

@@ -5,6 +5,9 @@
 use malec_mem::tlb::{MicroTlb, PageTable, Tlb, TlbEntry};
 use malec_types::addr::{PPageId, VPageId};
 
+/// Extra cycles of a page-table walk.
+pub(crate) const WALK_LATENCY: u32 = 20;
+
 /// Extra cycles a translation adds on top of the (pipelined) uTLB hit path.
 ///
 /// The paths that consult the TLB carry the TLB slot now holding the
@@ -31,7 +34,7 @@ impl TranslationPath {
         match self {
             TranslationPath::MicroHit => 0,
             TranslationPath::TlbHit { .. } => 1,
-            TranslationPath::Walk { .. } => 20,
+            TranslationPath::Walk { .. } => WALK_LATENCY,
         }
     }
 }
@@ -72,6 +75,7 @@ impl Mmu {
 
     /// Translates `vpage`, updating uTLB/TLB state and reporting every event
     /// the way tables need.
+    #[inline]
     pub fn translate(&mut self, vpage: VPageId) -> Translation {
         if let Some((slot, entry)) = self.utlb.lookup(vpage) {
             return Translation {
@@ -83,9 +87,10 @@ impl Mmu {
             };
         }
 
-        // uTLB miss: consult the TLB.
+        // uTLB miss: consult the TLB. Both misses below proved the page
+        // absent from the uTLB, so it installs without searching again.
         if let Some((tlb_slot, entry)) = self.tlb.lookup(vpage) {
-            let ev = self.utlb.insert(vpage, entry.ppage);
+            let ev = self.utlb.install(vpage, entry.ppage);
             return Translation {
                 ppage: entry.ppage,
                 path: TranslationPath::TlbHit { tlb_slot },
@@ -97,7 +102,7 @@ impl Mmu {
 
         // Page-table walk.
         let ppage = self.page_table.translate(vpage);
-        let tlb_ev = self.tlb.insert(vpage, ppage);
+        let tlb_ev = self.tlb.install(vpage, ppage);
         // A TLB eviction kills any uTLB copy of the evicted page.
         let mut tlb_evicted = None;
         if let Some(evicted) = tlb_ev.evicted {
@@ -106,7 +111,7 @@ impl Mmu {
             }
             tlb_evicted = Some((tlb_ev.slot, evicted));
         }
-        let u_ev = self.utlb.insert(vpage, ppage);
+        let u_ev = self.utlb.install(vpage, ppage);
         Translation {
             ppage,
             path: TranslationPath::Walk {

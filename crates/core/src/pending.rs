@@ -7,9 +7,11 @@
 //! allocations) dominating steady-state `tick()` cost, so they are replaced
 //! by:
 //!
-//! * [`CompletionQueue`] — a min-heap keyed on due-cycle: delivering this
-//!   cycle's completions pops only the entries that are actually due instead
-//!   of scanning every in-flight load;
+//! * [`CompletionQueue`] — a calendar queue (R. Brown, "Calendar queues",
+//!   CACM 31(10), 1988) with one bucket per cycle: a ring of per-cycle id
+//!   lists as long as the longest load latency, so a push appends to its
+//!   due cycle's bucket and a tick takes the buckets it has reached, with no
+//!   heap order to keep;
 //! * [`FillTable`] — a small open vector of `(line, ready)` pairs mirroring
 //!   the MSHRs: with ≤ a handful of outstanding fills, a linear probe beats
 //!   hashing, never allocates in steady state, and expired entries are
@@ -18,57 +20,88 @@
 //!
 //! Both structures preallocate in the constructor and only touch their own
 //! storage afterwards, so a steady-state tick performs no heap allocation
-//! (the interfaces size the completion heap from the load queue, which
-//! bounds the loads in flight).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! (a ring bucket keeps the capacity it grew to once).
 
 use malec_types::op::OpId;
 
-/// In-flight load completions ordered by due cycle.
-#[derive(Clone, Debug, Default)]
+/// In-flight load completions, delivered in due-cycle order.
+///
+/// `buckets[c & mask]` holds the ids due in cycle `c`, ascending, for every
+/// `c` from `next` on: a load is due at most `horizon` cycles after the
+/// cycle it is pushed in, and the ring has more slots than that, so two
+/// cycles in flight never share a bucket.
+#[derive(Clone, Debug)]
 pub struct CompletionQueue {
-    heap: BinaryHeap<Reverse<(u64, OpId)>>,
+    buckets: Vec<Vec<OpId>>,
+    mask: u64,
+    /// The earliest cycle not yet delivered.
+    next: u64,
+    len: usize,
 }
 
 impl CompletionQueue {
-    /// Creates a queue with room for `capacity` in-flight loads.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// Creates a queue for loads due at most `horizon` cycles after the
+    /// cycle they are pushed in (the config's longest load latency).
+    pub fn new(horizon: u64) -> Self {
+        let slots = (horizon + 1).next_power_of_two();
         Self {
-            heap: BinaryHeap::with_capacity(capacity),
+            buckets: (0..slots).map(|_| Vec::with_capacity(4)).collect(),
+            mask: slots - 1,
+            next: 0,
+            len: 0,
         }
     }
 
     /// Schedules `id` to complete at `due`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due` is already delivered or past the ring's horizon.
     #[inline]
     pub fn push(&mut self, due: u64, id: OpId) {
-        self.heap.push(Reverse((due, id)));
+        assert!(
+            due >= self.next && due - self.next <= self.mask,
+            "completion due at {due} outside the ring from cycle {}",
+            self.next
+        );
+        let bucket = &mut self.buckets[(due & self.mask) as usize];
+        // Ids mostly arrive in program order: an append, else a sorted
+        // insert.
+        if bucket.last().is_none_or(|&last| last < id) {
+            bucket.push(id);
+        } else {
+            let at = bucket.partition_point(|&b| b < id);
+            bucket.insert(at, id);
+        }
+        self.len += 1;
     }
 
-    /// Pops every completion with `due <= cycle` into `out` (ascending due
-    /// cycle, then op id).
+    /// Delivers every completion with `due <= cycle` into `out`, ascending
+    /// by due cycle, then op id. A drain may skip cycles; once the queue is
+    /// empty the ring restarts after `cycle`, wherever that is.
     #[inline]
     pub fn drain_due(&mut self, cycle: u64, out: &mut Vec<OpId>) {
-        while let Some(&Reverse((due, id))) = self.heap.peek() {
-            if due > cycle {
-                break;
-            }
-            self.heap.pop();
-            out.push(id);
+        while self.len > 0 && self.next <= cycle {
+            let bucket = &mut self.buckets[(self.next & self.mask) as usize];
+            self.len -= bucket.len();
+            out.append(bucket);
+            self.next += 1;
+        }
+        if self.len == 0 {
+            self.next = cycle.saturating_add(1);
         }
     }
 
     /// Completions still owed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no completions are owed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 
@@ -159,10 +192,12 @@ impl FillTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn completions_deliver_in_due_order() {
-        let mut q = CompletionQueue::with_capacity(8);
+        let mut q = CompletionQueue::new(20);
         q.push(10, OpId(3));
         q.push(5, OpId(1));
         q.push(10, OpId(2));
@@ -216,6 +251,49 @@ mod tests {
         t.prune(35);
         assert_eq!(t.ready_after(100, 34), None, "pruned at its ready cycle");
         assert_eq!(t.len(), 64 - 16);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pushes up to the horizon ahead, with ids out of program order,
+        /// and drains that advance one cycle or skip up to twice the
+        /// horizon: every drain delivers what a min-heap on (due, id)
+        /// pops, and a final drain to `u64::MAX` empties both.
+        #[test]
+        fn prop_completion_ring_matches_heap(
+            horizon in 1u64..100,
+            ops in proptest::collection::vec((0u8..4, 0u64..1000, 0u64..64), 0..400),
+        ) {
+            let mut ring = CompletionQueue::new(horizon);
+            let mut heap = BinaryHeap::new();
+            let drain = |heap: &mut BinaryHeap<Reverse<(u64, OpId)>>, cycle: u64| {
+                let mut out = Vec::new();
+                while heap.peek().is_some_and(|&Reverse((due, _))| due <= cycle) {
+                    out.extend(heap.pop().map(|Reverse((_, id))| id));
+                }
+                out
+            };
+            // The last drained cycle; loads pushed now are due after it.
+            let mut cycle = 0u64;
+            for (kind, a, id) in ops {
+                if kind < 2 {
+                    cycle += if kind == 0 { 1 } else { 1 + a % (2 * horizon) };
+                    let mut got = Vec::new();
+                    ring.drain_due(cycle, &mut got);
+                    prop_assert_eq!(got, drain(&mut heap, cycle));
+                } else {
+                    let due = cycle + 1 + a % horizon;
+                    ring.push(due, OpId(id));
+                    heap.push(Reverse((due, OpId(id))));
+                }
+                prop_assert_eq!(ring.len(), heap.len());
+            }
+            let mut got = Vec::new();
+            ring.drain_due(u64::MAX, &mut got);
+            prop_assert_eq!(got, drain(&mut heap, u64::MAX));
+            prop_assert!(ring.is_empty());
+        }
     }
 
     /// The fill table as it was before cycle-driven pruning: it pruned only

@@ -35,8 +35,10 @@ const UNKNOWN: u8 = 0;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WaySlots {
     codes: Box<[u8]>,
-    banks: u8,
-    ways: u8,
+    /// `log2(banks)` and `ways - 1`: both are powers of two, so
+    /// `(line / banks) mod ways` is a shift and a mask.
+    bank_shift: u32,
+    way_mask: u8,
 }
 
 impl WaySlots {
@@ -45,24 +47,30 @@ impl WaySlots {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `ways < 2` (2-bit encoding needs
-    /// at least one representable way).
+    /// Panics if any parameter is zero, `ways < 2` (2-bit encoding needs
+    /// at least one representable way), or `banks` or `ways` is not a
+    /// power of two (`CacheGeometry` holds both to it).
     pub fn new(lines: u32, banks: u32, ways: u32) -> Self {
         assert!(
             lines > 0 && banks > 0 && ways >= 2,
             "degenerate way-slot geometry"
         );
+        assert!(
+            banks.is_power_of_two() && ways.is_power_of_two() && ways <= 128,
+            "way-slot banks and ways must be powers of two"
+        );
         Self {
             codes: vec![UNKNOWN; lines as usize].into_boxed_slice(),
-            banks: banks as u8,
-            ways: ways as u8,
+            bank_shift: banks.trailing_zeros(),
+            way_mask: (ways - 1) as u8,
         }
     }
 
     /// The way that is *not* representable for `line_in_page` (always read
     /// as unknown): `(line / banks) mod ways`.
+    #[inline]
     pub fn excluded_way(&self, line_in_page: u8) -> WayId {
-        WayId((line_in_page / self.banks) % self.ways)
+        WayId((u32::from(line_in_page) >> self.bank_shift) as u8 & self.way_mask)
     }
 
     /// Way information for a line: `Some(way)` means valid-and-known (the
@@ -83,7 +91,7 @@ impl WaySlots {
     /// the way equals the excluded way and therefore stays unknown.
     pub fn set(&mut self, line_in_page: u8, way: WayId) -> bool {
         let excluded = self.excluded_way(line_in_page).0;
-        if way.0 == excluded || way.0 >= self.ways {
+        if way.0 == excluded || way.0 > self.way_mask {
             self.codes[line_in_page as usize] = UNKNOWN;
             return false;
         }

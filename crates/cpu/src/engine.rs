@@ -215,7 +215,10 @@ impl<I: L1DataInterface> OoOCore<I> {
     ///
     /// Panics if the interface stops making forward progress (an op is lost),
     /// which indicates a bug in an interface implementation rather than a
-    /// property of any valid simulation.
+    /// property of any valid simulation. Debug builds also check that every
+    /// accepted load completes exactly once: a completion for an op outside
+    /// the ROB or for a load already done panics, and so does a load still
+    /// in flight, or still owed by the interface, when the trace ends.
     pub fn run(&mut self, mut trace: impl Iterator<Item = TraceInst>) -> CoreStats {
         let mut trace_done = false;
         let mut last_commit_cycle = 0u64;
@@ -226,8 +229,21 @@ impl<I: L1DataInterface> OoOCore<I> {
             let mut completed = std::mem::take(&mut self.completed_buf);
             self.interface.tick(self.cycle, &mut completed);
             for &OpId(idx) in &completed {
-                if (self.rob_base..self.next_idx).contains(&idx) {
+                // Every accepted load completes exactly once, while it is
+                // in the ROB: a load commits only after its completion.
+                let in_rob = (self.rob_base..self.next_idx).contains(&idx);
+                debug_assert!(
+                    in_rob,
+                    "load {idx} completed outside the ROB [{}, {}) at cycle {}",
+                    self.rob_base, self.next_idx, self.cycle
+                );
+                if in_rob {
                     debug_assert_eq!(self.entry(idx).kind, EntryKind::Load);
+                    debug_assert_eq!(
+                        self.entry(idx).done_at,
+                        UNKNOWN,
+                        "load {idx} completed twice"
+                    );
                     self.complete(idx, self.cycle);
                     self.inflight_loads -= 1;
                 }
@@ -270,6 +286,12 @@ impl<I: L1DataInterface> OoOCore<I> {
 
             // 5. Termination / watchdog.
             if trace_done && self.rob_len() == 0 {
+                debug_assert_eq!(self.inflight_loads, 0, "loads in flight at trace end");
+                debug_assert_eq!(
+                    self.interface.pending_loads(),
+                    0,
+                    "the interface owes loads at trace end"
+                );
                 break;
             }
             if self.cycle.saturating_sub(last_commit_cycle) > DEADLOCK_LIMIT {

@@ -100,6 +100,7 @@ impl SeededRandom {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[inline]
     pub fn victim(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot pick a victim among zero slots");
         self.rng.gen_range(0..n)
@@ -134,12 +135,14 @@ impl SecondChance {
     }
 
     /// Marks `slot` as referenced (gives it a second chance).
+    #[inline]
     pub fn touch(&mut self, slot: usize) {
         self.referenced[slot] = true;
     }
 
     /// Selects and returns a victim, advancing the clock hand and clearing
     /// reference bits along the way.
+    #[inline]
     pub fn victim(&mut self) -> usize {
         loop {
             let i = self.hand;

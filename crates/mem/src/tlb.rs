@@ -9,9 +9,16 @@
 //!
 //! Both TLBs keep their slots as two parallel dense arrays of raw page ids,
 //! `vpages` and `ppages`, with the sentinel `EMPTY` (`u64::MAX`) in both
-//! for a free slot. A lookup, the refresh check and the free-slot search of
-//! an insert, and a reverse lookup by physical page each scan one
-//! contiguous `u64` array.
+//! for a free slot, plus a count of occupied slots. Beside each id array
+//! sits a one-byte tag per slot, a fold of the id, as a hardware CAM keeps
+//! partial tags. A lookup (and a reverse lookup by physical page) tests
+//! the tags eight slots at a time as one `u64` word, and reads a full id
+//! only where a tag matches; a miss, the common case on a walk, mostly
+//! reads no id at all. A miss already proved the page absent, so `install` writes
+//! it without searching again, and a full TLB (the count equals the slots)
+//! goes straight to its replacement policy instead of scanning for a free
+//! slot it cannot have. `insert` is that same install behind a refresh
+//! check.
 
 use malec_types::addr::{PPageId, VPageId};
 
@@ -86,12 +93,51 @@ pub struct TlbEvent {
     pub evicted: Option<TlbEntry>,
 }
 
+/// The one-byte tag of a page id: its low two bytes folded together.
+#[inline]
+fn tag(page: u64) -> u8 {
+    (page ^ (page >> 8)) as u8
+}
+
+/// The first slot whose id in `pages` is `page`, where `tags[i]` is
+/// `tag(pages[i])`. Eight tags are tested per step as one `u64` word: a
+/// byte of `word ^ (tag × 0x01…01)` is zero where the tag matches, and
+/// `(x − 0x01…01) & !x & 0x80…80` flags every zero byte (a borrow may also
+/// flag a byte above one, which the full-id check rejects). Only a flagged
+/// slot has its full id read, lowest slot first.
+#[inline]
+fn first_slot(pages: &[u64], tags: &[u8], page: u64) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let want = ONES * u64::from(tag(page));
+    let (words, rest) = tags.as_chunks::<8>();
+    for (w, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ want;
+        let mut flagged = x.wrapping_sub(ONES) & !x & HIGHS;
+        while flagged != 0 {
+            let slot = 8 * w + (flagged.trailing_zeros() / 8) as usize;
+            if pages[slot] == page {
+                return Some(slot);
+            }
+            flagged &= flagged - 1;
+        }
+    }
+    let base = tags.len() - rest.len();
+    (base..tags.len()).find(|&slot| pages[slot] == page)
+}
+
 /// The fully associative slots both TLBs share: parallel arrays of raw
-/// virtual and physical page ids, `EMPTY` in both for a free slot.
+/// virtual and physical page ids, `EMPTY` in both for a free slot, with
+/// each id's [`tag`] beside it.
 #[derive(Clone, Debug)]
 struct Slots {
     vpages: Vec<u64>,
     ppages: Vec<u64>,
+    vtags: Vec<u8>,
+    ptags: Vec<u8>,
+    /// Occupied slots: when it equals the slot count there is no free slot
+    /// to search for.
+    filled: usize,
 }
 
 impl Slots {
@@ -99,6 +145,9 @@ impl Slots {
         Self {
             vpages: vec![EMPTY; entries],
             ppages: vec![EMPTY; entries],
+            vtags: vec![tag(EMPTY); entries],
+            ptags: vec![tag(EMPTY); entries],
+            filled: 0,
         }
     }
 
@@ -114,7 +163,7 @@ impl Slots {
             EMPTY,
             "page id collides with the free-slot sentinel"
         );
-        self.vpages.iter().position(|&v| v == vpage.raw())
+        first_slot(&self.vpages, &self.vtags, vpage.raw())
     }
 
     /// First slot holding `ppage`.
@@ -125,7 +174,7 @@ impl Slots {
             EMPTY,
             "page id collides with the free-slot sentinel"
         );
-        self.ppages.iter().position(|&p| p == ppage.raw())
+        first_slot(&self.ppages, &self.ptags, ppage.raw())
     }
 
     /// `(slot, entry)` of the slot holding `vpage`.
@@ -136,10 +185,13 @@ impl Slots {
         Some((slot, TlbEntry { vpage, ppage }))
     }
 
-    /// First free slot.
+    /// First free slot; a full array answers without scanning.
     #[inline]
     fn free(&self) -> Option<usize> {
-        self.vpages.iter().position(|&v| v == EMPTY)
+        if self.filled == self.len() {
+            return None;
+        }
+        first_slot(&self.vpages, &self.vtags, EMPTY)
     }
 
     /// Entry in `slot`, if occupied.
@@ -154,19 +206,28 @@ impl Slots {
 
     /// Writes `vpage → ppage` into `slot`, returning what it held.
     #[inline]
-    fn install(&mut self, slot: usize, vpage: VPageId, ppage: PPageId) -> Option<TlbEntry> {
+    fn write(&mut self, slot: usize, vpage: VPageId, ppage: PPageId) -> Option<TlbEntry> {
         let old = self.entry(slot);
-        self.vpages[slot] = vpage.raw();
-        self.ppages[slot] = ppage.raw();
+        self.filled += usize::from(old.is_none());
+        self.set(slot, vpage.raw(), ppage.raw());
         old
     }
 
     /// Frees `slot`, returning what it held.
     fn clear(&mut self, slot: usize) -> Option<TlbEntry> {
         let old = self.entry(slot)?;
-        self.vpages[slot] = EMPTY;
-        self.ppages[slot] = EMPTY;
+        self.set(slot, EMPTY, EMPTY);
+        self.filled -= 1;
         Some(old)
+    }
+
+    /// Stores raw ids in `slot`, with their tags.
+    #[inline]
+    fn set(&mut self, slot: usize, vpage: u64, ppage: u64) {
+        self.vpages[slot] = vpage;
+        self.ppages[slot] = ppage;
+        self.vtags[slot] = tag(vpage);
+        self.ptags[slot] = tag(ppage);
     }
 }
 
@@ -219,22 +280,33 @@ impl Tlb {
         self.slots.find_ppage(ppage)
     }
 
-    /// Installs a translation, preferring a free slot, else evicting a
-    /// random victim. A page already present is refreshed in place.
-    pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some(slot) = self.slots.find(vpage) {
-            self.slots.install(slot, vpage, ppage);
-            return TlbEvent {
-                slot,
-                evicted: None,
-            };
-        }
+    /// Installs a translation for a page a lookup just missed, preferring
+    /// a free slot, else evicting a random victim. It does not search for
+    /// the page again: the caller's miss proved it absent.
+    #[inline]
+    pub fn install(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        debug_assert!(self.slots.find(vpage).is_none(), "install after a hit");
         let slot = match self.slots.free() {
             Some(free) => free,
             None => self.policy.victim(self.slots.len()),
         };
-        let evicted = self.slots.install(slot, vpage, ppage);
+        let evicted = self.slots.write(slot, vpage, ppage);
         TlbEvent { slot, evicted }
+    }
+
+    /// [`install`](Self::install) for a page that may be present: a page
+    /// already held is refreshed in place.
+    pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        match self.slots.find(vpage) {
+            Some(slot) => {
+                self.slots.write(slot, vpage, ppage);
+                TlbEvent {
+                    slot,
+                    evicted: None,
+                }
+            }
+            None => self.install(vpage, ppage),
+        }
     }
 }
 
@@ -285,28 +357,38 @@ impl MicroTlb {
         self.slots.find_ppage(ppage)
     }
 
-    /// Installs a translation, preferring a free slot, else the
-    /// second-chance victim. The evicted entry (if any) must be synced to
-    /// the WT by the caller. A page already present is refreshed in place
-    /// and marked referenced.
-    pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
-        if let Some(slot) = self.slots.find(vpage) {
-            self.slots.install(slot, vpage, ppage);
-            self.policy.touch(slot);
-            return TlbEvent {
-                slot,
-                evicted: None,
-            };
-        }
+    /// Installs a translation for a page a lookup just missed, preferring
+    /// a free slot, else the second-chance victim. The evicted entry (if
+    /// any) must be synced to the WT by the caller. It does not search for
+    /// the page again: the caller's miss proved it absent.
+    #[inline]
+    pub fn install(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        debug_assert!(self.slots.find(vpage).is_none(), "install after a hit");
         let slot = match self.slots.free() {
             Some(free) => free,
             None => self.policy.victim(),
         };
-        let evicted = self.slots.install(slot, vpage, ppage);
+        let evicted = self.slots.write(slot, vpage, ppage);
         // The reference bit stays clear on insertion: only a subsequent hit
         // marks the page hot. This is what lets the clock distinguish
         // streaming pages (touched once) from re-used ones.
         TlbEvent { slot, evicted }
+    }
+
+    /// [`install`](Self::install) for a page that may be present: a page
+    /// already held is refreshed in place and marked referenced.
+    pub fn insert(&mut self, vpage: VPageId, ppage: PPageId) -> TlbEvent {
+        match self.slots.find(vpage) {
+            Some(slot) => {
+                self.slots.write(slot, vpage, ppage);
+                self.policy.touch(slot);
+                TlbEvent {
+                    slot,
+                    evicted: None,
+                }
+            }
+            None => self.install(vpage, ppage),
+        }
     }
 
     /// Removes the translation in `slot` (e.g. when the main TLB evicted the
@@ -576,14 +658,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random lookups, inserts and reverse lookups give the model's
-        /// answer at every step. Few pages over few physical pages make
-        /// refreshes, evictions and shared physical pages common.
+        /// Random lookups, inserts, installs after a missed lookup (the
+        /// MMU's walk path) and reverse lookups give the model's answer at
+        /// every step, and the occupancy count always equals the model's
+        /// filled slots. Few pages over few physical pages make refreshes,
+        /// evictions and shared physical pages common.
         #[test]
         fn prop_tlb_matches_vec_model(
             entries in 1usize..70,
             seed in 0u64..1000,
-            ops in proptest::collection::vec((0u8..3, 0u64..1000, 0u64..8), 0..400),
+            ops in proptest::collection::vec((0u8..4, 0u64..1000, 0u64..8), 0..400),
         ) {
             let mut tlb = Tlb::new(entries, seed);
             let mut model = ModelTlb::new(entries, seed);
@@ -594,11 +678,19 @@ mod tests {
                 match kind {
                     0 => prop_assert_eq!(tlb.lookup(vpage), model_find(&model.entries, vpage)),
                     1 => prop_assert_eq!(tlb.insert(vpage, ppage), model.insert(vpage, ppage)),
+                    2 => {
+                        let hit = tlb.lookup(vpage);
+                        prop_assert_eq!(hit, model_find(&model.entries, vpage));
+                        if hit.is_none() {
+                            prop_assert_eq!(tlb.install(vpage, ppage), model.insert(vpage, ppage));
+                        }
+                    }
                     _ => prop_assert_eq!(
                         tlb.slot_of_ppage(ppage),
                         model_find_ppage(&model.entries, ppage)
                     ),
                 }
+                prop_assert_eq!(tlb.slots.filled, model.entries.iter().flatten().count());
             }
             let slots: Vec<_> = (0..entries).map(|s| tlb.slots.entry(s)).collect();
             prop_assert_eq!(slots, model.entries);
@@ -609,7 +701,7 @@ mod tests {
         #[test]
         fn prop_utlb_matches_vec_model(
             entries in 1usize..20,
-            ops in proptest::collection::vec((0u8..5, 0u64..1000, 0u64..8), 0..400),
+            ops in proptest::collection::vec((0u8..6, 0u64..1000, 0u64..8), 0..400),
         ) {
             let mut utlb = MicroTlb::new(entries);
             let mut model = ModelMicroTlb::new(entries);
@@ -629,11 +721,19 @@ mod tests {
                         let want = model.entries.get_mut(slot).and_then(Option::take);
                         prop_assert_eq!(utlb.invalidate_slot(slot), want);
                     }
+                    4 => {
+                        let hit = utlb.lookup(vpage);
+                        prop_assert_eq!(hit, model.lookup(vpage));
+                        if hit.is_none() {
+                            prop_assert_eq!(utlb.install(vpage, ppage), model.insert(vpage, ppage));
+                        }
+                    }
                     _ => prop_assert_eq!(
                         utlb.slot_of(vpage),
                         model_find(&model.entries, vpage).map(|(s, _)| s)
                     ),
                 }
+                prop_assert_eq!(utlb.slots.filled, model.entries.iter().flatten().count());
             }
             prop_assert_eq!((utlb.hits(), utlb.misses()), (model.hits, model.misses));
             let slots: Vec<_> = (0..entries).map(|s| utlb.slots.entry(s)).collect();

@@ -7,6 +7,13 @@
 //! `page_reuse_prob`, else drawn fresh from the working set. Interleaving
 //! between streams (controlled by `stream_switch_prob`) is what produces the
 //! "n intermediate accesses to a different page" structure of Fig. 1.
+//!
+//! Every Bernoulli draw is integer-only. A generator turns each of its
+//! probabilities `p` into the threshold `⌈p·2^53⌉` once, when it is built,
+//! and `chance` compares a 53-bit draw against it, which equals
+//! `gen_bool(p)` on every draw (see `threshold`). The recent hot pages sit
+//! in a fixed ring, so a fresh page replaces the oldest without shifting
+//! the rest.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -18,6 +25,62 @@ use crate::inst::TraceInst;
 use crate::profile::BenchmarkProfile;
 
 const HOT_SET: usize = 48;
+
+/// The threshold `⌈p·2^53⌉` under which a 53-bit draw `x` satisfies
+/// `x·2^-53 < p`, the test `gen_bool(p)` makes: for an integer `x < 2^53`,
+/// `x·2^-53` is exact and scaling by `2^53` is exact, so
+/// `x·2^-53 < p ⇔ x < p·2^53 ⇔ x < ⌈p·2^53⌉`. A `p` of 1 gives `2^53`,
+/// which every draw is under.
+pub(crate) fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`threshold`]: `chance(rng, threshold(p))`
+/// consumes the one word `rng.gen_bool(p)` does and gives the same answer.
+#[inline]
+pub(crate) fn chance(rng: &mut SmallRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
+/// A profile's probabilities, and the generator's fixed ones, as
+/// [`chance`] thresholds.
+#[derive(Clone, Copy, Debug)]
+struct Thresholds {
+    mem: u64,
+    load: u64,
+    branch: u64,
+    mispredict: u64,
+    long_op: u64,
+    dep: u64,
+    addr_dep: u64,
+    page_reuse: u64,
+    stream_switch: u64,
+    /// A fresh page comes from the sequential walk (else a uniform draw).
+    sequential: u64,
+    /// An access is 8 bytes wide (else 4).
+    wide: u64,
+    /// A branch tests a recently loaded value.
+    branch_on_load: u64,
+}
+
+impl Thresholds {
+    fn new(profile: &BenchmarkProfile) -> Self {
+        Self {
+            mem: threshold(profile.mem_fraction),
+            load: threshold(profile.load_share),
+            branch: threshold(profile.branch_fraction),
+            mispredict: threshold(profile.mispredict_rate),
+            long_op: threshold(profile.long_op_fraction),
+            dep: threshold(profile.dep_prob),
+            addr_dep: threshold(profile.addr_dep_prob),
+            page_reuse: threshold(profile.page_reuse_prob),
+            stream_switch: threshold(profile.stream_switch_prob),
+            sequential: threshold(0.5),
+            wide: threshold(0.25),
+            branch_on_load: threshold(0.6),
+        }
+    }
+}
 
 #[derive(Clone, Debug)]
 struct StreamState {
@@ -49,10 +112,15 @@ struct StreamState {
 #[derive(Clone, Debug)]
 pub struct WorkloadGenerator {
     profile: BenchmarkProfile,
+    thresholds: Thresholds,
     rng: SmallRng,
     streams: Vec<StreamState>,
     active: usize,
-    hot_pages: Vec<(u64, u64, u32)>,
+    /// The last `HOT_SET` fresh pages as (page, offset, run), oldest at
+    /// `hot_head` once all `HOT_SET` are filled (slot 0 until then).
+    hot_pages: [(u64, u64, u32); HOT_SET],
+    hot_len: usize,
+    hot_head: usize,
     fresh_cursor: u64,
     base_page: u64,
     insts_since_load: u32,
@@ -79,10 +147,13 @@ impl WorkloadGenerator {
             .collect();
         Self {
             profile: profile.clone(),
+            thresholds: Thresholds::new(profile),
             rng,
             streams,
             active: 0,
-            hot_pages: Vec::with_capacity(HOT_SET),
+            hot_pages: [(0, 0, 0); HOT_SET],
+            hot_len: 0,
+            hot_head: 0,
             fresh_cursor: 0,
             base_page,
             insts_since_load: u32::MAX,
@@ -109,14 +180,14 @@ impl WorkloadGenerator {
     /// (interrupted array sweeps resume over the same sub-array).
     fn next_page(&mut self) -> (u64, u64, u32) {
         let ws = u64::from(self.profile.working_set_pages.max(1));
-        if !self.hot_pages.is_empty() && self.rng.gen_bool(self.profile.page_reuse_prob) {
-            let i = self.rng.gen_range(0..self.hot_pages.len());
-            return self.hot_pages[i];
+        if self.hot_len > 0 && chance(&mut self.rng, self.thresholds.page_reuse) {
+            let i = self.rng.gen_range(0..self.hot_len);
+            return self.hot_pages[(self.hot_head + i) % HOT_SET];
         }
         // Fresh page: alternate between a sequential working-set walk
         // (array sweeps) and a uniform draw (heap scatter); enter at a
         // random line so lines spread over cache banks and sets.
-        let page = if self.rng.gen_bool(0.5) {
+        let page = if chance(&mut self.rng, self.thresholds.sequential) {
             self.fresh_cursor = (self.fresh_cursor + 1) % ws;
             self.base_page + self.fresh_cursor
         } else {
@@ -124,16 +195,21 @@ impl WorkloadGenerator {
         };
         let offset = self.rng.gen_range(0..PAGE_BYTES / LINE_BYTES) * LINE_BYTES;
         let run = self.sample_run();
-        if self.hot_pages.len() == HOT_SET {
-            self.hot_pages.remove(0);
+        // The fresh page becomes the newest hot page, replacing the oldest
+        // once the ring is full.
+        if self.hot_len == HOT_SET {
+            self.hot_pages[self.hot_head] = (page, offset, run);
+            self.hot_head = (self.hot_head + 1) % HOT_SET;
+        } else {
+            self.hot_pages[self.hot_len] = (page, offset, run);
+            self.hot_len += 1;
         }
-        self.hot_pages.push((page, offset, run));
         (page, offset, run)
     }
 
     fn next_mem_addr(&mut self) -> (VAddr, bool) {
         // Possibly switch to a different stream.
-        if self.streams.len() > 1 && self.rng.gen_bool(self.profile.stream_switch_prob) {
+        if self.streams.len() > 1 && chance(&mut self.rng, self.thresholds.stream_switch) {
             let n = self.streams.len();
             let step = self.rng.gen_range(1..n);
             self.active = (self.active + step) % n;
@@ -169,12 +245,17 @@ impl WorkloadGenerator {
 
     fn gen_load(&mut self) -> TraceInst {
         let (vaddr, new_run) = self.next_mem_addr();
-        let size = if self.rng.gen_bool(0.25) { 8 } else { 4 };
+        let size = if chance(&mut self.rng, self.thresholds.wide) {
+            8
+        } else {
+            4
+        };
         // Pointer dereferences happen when a stream jumps to a new object
         // (run start); every access of the run then depends on that same
         // pointer, so all of a node's field loads become ready together.
         if new_run {
-            self.streams[self.active].producer = if self.rng.gen_bool(self.profile.addr_dep_prob) {
+            self.streams[self.active].producer = if chance(&mut self.rng, self.thresholds.addr_dep)
+            {
                 let d = self.rng.gen_range(1..8u64).min(self.emitted);
                 (d > 0).then(|| self.emitted - d)
             } else {
@@ -194,8 +275,12 @@ impl WorkloadGenerator {
 
     fn gen_store(&mut self) -> TraceInst {
         let (vaddr, _) = self.next_mem_addr();
-        let size = if self.rng.gen_bool(0.25) { 8 } else { 4 };
-        let data_dep = if self.rng.gen_bool(self.profile.dep_prob) {
+        let size = if chance(&mut self.rng, self.thresholds.wide) {
+            8
+        } else {
+            4
+        };
+        let data_dep = if chance(&mut self.rng, self.thresholds.dep) {
             Some(self.rng.gen_range(1..6))
         } else {
             None
@@ -208,19 +293,21 @@ impl WorkloadGenerator {
     }
 
     fn gen_op(&mut self) -> TraceInst {
-        if self.rng.gen_bool(self.profile.branch_fraction) {
+        if chance(&mut self.rng, self.thresholds.branch) {
             // Branch conditions frequently test recently loaded values.
-            let dep = if self.insts_since_load <= 8 && self.rng.gen_bool(0.6) {
+            let dep = if self.insts_since_load <= 8
+                && chance(&mut self.rng, self.thresholds.branch_on_load)
+            {
                 Some(self.insts_since_load.max(1))
             } else {
                 None
             };
             return TraceInst::Branch {
-                mispredicted: self.rng.gen_bool(self.profile.mispredict_rate),
+                mispredicted: chance(&mut self.rng, self.thresholds.mispredict),
                 dep,
             };
         }
-        let latency = if self.rng.gen_bool(self.profile.long_op_fraction) {
+        let latency = if chance(&mut self.rng, self.thresholds.long_op) {
             3
         } else {
             1
@@ -228,7 +315,7 @@ impl WorkloadGenerator {
         // Consumers preferentially depend on the most recent load: this is
         // the load-to-use chain that makes L1 hit latency matter (the
         // Fig. 4 1-cycle/3-cycle variants).
-        let dep = if self.rng.gen_bool(self.profile.dep_prob) {
+        let dep = if chance(&mut self.rng, self.thresholds.dep) {
             if self.insts_since_load <= 8 {
                 Some(self.insts_since_load.max(1))
             } else {
@@ -246,8 +333,8 @@ impl Iterator for WorkloadGenerator {
 
     #[inline]
     fn next(&mut self) -> Option<TraceInst> {
-        let inst = if self.rng.gen_bool(self.profile.mem_fraction) {
-            if self.rng.gen_bool(self.profile.load_share) {
+        let inst = if chance(&mut self.rng, self.thresholds.mem) {
+            if chance(&mut self.rng, self.thresholds.load) {
                 self.gen_load()
             } else {
                 self.gen_store()
@@ -279,6 +366,62 @@ mod tests {
 
     fn sample(name: &str, n: usize) -> Vec<TraceInst> {
         WorkloadGenerator::new(&profile(name), 42).take(n).collect()
+    }
+
+    /// `chance(threshold(p))` against `gen_bool(p)`: equal on every draw
+    /// of one seeded stream, and on the draws just below, at and above the
+    /// threshold, for the edge probabilities and every probability of every
+    /// profile.
+    #[test]
+    fn chance_equals_gen_bool_on_every_draw() {
+        let half_ulp = 2f64.powi(-53);
+        let mut probs = vec![
+            0.0,
+            1.0,
+            0.25,
+            1.0 / 3.0,
+            half_ulp,
+            1.0 - half_ulp,
+            0.5,
+            0.6,
+        ];
+        for b in all_benchmarks() {
+            probs.extend([
+                b.mem_fraction,
+                b.load_share,
+                b.stream_switch_prob,
+                b.page_reuse_prob,
+                b.addr_dep_prob,
+                b.dep_prob,
+                b.long_op_fraction,
+                b.branch_fraction,
+                b.mispredict_rate,
+            ]);
+        }
+        let unit = |x: u64| x as f64 * (1.0 / (1u64 << 53) as f64);
+        for p in probs {
+            let t = threshold(p);
+            let mut ints = SmallRng::seed_from_u64(2013);
+            let mut floats = ints.clone();
+            for draw in 0..20_000 {
+                assert_eq!(
+                    chance(&mut ints, t),
+                    floats.gen_bool(p),
+                    "p = {p}, draw {draw}"
+                );
+            }
+            for x in [t.saturating_sub(1), t, t + 1] {
+                if x < 1 << 53 {
+                    assert_eq!(x < t, unit(x) < p, "p = {p}, x = {x}");
+                }
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(0.25), 1 << 51);
+        assert_eq!(threshold(half_ulp), 1);
+        assert_eq!(threshold(1.0 - half_ulp), (1 << 53) - 1);
+        assert_eq!(threshold(1.0 / 3.0), 3_002_399_751_580_331);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use rand::{Rng, SeedableRng};
 use malec_types::addr::VAddr;
 use malec_types::params::{LINE_BYTES, PAGE_BYTES};
 
-use crate::generate::WorkloadGenerator;
+use crate::generate::{chance, threshold, WorkloadGenerator};
 use crate::inst::TraceInst;
 use crate::profile::{benchmark_named, BenchmarkProfile};
 
@@ -485,11 +485,17 @@ fn gcd(a: u64, b: u64) -> u64 {
 /// information coupled to them) never survive to be reused.
 #[derive(Clone, Debug)]
 struct TlbThrashGen {
-    params: TlbThrashParams,
     rng: SmallRng,
     base_page: u64,
-    cursor: u64,
+    /// `pages` as set (at least 1), and the stride below it, so a step
+    /// wraps with one subtraction.
+    pages: u64,
     stride: u64,
+    cursor: u64,
+    /// `lines_per_page` as set (at least 1).
+    lines: u64,
+    /// The [`chance`] threshold of `load_fraction`.
+    load: u64,
 }
 
 impl TlbThrashGen {
@@ -505,23 +511,26 @@ impl TlbThrashGen {
             .find(|s| gcd(*s, pages) == 1)
             .expect("1 is coprime with everything");
         Self {
-            params: params.clone(),
             rng: SmallRng::seed_from_u64(seed ^ 0x7a5b_17e3_90cd_4421),
             base_page: adversarial_base(0) / PAGE_BYTES,
+            pages,
+            stride: stride % pages,
             cursor: 0,
-            stride,
+            lines: u64::from(params.lines_per_page.max(1)),
+            load: threshold(params.load_fraction),
         }
     }
 
     fn next_inst(&mut self) -> TraceInst {
-        if self.rng.gen_bool(self.params.load_fraction) {
-            let pages = u64::from(self.params.pages.max(1));
-            self.cursor = (self.cursor + self.stride) % pages;
+        if chance(&mut self.rng, self.load) {
+            self.cursor += self.stride;
+            if self.cursor >= self.pages {
+                self.cursor -= self.pages;
+            }
             // Each page owns a page-dependent slice of line indices, so
             // repeat visits re-hit resident lines (translation misses,
             // cache hits) while the footprint spreads over cache sets.
-            let lines = u64::from(self.params.lines_per_page.max(1));
-            let lip = (self.cursor + self.rng.gen_range(0..lines)) % (PAGE_BYTES / LINE_BYTES);
+            let lip = (self.cursor + self.rng.gen_range(0..self.lines)) % (PAGE_BYTES / LINE_BYTES);
             let offset = lip * LINE_BYTES + self.rng.gen_range(0..LINE_BYTES / 8) * 8;
             TraceInst::Load {
                 vaddr: VAddr::new((self.base_page + self.cursor) * PAGE_BYTES + offset),
@@ -541,28 +550,38 @@ impl TlbThrashGen {
 /// every cycle's worth of parallel issue serializes on bank arbitration.
 #[derive(Clone, Debug)]
 struct BankConflictGen {
-    params: BankConflictParams,
     rng: SmallRng,
     base: u64,
+    /// Lines in the span, and the stride below it, so a step wraps with
+    /// one subtraction.
+    span_lines: u64,
+    stride: u64,
     line_cursor: u64,
+    /// The [`chance`] threshold of a load.
+    load: u64,
 }
 
 impl BankConflictGen {
     fn new(params: &BankConflictParams, seed: u64) -> Self {
+        let span_lines = u64::from(params.pages.max(1)) * (PAGE_BYTES / LINE_BYTES);
         Self {
-            params: params.clone(),
             rng: SmallRng::seed_from_u64(seed ^ 0x3c6e_f372_fe94_f82b),
             base: adversarial_base(1),
+            span_lines,
+            stride: u64::from(params.stride_lines.max(1)) % span_lines,
             line_cursor: 0,
+            // Mostly loads: conflicts only hurt when accesses actually
+            // contend.
+            load: threshold(0.85),
         }
     }
 
     fn next_inst(&mut self) -> TraceInst {
-        // Mostly loads: conflicts only hurt when accesses actually contend.
-        if self.rng.gen_bool(0.85) {
-            let stride = u64::from(self.params.stride_lines.max(1));
-            let span_lines = u64::from(self.params.pages.max(1)) * (PAGE_BYTES / LINE_BYTES);
-            self.line_cursor = (self.line_cursor + stride) % span_lines;
+        if chance(&mut self.rng, self.load) {
+            self.line_cursor += self.stride;
+            if self.line_cursor >= self.span_lines {
+                self.line_cursor -= self.span_lines;
+            }
             let offset = self.rng.gen_range(0..LINE_BYTES / 8) * 8;
             TraceInst::Load {
                 vaddr: VAddr::new(self.base + self.line_cursor * LINE_BYTES + offset),
@@ -596,17 +615,32 @@ struct StoreBurstGen {
     base: u64,
     line: u64,
     span_lines: u64,
+    /// How many lines behind the burst the loads read.
+    back: u64,
     state: BurstState,
 }
 
 impl StoreBurstGen {
     fn new(params: &StoreBurstParams, seed: u64) -> Self {
+        let span_lines = u64::from(params.pages.max(1)) * (PAGE_BYTES / LINE_BYTES);
+        // Read a line old enough to have drained SB and the 4-entry MB: the
+        // loads contend for one L1 line together, which is exactly what
+        // load merging exists to exploit. The distance is folded into
+        // [1, span-1] so it can never wrap onto the line the in-flight
+        // burst is writing (a span of one line has no other line to read,
+        // the only degenerate case).
+        let back = if span_lines > 1 {
+            (u64::from(params.lines_back.max(1)) - 1) % (span_lines - 1) + 1
+        } else {
+            0
+        };
         Self {
             params: params.clone(),
             rng: SmallRng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb),
             base: adversarial_base(2),
             line: 0,
-            span_lines: u64::from(params.pages.max(1)) * (PAGE_BYTES / LINE_BYTES),
+            span_lines,
+            back,
             state: BurstState::Storing(params.burst.max(1)),
         }
     }
@@ -638,18 +672,11 @@ impl StoreBurstGen {
                     return self.next_inst();
                 }
                 self.state = BurstState::Loading(left - 1);
-                // Read a line old enough to have drained SB and the 4-entry
-                // MB: the loads contend for one L1 line together, which is
-                // exactly what load merging exists to exploit. The distance
-                // is folded into [1, span-1] so it can never wrap onto the
-                // line the in-flight burst is writing (a span of one line
-                // has no other line to read, the only degenerate case).
-                let back = if self.span_lines > 1 {
-                    (u64::from(self.params.lines_back.max(1)) - 1) % (self.span_lines - 1) + 1
-                } else {
-                    0
-                };
-                let line = (self.line + self.span_lines - back) % self.span_lines;
+                // `line < span` and `back < span`: one subtraction wraps.
+                let mut line = self.line + self.span_lines - self.back;
+                if line >= self.span_lines {
+                    line -= self.span_lines;
+                }
                 let vaddr = VAddr::new(self.addr_in(line));
                 TraceInst::Load {
                     vaddr,
@@ -659,7 +686,10 @@ impl StoreBurstGen {
             }
             BurstState::Gap(left) => {
                 if left == 0 {
-                    self.line = (self.line + 1) % self.span_lines;
+                    self.line += 1;
+                    if self.line == self.span_lines {
+                        self.line = 0;
+                    }
                     self.state = BurstState::Storing(self.params.burst.max(1));
                     return self.next_inst();
                 }
