@@ -17,7 +17,6 @@ use malec_serve::{parse_spec, Engine, JobId, JobResults};
 use malec_trace::stats::{page_locality_ratios, run_length_buckets};
 use malec_trace::{all_benchmarks, BenchmarkProfile, Suite, WorkloadGenerator};
 use malec_types::addr::VPageId;
-use malec_types::geometry::{CacheGeometry, PageGeometry};
 use malec_types::{params, InterfaceKind, PortConfig, SimConfig, WayDetermination};
 
 /// The way-determination schemes of Sec. VI-C; the first is MALEC's own.
@@ -183,22 +182,17 @@ fn table_i() {
     );
 }
 
-/// **Table II** — Relevant simulation parameters, printed from the constants
-/// the simulator uses (with consistency assertions against the geometry
-/// types, so drift is impossible).
+/// **Table II** — Relevant simulation parameters, printed from the
+/// `params` constants the simulator reads, once the settings a
+/// configuration may vary are checked to default to them.
 fn table_ii() {
-    // Assert the geometry presets agree with the Table II constants.
-    let l1 = CacheGeometry::paper_l1();
-    let l2 = CacheGeometry::paper_l2();
-    let page = PageGeometry::default();
-    assert_eq!(l1.total_bytes(), params::L1_BYTES);
-    assert_eq!(l1.ways(), params::L1_WAYS);
-    assert_eq!(l1.banks(), params::L1_BANKS);
-    assert_eq!(l1.sub_block_bits(), params::SUB_BLOCK_BITS);
-    assert_eq!(l2.total_bytes(), params::L2_BYTES);
-    assert_eq!(l2.ways(), params::L2_WAYS);
-    assert_eq!(page.page_bytes(), params::PAGE_BYTES);
-    assert_eq!(page.line_bytes(), params::LINE_BYTES);
+    let malec = SimConfig::malec();
+    assert_eq!(malec.l1, params::L1);
+    assert_eq!(malec.l1_latency(), params::L1_LATENCY);
+    assert_eq!(malec.tlb_entries, params::TLB_ENTRIES);
+    assert_eq!(malec.utlb_entries, params::UTLB_ENTRIES);
+    assert_eq!(malec.rob_entries, params::ROB_ENTRIES);
+    assert_eq!(malec.result_buses, params::RESULT_BUSES);
 
     println!("\n== Table II: relevant simulation parameters ==\n");
     let mut t = TextTable::new(["Component", "Parameter"]);
@@ -250,7 +244,11 @@ fn table_ii() {
     ]);
     t.row(vec![
         "DRAM".into(),
-        format!("256 MByte, {} cycle latency", params::DRAM_LATENCY),
+        format!(
+            "{} MByte, {} cycle latency",
+            params::DRAM_BYTES / (1024 * 1024),
+            params::DRAM_LATENCY
+        ),
     ]);
     t.row(vec![
         "Energy model".into(),
@@ -267,7 +265,7 @@ fn load_pages(profile: &BenchmarkProfile, insts: u64) -> impl Iterator<Item = VP
     WorkloadGenerator::new(profile, DEFAULT_SEED)
         .take(insts as usize)
         .filter(|i| i.is_load())
-        .map(|i| VPageId::new(i.vaddr().expect("load has address").raw() >> 12))
+        .map(|i| params::PAGE.vpage_of(i.vaddr().expect("load has address")))
 }
 
 /// **Fig. 1** — Number of consecutive read accesses to the same page,

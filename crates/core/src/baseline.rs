@@ -12,8 +12,9 @@ use std::collections::VecDeque;
 use malec_cpu::{AcceptKind, L1DataInterface};
 use malec_energy::EnergyCounters;
 use malec_mem::hierarchy::MemoryHierarchy;
-use malec_types::addr::{LineAddr, PAddr};
+use malec_types::addr::{LineAddr, PAddr, VPageId};
 use malec_types::op::{MemOp, OpId};
+use malec_types::params::PAGE;
 use malec_types::{InterfaceKind, SimConfig};
 
 use crate::memory_side::MemorySide;
@@ -99,10 +100,9 @@ impl BaselineInterface {
 
     /// Translates with energy accounting; returns (paddr, extra latency).
     fn translate_counted(&mut self, op: &MemOp) -> (PAddr, u32) {
-        let page = self.mem.config.page;
-        let t = self.mem.translate(page.vpage_of(op.vaddr));
-        let offset = op.vaddr.raw() & (page.page_bytes() - 1);
-        let paddr = PAddr::new((t.ppage.raw() << page.page_offset_bits()) | offset);
+        let t = self.mem.translate(PAGE.vpage_of(op.vaddr));
+        let offset = op.vaddr.raw() & (PAGE.page_bytes() - 1);
+        let paddr = PAddr::new((t.ppage.raw() << PAGE.page_offset_bits()) | offset);
         (paddr, t.path.extra_latency())
     }
 
@@ -120,7 +120,7 @@ impl BaselineInterface {
         let sub_blocks = self.sub_blocks_of(&p.op, p.paddr);
         let m = &mut self.mem;
         let l1 = m.config.l1;
-        let line = m.config.page.line_of(p.paddr.raw());
+        let line = PAGE.line_of(p.paddr.raw());
         // Conventional parallel lookup: all ways' tags + data.
         m.counters.l1_conventional_read(l1.ways(), sub_blocks);
         m.stats.conventional_accesses += 1;
@@ -156,26 +156,23 @@ impl BaselineInterface {
         };
         // The MB address region is physical; the SB holds physical
         // addresses (translation happened at acceptance). The stored op
-        // carries the virtual address, so recompute the line from the MMU's
-        // current mapping deterministically via the page table (same page
-        // mapping as at acceptance — the simulator has no remaps).
+        // carries the virtual address, so the evicted entry's line is
+        // rebased onto the page the MMU's page table maps it to (the
+        // mapping of its acceptance: the simulator has no remaps).
         if let Some(evicted) = self.mem.mb.insert(op) {
-            let line =
-                LineAddr::new(evicted.rep.vaddr.raw() >> self.mem.config.page.line_offset_bits());
             self.pending_writes.push_back(PendingWrite {
-                line: self.physical_line(line),
+                line: self.physical_line(evicted.line),
                 sub_blocks: 2,
             });
         }
     }
 
-    /// Translates a virtual line to a physical line via the page table
-    /// (no TLB energy: the SB entry already carries the physical tag).
+    /// Translates a virtual line to a physical line through the MMU's page
+    /// table, with no TLB lookup and no energy: the SB entry already
+    /// carries the physical tag.
     fn physical_line(&self, vline: LineAddr) -> LineAddr {
-        let page = self.mem.config.page;
-        let vpage = malec_types::addr::VPageId::new(page.page_of_line(vline));
-        let ppage = malec_mem::tlb::PageTable::default().translate(vpage);
-        page.rebase_line(vline, ppage.raw())
+        let vpage = VPageId::new(PAGE.page_of_line(vline));
+        PAGE.rebase_line(vline, self.mem.mmu.page_of(vpage).raw())
     }
 }
 
@@ -223,7 +220,7 @@ impl L1DataInterface for BaselineInterface {
         if !self.mem.sb.has_room() {
             return AcceptKind::Rejected;
         }
-        self.mem.translate(self.mem.config.page.vpage_of(op.vaddr));
+        self.mem.translate(PAGE.vpage_of(op.vaddr));
         self.mem.push_store(op)
     }
 
@@ -357,8 +354,7 @@ mod tests {
 
     #[test]
     fn sb_full_rejects_store() {
-        let cfg = SimConfig::base1ldst();
-        let mut i = BaselineInterface::new(&cfg, 1);
+        let mut i = BaselineInterface::new(&SimConfig::base1ldst(), 1);
         i.tick(0, &mut Vec::new());
         let mut accepted = 0;
         for k in 0..100u64 {
@@ -368,7 +364,7 @@ mod tests {
                 accepted += 1;
             }
         }
-        assert_eq!(accepted, u64::from(cfg.sb_entries));
+        assert_eq!(accepted, u64::from(malec_types::params::SB_ENTRIES));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use malec_mem::hierarchy::MemoryHierarchy;
 use malec_mem::l1::L1FillEvent;
 use malec_types::addr::{LineAddr, PPageId, VPageId, WayId};
 use malec_types::op::{MemOp, OpId};
-use malec_types::params::MERGE_COMPARE_WINDOW;
+use malec_types::params::{self, MERGE_COMPARE_WINDOW, PAGE};
 use malec_types::{InterfaceKind, SimConfig, WayDetermination};
 
 use crate::input_buffer::{IbEntry, InputBuffer};
@@ -39,6 +39,27 @@ use crate::metrics::InterfaceStats;
 use crate::mmu::{Mmu, Translation, TranslationPath};
 use crate::waytable::WayTable;
 use crate::wdu::Wdu;
+
+/// Input Buffer load slots: the Table II loads held from earlier cycles
+/// plus four that arrive this cycle.
+const IB_LOADS: usize = params::INPUT_BUFFER_HELD_LOADS as usize + 4;
+
+/// The way-determination hardware of one interface (Sec. V, and the
+/// Sec. VI-C alternatives).
+#[derive(Debug)]
+enum WayScheme {
+    /// No way information: every access is a conventional lookup.
+    None,
+    /// A uWT and a WT mirroring the uTLB and TLB slots; `feedback` enables
+    /// the last-entry register that trains the uWT on a conventional hit.
+    Tables {
+        uwt: WayTable,
+        wt: WayTable,
+        feedback: bool,
+    },
+    /// A line-granularity Way Determination Unit.
+    Wdu(Wdu),
+}
 
 /// The MALEC L1 data interface.
 ///
@@ -55,10 +76,7 @@ use crate::wdu::Wdu;
 pub struct MalecInterface {
     pub(crate) mem: MemorySide,
     ib: InputBuffer,
-    uwt: Option<WayTable>,
-    wt: Option<WayTable>,
-    wdu: Option<Wdu>,
-    feedback: bool,
+    ways: WayScheme,
     pending_mbe: std::collections::VecDeque<MemOp>,
     last_translation: Option<(VPageId, PPageId)>,
     // Reusable per-tick scratch: owned by the interface so the steady-state
@@ -83,42 +101,30 @@ impl MalecInterface {
             matches!(config.interface, InterfaceKind::Malec),
             "use BaselineInterface for the baseline configurations"
         );
-        let lines = config.page.lines_per_page();
+        let lines = PAGE.lines_per_page();
         let banks = config.l1.banks();
         // Arbitration reads a load's bank from its virtual address, which
         // holds when the bank bits lie inside the page offset.
         assert!(banks <= lines, "more L1 banks than lines per page");
-        let ways = config.l1.ways();
-        let (uwt, wt, wdu, feedback) = match config.way_determination {
-            WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => (
-                Some(WayTable::new(
-                    usize::from(config.utlb_entries),
-                    lines,
-                    banks,
-                    ways,
-                )),
-                Some(WayTable::new(
-                    usize::from(config.tlb_entries),
-                    lines,
-                    banks,
-                    ways,
-                )),
-                None,
-                config.way_determination == WayDetermination::WayTables,
-            ),
-            WayDetermination::Wdu(n) => (None, None, Some(Wdu::new(usize::from(n.max(1)))), true),
-            WayDetermination::None => (None, None, None, false),
+        let table = |entries| WayTable::new(usize::from(entries), lines, banks, config.l1.ways());
+        let ways = match config.way_determination {
+            WayDetermination::None => WayScheme::None,
+            WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => {
+                WayScheme::Tables {
+                    uwt: table(config.utlb_entries),
+                    wt: table(config.tlb_entries),
+                    feedback: config.way_determination == WayDetermination::WayTables,
+                }
+            }
+            WayDetermination::Wdu(n) => WayScheme::Wdu(Wdu::new(usize::from(n.max(1)))),
         };
         Self {
             mem: MemorySide::new(config, seed),
-            ib: InputBuffer::new(usize::from(config.input_buffer_held) + 4),
-            uwt,
-            wt,
-            wdu,
-            feedback,
+            ib: InputBuffer::new(IB_LOADS),
+            ways,
             pending_mbe: std::collections::VecDeque::with_capacity(4),
             last_translation: None,
-            scratch_group: Vec::with_capacity(usize::from(config.input_buffer_held) + 4),
+            scratch_group: Vec::with_capacity(IB_LOADS),
             scratch_selected: Vec::with_capacity(usize::from(config.result_buses).max(4)),
             bank_leader: vec![None; banks as usize],
             leader_done: vec![0; banks as usize],
@@ -145,21 +151,16 @@ impl MalecInterface {
         &self.mem.mmu
     }
 
-    fn vpage_of(&self, op: &MemOp) -> VPageId {
-        self.mem.config.page.vpage_of(op.vaddr)
-    }
-
     /// Physical line for an op given its page translation.
-    fn line_of(&self, op: &MemOp, ppage: PPageId) -> LineAddr {
-        let page = self.mem.config.page;
-        let offset = op.vaddr.raw() & (page.page_bytes() - 1);
-        page.line_of((ppage.raw() << page.page_offset_bits()) | offset)
+    fn line_of(op: &MemOp, ppage: PPageId) -> LineAddr {
+        let offset = op.vaddr.raw() & (PAGE.page_bytes() - 1);
+        PAGE.line_of((ppage.raw() << PAGE.page_offset_bits()) | offset)
     }
 
     /// Translates with energy accounting and way-table synchronization.
     fn translate_counted(&mut self, vpage: VPageId) -> Translation {
         let t = self.mem.translate(vpage);
-        if let (Some(uwt), Some(wt)) = (self.uwt.as_mut(), self.wt.as_mut()) {
+        if let WayScheme::Tables { uwt, wt, .. } = &mut self.ways {
             // uWT eviction: write the full entry back to the WT, if the
             // evicted page still has a TLB (and therefore WT) slot.
             if let Some((uslot, evicted)) = t.utlb_evicted {
@@ -201,75 +202,35 @@ impl MalecInterface {
     fn on_fill_event(&mut self, ev: L1FillEvent) {
         let m = &mut self.mem;
         m.counters.l1_line_fill(m.config.l1.sub_blocks_per_line());
-        match self.mem.config.way_determination {
-            WayDetermination::None => {}
-            WayDetermination::Wdu(_) => {
-                let wdu = self.wdu.as_mut().expect("WDU configured");
+        match &mut self.ways {
+            WayScheme::None => {}
+            WayScheme::Wdu(wdu) => {
                 if let Some(evicted) = ev.evicted {
                     wdu.invalidate(evicted);
-                    self.mem.counters.wdu_writes += 1;
+                    m.counters.wdu_writes += 1;
                 }
                 wdu.record(ev.filled, ev.way);
-                self.mem.counters.wdu_writes += 1;
+                m.counters.wdu_writes += 1;
             }
-            WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => {
+            WayScheme::Tables { uwt, wt, .. } => {
                 if let Some(evicted) = ev.evicted {
-                    self.update_way_slot(evicted, None);
+                    update_way_slot(m, uwt, wt, evicted, None);
                 }
-                self.update_way_slot(ev.filled, Some(ev.way));
+                update_way_slot(m, uwt, wt, ev.filled, Some(ev.way));
             }
-        }
-    }
-
-    /// Sets (`Some(way)`) or clears (`None`) the way slot for a physical
-    /// line, searching the uWT first, then the WT (Sec. V: "although the WT
-    /// includes all uWT entries, it is only updated if no corresponding uWT
-    /// entry was found").
-    fn update_way_slot(&mut self, line: LineAddr, way: Option<WayId>) {
-        let page = self.mem.config.page;
-        let ppage = PPageId::new(page.page_of_line(line));
-        let line_in_page = page.index_in_page(line);
-
-        self.mem.counters.utlb_reverse_lookups += 1;
-        if let Some(uslot) = self.mem.mmu.utlb_slot_of_ppage(ppage) {
-            let entry = self.uwt.as_mut().expect("uWT configured").entry_mut(uslot);
-            match way {
-                Some(w) => {
-                    entry.set(line_in_page, w);
-                }
-                None => entry.clear(line_in_page),
-            }
-            self.mem.counters.uwt_bit_updates += 1;
-            return;
-        }
-        self.mem.counters.tlb_reverse_lookups += 1;
-        if let Some(tslot) = self.mem.mmu.tlb_slot_of_ppage(ppage) {
-            let entry = self.wt.as_mut().expect("WT configured").entry_mut(tslot);
-            match way {
-                Some(w) => {
-                    entry.set(line_in_page, w);
-                }
-                None => entry.clear(line_in_page),
-            }
-            self.mem.counters.wt_bit_updates += 1;
         }
     }
 
     /// Way prediction for a line about to be accessed. Returns `Some(way)`
     /// when the access may bypass the tag arrays.
     fn predict_way(&mut self, utlb_slot: usize, line: LineAddr) -> Option<WayId> {
-        match self.mem.config.way_determination {
-            WayDetermination::None => None,
-            WayDetermination::Wdu(_) => {
+        match &mut self.ways {
+            WayScheme::None => None,
+            WayScheme::Wdu(wdu) => {
                 self.mem.counters.wdu_lookups += 1;
-                self.wdu.as_mut().expect("WDU configured").lookup(line)
+                wdu.lookup(line)
             }
-            WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => self
-                .uwt
-                .as_ref()
-                .expect("uWT configured")
-                .entry(utlb_slot)
-                .get(self.mem.config.page.index_in_page(line)),
+            WayScheme::Tables { uwt, .. } => uwt.entry(utlb_slot).get(PAGE.index_in_page(line)),
         }
     }
 
@@ -277,36 +238,30 @@ impl MalecInterface {
     /// unknown. The last-entry register lets the uWT update without another
     /// uTLB lookup.
     fn feedback_update(&mut self, utlb_slot: usize, line: LineAddr, way: WayId) {
-        match self.mem.config.way_determination {
-            WayDetermination::Wdu(_) => {
-                self.wdu.as_mut().expect("WDU configured").record(line, way);
+        match &mut self.ways {
+            WayScheme::Wdu(wdu) => {
+                wdu.record(line, way);
                 self.mem.counters.wdu_writes += 1;
             }
-            WayDetermination::WayTables if self.feedback => {
-                let line_in_page = self.mem.config.page.index_in_page(line);
-                self.uwt
-                    .as_mut()
-                    .expect("uWT configured")
-                    .entry_mut(utlb_slot)
-                    .set(line_in_page, way);
+            WayScheme::Tables {
+                uwt,
+                feedback: true,
+                ..
+            } => {
+                uwt.entry_mut(utlb_slot).set(PAGE.index_in_page(line), way);
                 self.mem.counters.uwt_bit_updates += 1;
             }
-            _ => {}
+            WayScheme::Tables { .. } | WayScheme::None => {}
         }
     }
 
     /// The fill-steering restriction: when enabled, fills avoid the way the
     /// line's WT slot cannot encode.
     fn fill_exclusion(&self, line: LineAddr) -> Option<WayId> {
-        if !self.mem.config.restrict_fill_ways
-            || !matches!(
-                self.mem.config.way_determination,
-                WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback
-            )
-        {
+        if !self.mem.config.restrict_fill_ways || !matches!(self.ways, WayScheme::Tables { .. }) {
             return None;
         }
-        let line_in_page = u32::from(self.mem.config.page.index_in_page(line));
+        let line_in_page = u32::from(PAGE.index_in_page(line));
         let l1 = self.mem.config.l1;
         // Both are powers of two: `/ banks % ways` as a shift and a mask.
         Some(WayId(
@@ -340,7 +295,7 @@ impl MalecInterface {
 
         // uWT way information arrives with the translation: one entry
         // evaluation regardless of group size (Sec. V scalability).
-        if self.uwt.is_some() {
+        if matches!(self.ways, WayScheme::Tables { .. }) {
             self.mem.counters.uwt_reads += 1;
         }
 
@@ -351,9 +306,9 @@ impl MalecInterface {
         // the physical line is formed only for a leader's access. Two
         // sub-blocks, a power of two (`CacheGeometry::new` makes the
         // sub-block divide the power-of-two line): `/ window` as a shift.
-        let line_shift = self.mem.config.page.line_offset_bits();
+        let line_shift = PAGE.line_offset_bits();
         let bank_mask = u64::from(self.mem.config.l1.banks() - 1);
-        let window_mask = self.mem.config.page.line_bytes() - 1;
+        let window_mask = PAGE.line_bytes() - 1;
         let window_shift = (2 * self.mem.config.l1.sub_block_bytes()).trailing_zeros();
         // (line, bank, window) of a member.
         let place = |e: &IbEntry| {
@@ -398,7 +353,7 @@ impl MalecInterface {
             let op = group_loads[i].op;
             let (_, bank, _) = place(&group_loads[i]);
             let done = if i == li {
-                let line = self.line_of(&op, t.ppage);
+                let line = Self::line_of(&op, t.ppage);
                 let done = self.execute_load_access(t.utlb_slot, line, group_extra);
                 // A merged member shares its leader's bank, so the leader's
                 // completion cycle is keyed by bank id — a fixed-size array
@@ -409,7 +364,7 @@ impl MalecInterface {
                 self.mem.stats.merged_loads += 1;
                 // The WDU (unlike the way tables) looks up every parallel
                 // reference individually — that is why it needs four ports.
-                if self.wdu.is_some() {
+                if matches!(self.ways, WayScheme::Wdu(_)) {
                     self.mem.counters.wdu_lookups += 1;
                 }
                 self.leader_done[bank]
@@ -432,14 +387,14 @@ impl MalecInterface {
         // --- The MBE (lowest priority) writes its bank if no load claimed it.
         if group.include_mbe {
             if let Some(mbe) = self.ib.take_mbe() {
-                let line = self.line_of(&mbe, t.ppage);
+                let line = Self::line_of(&mbe, t.ppage);
                 let bank = self.mem.config.l1.bank_of_line(line).0 as usize;
                 if self.bank_leader[bank].is_none() {
                     self.execute_mbe_write(t.utlb_slot, line);
                 } else {
                     // Bank busy: put it back for a later cycle.
-                    let vp = self.vpage_of(&mbe);
-                    self.ib.set_mbe(mbe, vp, self.mem.cycle);
+                    self.ib
+                        .set_mbe(mbe, PAGE.vpage_of(mbe.vaddr), self.mem.cycle);
                 }
             }
         }
@@ -482,7 +437,7 @@ impl MalecInterface {
                 if let Some(fill) = outcome.fill {
                     self.on_fill_event(fill);
                 }
-                if self.uwt.is_some() || self.wdu.is_some() {
+                if !matches!(self.ways, WayScheme::None) {
                     self.mem.counters.l1_reduced_read(sub_blocks);
                     self.mem.stats.reduced_accesses += 1;
                 } else {
@@ -531,8 +486,8 @@ impl MalecInterface {
         // Stage at most one MBE into the Input Buffer per cycle.
         if !self.ib.has_mbe() {
             if let Some(mbe) = self.pending_mbe.pop_front() {
-                let vp = self.vpage_of(&mbe);
-                self.ib.set_mbe(mbe, vp, self.mem.cycle);
+                self.ib
+                    .set_mbe(mbe, PAGE.vpage_of(mbe.vaddr), self.mem.cycle);
             }
         }
         // Keep the staging queue bounded: stall the drain if it backs up.
@@ -548,6 +503,42 @@ impl MalecInterface {
                 ));
             }
         }
+    }
+}
+
+/// Sets (`Some(way)`) or clears (`None`) the way slot for a physical line,
+/// searching the uWT first, then the WT (Sec. V: "although the WT includes
+/// all uWT entries, it is only updated if no corresponding uWT entry was
+/// found").
+fn update_way_slot(
+    m: &mut MemorySide,
+    uwt: &mut WayTable,
+    wt: &mut WayTable,
+    line: LineAddr,
+    way: Option<WayId>,
+) {
+    let ppage = PPageId::new(PAGE.page_of_line(line));
+    let line_in_page = PAGE.index_in_page(line);
+    let update = |table: &mut WayTable, slot| {
+        let entry = table.entry_mut(slot);
+        match way {
+            Some(w) => {
+                entry.set(line_in_page, w);
+            }
+            None => entry.clear(line_in_page),
+        }
+    };
+
+    m.counters.utlb_reverse_lookups += 1;
+    if let Some(uslot) = m.mmu.utlb_slot_of_ppage(ppage) {
+        update(uwt, uslot);
+        m.counters.uwt_bit_updates += 1;
+        return;
+    }
+    m.counters.tlb_reverse_lookups += 1;
+    if let Some(tslot) = m.mmu.tlb_slot_of_ppage(ppage) {
+        update(wt, tslot);
+        m.counters.wt_bit_updates += 1;
     }
 }
 
@@ -570,8 +561,9 @@ impl L1DataInterface for MalecInterface {
         if !self.ib.can_accept_load() {
             return AcceptKind::Rejected;
         }
-        let vp = self.vpage_of(&op);
-        let pushed = self.ib.push_load(op, vp, self.mem.cycle);
+        let pushed = self
+            .ib
+            .push_load(op, PAGE.vpage_of(op.vaddr), self.mem.cycle);
         debug_assert!(pushed);
         AcceptKind::Accepted
     }
@@ -580,7 +572,7 @@ impl L1DataInterface for MalecInterface {
         if !self.mem.sb.has_room() {
             return AcceptKind::Rejected;
         }
-        let vp = self.vpage_of(&op);
+        let vp = PAGE.vpage_of(op.vaddr);
         // Share the translation result when the store hits the page that
         // was just translated (Sec. IV: translation results are shared
         // between loads and stores).
@@ -617,7 +609,10 @@ mod tests {
         MemOp::load(OpId(id), VAddr::new(addr), 4)
     }
 
-    fn run_until_done(i: &mut MalecInterface, from: u64, ids: usize) -> Vec<(u64, OpId)> {
+    /// Ticks from the cycle after the last one ticked until `ids` loads
+    /// complete (or 10,000 cycles pass).
+    fn run_until_done(i: &mut MalecInterface, ids: usize) -> Vec<(u64, OpId)> {
+        let from = i.mem.cycle + 1;
         let mut done = Vec::new();
         let mut c = from;
         while done.len() < ids && c < from + 10_000 {
@@ -639,7 +634,7 @@ mod tests {
         for k in 0..4u64 {
             assert!(i.offer_load(ld(k, 0x1000 + k * 64)).is_accepted());
         }
-        let done = run_until_done(&mut i, 1, 4);
+        let done = run_until_done(&mut i, 4);
         assert_eq!(done.len(), 4);
         assert!(i.stats().groups >= 1);
         // One translation serves all four loads.
@@ -654,7 +649,7 @@ mod tests {
         for k in 0..3u64 {
             assert!(i.offer_load(ld(k, 0x1000 + k * 0x1000)).is_accepted());
         }
-        run_until_done(&mut i, 1, 3);
+        run_until_done(&mut i, 3);
         assert!(
             i.stats().groups >= 3,
             "three pages cannot share a group: {} groups",
@@ -669,13 +664,13 @@ mod tests {
         i.tick(0, &mut Vec::new());
         // Warm the line.
         i.offer_load(ld(0, 0x1000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         let c0 = 500;
         i.tick(c0, &mut Vec::new());
         // Two loads to the same 32-byte window of one line.
         i.offer_load(ld(10, 0x1000));
         i.offer_load(ld(11, 0x1008));
-        let done = run_until_done(&mut i, c0 + 1, 2);
+        let done = run_until_done(&mut i, 2);
         assert_eq!(done.len(), 2);
         assert_eq!(i.stats().merged_loads, 1, "second load rides along");
         // Both complete in the same cycle.
@@ -688,11 +683,11 @@ mod tests {
         let mut i = MalecInterface::new(&cfg, 1);
         i.tick(0, &mut Vec::new());
         i.offer_load(ld(0, 0x1000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         i.tick(500, &mut Vec::new());
         i.offer_load(ld(10, 0x1000));
         i.offer_load(ld(11, 0x1008));
-        run_until_done(&mut i, 501, 2);
+        run_until_done(&mut i, 2);
         assert_eq!(i.stats().merged_loads, 0);
     }
 
@@ -703,13 +698,13 @@ mod tests {
         // First access: miss + fill (installs way info); the post-fill
         // replay that returns the data is already a reduced access.
         i.offer_load(ld(0, 0x3000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         assert_eq!(i.stats().reduced_accesses, 1);
         assert_eq!(i.stats().conventional_accesses, 1);
         // Second access to the same line: way known + valid => reduced.
         i.tick(600, &mut Vec::new());
         i.offer_load(ld(1, 0x3010));
-        run_until_done(&mut i, 601, 1);
+        run_until_done(&mut i, 1);
         assert_eq!(i.stats().reduced_accesses, 2);
         assert_eq!(
             i.counters().l1_tag_bank_reads,
@@ -736,7 +731,7 @@ mod tests {
         let mut i = iface();
         i.tick(0, &mut Vec::new());
         i.offer_load(ld(0, 0x5000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         let lookups_before = i.counters().utlb_lookups;
         // Store to the page just translated: shared, no new lookup.
         assert!(i
@@ -781,7 +776,7 @@ mod tests {
         let mut out = Vec::new();
         i.tick(1, &mut out);
         assert!(i.stats().loads_serviced <= 2);
-        run_until_done(&mut i, 2, 4);
+        run_until_done(&mut i, 4);
         assert_eq!(i.stats().loads_serviced, 4, "the rest follow later");
     }
 
@@ -791,13 +786,13 @@ mod tests {
         let mut i = MalecInterface::new(&cfg, 1);
         i.tick(0, &mut Vec::new());
         i.offer_load(ld(0, 0x3000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         i.tick(600, &mut Vec::new());
         i.offer_load(ld(1, 0x3008));
-        run_until_done(&mut i, 601, 1);
+        run_until_done(&mut i, 1);
         // Reduced twice: the post-fill replay and the second access.
         assert_eq!(i.stats().reduced_accesses, 2);
-        assert!(i.wdu.is_some());
+        assert!(matches!(i.ways, WayScheme::Wdu(_)));
         assert!(i.counters().wdu_lookups >= 2);
     }
 
@@ -807,10 +802,10 @@ mod tests {
         let mut i = MalecInterface::new(&cfg, 1);
         i.tick(0, &mut Vec::new());
         i.offer_load(ld(0, 0x3000));
-        run_until_done(&mut i, 1, 1);
+        run_until_done(&mut i, 1);
         i.tick(600, &mut Vec::new());
         i.offer_load(ld(1, 0x3008));
-        run_until_done(&mut i, 601, 1);
+        run_until_done(&mut i, 1);
         assert_eq!(i.stats().reduced_accesses, 0);
         // Discovery + conventional replay + the second access.
         assert_eq!(i.stats().conventional_accesses, 3);
@@ -827,7 +822,7 @@ mod tests {
             i.tick(0, &mut Vec::new());
             // Touch page A (fills line, installs way info in uWT).
             i.offer_load(ld(0, 0xA000));
-            run_until_done(&mut i, 1, 1);
+            run_until_done(&mut i, 1);
             // Evict page A from the 16-entry uTLB *and* (with the fixed
             // seed) from the 64-entry random-replacement TLB by touching
             // 300 other pages. The +0x40 offset keeps every intermediate
@@ -835,13 +830,13 @@ mod tests {
             // from the cache itself.
             for k in 0..300u64 {
                 i.offer_load(ld(100 + k, 0x10_0040 + k * 0x1000));
-                run_until_done(&mut i, 700 + k * 50, 1);
+                run_until_done(&mut i, 1);
             }
             // Re-access page A twice: line still cached, but way info lost.
             i.offer_load(ld(900, 0xA000));
-            run_until_done(&mut i, 190_000, 1);
+            run_until_done(&mut i, 1);
             i.offer_load(ld(901, 0xA008));
-            run_until_done(&mut i, 195_000, 1);
+            run_until_done(&mut i, 1);
             i.stats().reduced_accesses
         };
         let with_feedback = run(WayDetermination::WayTables);

@@ -12,6 +12,7 @@ use malec_energy::EnergyCounters;
 use malec_mem::hierarchy::MemoryHierarchy;
 use malec_types::addr::{LineAddr, VPageId};
 use malec_types::op::{MemOp, OpId};
+use malec_types::params::{DRAM_LATENCY, L2_LATENCY, MB_ENTRIES, SB_ENTRIES};
 use malec_types::SimConfig;
 
 use crate::metrics::InterfaceStats;
@@ -41,8 +42,8 @@ pub(crate) struct MemorySide {
 fn longest_load_latency(config: &SimConfig) -> u64 {
     u64::from(config.l1_latency())
         + u64::from(WALK_LATENCY)
-        + u64::from(config.l2_latency)
-        + u64::from(config.dram_latency)
+        + u64::from(L2_LATENCY)
+        + u64::from(DRAM_LATENCY)
 }
 
 impl MemorySide {
@@ -56,11 +57,8 @@ impl MemorySide {
                 seed,
             ),
             hierarchy: MemoryHierarchy::for_config(config),
-            sb: StoreBuffer::new(usize::from(config.sb_entries)),
-            mb: MergeBuffer::new(
-                usize::from(config.mb_entries),
-                config.page.line_offset_bits(),
-            ),
+            sb: StoreBuffer::new(usize::from(SB_ENTRIES)),
+            mb: MergeBuffer::new(usize::from(MB_ENTRIES)),
             counters: EnergyCounters::default(),
             stats: InterfaceStats::default(),
             completions: CompletionQueue::new(longest_load_latency(config)),
@@ -69,10 +67,16 @@ impl MemorySide {
         }
     }
 
-    /// Opens the tick at `cycle`: delivers every completion due by then
-    /// into `completed` and drops the fills that have landed.
+    /// Opens the tick at `cycle`, no earlier than the last: delivers every
+    /// completion due by then into `completed` and drops the fills that
+    /// have landed.
     #[inline]
     pub(crate) fn begin_tick(&mut self, cycle: u64, completed: &mut Vec<OpId>) {
+        debug_assert!(
+            cycle >= self.cycle,
+            "tick at cycle {cycle} after cycle {}",
+            self.cycle
+        );
         self.cycle = cycle;
         self.completions.drain_due(cycle, completed);
         self.pending_fills.prune(cycle);

@@ -123,6 +123,12 @@ impl Mmu {
         }
     }
 
+    /// The physical page `vpage` maps to, read from the page table alone:
+    /// no TLB state changes.
+    pub(crate) fn page_of(&self, vpage: VPageId) -> PPageId {
+        self.page_table.translate(vpage)
+    }
+
     /// Reverse lookup by physical page in the uTLB (for way-table validity
     /// maintenance on line fills/evictions).
     pub fn utlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {

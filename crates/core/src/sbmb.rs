@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 
 use malec_types::addr::LineAddr;
 use malec_types::op::{MemOp, OpId};
+use malec_types::params::PAGE;
 
 /// One store buffer entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,34 +113,28 @@ pub struct MbEntry {
 pub struct MergeBuffer {
     entries: VecDeque<MbEntry>,
     capacity: usize,
-    line_shift: u32,
 }
 
 impl MergeBuffer {
     /// Creates an empty merge buffer with `capacity` entries merging at
-    /// cache-line granularity (`line_shift` = log2 of the line size).
+    /// the granularity of the Table II cache line.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, line_shift: u32) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "merge buffer needs capacity");
         Self {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            line_shift,
         }
-    }
-
-    fn line_of(&self, op: &MemOp) -> LineAddr {
-        LineAddr::new(op.vaddr.raw() >> self.line_shift)
     }
 
     /// Inserts a committed store: merges into an existing same-line entry,
     /// else allocates. If allocation requires room, the oldest entry is
     /// evicted and returned — it must be written to the L1.
     pub fn insert(&mut self, op: MemOp) -> Option<MbEntry> {
-        let line = self.line_of(&op);
+        let line = PAGE.line_of(op.vaddr.raw());
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.merged += 1;
             return None;
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn mb_merges_same_line() {
-        let mut mb = MergeBuffer::new(4, 6);
+        let mut mb = MergeBuffer::new(4);
         assert!(mb.insert(st(1, 0x100)).is_none());
         assert!(mb.insert(st(2, 0x104)).is_none()); // same 64B line
         assert!(mb.insert(st(3, 0x13c)).is_none()); // still same line
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn mb_evicts_oldest_when_full() {
-        let mut mb = MergeBuffer::new(2, 6);
+        let mut mb = MergeBuffer::new(2);
         mb.insert(st(1, 0x000));
         mb.insert(st(2, 0x040));
         let ev = mb.insert(st(3, 0x080)).expect("full MB evicts");
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn mb_pop_drains_in_order() {
-        let mut mb = MergeBuffer::new(4, 6);
+        let mut mb = MergeBuffer::new(4);
         mb.insert(st(1, 0x000));
         mb.insert(st(2, 0x040));
         assert_eq!(mb.pop().unwrap().line, LineAddr::new(0));

@@ -31,7 +31,7 @@ use serde::Serialize;
 
 use malec_trace::TraceInst;
 use malec_types::op::{MemOp, OpId};
-use malec_types::SimConfig;
+use malec_types::{params, SimConfig};
 
 use crate::interface::L1DataInterface;
 
@@ -41,6 +41,12 @@ const MISPREDICT_REFILL: u64 = 5;
 const DEADLOCK_LIMIT: u64 = 100_000;
 /// Non-memory execution units (ALU/FP issue slots per cycle).
 const ALU_UNITS: usize = 4;
+/// Table II: instructions dispatched, and committed, per cycle.
+const DISPATCH_WIDTH: usize = params::DISPATCH_WIDTH as usize;
+/// Table II: instructions issued per cycle.
+const ISSUE_WIDTH: usize = params::ISSUE_WIDTH as usize;
+/// Table II: loads in flight at once.
+const LQ_ENTRIES: usize = params::LQ_ENTRIES as usize;
 const NO_DEP: u64 = u64::MAX;
 const UNKNOWN: u64 = u64::MAX;
 /// End of an intrusive list.
@@ -132,9 +138,6 @@ impl CoreStats {
 pub struct OoOCore<I> {
     interface: I,
     rob_size: usize,
-    dispatch_width: usize,
-    issue_width: usize,
-    lq_entries: usize,
     load_only_agus: u32,
     store_only_agus: u32,
     shared_agus: u32,
@@ -166,7 +169,7 @@ pub struct OoOCore<I> {
 }
 
 impl<I: L1DataInterface> OoOCore<I> {
-    /// Creates a core with the Table II parameters of `config`, bound to
+    /// Creates a Table II core with the ROB and AGUs of `config`, bound to
     /// `interface`.
     pub fn new(config: &SimConfig, interface: I) -> Self {
         let agus = config.agus();
@@ -175,9 +178,6 @@ impl<I: L1DataInterface> OoOCore<I> {
         Self {
             interface,
             rob_size,
-            dispatch_width: usize::from(config.dispatch_width),
-            issue_width: usize::from(config.issue_width),
-            lq_entries: usize::from(config.lq_entries),
             load_only_agus: u32::from(agus.load_only),
             store_only_agus: u32::from(agus.store_only),
             shared_agus: u32::from(agus.shared),
@@ -252,7 +252,7 @@ impl<I: L1DataInterface> OoOCore<I> {
 
             // 2. Commit.
             let mut commits = 0;
-            while commits < self.dispatch_width && self.rob_base < self.next_idx {
+            while commits < DISPATCH_WIDTH && self.rob_base < self.next_idx {
                 let idx = self.rob_base;
                 let head = self.entry(idx);
                 if head.done_at == UNKNOWN || head.done_at > self.cycle {
@@ -408,14 +408,14 @@ impl<I: L1DataInterface> OoOCore<I> {
         let mut load_cursor = 0usize;
         let head = |c: Option<&u64>| c.copied().unwrap_or(NIL);
 
-        while issued < self.issue_width {
+        while issued < ISSUE_WIDTH {
             let op = if alu_used < ALU_UNITS {
                 head(self.ready_ops.front())
             } else {
                 NIL
             };
             let branch = head(self.ready_branches.front());
-            let load = if self.inflight_loads < self.lq_entries && load_agus + shared_agus > 0 {
+            let load = if self.inflight_loads < LQ_ENTRIES && load_agus + shared_agus > 0 {
                 head(self.ready_loads.get(load_cursor))
             } else {
                 NIL
@@ -504,7 +504,7 @@ impl<I: L1DataInterface> OoOCore<I> {
             return false;
         }
 
-        for _ in 0..self.dispatch_width {
+        for _ in 0..DISPATCH_WIDTH {
             if self.rob_len() >= self.rob_size as u64 {
                 return false;
             }

@@ -9,6 +9,7 @@
 
 use serde::Serialize;
 
+use malec_types::params::{ADDRESS_BITS, MB_ENTRIES, PAGE, SB_ENTRIES};
 use malec_types::{PortConfig, SimConfig, WayDetermination};
 
 use crate::counters::EnergyCounters;
@@ -120,15 +121,15 @@ impl EnergyModel {
 
     /// Builds the model with explicit technology parameters.
     fn with_params(config: &SimConfig, params: SramParams) -> Self {
-        let page_bits = u64::from(config.address_bits - config.page.page_offset_bits());
-        let line_offset_bits = u64::from(config.page.line_offset_bits());
-        let in_page_line_bits = u64::from(config.address_bits) - page_bits - line_offset_bits;
+        let page_bits = u64::from(ADDRESS_BITS - PAGE.page_offset_bits());
+        let line_offset_bits = u64::from(PAGE.line_offset_bits());
+        let in_page_line_bits = u64::from(ADDRESS_BITS) - page_bits - line_offset_bits;
         let cache_ports = config.cache_ports();
         let tlb_ports = config.tlb_ports();
         let tlb_read_ports = tlb_ports.read_capable();
 
         let l1 = config.l1;
-        let tag_bits = u64::from(l1.tag_bits(config.address_bits));
+        let tag_bits = u64::from(l1.tag_bits(ADDRESS_BITS));
         let line_bits = l1.line_bytes() * 8;
         // Tag bank: one row per set, all ways' tags (+state bits) in the row.
         let l1_tag_bank = SramArray::new(
@@ -186,7 +187,7 @@ impl EnergyModel {
         );
 
         // Way tables: 2 bits per line in the page, one entry per TLB entry.
-        let wt_entry_bits = 2 * u64::from(config.page.lines_per_page());
+        let wt_entry_bits = 2 * u64::from(PAGE.lines_per_page());
         let (uwt, wt, wdu) = match config.way_determination {
             WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => (
                 Some(SramArray::new(
@@ -212,7 +213,7 @@ impl EnergyModel {
                     "WDU",
                     u64::from(entries.max(1)),
                     // Line-granularity tags: everything above the line offset.
-                    u64::from(config.address_bits) - line_offset_bits,
+                    u64::from(ADDRESS_BITS) - line_offset_bits,
                     // Payload: validity + way id.
                     3,
                     // Four lookup ports for this MALEC configuration
@@ -226,10 +227,10 @@ impl EnergyModel {
 
         // Store/merge buffer lookup structures. Full-width comparators for
         // the baselines; split page-segment + narrow comparators for MALEC.
-        let full_cmp_bits = u64::from(config.address_bits) - 2; // word-aligned
+        let full_cmp_bits = u64::from(ADDRESS_BITS) - 2; // word-aligned
         let narrow_bits = in_page_line_bits + (line_offset_bits - 2);
-        let sb_entries = u64::from(config.sb_entries);
-        let mb_entries = u64::from(config.mb_entries);
+        let sb_entries = u64::from(SB_ENTRIES);
+        let mb_entries = u64::from(MB_ENTRIES);
         let sb_full = CamArray::new("SB lookup (full)", sb_entries, full_cmp_bits, 0, 1, params);
         let sb_page = CamArray::new(
             "SB lookup (page segment)",

@@ -2,7 +2,7 @@
 //! 12 cycles, DRAM at 54 cycles).
 
 use malec_types::addr::LineAddr;
-use malec_types::geometry::CacheGeometry;
+use malec_types::params::{DRAM_LATENCY, L2, L2_LATENCY};
 
 use crate::bank::CacheBank;
 
@@ -15,17 +15,16 @@ pub enum BackingOutcome {
     DramFill,
 }
 
-/// The memory system behind the L1: an inclusive L2 backed by flat-latency
-/// DRAM.
+/// The memory system behind the L1: the Table II L2, inclusive, backed by
+/// flat-latency DRAM.
 ///
 /// # Example
 ///
 /// ```
 /// use malec_mem::backing::{BackingMemory, BackingOutcome};
 /// use malec_types::addr::LineAddr;
-/// use malec_types::geometry::CacheGeometry;
 ///
-/// let mut mem = BackingMemory::new(CacheGeometry::paper_l2(), 12, 54);
+/// let mut mem = BackingMemory::default();
 /// let line = LineAddr::new(0x99);
 /// let (first, lat1) = mem.fetch(line);
 /// assert_eq!(first, BackingOutcome::DramFill);
@@ -36,33 +35,31 @@ pub enum BackingOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BackingMemory {
-    /// log2 of the L2's set count: the set is the line's low bits, the tag
-    /// the bits above.
-    set_bits: u32,
     l2: CacheBank,
-    l2_latency: u32,
-    dram_latency: u32,
     l2_hits: u64,
     l2_misses: u64,
 }
 
-impl BackingMemory {
-    /// Creates the backing system.
-    pub fn new(l2_geometry: CacheGeometry, l2_latency: u32, dram_latency: u32) -> Self {
+/// log2 of the L2's set count: the set is the line's low bits, the tag the
+/// bits above.
+const SET_BITS: u32 = L2.total_set_bits();
+
+impl Default for BackingMemory {
+    /// An empty L2.
+    fn default() -> Self {
         Self {
-            set_bits: l2_geometry.total_set_bits(),
-            l2: CacheBank::new(l2_geometry.total_sets(), l2_geometry.ways()),
-            l2_latency,
-            dram_latency,
+            l2: CacheBank::new(L2.total_sets(), L2.ways()),
             l2_hits: 0,
             l2_misses: 0,
         }
     }
+}
 
+impl BackingMemory {
     #[inline]
-    fn set_and_tag(&self, line: LineAddr) -> (u32, u64) {
-        let set = line.raw() & ((1 << self.set_bits) - 1);
-        (set as u32, line.raw() >> self.set_bits)
+    fn set_and_tag(line: LineAddr) -> (u32, u64) {
+        let set = line.raw() & ((1 << SET_BITS) - 1);
+        (set as u32, line.raw() >> SET_BITS)
     }
 
     /// Fetches a line on behalf of an L1 miss, returning where it was found
@@ -71,17 +68,14 @@ impl BackingMemory {
     /// A DRAM fill installs the line into the L2.
     #[inline]
     pub fn fetch(&mut self, line: LineAddr) -> (BackingOutcome, u32) {
-        let (set, tag) = self.set_and_tag(line);
+        let (set, tag) = Self::set_and_tag(line);
         if self.l2.lookup(set, tag).is_some() {
             self.l2_hits += 1;
-            (BackingOutcome::L2Hit, self.l2_latency)
+            (BackingOutcome::L2Hit, L2_LATENCY)
         } else {
             self.l2_misses += 1;
             self.l2.fill(set, tag, None);
-            (
-                BackingOutcome::DramFill,
-                self.l2_latency + self.dram_latency,
-            )
+            (BackingOutcome::DramFill, L2_LATENCY + DRAM_LATENCY)
         }
     }
 
@@ -89,7 +83,7 @@ impl BackingMemory {
     /// is present in the L2 so a re-fetch is an L2 hit).
     #[inline]
     pub fn accept_writeback(&mut self, line: LineAddr) {
-        let (set, tag) = self.set_and_tag(line);
+        let (set, tag) = Self::set_and_tag(line);
         self.l2.fill(set, tag, None);
     }
 
@@ -109,7 +103,7 @@ mod tests {
     use super::*;
 
     fn mem() -> BackingMemory {
-        BackingMemory::new(CacheGeometry::paper_l2(), 12, 54)
+        BackingMemory::default()
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl MemoryHierarchy {
     pub fn for_config(config: &SimConfig) -> Self {
         Self {
             l1: BankedL1::new(config.l1),
-            backing: BackingMemory::new(config.l2, config.l2_latency, config.dram_latency),
+            backing: BackingMemory::default(),
         }
     }
 

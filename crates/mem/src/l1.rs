@@ -29,9 +29,9 @@ pub struct L1FillEvent {
 /// ```
 /// use malec_mem::l1::BankedL1;
 /// use malec_types::addr::LineAddr;
-/// use malec_types::geometry::CacheGeometry;
+/// use malec_types::params;
 ///
-/// let mut l1 = BankedL1::new(CacheGeometry::paper_l1());
+/// let mut l1 = BankedL1::new(params::L1);
 /// let line = LineAddr::new(0x40);
 /// assert!(l1.lookup(line).is_none());
 /// l1.fill(line, None);
@@ -142,10 +142,11 @@ impl BankedL1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malec_types::params;
     use proptest::prelude::*;
 
     fn l1() -> BankedL1 {
-        BankedL1::new(CacheGeometry::paper_l1())
+        BankedL1::new(params::L1)
     }
 
     #[test]
@@ -218,7 +219,7 @@ mod tests {
         #[test]
         fn prop_eviction_only_from_same_set(lines in proptest::collection::vec(0u64..(1 << 20), 1..64)) {
             let mut l1 = l1();
-            let g = CacheGeometry::paper_l1();
+            let g = params::L1;
             for raw in lines {
                 let line = LineAddr::new(raw);
                 let ev = l1.fill(line, None);

@@ -21,6 +21,7 @@
 //! check.
 
 use malec_types::addr::{PPageId, VPageId};
+use malec_types::params::{DRAM_BYTES, PAGE_BYTES};
 
 use crate::replacement::{SecondChance, SeededRandom};
 
@@ -65,9 +66,9 @@ impl PageTable {
 }
 
 impl Default for PageTable {
-    /// 256 MiB of physical memory (Table II DRAM size).
+    /// The pages of the Table II DRAM (2^16 of 4 KiB in 256 MiB).
     fn default() -> Self {
-        Self::new(16)
+        Self::new((DRAM_BYTES / PAGE_BYTES).trailing_zeros())
     }
 }
 

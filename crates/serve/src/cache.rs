@@ -1080,6 +1080,65 @@ mod tests {
     }
 
     #[test]
+    fn variant_cache_keys_never_move() {
+        // The Sec. VI and Fig. 4 variants, recorded while every Table II
+        // value was still a config field: the fold must keep writing those
+        // values, in that order, for a persisted log to stay valid.
+        use malec_types::{LatencyVariant, WayDetermination};
+        let wd = |wd| SimConfig::malec().with_way_determination(wd);
+        let free_fills = SimConfig {
+            restrict_fill_ways: false,
+            ..SimConfig::malec()
+        };
+        let s = preset_named("store_burst").expect("preset");
+        for (name, config, want) in [
+            (
+                "no merging",
+                SimConfig::malec().with_load_merging(false),
+                0x0e6f16e408c78425dde2da80c08db3f8u128,
+            ),
+            (
+                "WT without feedback",
+                wd(WayDetermination::WayTablesNoFeedback),
+                0xcf224c3412d5dfefd91a6819dd7d83a4,
+            ),
+            (
+                "WDU8",
+                wd(WayDetermination::Wdu(8)),
+                0xbb49856d158949950532637ba5c45053,
+            ),
+            (
+                "WDU16",
+                wd(WayDetermination::Wdu(16)),
+                0xb2128dd3c841eb7346dd44502eb4f11b,
+            ),
+            (
+                "WDU32",
+                wd(WayDetermination::Wdu(32)),
+                0xe5a0131aec80bcc34333705133ac6c8b,
+            ),
+            ("free fills", free_fills, 0x10b9a1cc73586774261b73d888e30a7e),
+            (
+                "wide MALEC",
+                SimConfig::malec_wide(),
+                0x91eaca7c450d5aa546d2422674640cea,
+            ),
+            (
+                "Base2ld1st_1cycleL1",
+                SimConfig::base2ld1st().with_latency(LatencyVariant::OneCycle),
+                0xa04963b77eb94841720cff127f34291a,
+            ),
+            (
+                "MALEC_3cycleL1",
+                SimConfig::malec().with_latency(LatencyVariant::ThreeCycle),
+                0x9018253ff04c7158cb5e3c4073f2fc82,
+            ),
+        ] {
+            assert_eq!(cache_key(&config, &s, 20_000, 2013, 0), want, "{name}");
+        }
+    }
+
+    #[test]
     fn replicate_cells_never_collide_with_legacy_or_each_other() {
         use malec_trace::replicate_seed;
         let s = preset_named("store_burst").expect("preset");

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ConfigError;
-use crate::geometry::{CacheGeometry, PageGeometry};
+use crate::geometry::CacheGeometry;
 use crate::params;
 
 /// Which L1 data interface microarchitecture is simulated.
@@ -155,9 +155,10 @@ pub struct AgwConfig {
     pub shared: u8,
 }
 
-/// Complete simulation configuration: interface kind, latency variant,
-/// geometry, structure sizes, and the MALEC feature toggles used by the
-/// ablation benches.
+/// What a simulated configuration varies: the interface kind, its latency
+/// variant and MALEC feature toggles (the Sec. VI ablations), and the few
+/// sizes the sensitivity checks edit. Everything else is the one Table II
+/// machine, read from [`params`].
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Which interface microarchitecture.
@@ -173,38 +174,16 @@ pub struct SimConfig {
     /// (Sec. V: lines are limited to 3 of 4 ways; toggle for the
     /// sensitivity bench).
     pub restrict_fill_ways: bool,
-    /// L1 geometry.
+    /// L1 geometry ([`params::L1`] in Table II).
     pub l1: CacheGeometry,
-    /// L2 geometry.
-    pub l2: CacheGeometry,
-    /// Page/line geometry.
-    pub page: PageGeometry,
     /// TLB entries (64 in Table II).
     pub tlb_entries: u16,
     /// Micro-TLB entries (16 in Table II).
     pub utlb_entries: u16,
-    /// Load-queue entries (40).
-    pub lq_entries: u16,
-    /// Store-buffer entries (24).
-    pub sb_entries: u16,
-    /// Merge-buffer entries (4).
-    pub mb_entries: u16,
     /// Reorder-buffer entries (168).
     pub rob_entries: u16,
-    /// Fetch/dispatch width (6).
-    pub dispatch_width: u8,
-    /// Issue width (8).
-    pub issue_width: u8,
-    /// L2 hit latency in cycles (12).
-    pub l2_latency: u32,
-    /// DRAM latency in cycles (54).
-    pub dram_latency: u32,
     /// Number of result buses limiting parallel load completion (4).
     pub result_buses: u8,
-    /// Input-buffer capacity for loads held across cycles (MALEC only).
-    pub input_buffer_held: u8,
-    /// Address-space width in bits (32 in Table II).
-    pub address_bits: u32,
     /// Overrides the Table I AGU configuration (used by the Fig. 2a wide
     /// MALEC parameterization: four loads and two stores in parallel).
     pub agu_override: Option<AgwConfig>,
@@ -213,10 +192,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// The `Base1ldst` configuration from Table I.
     pub fn base1ldst() -> Self {
-        Self {
-            interface: InterfaceKind::Base1LdSt,
-            ..Self::paper_defaults(InterfaceKind::Base1LdSt)
-        }
+        Self::paper_defaults(InterfaceKind::Base1LdSt)
     }
 
     /// The `Base2ld1st` configuration from Table I.
@@ -267,22 +243,11 @@ impl SimConfig {
             // can always represent residency; fills steer around the
             // excluded way ("no measurable increase of the L1 miss rate").
             restrict_fill_ways: matches!(interface, InterfaceKind::Malec),
-            l1: CacheGeometry::paper_l1(),
-            l2: CacheGeometry::paper_l2(),
-            page: PageGeometry::default(),
+            l1: params::L1,
             tlb_entries: params::TLB_ENTRIES,
             utlb_entries: params::UTLB_ENTRIES,
-            lq_entries: params::LQ_ENTRIES,
-            sb_entries: params::SB_ENTRIES,
-            mb_entries: params::MB_ENTRIES,
             rob_entries: params::ROB_ENTRIES,
-            dispatch_width: params::DISPATCH_WIDTH,
-            issue_width: params::ISSUE_WIDTH,
-            l2_latency: params::L2_LATENCY,
-            dram_latency: params::DRAM_LATENCY,
             result_buses: params::RESULT_BUSES,
-            input_buffer_held: params::INPUT_BUFFER_HELD_LOADS,
-            address_bits: params::ADDRESS_BITS,
             agu_override: None,
         }
     }
@@ -363,8 +328,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if structure sizes are zero, the way
-    /// determination scheme conflicts with the interface kind, or geometries
-    /// disagree on the line size.
+    /// determination scheme conflicts with the interface kind, or the L1
+    /// line is not the line of the pages and the L2.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.tlb_entries == 0 || self.utlb_entries == 0 {
             return Err(ConfigError::new("TLB and uTLB must have entries"));
@@ -372,22 +337,13 @@ impl SimConfig {
         if u32::from(self.utlb_entries) > u32::from(self.tlb_entries) {
             return Err(ConfigError::new("uTLB cannot be larger than the TLB"));
         }
-        if self.rob_entries == 0 || self.lq_entries == 0 || self.sb_entries == 0 {
-            return Err(ConfigError::new("ROB, LQ and SB must have entries"));
+        if self.rob_entries == 0 {
+            return Err(ConfigError::new("the ROB must have entries"));
         }
-        if self.mb_entries == 0 {
-            return Err(ConfigError::new("merge buffer must have entries"));
-        }
-        if self.dispatch_width == 0 || self.issue_width == 0 {
-            return Err(ConfigError::new("pipeline widths must be nonzero"));
-        }
-        if self.l1.line_bytes() != self.page.line_bytes() {
+        if self.l1.line_bytes() != params::LINE_BYTES {
             return Err(ConfigError::new(
-                "L1 and page geometry disagree on line size",
+                "the L1 must share the line size of the pages and the L2",
             ));
-        }
-        if self.l2.line_bytes() != self.l1.line_bytes() {
-            return Err(ConfigError::new("L1 and L2 must share a line size"));
         }
         if !matches!(self.interface, InterfaceKind::Malec)
             && !matches!(self.way_determination, WayDetermination::None)
@@ -534,6 +490,11 @@ mod tests {
 
         let mut cfg = SimConfig::malec();
         cfg.result_buses = 0;
+        assert!(cfg.validate().is_err());
+
+        // The pages and the L2 keep the Table II line.
+        let mut cfg = SimConfig::malec();
+        cfg.l1 = CacheGeometry::new(32 * 1024, 4, 4, 128, 128).expect("valid geometry");
         assert!(cfg.validate().is_err());
     }
 

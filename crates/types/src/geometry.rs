@@ -43,7 +43,7 @@ impl PageGeometry {
     ///
     /// Returns [`ConfigError`] if either size is not a power of two, the line
     /// is smaller than 8 bytes, or the page is not larger than the line.
-    pub fn new(page_bytes: u64, line_bytes: u64) -> Result<Self, ConfigError> {
+    pub const fn new(page_bytes: u64, line_bytes: u64) -> Result<Self, ConfigError> {
         if !page_bytes.is_power_of_two() {
             return Err(ConfigError::new("page size must be a power of two"));
         }
@@ -136,16 +136,6 @@ impl PageGeometry {
     }
 }
 
-impl Default for PageGeometry {
-    /// The paper's geometry: 4 KiB pages, 64 B lines.
-    fn default() -> Self {
-        Self {
-            page_bytes: 4096,
-            line_bytes: 64,
-        }
-    }
-}
-
 /// Full cache geometry for one cache level.
 ///
 /// For the L1 this additionally models the bank interleaving and 128-bit
@@ -154,9 +144,9 @@ impl Default for PageGeometry {
 /// # Example
 ///
 /// ```
-/// use malec_types::geometry::{CacheGeometry, PageGeometry};
+/// use malec_types::geometry::CacheGeometry;
 ///
-/// let l1 = CacheGeometry::paper_l1();
+/// let l1 = CacheGeometry::new(32 * 1024, 4, 4, 64, 128).expect("valid geometry");
 /// assert_eq!(l1.total_bytes(), 32 * 1024);
 /// assert_eq!(l1.banks(), 4);
 /// assert_eq!(l1.sets_per_bank(), 32);
@@ -178,7 +168,7 @@ impl CacheGeometry {
     /// Returns [`ConfigError`] if any parameter is not a power of two, the
     /// capacity does not divide evenly into `banks * ways * line` sets, or
     /// the sub-block does not divide the line.
-    pub fn new(
+    pub const fn new(
         total_bytes: u64,
         ways: u32,
         banks: u32,
@@ -194,7 +184,7 @@ impl CacheGeometry {
                 "cache capacity, ways, banks and line size must be powers of two",
             ));
         }
-        let sub_block_bytes = u64::from(sub_block_bits) / 8;
+        let sub_block_bytes = sub_block_bits as u64 / 8;
         if !sub_block_bits.is_multiple_of(8)
             || sub_block_bytes == 0
             || !line_bytes.is_multiple_of(sub_block_bytes)
@@ -202,7 +192,7 @@ impl CacheGeometry {
             return Err(ConfigError::new("sub-block must evenly divide the line"));
         }
         let lines = total_bytes / line_bytes;
-        if lines < u64::from(ways * banks) {
+        if lines < (ways * banks) as u64 {
             return Err(ConfigError::new(
                 "cache too small for requested ways and banks",
             ));
@@ -214,16 +204,6 @@ impl CacheGeometry {
             line_bytes,
             sub_block_bits,
         })
-    }
-
-    /// The paper's L1: 32 KiB, 4-way, 4 banks, 64 B lines, 128-bit sub-blocks.
-    pub fn paper_l1() -> Self {
-        Self::new(32 * 1024, 4, 4, 64, 128).expect("paper L1 geometry is valid")
-    }
-
-    /// The paper's L2: 1 MiB, 16-way, single bank, 64 B lines.
-    pub fn paper_l2() -> Self {
-        Self::new(1024 * 1024, 16, 1, 64, 128).expect("paper L2 geometry is valid")
     }
 
     /// Total capacity in bytes.
@@ -325,20 +305,15 @@ impl CacheGeometry {
     }
 }
 
-impl Default for CacheGeometry {
-    fn default() -> Self {
-        Self::paper_l1()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params;
     use proptest::prelude::*;
 
     #[test]
     fn default_page_geometry_matches_paper() {
-        let g = PageGeometry::default();
+        let g = params::PAGE;
         assert_eq!(g.page_bytes(), 4096);
         assert_eq!(g.line_bytes(), 64);
         assert_eq!(g.lines_per_page(), 64);
@@ -356,7 +331,7 @@ mod tests {
 
     #[test]
     fn page_slicing() {
-        let g = PageGeometry::default();
+        let g = params::PAGE;
         let a = VAddr::new(0x0001_2fc4);
         assert_eq!(g.vpage_of(a).raw(), 0x12);
         assert_eq!(g.line_in_page(a.raw()), (0xfc4 >> 6) as u8);
@@ -368,7 +343,7 @@ mod tests {
 
     #[test]
     fn paper_l1_geometry() {
-        let l1 = CacheGeometry::paper_l1();
+        let l1 = params::L1;
         assert_eq!(l1.total_sets(), 128);
         assert_eq!(l1.sets_per_bank(), 32);
         assert_eq!(l1.sub_blocks_per_line(), 4);
@@ -379,7 +354,7 @@ mod tests {
 
     #[test]
     fn paper_l2_geometry() {
-        let l2 = CacheGeometry::paper_l2();
+        let l2 = params::L2;
         assert_eq!(l2.ways(), 16);
         assert_eq!(l2.total_sets(), 1024);
         assert_eq!(l2.sets_per_bank(), 1024);
@@ -387,7 +362,7 @@ mod tests {
 
     #[test]
     fn bank_interleaving_is_by_low_line_bits() {
-        let l1 = CacheGeometry::paper_l1();
+        let l1 = params::L1;
         for i in 0..16u64 {
             assert_eq!(l1.bank_of_line(LineAddr::new(i)).0, (i % 4) as u8);
         }
@@ -411,8 +386,8 @@ mod tests {
     proptest! {
         #[test]
         fn prop_line_decomposition_is_a_partition(raw in 0u64..(1 << 32)) {
-            let g = PageGeometry::default();
-            let l1 = CacheGeometry::paper_l1();
+            let g = params::PAGE;
+            let l1 = params::L1;
             let line = g.line_of(raw);
             let bank = l1.bank_of_line(line);
             let set = l1.set_of_line(line);
@@ -424,7 +399,7 @@ mod tests {
 
         #[test]
         fn prop_same_page_same_vpage(base in 0u64..(1u64 << 32), off in 0u64..4096) {
-            let g = PageGeometry::default();
+            let g = params::PAGE;
             let page_base = base & !0xfff;
             let a = VAddr::new(page_base);
             let b = VAddr::new(page_base + off);
@@ -433,7 +408,7 @@ mod tests {
 
         #[test]
         fn prop_line_in_page_bounds(raw in proptest::num::u64::ANY) {
-            let g = PageGeometry::default();
+            let g = params::PAGE;
             prop_assert!(u32::from(g.line_in_page(raw)) < g.lines_per_page());
         }
 

@@ -11,20 +11,22 @@
 //! * [`op`] — memory-operation records flowing from the CPU model through the
 //!   L1 interface ([`MemOp`], [`MemOpKind`]);
 //! * [`config`] — the analyzed configurations from Table I of the paper
-//!   ([`InterfaceKind`], [`SimConfig`]) plus the latency variants of Fig. 4;
-//! * [`params`] — the Table II simulation parameters as named constants;
+//!   ([`InterfaceKind`], [`SimConfig`]) plus the latency variants of Fig. 4
+//!   and the Sec. VI ablations;
+//! * [`params`] — the one Table II machine as named constants, which the
+//!   simulator reads directly;
 //! * [`stable`] — process-independent hashing for cache keys and digests.
 //!
 //! # Example
 //!
 //! ```
 //! use malec_types::addr::VAddr;
-//! use malec_types::geometry::PageGeometry;
+//! use malec_types::params::PAGE;
 //!
-//! let page = PageGeometry::default(); // 4 KiB pages, 64 B lines
+//! // Table II: 4 KiB pages, 64 B lines.
 //! let a = VAddr::new(0x1234_5678);
-//! assert_eq!(page.vpage_of(a).raw(), 0x12345);
-//! assert_eq!(page.line_in_page(a.raw()), (0x678 >> 6) as u8);
+//! assert_eq!(PAGE.vpage_of(a).raw(), 0x12345);
+//! assert_eq!(PAGE.line_in_page(a.raw()), (0x678 >> 6) as u8);
 //! ```
 //!
 //! [`CacheGeometry`]: geometry::CacheGeometry

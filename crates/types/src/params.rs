@@ -1,8 +1,18 @@
-//! Table II simulation parameters as named constants.
+//! The Table II machine as named constants.
 //!
-//! Keeping these in one place makes the `tab2_parameters` bench a direct
-//! printout of the values actually used by the simulator, with assertions
-//! that the rest of the workspace has not drifted from them.
+//! The paper simulates one machine and varies only its L1 interface and the
+//! Sec. VI ablations, so every value the configurations share is defined
+//! here, once, and the simulator reads these constants directly: the core's
+//! widths and load queue, the store and merge buffers, the Input Buffer
+//! depth, the page geometry, the L2 and DRAM, the address width.
+//! [`SimConfig`] keeps only what a configuration varies, and takes its
+//! defaults from here. The `paper` bench prints Table II from these
+//! constants.
+//!
+//! [`SimConfig`]: crate::SimConfig
+
+use crate::error::ConfigError;
+use crate::geometry::{CacheGeometry, PageGeometry};
 
 /// Reorder-buffer entries ("168 ROB entries").
 pub const ROB_ENTRIES: u16 = 168;
@@ -42,8 +52,32 @@ pub const L2_BYTES: u64 = 1024 * 1024;
 pub const L2_LATENCY: u32 = 12;
 /// L2 associativity.
 pub const L2_WAYS: u32 = 16;
+/// DRAM capacity in bytes (256 MiB): the physical pages the page table maps
+/// onto.
+pub const DRAM_BYTES: u64 = 256 * 1024 * 1024;
 /// DRAM access latency in cycles.
 pub const DRAM_LATENCY: u32 = 54;
+/// The Table II page geometry: 4 KiB pages of 64 B lines.
+pub const PAGE: PageGeometry = valid(PageGeometry::new(PAGE_BYTES, LINE_BYTES));
+/// The Table II L1 data cache, the default of [`SimConfig::l1`]: 32 KiB,
+/// 4-way, 4 banks, 64 B lines, 128-bit sub-blocks.
+///
+/// [`SimConfig::l1`]: crate::SimConfig::l1
+pub const L1: CacheGeometry = valid(CacheGeometry::new(
+    L1_BYTES,
+    L1_WAYS,
+    L1_BANKS,
+    LINE_BYTES,
+    SUB_BLOCK_BITS,
+));
+/// The Table II L2: 1 MiB, 16-way, one bank, 64 B lines.
+pub const L2: CacheGeometry = valid(CacheGeometry::new(
+    L2_BYTES,
+    L2_WAYS,
+    1,
+    LINE_BYTES,
+    SUB_BLOCK_BITS,
+));
 /// Result buses limiting parallel load results (Fig. 2a shows four).
 pub const RESULT_BUSES: u8 = 4;
 /// Input-buffer storage for loads held from previous cycles (Sec. IV lists
@@ -56,25 +90,33 @@ pub const INPUT_BUFFER_HELD_LOADS: u8 = 3;
 /// initial Input Buffer entry are evaluated").
 pub const MERGE_COMPARE_WINDOW: u8 = 3;
 
+/// A geometry built from the constants above; an invalid one fails the
+/// build.
+const fn valid<G: Copy>(geometry: Result<G, ConfigError>) -> G {
+    match geometry {
+        Ok(geometry) => geometry,
+        Err(_) => panic!("the Table II geometry is invalid"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{CacheGeometry, PageGeometry};
 
     #[test]
     fn geometry_constants_are_consistent() {
-        let l1 = CacheGeometry::paper_l1();
-        assert_eq!(l1.total_bytes(), L1_BYTES);
-        assert_eq!(l1.ways(), L1_WAYS);
-        assert_eq!(l1.banks(), L1_BANKS);
-        assert_eq!(l1.line_bytes(), LINE_BYTES);
-        assert_eq!(l1.sub_block_bits(), SUB_BLOCK_BITS);
-        let l2 = CacheGeometry::paper_l2();
-        assert_eq!(l2.total_bytes(), L2_BYTES);
-        assert_eq!(l2.ways(), L2_WAYS);
-        let page = PageGeometry::default();
-        assert_eq!(page.page_bytes(), PAGE_BYTES);
-        assert_eq!(page.line_bytes(), LINE_BYTES);
+        let shape = |g: CacheGeometry| {
+            (
+                g.total_bytes(),
+                g.ways(),
+                g.banks(),
+                g.line_bytes(),
+                g.sub_block_bits(),
+            )
+        };
+        assert_eq!(shape(L1), (32 * 1024, 4, 4, 64, 128));
+        assert_eq!(shape(L2), (1024 * 1024, 16, 1, 64, 128));
+        assert_eq!((PAGE.page_bytes(), PAGE.line_bytes()), (4096, 64));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 use crate::config::{AgwConfig, InterfaceKind, LatencyVariant, SimConfig, WayDetermination};
 use crate::geometry::{CacheGeometry, PageGeometry};
+use crate::params;
 
 /// FNV-1a 128-bit offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -245,6 +246,10 @@ impl StableKey for PageGeometry {
     }
 }
 
+/// Folds every field, and between them the Table II values that were
+/// config fields when the persisted keys were first written, at the same
+/// widths and in the same order, so no key moved when they became
+/// [`params`] constants.
 impl StableKey for SimConfig {
     fn fold(&self, h: &mut StableHasher) {
         self.interface.fold(h);
@@ -253,21 +258,21 @@ impl StableKey for SimConfig {
         h.write_bool(self.load_merging);
         h.write_bool(self.restrict_fill_ways);
         self.l1.fold(h);
-        self.l2.fold(h);
-        self.page.fold(h);
+        params::L2.fold(h);
+        params::PAGE.fold(h);
         h.write_u64(u64::from(self.tlb_entries));
         h.write_u64(u64::from(self.utlb_entries));
-        h.write_u64(u64::from(self.lq_entries));
-        h.write_u64(u64::from(self.sb_entries));
-        h.write_u64(u64::from(self.mb_entries));
+        h.write_u64(u64::from(params::LQ_ENTRIES));
+        h.write_u64(u64::from(params::SB_ENTRIES));
+        h.write_u64(u64::from(params::MB_ENTRIES));
         h.write_u64(u64::from(self.rob_entries));
-        h.write_u8(self.dispatch_width);
-        h.write_u8(self.issue_width);
-        h.write_u32(self.l2_latency);
-        h.write_u32(self.dram_latency);
+        h.write_u8(params::DISPATCH_WIDTH);
+        h.write_u8(params::ISSUE_WIDTH);
+        h.write_u32(params::L2_LATENCY);
+        h.write_u32(params::DRAM_LATENCY);
         h.write_u8(self.result_buses);
-        h.write_u8(self.input_buffer_held);
-        h.write_u32(self.address_bits);
+        h.write_u8(params::INPUT_BUFFER_HELD_LOADS);
+        h.write_u32(params::ADDRESS_BITS);
         match &self.agu_override {
             None => h.write_u8(0),
             Some(agus) => {
