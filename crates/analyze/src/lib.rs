@@ -121,7 +121,7 @@ pub struct Report {
 impl Report {
     /// The one-line run summary (finding + suppression counts included,
     /// so the annotation budget is visible on every run).
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "malec-analyze: {} finding{} across {} file{}, {} suppression{} honored",
             self.findings.len(),

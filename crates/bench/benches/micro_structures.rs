@@ -142,7 +142,7 @@ fn main() {
     });
 
     // A full uTLB hit on every lookup, cycling through its pages.
-    let pt = PageTable::default();
+    let pt = PageTable;
     let mut utlb = MicroTlb::new(16);
     for v in 0..16 {
         let vpage = VPageId::new(v);

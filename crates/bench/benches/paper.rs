@@ -131,7 +131,7 @@ fn main() {
 
 /// A structure's ports, e.g. `1 rd/wt + 2 rd`.
 fn ports(p: PortConfig) -> String {
-    [(p.rw, "rd/wt"), (p.rd, "rd"), (p.wr, "wt")]
+    [(p.rw, "rd/wt"), (p.rd, "rd")]
         .into_iter()
         .filter(|&(n, _)| n > 0)
         .map(|(n, kind)| format!("{n} {kind}"))

@@ -677,6 +677,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn replay_of_a_corrupt_trace_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("malec_cli_corrupt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let spec = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/mixed.toml"
+        );
+        let trace = dir.join("mixed.mtr");
+        cmd_record(&strings(&["-o", trace.to_str().expect("utf-8 path"), spec])).expect("record");
+        let mut bytes = std::fs::read(&trace).expect("read trace");
+        let cut = dir.join("cut.mtr");
+        std::fs::write(&cut, &bytes[..bytes.len() - 1]).expect("write cut trace");
+        bytes.push(7);
+        let bad_tag = dir.join("bad_tag.mtr");
+        std::fs::write(&bad_tag, &bytes).expect("write bad-tag trace");
+        for (path, expect) in [(&bad_tag, "unknown trace record tag 7"), (&cut, "cut.mtr")] {
+            let err = cmd_replay(&strings(&[path.to_str().expect("utf-8 path")]))
+                .expect_err("a corrupt trace must fail the command");
+            assert!(err.contains(expect), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     const SWEEP_SPEC: &str = "[scenario]\nmode = \"preset\"\npreset = \"tlb_thrash\"\n\
                               [sweep]\nconfigs = [\"Base1ldst\", \"MALEC\"]\ninsts = 1200\nseed = 9\n";
 

@@ -78,7 +78,7 @@ impl Alpha {
     /// level shares (each bracket carries its smallest-df quantile, so the
     /// interval never understates uncertainty).
     #[must_use]
-    pub fn t(self, df: u64) -> f64 {
+    pub(crate) fn t(self, df: u64) -> f64 {
         let level = match self {
             Alpha::Ten => 0,
             Alpha::Five => 1,
@@ -149,7 +149,7 @@ impl PairedSample {
 
     /// Pairs folded so far.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.d.count()
     }
 
@@ -204,7 +204,7 @@ impl PairedSample {
     /// Relative improvement: mean delta over the baseline mean's
     /// magnitude. `None` when the baseline mean is (numerically) zero.
     #[must_use]
-    pub fn relative(&self) -> Option<f64> {
+    pub(crate) fn relative(&self) -> Option<f64> {
         let m = self.baseline_mean().abs();
         (self.count() > 0 && m > f64::EPSILON).then(|| self.delta_mean() / m)
     }

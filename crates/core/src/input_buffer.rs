@@ -80,7 +80,7 @@ impl InputBuffer {
 
     /// Whether another load can be accepted this cycle (AGUs stall
     /// otherwise).
-    pub fn can_accept_load(&self) -> bool {
+    pub(crate) fn can_accept_load(&self) -> bool {
         self.loads.len() < self.load_cap
     }
 
@@ -107,7 +107,7 @@ impl InputBuffer {
 
     /// Installs the pending merge-buffer eviction; returns false if one is
     /// already waiting (the MB stalls its eviction).
-    pub fn set_mbe(&mut self, op: MemOp, vpage: VPageId, cycle: u64) -> bool {
+    pub(crate) fn set_mbe(&mut self, op: MemOp, vpage: VPageId, cycle: u64) -> bool {
         if self.mbe.is_some() {
             return false;
         }
@@ -120,17 +120,18 @@ impl InputBuffer {
     }
 
     /// Whether an MBE is waiting.
-    pub fn has_mbe(&self) -> bool {
+    pub(crate) fn has_mbe(&self) -> bool {
         self.mbe.is_some()
     }
 
     /// Loads currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.loads.len()
     }
 
     /// Whether the buffer holds nothing at all.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.loads.is_empty() && self.mbe.is_none()
     }
 
@@ -156,14 +157,14 @@ impl InputBuffer {
     }
 
     /// Removes a serviced load, keeping the rest in priority order.
-    pub fn remove_load(&mut self, id: OpId) {
+    pub(crate) fn remove_load(&mut self, id: OpId) {
         if let Some(at) = self.loads.iter().position(|e| e.op.id == id) {
             self.loads.remove(at);
         }
     }
 
     /// Removes and returns the serviced MBE.
-    pub fn take_mbe(&mut self) -> Option<MemOp> {
+    pub(crate) fn take_mbe(&mut self) -> Option<MemOp> {
         self.mbe.take().map(|e| e.op)
     }
 }

@@ -30,7 +30,7 @@ pub enum TranslationPath {
 
 impl TranslationPath {
     /// Extra latency in cycles for this path.
-    pub const fn extra_latency(self) -> u32 {
+    pub(crate) const fn extra_latency(self) -> u32 {
         match self {
             TranslationPath::MicroHit => 0,
             TranslationPath::TlbHit { .. } => 1,
@@ -65,9 +65,9 @@ pub struct Mmu {
 impl Mmu {
     /// Creates the MMU with `utlb_entries`/`tlb_entries` slots and a
     /// deterministic TLB replacement seed.
-    pub fn new(utlb_entries: usize, tlb_entries: usize, seed: u64) -> Self {
+    pub(crate) fn new(utlb_entries: usize, tlb_entries: usize, seed: u64) -> Self {
         Self {
-            page_table: PageTable::default(),
+            page_table: PageTable,
             utlb: MicroTlb::new(utlb_entries),
             tlb: Tlb::new(tlb_entries, seed),
         }
@@ -76,7 +76,7 @@ impl Mmu {
     /// Translates `vpage`, updating uTLB/TLB state and reporting every event
     /// the way tables need.
     #[inline]
-    pub fn translate(&mut self, vpage: VPageId) -> Translation {
+    pub(crate) fn translate(&mut self, vpage: VPageId) -> Translation {
         if let Some((slot, entry)) = self.utlb.lookup(vpage) {
             return Translation {
                 ppage: entry.ppage,
@@ -131,12 +131,12 @@ impl Mmu {
 
     /// Reverse lookup by physical page in the uTLB (for way-table validity
     /// maintenance on line fills/evictions).
-    pub fn utlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
+    pub(crate) fn utlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
         self.utlb.slot_of_ppage(ppage)
     }
 
     /// Reverse lookup by physical page in the TLB.
-    pub fn tlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
+    pub(crate) fn tlb_slot_of_ppage(&self, ppage: PPageId) -> Option<usize> {
         self.tlb.slot_of_ppage(ppage)
     }
 

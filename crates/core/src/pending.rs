@@ -94,13 +94,13 @@ impl CompletionQueue {
 
     /// Completions still owed.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no completions are owed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
@@ -176,14 +176,14 @@ impl FillTable {
     }
 
     /// Outstanding fills tracked (including not-yet-pruned expired ones).
-    #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the table tracks nothing.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -54,17 +54,13 @@ impl StoreBuffer {
     }
 
     /// Whether another store can be accepted.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.entries.len() < self.capacity
     }
 
-    /// Number of occupied entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -122,7 +118,7 @@ impl MergeBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "merge buffer needs capacity");
         Self {
             entries: VecDeque::with_capacity(capacity),
@@ -133,7 +129,7 @@ impl MergeBuffer {
     /// Inserts a committed store: merges into an existing same-line entry,
     /// else allocates. If allocation requires room, the oldest entry is
     /// evicted and returned — it must be written to the L1.
-    pub fn insert(&mut self, op: MemOp) -> Option<MbEntry> {
+    pub(crate) fn insert(&mut self, op: MemOp) -> Option<MbEntry> {
         let line = PAGE.line_of(op.vaddr.raw());
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.merged += 1;
@@ -152,19 +148,16 @@ impl MergeBuffer {
         evicted
     }
 
-    /// Drains one entry for end-of-run cleanup.
-    pub fn pop(&mut self) -> Option<MbEntry> {
+    /// Removes and returns the oldest entry.
+    #[cfg(test)]
+    fn pop(&mut self) -> Option<MbEntry> {
         self.entries.pop_front()
     }
 
     /// Occupied entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

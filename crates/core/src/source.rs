@@ -84,8 +84,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a [`ScenarioSource::Replay`] file cannot
-    /// be opened or its header is invalid. Generator sources cannot fail.
+    /// Returns the I/O error, naming the file, if a
+    /// [`ScenarioSource::Replay`] file cannot be opened or read, or holds
+    /// an invalid header or record. The stream ends at the first bad
+    /// record. Generator sources cannot fail.
     pub fn run_source(
         &self,
         source: &ScenarioSource,
@@ -104,12 +106,16 @@ impl Simulator {
                 Ok(self.run_trace(name, suite, trace, seed))
             }
             ScenarioSource::Replay { path, .. } => {
-                let file = File::open(path).map_err(|e| {
-                    io::Error::new(e.kind(), format!("open {}: {e}", path.display()))
-                })?;
-                let reader = TraceReader::new(BufReader::new(file))?;
-                let trace = reader.into_insts().take(insts as usize);
-                Ok(self.run_trace(name, suite, trace, seed))
+                let named =
+                    |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+                let file = File::open(path).map_err(named)?;
+                let reader = TraceReader::new(BufReader::new(file)).map_err(named)?;
+                let mut failed = None;
+                let trace = reader
+                    .map_while(|r| r.map_err(|e| failed = Some(e)).ok())
+                    .take(insts as usize);
+                let summary = self.run_trace(name, suite, trace, seed);
+                failed.map_or(Ok(summary), |e| Err(named(e)))
             }
         }
     }
@@ -231,5 +237,79 @@ mod tests {
             .expect("replay");
         std::fs::remove_file(&path).ok();
         assert_eq!(s.core.committed, 500, "trace length caps the run");
+    }
+
+    /// The encoded `.mtr` bytes of gzip's first `n` instructions at seed 1,
+    /// without the header when `header` is false.
+    fn gzip_trace(n: usize, header: bool) -> Vec<u8> {
+        let gzip = benchmark_named("gzip").expect("gzip exists");
+        let mut buf = Vec::new();
+        write_trace(&mut buf, WorkloadGenerator::new(&gzip, 1).take(n)).expect("encode");
+        let mut empty = Vec::new();
+        write_trace(&mut empty, std::iter::empty()).expect("encode");
+        if !header {
+            buf.drain(..empty.len());
+        }
+        buf
+    }
+
+    /// Replays `bytes` from a file named for `tag` on Base1ldst at seed 1,
+    /// returning the file's path and the run's result.
+    fn replay_bytes(tag: &str, bytes: &[u8]) -> (PathBuf, io::Result<RunSummary>) {
+        let path = std::env::temp_dir().join(format!(
+            "malec_source_test_{tag}_{}.mtr",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("write trace file");
+        let source = ScenarioSource::Replay {
+            name: "gzip".into(),
+            path: path.clone(),
+        };
+        let run = Simulator::new(SimConfig::base1ldst()).run_source(&source, 10_000, 1);
+        std::fs::remove_file(&path).ok();
+        (path, run)
+    }
+
+    #[test]
+    fn replay_feeds_plain_instructions() {
+        let (_, replayed) = replay_bytes("plain", &gzip_trace(200, true));
+        let replayed = replayed.expect("a clean trace replays");
+        let generated = Simulator::new(SimConfig::base1ldst()).run(
+            &benchmark_named("gzip").expect("gzip exists"),
+            200,
+            1,
+        );
+        assert_eq!(replayed.core, generated.core);
+        assert_eq!(replayed.interface, generated.interface);
+        assert_eq!(replayed.counters, generated.counters);
+    }
+
+    #[test]
+    fn replay_of_an_unknown_record_tag_is_an_error_naming_the_file() {
+        // One 0x07 byte between the 250th and 251st records.
+        let mut bytes = gzip_trace(250, true);
+        bytes.push(7);
+        bytes.extend(gzip_trace(250, false));
+        let (path, run) = replay_bytes("bad_tag", &bytes);
+        let err = run.expect_err("an unknown tag must error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("unknown trace record tag 7"), "{msg}");
+    }
+
+    #[test]
+    fn replay_cut_inside_a_record_is_an_error_naming_the_file() {
+        // Every record is at least three bytes, so dropping the last byte
+        // cuts the last record.
+        let mut bytes = gzip_trace(500, true);
+        bytes.pop();
+        let (path, run) = replay_bytes("cut", &bytes);
+        let err = run.expect_err("a cut record must error");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
     }
 }

@@ -104,12 +104,12 @@ pub struct Welford {
 impl Welford {
     /// An empty accumulator.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Folds one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         if self.n == 0 {
             self.min = x;
             self.max = x;
@@ -125,37 +125,37 @@ impl Welford {
 
     /// Observations folded so far.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
     /// The running mean (0 for an empty accumulator).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.mean
     }
 
     /// Unbiased sample variance (`None` below two observations).
     #[must_use]
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         (self.n >= 2).then(|| self.m2 / (self.n - 1) as f64)
     }
 
     /// Sample standard deviation (`None` below two observations).
     #[must_use]
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 
     /// Smallest observation (`None` when empty).
     #[must_use]
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
     }
 
     /// Largest observation (`None` when empty).
     #[must_use]
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
     }
 
@@ -192,8 +192,9 @@ pub enum CiMetric {
 
 impl CiMetric {
     /// The spec-language name of this metric.
+    #[cfg(test)]
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             CiMetric::Ipc => "ipc",
             CiMetric::EnergyPerAccess => "energy_per_access",
@@ -212,7 +213,7 @@ impl CiMetric {
 
     /// Extracts this metric from one replicate's summary.
     #[must_use]
-    pub fn extract(&self, s: &RunSummary) -> f64 {
+    pub(crate) fn extract(&self, s: &RunSummary) -> f64 {
         match self {
             CiMetric::Ipc => s.core.ipc(),
             CiMetric::EnergyPerAccess => energy_per_access(s),

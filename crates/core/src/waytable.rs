@@ -106,17 +106,18 @@ impl WaySlots {
     }
 
     /// Invalidates every line (new page allocation).
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.codes.fill(UNKNOWN);
     }
 
     /// Number of lines tracked.
-    pub fn lines(&self) -> u32 {
+    #[cfg(test)]
+    fn lines(&self) -> u32 {
         self.codes.len() as u32
     }
 
     /// Copies the contents of `other` into this entry.
-    pub fn copy_from(&mut self, other: &WaySlots) {
+    pub(crate) fn copy_from(&mut self, other: &WaySlots) {
         self.codes.copy_from_slice(&other.codes);
     }
 }
@@ -130,7 +131,7 @@ pub struct WayTable {
 
 impl WayTable {
     /// Creates an all-unknown table with one entry per TLB slot.
-    pub fn new(slots: usize, lines: u32, banks: u32, ways: u32) -> Self {
+    pub(crate) fn new(slots: usize, lines: u32, banks: u32, ways: u32) -> Self {
         Self {
             entries: (0..slots)
                 .map(|_| WaySlots::new(lines, banks, ways))
@@ -139,23 +140,19 @@ impl WayTable {
     }
 
     /// Entry for a TLB slot.
-    pub fn entry(&self, slot: usize) -> &WaySlots {
+    pub(crate) fn entry(&self, slot: usize) -> &WaySlots {
         &self.entries[slot]
     }
 
     /// Mutable entry for a TLB slot.
-    pub fn entry_mut(&mut self, slot: usize) -> &mut WaySlots {
+    pub(crate) fn entry_mut(&mut self, slot: usize) -> &mut WaySlots {
         &mut self.entries[slot]
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the table has zero slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

@@ -99,7 +99,7 @@ impl Wdu {
     }
 
     /// Invalidates the entry for `line` if present (cache eviction).
-    pub fn invalidate(&mut self, line: LineAddr) {
+    pub(crate) fn invalidate(&mut self, line: LineAddr) {
         if let Some(slot) = self
             .entries
             .iter()

@@ -27,8 +27,6 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use malec_trace::TraceInst;
 use malec_types::op::{MemOp, OpId};
 use malec_types::{params, SimConfig};
@@ -90,7 +88,7 @@ impl RobEntry {
 }
 
 /// Aggregate statistics of one run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreStats {
     /// Cycles elapsed until the last instruction committed.
     pub cycles: u64,
@@ -202,11 +200,6 @@ impl<I: L1DataInterface> OoOCore<I> {
     /// Consumes the core, returning the interface (for its statistics).
     pub fn into_interface(self) -> I {
         self.interface
-    }
-
-    /// A reference to the interface.
-    pub fn interface(&self) -> &I {
-        &self.interface
     }
 
     /// Runs the trace to completion and returns the statistics.

@@ -7,8 +7,6 @@
 //! zero tag accesses and `1 × sub_blocks` activations. The energy model then
 //! prices each activation.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of energy-relevant events accumulated during a simulation run.
 ///
 /// # Example
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.l1_tag_bank_reads, 1);
 /// assert_eq!(c.l1_data_subblock_reads, 4 + 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EnergyCounters {
     /// Tag-array lookups, one per bank access that compares all ways.
     pub l1_tag_bank_reads: u64,
@@ -81,11 +79,6 @@ pub struct EnergyCounters {
 }
 
 impl EnergyCounters {
-    /// Creates an all-zero ledger (same as `default()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records a conventional cache access: all `ways` tag comparisons in
     /// one bank plus `ways × sub_blocks` data-array activations.
     #[inline]
@@ -130,7 +123,7 @@ mod tests {
 
     #[test]
     fn conventional_vs_reduced_read() {
-        let mut c = EnergyCounters::new();
+        let mut c = EnergyCounters::default();
         c.l1_conventional_read(4, 2);
         assert_eq!(c.l1_tag_bank_reads, 1);
         assert_eq!(c.l1_data_subblock_reads, 8);
@@ -141,7 +134,7 @@ mod tests {
 
     #[test]
     fn writes_and_fills() {
-        let mut c = EnergyCounters::new();
+        let mut c = EnergyCounters::default();
         c.l1_write(1);
         assert_eq!(c.l1_tag_bank_reads, 1);
         assert_eq!(c.l1_data_subblock_writes, 1);

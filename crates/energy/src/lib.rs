@@ -21,7 +21,8 @@
 //!
 //! The model is split across:
 //!
-//! * [`sram`] — array primitives ([`SramArray`], [`CamArray`], [`SramParams`]);
+//! * [`sram`] — array primitives ([`SramArray`], [`CamArray`]) and the
+//!   32 nm calibration constants that price them;
 //! * [`counters`] — the event ledger filled by the timing simulation
 //!   ([`EnergyCounters`]);
 //! * [`model`] — per-configuration structure instantiations and the
@@ -29,7 +30,6 @@
 //!
 //! [`SramArray`]: sram::SramArray
 //! [`CamArray`]: sram::CamArray
-//! [`SramParams`]: sram::SramParams
 //! [`EnergyCounters`]: counters::EnergyCounters
 //! [`EnergyModel`]: model::EnergyModel
 //! [`EnergyBreakdown`]: model::EnergyBreakdown

@@ -7,16 +7,14 @@
 //! their counters are still priced and reported separately so the
 //! simplification can be inspected.
 
-use serde::Serialize;
-
 use malec_types::params::{ADDRESS_BITS, MB_ENTRIES, PAGE, SB_ENTRIES};
 use malec_types::{PortConfig, SimConfig, WayDetermination};
 
 use crate::counters::EnergyCounters;
-use crate::sram::{CamArray, SramArray, SramParams};
+use crate::sram::{CamArray, SramArray, C_CAM};
 
 /// Dynamic/leakage energy attributed to one structure.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StructureEnergy {
     /// Structure name (e.g. `"L1 tag arrays"`).
     pub name: &'static str,
@@ -34,7 +32,7 @@ impl StructureEnergy {
 }
 
 /// Evaluated energy of one simulation run.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct EnergyBreakdown {
     /// Total dynamic energy of the accounted structures.
     pub dynamic: f64,
@@ -108,19 +106,11 @@ pub struct EnergyModel {
     mb_full: CamArray,
     mb_page: CamArray,
     mb_narrow: CamArray,
-    compare_bit_energy: f64,
-    line_bits: u64,
 }
 
 impl EnergyModel {
-    /// Builds the model for a configuration with default (calibrated)
-    /// technology parameters.
+    /// Builds the model for a configuration.
     pub fn for_config(config: &SimConfig) -> Self {
-        Self::with_params(config, SramParams::default())
-    }
-
-    /// Builds the model with explicit technology parameters.
-    fn with_params(config: &SimConfig, params: SramParams) -> Self {
         let page_bits = u64::from(ADDRESS_BITS - PAGE.page_offset_bits());
         let line_offset_bits = u64::from(PAGE.line_offset_bits());
         let in_page_line_bits = u64::from(ADDRESS_BITS) - page_bits - line_offset_bits;
@@ -133,76 +123,46 @@ impl EnergyModel {
         let line_bits = l1.line_bytes() * 8;
         // Tag bank: one row per set, all ways' tags (+state bits) in the row.
         let l1_tag_bank = SramArray::new(
-            "L1 tag arrays",
             u64::from(l1.sets_per_bank()),
             (tag_bits + 2) * u64::from(l1.ways()),
             cache_ports,
-            params,
         );
         // Data way: one row per set, a full line per row; sub-blocking means
         // an access activates only `sub_block_bits`-sized slices.
-        let l1_data_way = SramArray::new(
-            "L1 data arrays",
-            u64::from(l1.sets_per_bank()),
-            line_bits,
-            cache_ports,
-            params,
-        );
+        let l1_data_way = SramArray::new(u64::from(l1.sets_per_bank()), line_bits, cache_ports);
 
         // TLB payload: physical page id + permission bits.
         let tlb_payload = page_bits + 4;
         let utlb = CamArray::new(
-            "uTLB",
             u64::from(config.utlb_entries),
             page_bits,
             tlb_payload,
             tlb_read_ports,
-            params,
         );
         let tlb = CamArray::new(
-            "TLB",
             u64::from(config.tlb_entries),
             page_bits,
             tlb_payload,
             tlb_read_ports,
-            params,
         );
         // Reverse lookups: separate fully-associative physical tag arrays
         // over the same entries (Sec. VI-A), single-ported.
-        let utlb_reverse = CamArray::new(
-            "uTLB reverse tags",
-            u64::from(config.utlb_entries),
-            page_bits,
-            0,
-            1,
-            params,
-        );
-        let tlb_reverse = CamArray::new(
-            "TLB reverse tags",
-            u64::from(config.tlb_entries),
-            page_bits,
-            0,
-            1,
-            params,
-        );
+        let utlb_reverse = CamArray::new(u64::from(config.utlb_entries), page_bits, 0, 1);
+        let tlb_reverse = CamArray::new(u64::from(config.tlb_entries), page_bits, 0, 1);
 
         // Way tables: 2 bits per line in the page, one entry per TLB entry.
         let wt_entry_bits = 2 * u64::from(PAGE.lines_per_page());
         let (uwt, wt, wdu) = match config.way_determination {
             WayDetermination::WayTables | WayDetermination::WayTablesNoFeedback => (
                 Some(SramArray::new(
-                    "uWT",
                     u64::from(config.utlb_entries),
                     wt_entry_bits,
                     PortConfig::SINGLE,
-                    params,
                 )),
                 Some(SramArray::new(
-                    "WT",
                     u64::from(config.tlb_entries),
                     wt_entry_bits,
                     PortConfig::SINGLE,
-                    params,
                 )),
                 None,
             ),
@@ -210,7 +170,6 @@ impl EnergyModel {
                 None,
                 None,
                 Some(CamArray::new(
-                    "WDU",
                     u64::from(entries.max(1)),
                     // Line-granularity tags: everything above the line offset.
                     u64::from(ADDRESS_BITS) - line_offset_bits,
@@ -219,7 +178,6 @@ impl EnergyModel {
                     // Four lookup ports for this MALEC configuration
                     // (Sec. VI-C).
                     4,
-                    params,
                 )),
             ),
             WayDetermination::None => (None, None, None),
@@ -231,26 +189,12 @@ impl EnergyModel {
         let narrow_bits = in_page_line_bits + (line_offset_bits - 2);
         let sb_entries = u64::from(SB_ENTRIES);
         let mb_entries = u64::from(MB_ENTRIES);
-        let sb_full = CamArray::new("SB lookup (full)", sb_entries, full_cmp_bits, 0, 1, params);
-        let sb_page = CamArray::new(
-            "SB lookup (page segment)",
-            sb_entries,
-            page_bits,
-            0,
-            1,
-            params,
-        );
-        let sb_narrow = CamArray::new("SB lookup (narrow)", sb_entries, narrow_bits, 0, 1, params);
-        let mb_full = CamArray::new("MB lookup (full)", mb_entries, full_cmp_bits, 0, 1, params);
-        let mb_page = CamArray::new(
-            "MB lookup (page segment)",
-            mb_entries,
-            page_bits,
-            0,
-            1,
-            params,
-        );
-        let mb_narrow = CamArray::new("MB lookup (narrow)", mb_entries, narrow_bits, 0, 1, params);
+        let sb_full = CamArray::new(sb_entries, full_cmp_bits, 0, 1);
+        let sb_page = CamArray::new(sb_entries, page_bits, 0, 1);
+        let sb_narrow = CamArray::new(sb_entries, narrow_bits, 0, 1);
+        let mb_full = CamArray::new(mb_entries, full_cmp_bits, 0, 1);
+        let mb_page = CamArray::new(mb_entries, page_bits, 0, 1);
+        let mb_narrow = CamArray::new(mb_entries, narrow_bits, 0, 1);
 
         Self {
             l1_tag_bank,
@@ -273,8 +217,6 @@ impl EnergyModel {
             mb_full,
             mb_page,
             mb_narrow,
-            compare_bit_energy: params.c_cam,
-            line_bits,
         }
     }
 
@@ -390,8 +332,8 @@ impl EnergyModel {
             + c.mb_lookups_full as f64 * self.mb_full.search_tags_only_energy()
             + c.mb_lookups_page_segment as f64 * self.mb_page.search_tags_only_energy()
             + c.mb_lookups_narrow as f64 * self.mb_narrow.search_tags_only_energy()
-            + c.input_buffer_compares as f64 * self.compare_bit_energy * 20.0
-            + c.arbitration_compares as f64 * self.compare_bit_energy * 6.0;
+            + c.input_buffer_compares as f64 * C_CAM * 20.0
+            + c.arbitration_compares as f64 * C_CAM * 6.0;
 
         EnergyBreakdown {
             dynamic,
@@ -399,11 +341,6 @@ impl EnergyModel {
             structures,
             excluded_dynamic,
         }
-    }
-
-    /// Bits in one cache line (for callers sizing fills).
-    pub fn line_bits(&self) -> u64 {
-        self.line_bits
     }
 }
 
@@ -556,6 +493,91 @@ mod tests {
                 .evaluate(&c, 100);
         assert_eq!(a.dynamic, b.dynamic);
         assert_eq!(a.leakage, b.leakage);
+    }
+
+    /// Every priced path of every way-determination scheme, bit for bit:
+    /// one ledger with each counter nonzero and distinct, evaluated over
+    /// 1,000 cycles, with the bits of the totals and of each structure's
+    /// two values folded per config. Only the paper bench's md5 reaches the
+    /// WDU and no-way-determination paths otherwise.
+    #[test]
+    fn evaluation_is_pinned_bit_for_bit() {
+        let k = EnergyCounters {
+            l1_tag_bank_reads: 4_099,
+            l1_data_subblock_reads: 16_411,
+            l1_data_subblock_writes: 2_053,
+            l1_tag_bank_writes: 307,
+            utlb_lookups: 3_001,
+            utlb_fills: 97,
+            utlb_reverse_lookups: 53,
+            tlb_lookups: 211,
+            tlb_fills: 89,
+            tlb_reverse_lookups: 41,
+            uwt_reads: 2_741,
+            uwt_writes: 79,
+            uwt_bit_updates: 613,
+            wt_reads: 199,
+            wt_writes: 71,
+            wt_bit_updates: 401,
+            wdu_lookups: 3_313,
+            wdu_writes: 521,
+            sb_lookups_full: 1_201,
+            sb_lookups_page_segment: 367,
+            sb_lookups_narrow: 1_409,
+            mb_lookups_full: 887,
+            mb_lookups_page_segment: 131,
+            mb_lookups_narrow: 997,
+            input_buffer_compares: 5_003,
+            arbitration_compares: 769,
+        };
+        let malec = |wd| SimConfig::malec().with_way_determination(wd);
+        let pinned = [
+            ("Base1ldst", SimConfig::base1ldst(), 0x9e72_e0a0_d48e_71a8),
+            ("Base2ld1st", SimConfig::base2ld1st(), 0x262d_4538_a43a_8120),
+            ("MALEC", SimConfig::malec(), 0xe309_e16b_7c8a_59aa),
+            (
+                "MALEC WT(no-feedback)",
+                malec(WayDetermination::WayTablesNoFeedback),
+                0xe309_e16b_7c8a_59aa,
+            ),
+            (
+                "MALEC WDU8",
+                malec(WayDetermination::Wdu(8)),
+                0xb042_e36b_bb1b_d542,
+            ),
+            (
+                "MALEC WDU16",
+                malec(WayDetermination::Wdu(16)),
+                0x3a02_75f1_3de9_9aea,
+            ),
+            (
+                "MALEC WDU32",
+                malec(WayDetermination::Wdu(32)),
+                0x38fc_18e5_00ab_7a43,
+            ),
+            (
+                "MALEC none",
+                malec(WayDetermination::None),
+                0x9e72_e0a0_d48e_71a8,
+            ),
+        ];
+        let moved: Vec<String> = pinned
+            .into_iter()
+            .filter_map(|(label, config, want)| {
+                let b = EnergyModel::for_config(&config).evaluate(&k, 1_000);
+                let mut bits = vec![
+                    b.dynamic.to_bits(),
+                    b.leakage.to_bits(),
+                    b.excluded_dynamic.to_bits(),
+                ];
+                for s in &b.structures {
+                    bits.extend([s.dynamic.to_bits(), s.leakage.to_bits()]);
+                }
+                let got = malec_types::stable::fnv1a64(bits);
+                (got != want).then(|| format!("{label}: {got:#018x} (pinned {want:#018x})"))
+            })
+            .collect();
+        assert!(moved.is_empty(), "energy diverged:\n{}", moved.join("\n"));
     }
 
     #[test]

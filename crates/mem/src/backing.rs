@@ -82,7 +82,7 @@ impl BackingMemory {
     /// Accepts a line evicted from the L1 (inclusive hierarchy: make sure it
     /// is present in the L2 so a re-fetch is an L2 hit).
     #[inline]
-    pub fn accept_writeback(&mut self, line: LineAddr) {
+    pub(crate) fn accept_writeback(&mut self, line: LineAddr) {
         let (set, tag) = Self::set_and_tag(line);
         self.l2.fill(set, tag, None);
     }

@@ -105,7 +105,7 @@ impl CacheBank {
 
     /// Checks residency without perturbing LRU state.
     #[inline]
-    pub fn probe(&self, set: u32, tag: u64) -> Option<WayId> {
+    pub(crate) fn probe(&self, set: u32, tag: u64) -> Option<WayId> {
         self.find(self.base(set), tag).map(|w| WayId(w as u8))
     }
 
@@ -151,7 +151,8 @@ impl CacheBank {
     }
 
     /// Removes `tag` from `set` if resident, returning the way it occupied.
-    pub fn invalidate(&mut self, set: u32, tag: u64) -> Option<WayId> {
+    #[cfg(test)]
+    fn invalidate(&mut self, set: u32, tag: u64) -> Option<WayId> {
         let base = self.base(set);
         let way = self.find(base, tag)?;
         self.tags[base + way] = EMPTY;
@@ -159,7 +160,8 @@ impl CacheBank {
     }
 
     /// Number of valid lines currently resident in the bank.
-    pub fn occupancy(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }

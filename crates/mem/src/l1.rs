@@ -60,7 +60,8 @@ impl BankedL1 {
     }
 
     /// The cache geometry.
-    pub fn geometry(&self) -> CacheGeometry {
+    #[cfg(test)]
+    fn geometry(&self) -> CacheGeometry {
         self.geometry
     }
 
@@ -81,7 +82,7 @@ impl BankedL1 {
 
     /// Checks residency without touching LRU or statistics.
     #[inline]
-    pub fn probe(&self, line: LineAddr) -> Option<WayId> {
+    pub(crate) fn probe(&self, line: LineAddr) -> Option<WayId> {
         let bank = self.geometry.bank_of_line(line);
         let set = self.geometry.set_of_line(line).0;
         let tag = self.geometry.tag_of_line(line);
@@ -114,12 +115,14 @@ impl BankedL1 {
     }
 
     /// Total lookups that hit.
-    pub fn hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Total lookups that missed.
-    pub fn misses(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
@@ -134,7 +137,8 @@ impl BankedL1 {
     }
 
     /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
+    #[cfg(test)]
+    fn occupancy(&self) -> usize {
         self.banks.iter().map(CacheBank::occupancy).sum()
     }
 }

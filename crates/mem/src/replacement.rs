@@ -54,16 +54,6 @@ impl Lru {
     pub fn victim(&self) -> usize {
         lru_victim(&self.last_use, |_| true).expect("LRU has at least one slot")
     }
-
-    /// Number of slots tracked.
-    pub fn len(&self) -> usize {
-        self.last_use.len()
-    }
-
-    /// Whether the tracker has zero slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.last_use.is_empty()
-    }
 }
 
 /// The LRU victim among the slots `allowed` admits: the one with the
@@ -89,7 +79,7 @@ pub struct SeededRandom {
 impl SeededRandom {
     /// Creates a policy with a fixed seed; identical seeds give identical
     /// victim sequences.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -101,7 +91,7 @@ impl SeededRandom {
     ///
     /// Panics if `n` is zero.
     #[inline]
-    pub fn victim(&mut self, n: usize) -> usize {
+    pub(crate) fn victim(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot pick a victim among zero slots");
         self.rng.gen_range(0..n)
     }
@@ -126,7 +116,7 @@ impl SecondChance {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "second chance needs at least one slot");
         Self {
             referenced: vec![false; n],
@@ -136,14 +126,14 @@ impl SecondChance {
 
     /// Marks `slot` as referenced (gives it a second chance).
     #[inline]
-    pub fn touch(&mut self, slot: usize) {
+    pub(crate) fn touch(&mut self, slot: usize) {
         self.referenced[slot] = true;
     }
 
     /// Selects and returns a victim, advancing the clock hand and clearing
     /// reference bits along the way.
     #[inline]
-    pub fn victim(&mut self) -> usize {
+    pub(crate) fn victim(&mut self) -> usize {
         loop {
             let i = self.hand;
             self.hand = (self.hand + 1) % self.referenced.len();
@@ -153,16 +143,6 @@ impl SecondChance {
                 return i;
             }
         }
-    }
-
-    /// Number of slots tracked.
-    pub fn len(&self) -> usize {
-        self.referenced.len()
-    }
-
-    /// Whether the tracker has zero slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.referenced.is_empty()
     }
 }
 

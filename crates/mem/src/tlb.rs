@@ -35,22 +35,19 @@ use crate::replacement::{SecondChance, SeededRandom};
 /// use malec_mem::tlb::PageTable;
 /// use malec_types::addr::VPageId;
 ///
-/// let pt = PageTable::new(16); // 2^16 physical pages (256 MiB of 4 KiB pages)
+/// let pt = PageTable; // 2^16 physical pages (256 MiB of 4 KiB pages)
 /// let p1 = pt.translate(VPageId::new(5));
 /// assert_eq!(p1, pt.translate(VPageId::new(5)));
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct PageTable {
-    ppage_bits: u32,
-}
+pub struct PageTable;
+
+/// The physical page ids of the Table II DRAM: 2^16 pages of 4 KiB in
+/// 256 MiB, so a page id is the low 16 bits of the mix.
+const PPAGE_MASK: u64 = DRAM_BYTES / PAGE_BYTES - 1;
+const _: () = assert!((DRAM_BYTES / PAGE_BYTES).is_power_of_two());
 
 impl PageTable {
-    /// Creates a page table with `2^ppage_bits` physical pages
-    /// (16 bits ⇒ 256 MiB of 4 KiB pages, the paper's DRAM size).
-    pub fn new(ppage_bits: u32) -> Self {
-        Self { ppage_bits }
-    }
-
     /// Translates a virtual page to its (deterministic) physical page.
     #[inline]
     pub fn translate(self, vpage: VPageId) -> PPageId {
@@ -61,14 +58,7 @@ impl PageTable {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_right(17)
             ^ vpage.raw();
-        PPageId::new(mixed & ((1 << self.ppage_bits) - 1))
-    }
-}
-
-impl Default for PageTable {
-    /// The pages of the Table II DRAM (2^16 of 4 KiB in 256 MiB).
-    fn default() -> Self {
-        Self::new((DRAM_BYTES / PAGE_BYTES).trailing_zeros())
+        PPageId::new(mixed & PPAGE_MASK)
     }
 }
 
@@ -240,7 +230,7 @@ impl Slots {
 /// use malec_mem::tlb::{PageTable, Tlb};
 /// use malec_types::addr::VPageId;
 ///
-/// let pt = PageTable::default();
+/// let pt = PageTable;
 /// let mut tlb = Tlb::new(64, 1);
 /// let v = VPageId::new(3);
 /// assert!(tlb.lookup(v).is_none());
@@ -425,7 +415,7 @@ mod tests {
 
     #[test]
     fn page_table_is_deterministic_and_in_range() {
-        let pt = PageTable::default();
+        let pt = PageTable;
         for v in 0..1000u64 {
             let p = pt.translate(VPageId::new(v));
             assert_eq!(p, pt.translate(VPageId::new(v)));
@@ -435,7 +425,7 @@ mod tests {
 
     #[test]
     fn page_table_spreads_consecutive_pages() {
-        let pt = PageTable::default();
+        let pt = PageTable;
         let mut seen = std::collections::HashSet::new();
         for v in 0..256u64 {
             seen.insert(pt.translate(VPageId::new(v)).raw());
@@ -445,7 +435,7 @@ mod tests {
 
     #[test]
     fn tlb_miss_insert_hit() {
-        let pt = PageTable::default();
+        let pt = PageTable;
         let mut tlb = Tlb::new(4, 7);
         let v = VPageId::new(9);
         assert!(tlb.lookup(v).is_none());
@@ -458,7 +448,7 @@ mod tests {
 
     #[test]
     fn tlb_reverse_lookup() {
-        let pt = PageTable::default();
+        let pt = PageTable;
         let mut tlb = Tlb::new(8, 1);
         let v = VPageId::new(33);
         let p = pt.translate(v);
@@ -524,7 +514,7 @@ mod tests {
         fn prop_tlb_never_holds_duplicate_vpages(
             inserts in proptest::collection::vec(0u64..32, 0..128)
         ) {
-            let pt = PageTable::default();
+            let pt = PageTable;
             let mut tlb = Tlb::new(8, 11);
             for v in inserts {
                 let vp = VPageId::new(v);
@@ -538,7 +528,7 @@ mod tests {
 
         #[test]
         fn prop_utlb_hit_after_insert(v in 0u64..(1 << 20)) {
-            let pt = PageTable::default();
+            let pt = PageTable;
             let mut utlb = MicroTlb::new(16);
             let vp = VPageId::new(v);
             utlb.insert(vp, pt.translate(vp));
@@ -549,7 +539,7 @@ mod tests {
         fn prop_utlb_capacity_respected(
             inserts in proptest::collection::vec(0u64..1024, 0..256)
         ) {
-            let pt = PageTable::default();
+            let pt = PageTable;
             let mut utlb = MicroTlb::new(16);
             for v in inserts {
                 let vp = VPageId::new(v);

@@ -61,10 +61,9 @@
 //! least-recently-used entries are dropped from memory immediately (and
 //! from disk at the next compaction), so a long-lived server holds a
 //! steady-state footprint. The live record set can also be streamed in log
-//! format ([`live_records`](ResultCache::live_records) /
-//! [`ingest`](ResultCache::ingest)) — the `/v1/cache/sync` wire format a
-//! fresh peer warms up from, verified record by record with the same
-//! per-record checksums.
+//! format (`live_records` / [`ingest`](ResultCache::ingest)) — the
+//! `/v1/cache/sync` wire format a fresh peer warms up from, verified record
+//! by record with the same per-record checksums.
 //!
 //! Durability is a policy knob ([`FsyncPolicy`]): every append is written
 //! and flushed synchronously (a crash of *this process* never loses an
@@ -312,7 +311,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A purely in-memory cache (no persistence).
-    pub fn in_memory() -> Self {
+    pub(crate) fn in_memory() -> Self {
         Self {
             map: HashMap::new(),
             lru: BTreeMap::new(),
@@ -325,8 +324,7 @@ impl ResultCache {
     }
 
     /// Opens (or creates) a persisted cache at `path` with the default
-    /// durability policy and no fault injection — see
-    /// [`open_with`](Self::open_with).
+    /// durability policy and no fault injection — see `open_with`.
     ///
     /// # Errors
     ///
@@ -350,7 +348,11 @@ impl ResultCache {
     /// Propagates I/O errors; returns `InvalidData` if the file exists but
     /// is not a cache log of the supported version (wrong magic/version is
     /// *refused*, never auto-rebuilt).
-    pub fn open_with(path: &Path, fsync: FsyncPolicy, faults: Arc<Faults>) -> io::Result<Self> {
+    pub(crate) fn open_with(
+        path: &Path,
+        fsync: FsyncPolicy,
+        faults: Arc<Faults>,
+    ) -> io::Result<Self> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
         }
@@ -463,7 +465,7 @@ impl ResultCache {
     /// records at `threshold` or more of its payload (and the log at 4 KiB
     /// or more). `None`, the default, compacts only on request.
     #[must_use]
-    pub fn with_compact_threshold(mut self, threshold: Option<f64>) -> Self {
+    pub(crate) fn with_compact_threshold(mut self, threshold: Option<f64>) -> Self {
         self.compact_threshold = threshold;
         self
     }
@@ -472,8 +474,8 @@ impl ResultCache {
     /// entry is the last the size cap evicts). A hit shares the stored
     /// body; nothing is decoded. A `None` result is **not** counted here:
     /// the scheduler distinguishes a true miss (a simulation starts —
-    /// [`count_miss`](Self::count_miss)) from attaching to an identical
-    /// in-flight simulation ([`count_coalesced`](Self::count_coalesced)).
+    /// `count_miss`) from attaching to an identical in-flight simulation
+    /// (`count_coalesced`).
     pub fn lookup(&mut self, key: u128) -> Option<StoredSummary> {
         let hit = self.map.get(&key).map(|e| e.stored.clone());
         if hit.is_some() {
@@ -484,12 +486,12 @@ impl ResultCache {
     }
 
     /// Counts one true miss (a cell that goes on to simulate).
-    pub fn count_miss(&mut self) {
+    pub(crate) fn count_miss(&mut self) {
         self.stats.misses += 1;
     }
 
     /// Counts one peer-fetched record (see [`CacheStats::fetched`]).
-    pub fn count_fetched(&mut self) {
+    pub(crate) fn count_fetched(&mut self) {
         self.stats.fetched += 1;
     }
 
@@ -497,8 +499,8 @@ impl ResultCache {
     /// the key already had), enforces the size cap — the just-inserted
     /// entry is never the one evicted, so the cap can be exceeded by at
     /// most one record — appends its record to the log, and compacts the
-    /// log once its dead bytes cross the
-    /// [threshold](Self::with_compact_threshold). An in-memory cache only
+    /// log once its dead bytes cross the threshold set by
+    /// `with_compact_threshold`. An in-memory cache only
     /// places and caps.
     ///
     /// # Errors
@@ -635,7 +637,7 @@ impl ResultCache {
     }
 
     /// Counts one coalesced cell (see [`CacheStats::coalesced`]).
-    pub fn count_coalesced(&mut self) {
+    pub(crate) fn count_coalesced(&mut self) {
         self.stats.coalesced += 1;
     }
 
@@ -746,7 +748,7 @@ impl ResultCache {
     /// is released. A receiver feeds the stream to
     /// [`ingest`](Self::ingest), which verifies every record's checksum
     /// before accepting it.
-    pub fn live_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
+    pub(crate) fn live_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
         let mut records = Vec::with_capacity(self.map.len());
         for &key in self.lru.values() {
             // analyze: allow(panic-surface) lru values are exactly the resident map keys
@@ -815,7 +817,7 @@ impl ResultCache {
     }
 
     /// The log path, if persisted.
-    pub fn path(&self) -> Option<&Path> {
+    pub(crate) fn path(&self) -> Option<&Path> {
         self.log.as_ref().map(|log| log.path.as_path())
     }
 }

@@ -181,11 +181,9 @@ pub struct Client {
     retry: RetryPolicy,
 }
 
-/// A point-in-time view of one job: what [`Engine::job_status`]
-/// returns, `GET /v1/jobs/<id>` serves ([`JobView::to_json`]) and
-/// [`Client::status`] parses back.
-///
-/// [`Engine::job_status`]: crate::scheduler::Engine::job_status
+/// A point-in-time view of one job: what `Engine::job_status` returns,
+/// `GET /v1/jobs/<id>` serves (`JobView::to_json`) and [`Client::status`]
+/// parses back.
 #[derive(Clone, Debug)]
 pub struct JobView {
     /// The job id.
@@ -229,7 +227,7 @@ impl JobView {
 
     /// Renders this view as the status-endpoint JSON, the format
     /// [`Client::status`] parses back.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\n  \"job\": {},\n  \"scenario\": \"{}\",\n  \"state\": \"{}\",\n  \"cells\": {},\n  \"simulated\": {},\n  \"cached\": {},\n  \"coalesced\": {},\n  \"fetched\": {},\n  \"failed\": {},\n  \"pending\": {},\n  \"replicates_saved\": {},\n  \"wall_seconds\": {},\n  \"error\": {}\n}}\n",
             self.job,
@@ -358,7 +356,7 @@ impl Client {
     /// # Errors
     ///
     /// As [`submit`](Self::submit); a label not in the spec is a `400`.
-    pub fn submit_configs(&self, spec_toml: &str, labels: &[String]) -> Result<u64, String> {
+    pub(crate) fn submit_configs(&self, spec_toml: &str, labels: &[String]) -> Result<u64, String> {
         let path = format!("/v1/jobs?configs={}", labels.join(","));
         let v = self.call("POST", &path, spec_toml.as_bytes(), success_json)?;
         field(&v, "job")
@@ -389,7 +387,7 @@ impl Client {
     /// # Errors
     ///
     /// As [`fetch_record`](Self::fetch_record).
-    pub fn fetch_stored(&self, key: u128) -> Result<StoredSummary, String> {
+    pub(crate) fn fetch_stored(&self, key: u128) -> Result<StoredSummary, String> {
         self.fetch(key, read_single_record)
     }
 

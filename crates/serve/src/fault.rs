@@ -217,7 +217,7 @@ impl Faults {
     /// scheduled action if this exact hit is armed. The caller performs
     /// the action (panicking, tearing a write, sleeping) **at its own
     /// site** — the registry only decides *when*.
-    pub fn check(&self, name: &str) -> Option<FaultAction> {
+    pub(crate) fn check(&self, name: &str) -> Option<FaultAction> {
         if !self.armed.load(Ordering::Acquire) {
             return None;
         }
@@ -236,7 +236,7 @@ impl Faults {
 
     /// [`check`](Self::check), performing `Delay` actions in place (the
     /// common case for stall-style points).
-    pub fn check_delay(&self, name: &str) {
+    pub(crate) fn check_delay(&self, name: &str) {
         if let Some(FaultAction::Delay { ms }) = self.check(name) {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }

@@ -12,7 +12,7 @@
 //!
 //! Client side: [`request`] performs one round trip and returns once the
 //! response head is parsed. Its [`Response`] leaves the body on the wire:
-//! [`Response::bytes`] and [`Response::text`] read it whole, capped at
+//! `Response::bytes` and [`Response::text`] read it whole, capped at
 //! 4 MiB, and [`Read`] streams it (a cache snapshot, verified record by
 //! record as it arrives). [`Client`](crate::client::Client) is its one
 //! caller, through its one retry loop. One request per
@@ -59,7 +59,7 @@ impl Request {
     /// # Errors
     ///
     /// Returns `InvalidData` if the body is not UTF-8.
-    pub fn body_utf8(&self) -> io::Result<&str> {
+    pub(crate) fn body_utf8(&self) -> io::Result<&str> {
         std::str::from_utf8(&self.body)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))
     }
@@ -67,7 +67,7 @@ impl Request {
     /// The value of query parameter `name` (`?name=value&...`), if present.
     /// No percent-decoding — the v1 API's parameter values are plain
     /// tokens (`mode=abort`).
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == name).then_some(v)
@@ -286,7 +286,7 @@ pub fn write_response_head(
 }
 
 /// One HTTP response as the client sees it: the parsed head, with the body
-/// still on the wire. Read the body whole with [`bytes`](Self::bytes) or
+/// still on the wire. Read the body whole with `bytes` or
 /// [`text`](Self::text), or stream it through [`Read`]; either way it ends
 /// at the response's `Content-Length`, or at connection close without one.
 #[derive(Debug)]
@@ -310,7 +310,7 @@ impl Response {
     ///
     /// Returns `InvalidData` for a body past the cap and propagates socket
     /// errors.
-    pub fn bytes(self) -> io::Result<Vec<u8>> {
+    pub(crate) fn bytes(self) -> io::Result<Vec<u8>> {
         let mut body = Vec::new();
         self.take(MAX_BODY as u64 + 1).read_to_end(&mut body)?;
         if body.len() > MAX_BODY {
@@ -319,18 +319,18 @@ impl Response {
         Ok(body)
     }
 
-    /// The whole body as UTF-8, under the [`bytes`](Self::bytes) cap.
+    /// The whole body as UTF-8, under the `bytes` cap.
     ///
     /// # Errors
     ///
-    /// As [`bytes`](Self::bytes); `InvalidData` if the body is not UTF-8.
+    /// As `bytes`; `InvalidData` if the body is not UTF-8.
     pub fn text(self) -> io::Result<String> {
         String::from_utf8(self.bytes()?).map_err(|_| bad("response body is not UTF-8"))
     }
 }
 
 /// Streams the body — how a cache snapshot, which may exceed the cap of
-/// [`Response::bytes`], reaches `ResultCache::ingest`.
+/// `Response::bytes`, reaches `ResultCache::ingest`.
 impl Read for Response {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.body.read(buf)?;

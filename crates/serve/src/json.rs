@@ -69,7 +69,8 @@ impl Value {
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,

@@ -24,7 +24,8 @@ pub struct CellResult {
 
 impl CellResult {
     /// Builds the pair, digesting both runs.
-    pub fn new(generated: RunSummary, replayed: &RunSummary) -> Self {
+    #[cfg(test)]
+    fn new(generated: RunSummary, replayed: &RunSummary) -> Self {
         let d = digest(&generated);
         let r = digest(replayed);
         Self {

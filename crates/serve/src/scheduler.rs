@@ -32,7 +32,7 @@
 //! one peer of a sharded cluster. Each cluster routes by the replicate-0
 //! cache key of its first config (the pair's baseline), so a compared pair
 //! is owned as one: its owner simulates both sides.
-//! [`Engine::submit_with_source`] forwards each cluster another peer owns
+//! `Engine::submit_with_source` forwards each cluster another peer owns
 //! to that owner as a `?configs=`-filtered sub-job and waits for it, then
 //! queues the cluster's cells here. A worker claiming a cell of a cluster
 //! this peer does not own first asks the owner for the record
@@ -565,7 +565,7 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine with `workers` pool threads (defaulting to the
     /// sweep fan-out [`worker_count`]) over an in-memory or persisted
-    /// cache — [`with_options`](Self::with_options) with everything else
+    /// cache — `with_options` with everything else
     /// defaulted.
     ///
     /// # Errors
@@ -585,7 +585,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates cache-log open errors.
-    pub fn with_options(opts: &ServeOptions) -> io::Result<Self> {
+    pub(crate) fn with_options(opts: &ServeOptions) -> io::Result<Self> {
         let cache = match &opts.cache_path {
             Some(p) => ResultCache::open_with(p, opts.fsync, Arc::clone(&opts.faults))?,
             None => ResultCache::in_memory(),
@@ -630,12 +630,12 @@ impl Engine {
 
     /// Workers respawned after a panic escaped the per-cell guard (0 in a
     /// healthy process).
-    pub fn respawns(&self) -> u64 {
+    pub(crate) fn respawns(&self) -> u64 {
         self.inner.respawns.load(Ordering::Relaxed)
     }
 
     /// This engine's failpoint registry.
-    pub fn faults(&self) -> &Arc<Faults> {
+    pub(crate) fn faults(&self) -> &Arc<Faults> {
         &self.inner.faults
     }
 
@@ -658,7 +658,7 @@ impl Engine {
     /// sub-jobs arrive *without* a source (the server hands `None` for
     /// forwarded submissions), so they run owner-local and the scatter
     /// cannot recurse.
-    pub fn submit_with_source(&self, spec: SweepSpec, source: Option<Arc<str>>) -> JobId {
+    pub(crate) fn submit_with_source(&self, spec: SweepSpec, source: Option<Arc<str>>) -> JobId {
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
         let job = Job::new(id, spec);
         // The scatter decision happens before the job is visible.
@@ -716,7 +716,7 @@ impl Engine {
     }
 
     /// The current status of `job`, or `None` for an unknown id.
-    pub fn job_status(&self, job: JobId) -> Option<JobView> {
+    pub(crate) fn job_status(&self, job: JobId) -> Option<JobView> {
         lock(&self.inner.jobs).get(&job).map(Job::status)
     }
 
@@ -801,7 +801,7 @@ impl Engine {
     /// The finished job's report (same JSON schema as `malec-cli run`
     /// writes), or `None` for an unknown id, or `Some(Err(status))` while
     /// the job is still running.
-    pub fn job_report(&self, job: JobId) -> Option<Result<String, JobView>> {
+    pub(crate) fn job_report(&self, job: JobId) -> Option<Result<String, JobView>> {
         Some(self.job_results(job)?.map(|r| {
             r.render_report(
                 &r.cells(),
@@ -824,7 +824,7 @@ impl Engine {
     /// still running ([`CompareError::Running`]) or when the job cannot be
     /// compared ([`CompareError::NotComparable`] — pair not in the job's
     /// configs, or a single-seed sweep).
-    pub fn job_compare(&self, job: JobId) -> Option<Result<String, CompareError>> {
+    pub(crate) fn job_compare(&self, job: JobId) -> Option<Result<String, CompareError>> {
         let r = match self.job_results(job)? {
             Ok(r) => r,
             Err(status) => return Some(Err(CompareError::Running(status))),
@@ -846,7 +846,7 @@ impl Engine {
     }
 
     /// The cache-log path, if the cache is persisted.
-    pub fn cache_path(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn cache_path(&self) -> Option<std::path::PathBuf> {
         lock(&self.inner.cells).cache.path().map(Path::to_owned)
     }
 
@@ -856,7 +856,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates the `fsync` failure.
-    pub fn sync_cache(&self) -> io::Result<()> {
+    pub(crate) fn sync_cache(&self) -> io::Result<()> {
         lock(&self.inner.cells).cache.sync()
     }
 
@@ -868,7 +868,7 @@ impl Engine {
     ///
     /// `InvalidInput` for an in-memory cache; otherwise propagates the
     /// rewrite's I/O errors (the live log is untouched on failure).
-    pub fn compact_cache(&self) -> io::Result<CompactOutcome> {
+    pub(crate) fn compact_cache(&self) -> io::Result<CompactOutcome> {
         lock(&self.inner.cells).cache.compact()
     }
 
@@ -876,7 +876,7 @@ impl Engine {
     /// cache-log byte length of the `GET /v1/cache/sync` body a fresh peer
     /// warms up from — the chunked sync handler streams from this without
     /// materializing the whole log.
-    pub fn sync_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
+    pub(crate) fn sync_records(&self) -> (Vec<(u128, StoredSummary)>, u64) {
         lock(&self.inner.cells).cache.live_records()
     }
 
@@ -891,7 +891,7 @@ impl Engine {
 
     /// The configured peer set (sorted, self included), or empty when
     /// standalone — the `peers` array of `/v1/healthz`.
-    pub fn shard_peers(&self) -> Vec<String> {
+    pub(crate) fn shard_peers(&self) -> Vec<String> {
         self.inner
             .shard
             .get()
@@ -904,7 +904,7 @@ impl Engine {
     /// `GET /v1/cache/record/<key>` response body. Counts as a cache hit:
     /// a peer fetching this record is serving it to a job, same as a local
     /// lookup would.
-    pub fn cache_record(&self, key: u128) -> Option<Vec<u8>> {
+    pub(crate) fn cache_record(&self, key: u128) -> Option<Vec<u8>> {
         let stored = lock(&self.inner.cells).cache.lookup(key)?;
         let mut body = crate::cache::log_header().to_vec();
         write_record(&mut body, key, &stored);
@@ -930,7 +930,7 @@ impl Engine {
     /// `deadline` elapses; returns whether everything settled. The drain
     /// half of graceful shutdown: the caller stops *submitting* first, so
     /// the pool runs the backlog dry.
-    pub fn drain(&self, deadline: Duration) -> bool {
+    pub(crate) fn drain(&self, deadline: Duration) -> bool {
         self.wait_for(Some(deadline), |jobs| jobs.values().all(Job::settled))
             .1
     }

@@ -58,7 +58,7 @@ use crate::spec::parse_spec;
 pub const DEFAULT_ADDR: &str = "127.0.0.1:4173";
 
 /// Construction knobs for a [`Server`] and its [`Engine`]
-/// ([`Engine::with_options`] reads the pool and cache fields).
+/// (`Engine::with_options` reads the pool and cache fields).
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Pool threads (`None`: the sweep fan-out
@@ -95,7 +95,7 @@ pub struct ServeOptions {
     /// Auto-compaction trigger: when the log's dead-byte ratio reaches
     /// this fraction, the append that crossed it compacts the log in
     /// place (`None`: compaction only on demand via
-    /// [`Engine::compact_cache`]).
+    /// `Engine::compact_cache`).
     pub compact_threshold: Option<f64>,
 }
 

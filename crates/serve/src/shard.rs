@@ -78,7 +78,7 @@ impl ShardMap {
     }
 
     /// This process's own serving address.
-    pub fn self_addr(&self) -> &str {
+    pub(crate) fn self_addr(&self) -> &str {
         &self.peers[self.self_index]
     }
 

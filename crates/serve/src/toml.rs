@@ -1,9 +1,8 @@
 //! A minimal TOML parser for scenario sweep specs.
 //!
-//! The workspace's vendored `serde` is an API-shape stub (the build
-//! environment has no crates.io access, so there is no `toml` crate to
-//! plug into it); this module implements the TOML subset the spec format
-//! uses, hand-rolled and fully tested:
+//! The build environment has no crates.io access, so there is no `toml`
+//! crate; this module implements the TOML subset the spec format uses,
+//! hand-rolled and fully tested:
 //!
 //! * `[table.header]` and `[[array.of.tables]]` sections;
 //! * `key = value` pairs with bare keys;
@@ -37,7 +36,7 @@ pub enum Value {
 
 impl Value {
     /// The table behind this value, if it is one.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub(crate) fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Table(t) => Some(t),
             _ => None,
@@ -45,7 +44,7 @@ impl Value {
     }
 
     /// The string behind this value, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -53,7 +52,7 @@ impl Value {
     }
 
     /// The integer behind this value, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,
@@ -61,7 +60,7 @@ impl Value {
     }
 
     /// The float behind this value (integers coerce).
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),
             Value::Int(i) => Some(*i as f64),
@@ -70,7 +69,7 @@ impl Value {
     }
 
     /// The array behind this value, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(a) => Some(a),
             _ => None,

@@ -161,11 +161,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The profile driving this generator.
-    pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
-    }
-
     fn sample_run(&mut self) -> u32 {
         // Geometric-ish run length with the profile's mean, at least 1.
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);

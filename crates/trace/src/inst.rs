@@ -1,7 +1,5 @@
 //! The trace instruction vocabulary consumed by the CPU model.
 
-use serde::{Deserialize, Serialize};
-
 use malec_types::addr::VAddr;
 
 /// A backward dependency distance in dynamic instructions (1 = the
@@ -14,7 +12,7 @@ pub type DepDistance = u32;
 /// Dependencies are expressed as backward distances, which is all an
 /// out-of-order timing model needs: instruction *i* with `dep = d` cannot
 /// issue before instruction *i − d* has produced its result.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceInst {
     /// A non-memory operation.
     Op {
@@ -65,7 +63,8 @@ impl TraceInst {
     }
 
     /// Whether this instruction is a store.
-    pub const fn is_store(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_store(&self) -> bool {
         matches!(self, TraceInst::Store { .. })
     }
 

@@ -15,10 +15,9 @@
 //! ≈ 2:1; 70 % of loads directly followed by a same-page load).
 
 use malec_types::stable::fnv1a64;
-use serde::{Deserialize, Serialize};
 
 /// Benchmark suite, for grouping and geometric means.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Suite {
     /// SPEC CPU2000 integer.
     SpecInt,
@@ -39,7 +38,8 @@ impl Suite {
     }
 
     /// All suites, in the paper's figure order.
-    pub const fn all() -> [Suite; 3] {
+    #[cfg(test)]
+    const fn all() -> [Suite; 3] {
         [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench2]
     }
 }
@@ -51,7 +51,7 @@ impl std::fmt::Display for Suite {
 }
 
 /// The calibrated generator parameters for one benchmark.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct BenchmarkProfile {
     /// Benchmark name as printed in Fig. 4.
     pub name: &'static str,
@@ -90,14 +90,15 @@ pub struct BenchmarkProfile {
 impl BenchmarkProfile {
     /// Virtual-address region base for this benchmark (keeps benchmarks in
     /// disjoint parts of the 32-bit space, like separate processes).
-    pub fn vaddr_base(&self) -> u64 {
+    pub(crate) fn vaddr_base(&self) -> u64 {
         let h = fnv1a64(self.name.bytes());
         // Keep within a 32-bit space, 256 MiB-aligned regions.
         (h % 14) << 28
     }
 
     /// Loads as a fraction of all instructions.
-    pub fn load_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn load_fraction(&self) -> f64 {
         self.mem_fraction * self.load_share
     }
 }

@@ -218,9 +218,9 @@ pub fn read_trace(r: &mut impl Read) -> io::Result<Vec<TraceInst>> {
 
 /// Streaming `.mtr` reader: an iterator of records pulled straight off the
 /// underlying [`Read`]. Nothing beyond the current record is buffered, so
-/// arbitrarily large traces can feed the simulator directly — see
-/// [`TraceReader::into_insts`] for the panicking adaptor `OoOCore::run`
-/// consumes.
+/// arbitrarily large traces can feed the simulator directly. A malformed or
+/// truncated record is yielded as an error, after which the reader is
+/// fused.
 ///
 /// # Example
 ///
@@ -269,13 +269,6 @@ impl<R: Read> TraceReader<R> {
             ));
         }
         Ok(Self { r, done: false })
-    }
-
-    /// Adapts the reader into the infallible iterator the core consumes,
-    /// panicking on a malformed or truncated record (replay of a corrupt
-    /// trace has no meaningful recovery inside a simulation).
-    pub fn into_insts(self) -> impl Iterator<Item = TraceInst> {
-        self.map(|r| r.unwrap_or_else(|e| panic!("corrupt .mtr trace: {e}")))
     }
 
     fn read_record(&mut self) -> io::Result<Option<TraceInst>> {
@@ -432,20 +425,6 @@ mod tests {
         let mut reader = TraceReader::new(buf.as_slice()).expect("open");
         assert!(reader.next().expect("one item").is_err());
         assert!(reader.next().is_none(), "fused after the error");
-    }
-
-    #[test]
-    fn into_insts_feeds_plain_instructions() {
-        let insts: Vec<TraceInst> = WorkloadGenerator::new(&all_benchmarks()[0], 8)
-            .take(200)
-            .collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, insts.iter().copied()).expect("write");
-        let replayed: Vec<TraceInst> = TraceReader::new(buf.as_slice())
-            .expect("open")
-            .into_insts()
-            .collect();
-        assert_eq!(replayed, insts);
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! Headline numbers: 70 % of loads are directly followed by one or more
 //! same-page loads (n = 0), rising to 85 / 90 / 92 % for n = 1 / 2 / 3.
 
-use serde::{Deserialize, Serialize};
-
 use malec_types::addr::VPageId;
 
 /// Share of loads in same-page runs of each length bucket (Fig. 1's bar
 /// segments). Shares sum to 1 (within rounding) for non-empty inputs.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct RunLengthBuckets {
     /// Runs of exactly 1 access (no same-page follower) — "x=1".
     pub single: f64,

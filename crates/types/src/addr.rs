@@ -8,14 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! addr_newtype {
     ($(#[$meta:meta])* $name:ident, $inner:ty) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name($inner);
 
         impl $name {
@@ -110,28 +106,28 @@ addr_newtype!(
     u64
 );
 
+#[cfg(test)]
 impl VAddr {
     /// Byte-offset addition, saturating at the top of the address space.
     #[inline]
     #[must_use]
-    pub fn offset(self, bytes: u64) -> Self {
+    fn offset(self, bytes: u64) -> Self {
         Self(self.0.saturating_add(bytes))
     }
 }
 
+#[cfg(test)]
 impl PAddr {
     /// Byte-offset addition, saturating at the top of the address space.
     #[inline]
     #[must_use]
-    pub fn offset(self, bytes: u64) -> Self {
+    fn offset(self, bytes: u64) -> Self {
         Self(self.0.saturating_add(bytes))
     }
 }
 
 /// Index of a cache bank (0-based; the paper uses 4 banks).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BankId(pub u8);
 
 impl fmt::Display for BankId {
@@ -141,9 +137,7 @@ impl fmt::Display for BankId {
 }
 
 /// Index of a cache way (0-based; the paper's L1 is 4-way set-associative).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct WayId(pub u8);
 
 impl fmt::Display for WayId {
@@ -153,9 +147,7 @@ impl fmt::Display for WayId {
 }
 
 /// Index of a set within a single cache bank.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SetIndex(pub u32);
 
 impl fmt::Display for SetIndex {

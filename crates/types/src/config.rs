@@ -6,14 +6,12 @@
 //! | `Base2ld1st` | 2 ld + 1 st           | 1 rd/wt + 2 rd | 1 rd/wt + 1 rd|
 //! | `MALEC`      | 1 ld + 2 ld/st        | 1 rd/wt        | 1 rd/wt       |
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConfigError;
 use crate::geometry::CacheGeometry;
 use crate::params;
 
 /// Which L1 data interface microarchitecture is simulated.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InterfaceKind {
     /// Energy-oriented baseline: one load *or* one store per cycle; every
     /// structure single-ported.
@@ -28,7 +26,7 @@ pub enum InterfaceKind {
 
 impl InterfaceKind {
     /// Human-readable name as used in the paper's figures.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             InterfaceKind::Base1LdSt => "Base1ldst",
             InterfaceKind::Base2Ld1St => "Base2ld1st",
@@ -45,7 +43,7 @@ impl std::fmt::Display for InterfaceKind {
 
 /// L1 hit latency variant analyzed in Fig. 4 (the baseline latency is
 /// 2 cycles; the variants move it by ±1 cycle).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LatencyVariant {
     /// 1-cycle L1 hit latency (`Base2ld1st_1cycleL1`).
     OneCycle,
@@ -58,7 +56,7 @@ pub enum LatencyVariant {
 
 impl LatencyVariant {
     /// The L1 hit latency in cycles.
-    pub const fn l1_latency(self) -> u32 {
+    pub(crate) const fn l1_latency(self) -> u32 {
         match self {
             LatencyVariant::OneCycle => 1,
             LatencyVariant::TwoCycle => 2,
@@ -77,7 +75,7 @@ impl LatencyVariant {
 }
 
 /// Which way-determination scheme (if any) assists the MALEC interface.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WayDetermination {
     /// No way information: every access is a conventional parallel
     /// tag + data lookup.
@@ -109,27 +107,21 @@ impl WayDetermination {
 
 /// Read/write port counts of one hardware structure, used both by the timing
 /// model (arbitration) and by the energy model (per-port cost scaling).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PortConfig {
     /// Number of shared read/write ports.
     pub rw: u8,
     /// Number of read-only ports.
     pub rd: u8,
-    /// Number of write-only ports.
-    pub wr: u8,
 }
 
 impl PortConfig {
     /// A single shared read/write port (the energy-efficient default).
-    pub const SINGLE: Self = Self {
-        rw: 1,
-        rd: 0,
-        wr: 0,
-    };
+    pub const SINGLE: Self = Self { rw: 1, rd: 0 };
 
     /// Total number of ports.
     pub const fn total(self) -> u8 {
-        self.rw + self.rd + self.wr
+        self.rw + self.rd
     }
 
     /// Number of ports usable for reads.
@@ -145,7 +137,7 @@ impl Default for PortConfig {
 }
 
 /// Per-cycle address-computation (AGU) capability of a configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct AgwConfig {
     /// AGU slots usable only by loads.
     pub load_only: u8,
@@ -159,7 +151,7 @@ pub struct AgwConfig {
 /// variant and MALEC feature toggles (the Sec. VI ablations), and the few
 /// sizes the sensitivity checks edit. Everything else is the one Table II
 /// machine, read from [`params`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SimConfig {
     /// Which interface microarchitecture.
     pub interface: InterfaceKind,
@@ -297,11 +289,7 @@ impl SimConfig {
     /// TLB/uTLB port configuration per Table I.
     pub fn tlb_ports(&self) -> PortConfig {
         match self.interface {
-            InterfaceKind::Base2Ld1St => PortConfig {
-                rw: 1,
-                rd: 2,
-                wr: 0,
-            },
+            InterfaceKind::Base2Ld1St => PortConfig { rw: 1, rd: 2 },
             _ => PortConfig::SINGLE,
         }
     }
@@ -309,11 +297,7 @@ impl SimConfig {
     /// L1 cache-bank port configuration per Table I.
     pub fn cache_ports(&self) -> PortConfig {
         match self.interface {
-            InterfaceKind::Base2Ld1St => PortConfig {
-                rw: 1,
-                rd: 1,
-                wr: 0,
-            },
+            InterfaceKind::Base2Ld1St => PortConfig { rw: 1, rd: 1 },
             _ => PortConfig::SINGLE,
         }
     }

@@ -20,12 +20,13 @@ pub struct ConfigError {
 
 impl ConfigError {
     /// Creates a configuration error with a static description.
-    pub const fn new(message: &'static str) -> Self {
+    pub(crate) const fn new(message: &'static str) -> Self {
         Self { message }
     }
 
     /// The human-readable description.
-    pub const fn message(&self) -> &'static str {
+    #[cfg(test)]
+    const fn message(&self) -> &'static str {
         self.message
     }
 }
@@ -58,7 +59,7 @@ pub enum FailureKind {
 
 impl FailureKind {
     /// The stable lowercase tag used in status JSON and logs.
-    pub const fn tag(self) -> &'static str {
+    pub(crate) const fn tag(self) -> &'static str {
         match self {
             Self::Panic => "panic",
             Self::Timeout => "timeout",

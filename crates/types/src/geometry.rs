@@ -13,8 +13,6 @@
 //! uses only shifts and masks, never a division, since the simulator
 //! slices an address on every L1 lookup and fill.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{BankId, LineAddr, SetIndex, VAddr, VPageId};
 use crate::error::ConfigError;
 
@@ -30,7 +28,7 @@ use crate::error::ConfigError;
 /// assert_eq!(g.lines_per_page(), 64);
 /// assert_eq!(g.page_offset_bits(), 12);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PageGeometry {
     page_bytes: u64,
     line_bytes: u64,
@@ -151,7 +149,7 @@ impl PageGeometry {
 /// assert_eq!(l1.banks(), 4);
 /// assert_eq!(l1.sets_per_bank(), 32);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheGeometry {
     total_bytes: u64,
     ways: u32,

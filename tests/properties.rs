@@ -81,7 +81,7 @@ proptest! {
     /// and two different interfaces see identical physical placements.
     #[test]
     fn prop_translation_is_stable(vpages in proptest::collection::vec(0u64..(1 << 20), 1..64)) {
-        let pt = PageTable::default();
+        let pt = PageTable;
         for v in vpages {
             let a = pt.translate(VPageId::new(v));
             let b = pt.translate(VPageId::new(v));
